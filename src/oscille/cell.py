@@ -14,6 +14,7 @@ that interpolation error dominated by the homogenization errors measured.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,35 @@ def _mean_functional(cell_mesh):
     return c
 
 
+def _interpolate_periodic(columns, cell_mesh, y):
+    """Periodic multilinear interpolation of nodal cell functions.
+
+    columns is a sequence of (n_nodes, d) nodal arrays, one per cell
+    solution. Returns the values N_k(y), shape (n_sol, n, d), and the
+    element-interpolant gradients d/dy_j N_k(y), shape (n_sol, n, d, d)
+    indexed [sol, point, j, k].
+    """
+    d = cell_mesh.dim
+    m = np.array(cell_mesh.nodes_per_axis)
+    y = np.asarray(y, dtype=float).reshape(-1, d)
+    t = (y - np.floor(y)) * m
+    idx = np.minimum(np.floor(t).astype(int), m - 1)
+    loc = t - idx
+    hats = (1.0 - loc, loc)  # per-axis hat value of the lower / upper corner
+    slopes = (-1.0 / np.array(cell_mesh.h), 1.0 / np.array(cell_mesh.h))
+    ids, wts, dwts = [], [], []
+    for bits in itertools.product((0, 1), repeat=d):
+        ids.append(np.ravel_multi_index(((idx + bits) % m).T, tuple(m)))
+        factors = np.stack([hats[b][:, a] for a, b in enumerate(bits)])  # (d, n)
+        wts.append(factors.prod(axis=0))
+        dwts.append([slopes[b][a] * np.delete(factors, a, axis=0).prod(axis=0) for a, b in enumerate(bits)])
+    ids = np.stack(ids, axis=1)  # (n, corners)
+    wts = np.stack(wts, axis=1)
+    dwts = np.stack([np.stack(g) for g in dwts], axis=2)  # (j, n, corners)
+    corners = np.stack([np.asarray(c)[ids] for c in columns])  # (sol, n, corners, d)
+    return np.einsum("nc,snck->snk", wts, corners), np.einsum("jnc,snck->snjk", dwts, corners)
+
+
 @dataclass
 class CellSolution:
     """Corrector cell functions N_k at one macroscopic anchor point."""
@@ -76,77 +106,19 @@ class CellSolution:
     x_anchor: np.ndarray
     cell_mesh: Mesh
     columns: np.ndarray  # (n_nodes, d) nodal values of N_k
-    grad_gauss: np.ndarray  # (n_elements, n_gauss, d, d): d/dy_j of N_k
     stats: tuple
 
     def mean_defect(self):
         c = _mean_functional(self.cell_mesh)
         return float(np.max(np.abs(c @ self.columns)))
 
-    def _locate(self, y):
-        m = np.array(self.cell_mesh.nodes_per_axis)
-        y = np.asarray(y, dtype=float).reshape(-1, self.cell_mesh.dim)
-        y = y - np.floor(y)
-        t = y * m
-        idx = np.floor(t).astype(int)
-        idx = np.minimum(idx, m - 1)
-        loc = t - idx
-        return idx, loc, m
-
     def eval_n(self, y):
         """N(y) by periodic multilinear interpolation, shape (n, d)."""
-        idx, loc, m = self._locate(y)
-        vals = self.columns
-        d = self.cell_mesh.dim
-        if d == 1:
-            i0 = idx[:, 0]
-            i1 = (i0 + 1) % m[0]
-            t = loc[:, 0:1]
-            return vals[i0] * (1 - t) + vals[i1] * t
-        i0, j0 = idx[:, 0], idx[:, 1]
-        i1 = (i0 + 1) % m[0]
-        j1 = (j0 + 1) % m[1]
-        tx = loc[:, 0:1]
-        ty = loc[:, 1:2]
-        n2 = self.cell_mesh.nodes_per_axis[1]
-        v00 = vals[i0 * n2 + j0]
-        v01 = vals[i0 * n2 + j1]
-        v10 = vals[i1 * n2 + j0]
-        v11 = vals[i1 * n2 + j1]
-        return (
-            v00 * (1 - tx) * (1 - ty)
-            + v01 * (1 - tx) * ty
-            + v10 * tx * (1 - ty)
-            + v11 * tx * ty
-        )
+        return _interpolate_periodic([self.columns], self.cell_mesh, y)[0][0]
 
     def eval_grad_n(self, y):
         """d/dy_j N_k (y) from the element interpolant, shape (n, d, d)."""
-        idx, loc, m = self._locate(y)
-        vals = self.columns
-        d = self.cell_mesh.dim
-        h = self.cell_mesh.h
-        if d == 1:
-            i0 = idx[:, 0]
-            i1 = (i0 + 1) % m[0]
-            g = (vals[i1] - vals[i0]) / h[0]
-            return g[:, None, :].transpose(0, 2, 1)  # (n, d=1, d=1)
-        i0, j0 = idx[:, 0], idx[:, 1]
-        i1 = (i0 + 1) % m[0]
-        j1 = (j0 + 1) % m[1]
-        tx = loc[:, 0:1]
-        ty = loc[:, 1:2]
-        n2 = self.cell_mesh.nodes_per_axis[1]
-        v00 = vals[i0 * n2 + j0]
-        v01 = vals[i0 * n2 + j1]
-        v10 = vals[i1 * n2 + j0]
-        v11 = vals[i1 * n2 + j1]
-        gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / h[0]
-        gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / h[1]
-        out = np.empty((gx.shape[0], 2, 2))
-        out[:, :, 0] = gx  # derivative in y_1 of N_k
-        out[:, :, 1] = gy
-        return out.transpose(0, 2, 1)  # (n, j, k): d/dy_j of N_k
+        return _interpolate_periodic([self.columns], self.cell_mesh, y)[1][0]
 
 
 def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL):
@@ -154,7 +126,7 @@ def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL):
     if not cell_mesh.periodic:
         raise MeshMismatch("cell mesh must be periodic")
     x = np.asarray(x, dtype=float).reshape(field.dim)
-    matrix, loads, q, _ = _periodic_stiffness_and_loads(field, x, cell_mesh)
+    matrix, loads, _, _ = _periodic_stiffness_and_loads(field, x, cell_mesh)
     c = _mean_functional(cell_mesh)
     d = field.dim
     columns = np.zeros((cell_mesh.n_nodes, d))
@@ -163,10 +135,7 @@ def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL):
         sol, _lam, st = linalg.solve_saddle(matrix, c, loads[k], beta=0.0, tol=tol)
         columns[:, k] = sol
         stats.append(st)
-    grads = q.shape_grads
-    corner_vals = columns[q.corners]  # (E, c, d)
-    grad_gauss = np.einsum("ecd,gcj->egjd", corner_vals, grads)
-    return CellSolution(x, cell_mesh, columns, grad_gauss, tuple(stats))
+    return CellSolution(x, cell_mesh, columns, tuple(stats))
 
 
 def effective_tensor(field, x, cell_mesh, solution=None, tol=linalg.DEFAULT_TOL):
@@ -177,7 +146,9 @@ def effective_tensor(field, x, cell_mesh, solution=None, tol=linalg.DEFAULT_TOL)
     x = np.asarray(x, dtype=float).reshape(d)
     a_vals = field.eval_at_slow(x, q.points.reshape(-1, d)).reshape(q.points.shape[0], q.points.shape[1])
     ident = np.eye(d)[None, None, :, :]
-    integrand = a_vals[:, :, None, None] * (ident + sol.grad_gauss)
+    # d/dy_j of N_k at the Gauss points, (n_elements, n_gauss, d, d)
+    grad_gauss = np.einsum("ecd,gcj->egjd", sol.columns[q.corners], q.shape_grads)
+    integrand = a_vals[:, :, None, None] * (ident + grad_gauss)
     return np.einsum("g,egjk->jk", q.weights, integrand)
 
 

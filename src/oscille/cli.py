@@ -328,7 +328,9 @@ def main(argv=None):
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except (linalg.NonConvergence, linalg.SingularSystem, linalg.ZeroPivot, fem.SingularOperator,
-            fem.QuadratureFailure, ExcessiveSize, EmptyRegion, study.InsufficientData) as exc:
+            fem.QuadratureFailure, ExcessiveSize, EmptyRegion, study.InsufficientData,
+            cell_mod.TableCoverage, cell_mod.EllipticityViolation, smoothing.InsufficientMargin,
+            smoothing.MarginTooLarge) as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return 3
 

@@ -71,10 +71,6 @@ class CoefficientField:
         x = np.broadcast_to(np.asarray(x, dtype=float).reshape(1, self.dim), y.shape)
         return _eval_preset(self.preset_id, self.params, x, y)
 
-    @property
-    def x_dependent(self):
-        return self.preset_id in ("LocallyPeriodic1D", "LocallyPeriodic2D")
-
 
 def _eval_preset(preset_id, params, x, y):
     # wrap into the unit cell first: this makes periodicity exact as a
@@ -230,14 +226,6 @@ class BoundarySpec:
             raise ScenarioError("mixed boundary must be a proper edge subset; use dirichlet")
 
 
-def mixed_left():
-    """The default nontrivial mixed split: Dirichlet on the left edge only."""
-    return BoundarySpec("mixed", ("left",))
-
-
-R_CELL = {1: 0.5, 2: math.sqrt(2.0) / 2.0}
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Full description of one convergence study."""
@@ -266,6 +254,13 @@ class Scenario:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "domain", tuple(tuple(map(float, ax)) for ax in self.domain))
         warnings = list(self.warnings)
+        numbers = (("mu", self.mu), ("p", self.p), ("s", self.s), ("s_plus", self.s_plus),
+                   ("interior_margin", self.interior_margin))
+        numbers += tuple(("epsilons", e) for e in self.epsilons)
+        numbers += tuple(("domain", v) for ax in self.domain for v in ax)
+        for name, v in numbers:
+            if not math.isfinite(v):
+                raise ScenarioError(f"{name} must be finite, got {v}")
         if len(self.domain) != self.dim:
             raise ScenarioError("domain extents must match the field dimension")
         for lo, hi in self.domain:
@@ -302,6 +297,3 @@ class Scenario:
                 f"5*max(eps) = {5.0 * eps[0]:g}; coarsest cases may contaminate the interior fit"
             )
         object.__setattr__(self, "warnings", tuple(warnings))
-
-    def r_cell(self):
-        return R_CELL[self.dim]

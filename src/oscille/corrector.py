@@ -12,9 +12,16 @@ the macroscopic cell table by linear interpolation in the slow variable
 and periodic interpolation in the fast one. The z average uses the same
 window weights as the Steklov smoother, so the two constructions agree.
 
-The gradient of the corrector splits into a slow part (scaled by eps) and
-a fast part from the cell variable; both are assembled from the tables by
-the chain rule inside the z quadrature.
+The gradient of the corrector is a slow part (scaled by eps) plus a fast
+part from the cell variable, by the chain rule inside the z average:
+
+    eps DK_j = eps avg_z [ (d_j W) N G + W N (d_j G) ] + avg_z [ W (d_{y_j} N) G ],
+
+with W the slow-table interpolation weights. K and all three gradient
+terms are one kernel, `_window_sum`. The window weights and the slow hats
+are both products of per-axis factors and every shift x + eps z is a
+fine-grid node, so the z average is d slice passes of per-axis 1D
+stencils followed by one gather of the tabulated cell values.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellTable, TableCoverage, locate_on_axes
+from .cell import CellTable, TableCoverage, _interpolate_periodic, locate_on_axes
 from .mesh import GridFunction, MeshMismatch, r_cell
 from .smoothing import ExtendedFunction, _extended_mesh, extend, mollify, window_weights
 
@@ -112,222 +119,154 @@ def _z_offsets(mesh, eps):
 
 
 def _fast_coordinates(mesh, eps):
-    """frac(x/eps) at every node, shape (n_nodes, d)."""
-    pts = mesh.node_coords()
-    y = pts / eps
-    return y - np.floor(y)
+    """The distinct fast coordinates frac(x/eps) and each node's index into them.
 
-
-def _table_entry_values(table, y_pts):
-    """Evaluate every tabulated cell solution at the node fast-coordinates.
-
-    Nodes share only a few distinct fast coordinates, so evaluation is
-    deduplicated: returns (values, grads, inv) with values of shape
-    (n_entries, n_unique, d), grads (n_entries, n_unique, d, d) and inv
-    mapping each node to its unique fast coordinate.
+    Each axis takes only a few distinct values, so the distinct points are
+    their tensor grid: returns y of shape (n_unique, d) and inv of shape
+    nodes_per_axis.
     """
-    uniq, inv = np.unique(np.round(y_pts / 1e-12).astype(np.int64), axis=0, return_inverse=True)
-    y_uniq = uniq * 1e-12
-    n_e = len(table.cells)
-    vals = np.empty((n_e, y_uniq.shape[0], table.cells[0].columns.shape[1]))
-    grads = np.empty((n_e, y_uniq.shape[0], vals.shape[2], vals.shape[2]))
-    for i, sol in enumerate(table.cells):
-        vals[i] = sol.eval_n(y_uniq)
-        grads[i] = sol.eval_grad_n(y_uniq)
-    return vals, grads, inv.ravel()
+    uniq, invs = [], []
+    for a in range(mesh.dim):
+        y = mesh.axis_coords(a) / eps
+        u, inv = np.unique(np.round((y - np.floor(y)) / 1e-12).astype(np.int64), return_inverse=True)
+        uniq.append(u * 1e-12)
+        invs.append(inv)
+    y = np.stack(np.meshgrid(*uniq, indexing="ij"), axis=-1).reshape(-1, mesh.dim)
+    return y, np.ravel_multi_index(np.meshgrid(*invs, indexing="ij"), [len(u) for u in uniq])
 
 
-def _table_stencil(table, pts):
-    """Corner entry ids and weights of the slow interpolation at points."""
-    idx, loc = locate_on_axes(table.x_axes, pts)
-    if table.dim == 1:
-        i = idx[0]
-        t = loc[0]
-        return [(i, 1.0 - t), (i + 1, t)]
-    n2 = len(table.x_axes[1])
-    i, j = idx
-    tx, ty = loc
-    return [
-        (i * n2 + j, (1 - tx) * (1 - ty)),
-        (i * n2 + j + 1, (1 - tx) * ty),
-        ((i + 1) * n2 + j, tx * (1 - ty)),
-        ((i + 1) * n2 + j + 1, tx * ty),
-    ]
+@dataclass
+class _AxisStencil:
+    """Window-weighted slow-table hats along one axis.
+
+    The window offsets j of node i reach the points x_0 + h q, q = i + j;
+    each lies in table cell idx[q] with local coordinate t[q] (q counted
+    from the first offset). Node i's table indices are stored as slots
+    counted from idx[i], the cell of its first offset.
+    """
+
+    offsets: np.ndarray  # window offsets in fine-grid cells
+    w: np.ndarray  # window weight per offset
+    idx: np.ndarray  # (n + n_offsets - 1,)
+    t: np.ndarray  # (n + n_offsets - 1,)
+    inv_h: float  # 1 / table spacing
+    n_slots: int
+
+    @property
+    def n(self):
+        return len(self.idx) - (self.offsets[-1] - self.offsets[0])
+
+    def weights(self, col, deriv):
+        """(n_slots, n) weights of offset number col on each node's slots.
+
+        The hat puts w (1 - t) on cell idx and w t on idx + 1; its
+        x-derivative puts -w / H and w / H there.
+        """
+        n = self.n
+        q0 = self.offsets[col] - self.offsets[0]
+        slot = self.idx[q0 : q0 + n] - self.idx[:n]
+        t = self.t[q0 : q0 + n]
+        lower, upper = (-self.inv_h, self.inv_h) if deriv else (1.0 - t, t)
+        out = np.zeros((self.n_slots, n))
+        nodes = np.arange(n)
+        out[slot, nodes] = self.w[col] * lower
+        out[slot + 1, nodes] = self.w[col] * upper
+        return out
 
 
-def _table_gradient_stencil(table, pts, axis):
-    """Stencil of d/dx_axis of the slow interpolation (piecewise constant)."""
-    idx, loc = locate_on_axes(table.x_axes, pts)
-    hx = [ax[1] - ax[0] for ax in table.x_axes]
-    if table.dim == 1:
-        i = idx[0]
-        s = 1.0 / hx[0]
-        return [(i, -s + 0.0 * loc[0]), (i + 1, s + 0.0 * loc[0])]
-    n2 = len(table.x_axes[1])
-    i, j = idx
-    tx, ty = loc
-    s = 1.0 / hx[axis]
-    if axis == 0:
-        return [
-            (i * n2 + j, -s * (1 - ty)),
-            (i * n2 + j + 1, -s * ty),
-            ((i + 1) * n2 + j, s * (1 - ty)),
-            ((i + 1) * n2 + j + 1, s * ty),
-        ]
-    return [
-        (i * n2 + j, -s * (1 - tx)),
-        (i * n2 + j + 1, s * (1 - tx)),
-        ((i + 1) * n2 + j, -s * tx),
-        ((i + 1) * n2 + j + 1, s * tx),
-    ]
+def _axis_stencils(table, mesh, windows):
+    """One _AxisStencil per axis, and the flat table entry of every slot
+    and node combination, shape (slots_d..slots_1, n_1..n_d)."""
+    d = mesh.dim
+    stencils = []
+    entry = 0
+    for a, (offs, w) in enumerate(windows):
+        x_axis = table.x_axes[a]
+        n = mesh.nodes_per_axis[a]
+        pts = mesh.axis_coords(a)[0] + mesh.h[a] * np.arange(offs[0], n + offs[-1])
+        try:
+            (idx,), (t,) = locate_on_axes((x_axis,), pts[:, None])
+        except TableCoverage as exc:
+            raise TableCoverage(f"slow axis {a}: {exc}") from exc
+        span = offs[-1] - offs[0]
+        n_slots = int(np.max(idx[span : span + n] - idx[:n])) + 2
+        stencils.append(_AxisStencil(offs, w, idx, t, 1.0 / (x_axis[1] - x_axis[0]), n_slots))
+        # slots past the table end carry zero weight; clip them to a valid entry
+        ids = np.minimum(np.arange(n_slots)[:, None] + idx[:n], len(x_axis) - 1)
+        shape = [1] * (2 * d)
+        shape[d - 1 - a], shape[d + a] = ids.shape
+        entry = entry * len(x_axis) + ids.reshape(shape)
+    return stencils, entry
 
 
-class _ShiftedFields:
-    """Grid-aligned lookup of the gradient fields at x + eps*z offsets."""
+def _window_sum(stencils, coeff, fields, deriv_axis=None):
+    """sum_z w_z sum_corner W(x + eps z) C[corner, y(x)] . F(x + eps z), nodewise.
 
-    def __init__(self, inputs):
-        self.mesh = inputs.mesh
-        self.d = self.mesh.dim
-        self.grads = inputs.grads
-        self.shapes = [g.base.reshaped() for g in self.grads]
-        self.pads = [g.pad for g in self.grads]
-        # derivative of the gradient fields (for the slow part), one per axis
-        self.grad_of_grad = {}
-
-    def block(self, comp, cell_offset):
-        pad = self.pads[comp]
-        arr = self.shapes[comp]
-        sl = []
-        for ax in range(self.d):
-            start = pad[ax] + cell_offset[ax]
-            n = self.mesh.nodes_per_axis[ax]
-            if start < 0 or start + n > arr.shape[ax]:
+    W is the slow-table hat, or its x-derivative along deriv_axis. coeff
+    holds C_k at every slot and node, shape (d, slots_d..slots_1, n_1..n_d);
+    fields holds F_k as (values, pad) on h-aligned grids. Each axis is one
+    slice pass of its 1D stencil, so nothing is located per offset.
+    """
+    d = len(stencils)
+    out = 0.0
+    for k, (vals, pad) in enumerate(fields):
+        for a, st in enumerate(stencils):
+            ax = 2 * a  # a slot axes lead, each pass prepends one
+            n = st.n
+            start = pad[a] + st.offsets
+            if start[0] < 0 or start[-1] + n > vals.shape[ax]:
                 raise TableCoverage("z shift leaves the extended gradient grid")
-            sl.append(slice(start, start + n))
-        return arr[tuple(sl)].ravel()
-
-    def dblock(self, comp, axis, cell_offset):
-        key = (comp, axis)
-        if key not in self.grad_of_grad:
-            g = self.grads[comp]
-            self.grad_of_grad[key] = _central_diff_axis(g.base.reshaped(), g.mesh.h[axis], axis)
-        arr = self.grad_of_grad[key]
-        pad = self.pads[comp]
-        sl = []
-        for ax in range(self.d):
-            start = pad[ax] + cell_offset[ax] - (1 if ax == axis else 0)
-            n = self.mesh.nodes_per_axis[ax]
-            if start < 0 or start + n > arr.shape[ax]:
-                raise TableCoverage("z shift leaves the differentiated gradient grid")
-            sl.append(slice(start, start + n))
-        return arr[tuple(sl)].ravel()
+            bshape = [st.n_slots] + [1] * vals.ndim
+            bshape[1 + ax] = n
+            sl = [slice(None)] * vals.ndim
+            acc = 0.0
+            for col, s0 in enumerate(start):
+                sl[ax] = slice(s0, s0 + n)
+                acc = acc + vals[tuple(sl)] * st.weights(col, a == deriv_axis).reshape(bshape)
+            vals = acc
+        out = out + np.sum(coeff[k] * vals, axis=tuple(range(d)))
+    return np.ravel(out)
 
 
-def _iter_z(per_axis):
-    if len(per_axis) == 1:
-        for j, w in zip(*per_axis[0]):
-            yield (int(j),), float(w)
-        return
-    (offs1, w1), (offs2, w2) = per_axis
-    for j1, wa in zip(offs1, w1):
-        for j2, wb in zip(offs2, w2):
-            yield (int(j1), int(j2)), float(wa * wb)
+def _corrector_setup(inputs):
+    """Stencils, gradient fields, and the tabulated cell values N and d/dy N
+    gathered at every slot and node, components first."""
+    mesh = inputs.mesh
+    d = mesh.dim
+    stencils, entry = _axis_stencils(inputs.table, mesh, _z_offsets(mesh, inputs.eps))
+    y, inv = _fast_coordinates(mesh, inputs.eps)
+    n_vals, n_grads = _interpolate_periodic([sol.columns for sol in inputs.table.cells], inputs.table.cell_mesh, y)
+    at = (entry, inv.reshape((1,) * d + mesh.nodes_per_axis))
+    fields = [(g.base.reshaped(), g.pad) for g in inputs.grads]
+    n_at = np.moveaxis(n_vals[at], -1, 0)  # (k, ...)
+    dn_at = np.moveaxis(n_grads[at], (-2, -1), (0, 1))  # (j, k, ...)
+    return stencils, fields, n_at, dn_at
 
 
 def corrector_apply(inputs):
     """Assemble the corrector field K on the source mesh."""
-    mesh = inputs.mesh
-    d = mesh.dim
-    per_axis = _z_offsets(mesh, inputs.eps)
-    y_pts = _fast_coordinates(mesh, inputs.eps)
-    n_vals, _, inv = _table_entry_values(inputs.table, y_pts)
-    fields = _ShiftedFields(inputs)
-    coords = mesh.node_coords()
-    h = np.array(mesh.h)
-    out = np.zeros(mesh.n_nodes)
-    for cell_offset, w_z in _iter_z(per_axis):
-        pts = coords + h[None, :] * np.array(cell_offset)[None, :]
-        stencil = _table_stencil(inputs.table, pts)
-        contrib = np.zeros(mesh.n_nodes)
-        blocks = [fields.block(k, cell_offset) for k in range(d)]
-        for entry_ids, wts in stencil:
-            for k in range(d):
-                contrib += wts * n_vals[entry_ids, inv, k] * blocks[k]
-        out += w_z * contrib
-    return GridFunction(mesh, out)
-
-
-def corrector_gradient_parts(inputs):
-    """Slow and fast contributions to eps * D K, each a list of d fields.
-
-    part_slow[j] = eps * cube-average of d/dx_j [N_k(x + eps z, y) G_k(x + eps z)],
-    part_fast[j] = cube-average of (d/dy_j N_k)(x + eps z, y) G_k(x + eps z),
-    and eps * DK = part_slow + part_fast.
-    """
-    mesh = inputs.mesh
-    d = mesh.dim
-    eps = inputs.eps
-    per_axis = _z_offsets(mesh, eps)
-    y_pts = _fast_coordinates(mesh, eps)
-    n_vals, n_grads, inv = _table_entry_values(inputs.table, y_pts)
-    fields = _ShiftedFields(inputs)
-    coords = mesh.node_coords()
-    h = np.array(mesh.h)
-    slow = [np.zeros(mesh.n_nodes) for _ in range(d)]
-    fast = [np.zeros(mesh.n_nodes) for _ in range(d)]
-    for cell_offset, w_z in _iter_z(per_axis):
-        pts = coords + h[None, :] * np.array(cell_offset)[None, :]
-        stencil = _table_stencil(inputs.table, pts)
-        blocks = [fields.block(k, cell_offset) for k in range(d)]
-        for j in range(d):
-            dsten = _table_gradient_stencil(inputs.table, pts, j)
-            acc = np.zeros(mesh.n_nodes)
-            for (entry_ids, wts), (dentry_ids, dwts) in zip(stencil, dsten):
-                for k in range(d):
-                    # (d/dx_j N_k) G_k   +   N_k (d/dx_j G_k)
-                    acc += dwts * n_vals[dentry_ids, inv, k] * blocks[k]
-                    acc += wts * n_vals[entry_ids, inv, k] * fields.dblock(k, j, cell_offset)
-            slow[j] += w_z * eps * acc
-            accf = np.zeros(mesh.n_nodes)
-            for entry_ids, wts in stencil:
-                for k in range(d):
-                    accf += wts * n_grads[entry_ids, inv, j, k] * blocks[k]
-            fast[j] += w_z * accf
-    to_gf = lambda v: GridFunction(mesh, v)  # noqa: E731
-    return [to_gf(v) for v in slow], [to_gf(v) for v in fast]
+    stencils, fields, n_at, _ = _corrector_setup(inputs)
+    return GridFunction(inputs.mesh, _window_sum(stencils, n_at, fields))
 
 
 def corrector_gradient(inputs):
-    """eps * D K assembled in one fused pass over the z quadrature.
+    """eps * D K = slow part + fast part, each a window sum, per component j.
 
-    Mathematically identical to the sum of corrector_gradient_parts; the
-    accumulation path differs, which makes the agreement of the two a
-    meaningful assembly check.
+    slow_j = eps * cube-average of (d/dx_j W) N_k G_k + W N_k (d/dx_j G_k),
+    fast_j = cube-average of W (d/dy_j N_k) G_k,
+    with W the slow-table interpolation weights.
     """
-    mesh = inputs.mesh
-    d = mesh.dim
-    eps = inputs.eps
-    per_axis = _z_offsets(mesh, eps)
-    y_pts = _fast_coordinates(mesh, eps)
-    n_vals, n_grads, inv = _table_entry_values(inputs.table, y_pts)
-    fields = _ShiftedFields(inputs)
-    coords = mesh.node_coords()
-    h = np.array(mesh.h)
-    out = [np.zeros(mesh.n_nodes) for _ in range(d)]
-    for cell_offset, w_z in _iter_z(per_axis):
-        pts = coords + h[None, :] * np.array(cell_offset)[None, :]
-        stencil = _table_stencil(inputs.table, pts)
-        blocks = [fields.block(k, cell_offset) for k in range(d)]
-        for j in range(d):
-            dsten = _table_gradient_stencil(inputs.table, pts, j)
-            acc = np.zeros(mesh.n_nodes)
-            for (entry_ids, wts), (dentry_ids, dwts) in zip(stencil, dsten):
-                for k in range(d):
-                    acc += eps * dwts * n_vals[dentry_ids, inv, k] * blocks[k]
-                    acc += eps * wts * n_vals[entry_ids, inv, k] * fields.dblock(k, j, cell_offset)
-                    acc += wts * n_grads[entry_ids, inv, j, k] * blocks[k]
-            out[j] += w_z * acc
-    return [GridFunction(mesh, v) for v in out]
+    stencils, fields, n_at, dn_at = _corrector_setup(inputs)
+    out = []
+    for j in range(inputs.mesh.dim):
+        dfields = [
+            (_central_diff_axis(vals, g.mesh.h[j], j), tuple(p - (a == j) for a, p in enumerate(pad)))
+            for g, (vals, pad) in zip(inputs.grads, fields)
+        ]
+        slow = _window_sum(stencils, n_at, fields, deriv_axis=j) + _window_sum(stencils, n_at, dfields)
+        fast = _window_sum(stencils, dn_at[j], fields)
+        out.append(GridFunction(inputs.mesh, inputs.eps * slow + fast))
+    return out
 
 
 def corrector_norm_check(K, dk_components, f_norm, eps, p):

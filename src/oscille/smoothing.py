@@ -25,9 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.signal import convolve as _signal_convolve
 
-from .mesh import GridFunction, Mesh
-
-cube_radius = {1: 0.5, 2: math.sqrt(2.0) / 2.0}
+from .mesh import GridFunction, Mesh, r_cell
 
 
 class MarginTooLarge(RuntimeError):
@@ -178,7 +176,7 @@ def shift_T(ext, eps, z):
     """Translated values u(x + eps*z) on the source mesh (multilinear)."""
     mesh = ext.source_mesh
     z = np.asarray(z, dtype=float).reshape(mesh.dim)
-    if np.any(np.abs(z) > cube_radius[mesh.dim] + 1e-12):
+    if np.any(np.abs(z) > r_cell(mesh.dim) + 1e-12):
         raise ValueError("z must lie in the centered unit cube")
     pts = mesh.node_coords() + eps * z[None, :]
     return GridFunction(mesh, eval_extended(ext, pts))

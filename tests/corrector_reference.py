@@ -1,0 +1,209 @@
+"""Per-offset reference assembly of the corrector, for tests only.
+
+This is the original z-quadrature loop: for every window offset z it
+locates every shifted node in the slow table, gathers the corner entries
+and the grid-aligned gradient blocks, and accumulates. It is slow but
+follows the formulas term by term, so the production kernel in
+`oscille.corrector` is checked against it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from oscille.cell import TableCoverage, locate_on_axes
+from oscille.corrector import _central_diff_axis
+from oscille.mesh import GridFunction
+from oscille.smoothing import window_weights
+
+
+def _z_offsets(mesh, eps):
+    """Tensor z-quadrature: per-axis cell offsets and weights."""
+    per_axis = []
+    for h in mesh.h:
+        rho = eps / h
+        if abs(rho - round(rho)) > 1e-9:
+            raise ValueError("eps must be an integer multiple of the fine spacing")
+        offs, w = window_weights(int(round(rho)))
+        per_axis.append((offs, w))
+    return per_axis
+
+
+def _fast_coordinates(mesh, eps):
+    """frac(x/eps) at every node, shape (n_nodes, d)."""
+    pts = mesh.node_coords()
+    y = pts / eps
+    return y - np.floor(y)
+
+
+def _table_entry_values(table, y_pts):
+    """Every tabulated cell solution at the deduplicated node fast-coordinates."""
+    uniq, inv = np.unique(np.round(y_pts / 1e-12).astype(np.int64), axis=0, return_inverse=True)
+    y_uniq = uniq * 1e-12
+    n_e = len(table.cells)
+    vals = np.empty((n_e, y_uniq.shape[0], table.cells[0].columns.shape[1]))
+    grads = np.empty((n_e, y_uniq.shape[0], vals.shape[2], vals.shape[2]))
+    for i, sol in enumerate(table.cells):
+        vals[i] = sol.eval_n(y_uniq)
+        grads[i] = sol.eval_grad_n(y_uniq)
+    return vals, grads, inv.ravel()
+
+
+def _table_stencil(table, pts):
+    """Corner entry ids and weights of the slow interpolation at points."""
+    idx, loc = locate_on_axes(table.x_axes, pts)
+    if table.dim == 1:
+        i = idx[0]
+        t = loc[0]
+        return [(i, 1.0 - t), (i + 1, t)]
+    n2 = len(table.x_axes[1])
+    i, j = idx
+    tx, ty = loc
+    return [
+        (i * n2 + j, (1 - tx) * (1 - ty)),
+        (i * n2 + j + 1, (1 - tx) * ty),
+        ((i + 1) * n2 + j, tx * (1 - ty)),
+        ((i + 1) * n2 + j + 1, tx * ty),
+    ]
+
+
+def _table_gradient_stencil(table, pts, axis):
+    """Stencil of d/dx_axis of the slow interpolation (piecewise constant)."""
+    idx, loc = locate_on_axes(table.x_axes, pts)
+    hx = [ax[1] - ax[0] for ax in table.x_axes]
+    if table.dim == 1:
+        i = idx[0]
+        s = 1.0 / hx[0]
+        return [(i, -s + 0.0 * loc[0]), (i + 1, s + 0.0 * loc[0])]
+    n2 = len(table.x_axes[1])
+    i, j = idx
+    tx, ty = loc
+    s = 1.0 / hx[axis]
+    if axis == 0:
+        return [
+            (i * n2 + j, -s * (1 - ty)),
+            (i * n2 + j + 1, -s * ty),
+            ((i + 1) * n2 + j, s * (1 - ty)),
+            ((i + 1) * n2 + j + 1, s * ty),
+        ]
+    return [
+        (i * n2 + j, -s * (1 - tx)),
+        (i * n2 + j + 1, s * (1 - tx)),
+        ((i + 1) * n2 + j, -s * tx),
+        ((i + 1) * n2 + j + 1, s * tx),
+    ]
+
+
+class _ShiftedFields:
+    """Grid-aligned lookup of the gradient fields at x + eps*z offsets."""
+
+    def __init__(self, inputs):
+        self.mesh = inputs.mesh
+        self.d = self.mesh.dim
+        self.grads = inputs.grads
+        self.shapes = [g.base.reshaped() for g in self.grads]
+        self.pads = [g.pad for g in self.grads]
+        # derivative of the gradient fields (for the slow part), one per axis
+        self.grad_of_grad = {}
+
+    def block(self, comp, cell_offset):
+        pad = self.pads[comp]
+        arr = self.shapes[comp]
+        sl = []
+        for ax in range(self.d):
+            start = pad[ax] + cell_offset[ax]
+            n = self.mesh.nodes_per_axis[ax]
+            if start < 0 or start + n > arr.shape[ax]:
+                raise TableCoverage("z shift leaves the extended gradient grid")
+            sl.append(slice(start, start + n))
+        return arr[tuple(sl)].ravel()
+
+    def dblock(self, comp, axis, cell_offset):
+        key = (comp, axis)
+        if key not in self.grad_of_grad:
+            g = self.grads[comp]
+            self.grad_of_grad[key] = _central_diff_axis(g.base.reshaped(), g.mesh.h[axis], axis)
+        arr = self.grad_of_grad[key]
+        pad = self.pads[comp]
+        sl = []
+        for ax in range(self.d):
+            start = pad[ax] + cell_offset[ax] - (1 if ax == axis else 0)
+            n = self.mesh.nodes_per_axis[ax]
+            if start < 0 or start + n > arr.shape[ax]:
+                raise TableCoverage("z shift leaves the differentiated gradient grid")
+            sl.append(slice(start, start + n))
+        return arr[tuple(sl)].ravel()
+
+
+def _iter_z(per_axis):
+    if len(per_axis) == 1:
+        for j, w in zip(*per_axis[0]):
+            yield (int(j),), float(w)
+        return
+    (offs1, w1), (offs2, w2) = per_axis
+    for j1, wa in zip(offs1, w1):
+        for j2, wb in zip(offs2, w2):
+            yield (int(j1), int(j2)), float(wa * wb)
+
+
+def corrector_apply(inputs):
+    """Assemble the corrector field K on the source mesh."""
+    mesh = inputs.mesh
+    d = mesh.dim
+    per_axis = _z_offsets(mesh, inputs.eps)
+    y_pts = _fast_coordinates(mesh, inputs.eps)
+    n_vals, _, inv = _table_entry_values(inputs.table, y_pts)
+    fields = _ShiftedFields(inputs)
+    coords = mesh.node_coords()
+    h = np.array(mesh.h)
+    out = np.zeros(mesh.n_nodes)
+    for cell_offset, w_z in _iter_z(per_axis):
+        pts = coords + h[None, :] * np.array(cell_offset)[None, :]
+        stencil = _table_stencil(inputs.table, pts)
+        contrib = np.zeros(mesh.n_nodes)
+        blocks = [fields.block(k, cell_offset) for k in range(d)]
+        for entry_ids, wts in stencil:
+            for k in range(d):
+                contrib += wts * n_vals[entry_ids, inv, k] * blocks[k]
+        out += w_z * contrib
+    return GridFunction(mesh, out)
+
+
+def corrector_gradient_parts(inputs):
+    """Slow and fast contributions to eps * D K, each a list of d fields.
+
+    part_slow[j] = eps * cube-average of d/dx_j [N_k(x + eps z, y) G_k(x + eps z)],
+    part_fast[j] = cube-average of (d/dy_j N_k)(x + eps z, y) G_k(x + eps z),
+    and eps * DK = part_slow + part_fast.
+    """
+    mesh = inputs.mesh
+    d = mesh.dim
+    eps = inputs.eps
+    per_axis = _z_offsets(mesh, eps)
+    y_pts = _fast_coordinates(mesh, eps)
+    n_vals, n_grads, inv = _table_entry_values(inputs.table, y_pts)
+    fields = _ShiftedFields(inputs)
+    coords = mesh.node_coords()
+    h = np.array(mesh.h)
+    slow = [np.zeros(mesh.n_nodes) for _ in range(d)]
+    fast = [np.zeros(mesh.n_nodes) for _ in range(d)]
+    for cell_offset, w_z in _iter_z(per_axis):
+        pts = coords + h[None, :] * np.array(cell_offset)[None, :]
+        stencil = _table_stencil(inputs.table, pts)
+        blocks = [fields.block(k, cell_offset) for k in range(d)]
+        for j in range(d):
+            dsten = _table_gradient_stencil(inputs.table, pts, j)
+            acc = np.zeros(mesh.n_nodes)
+            for (entry_ids, wts), (dentry_ids, dwts) in zip(stencil, dsten):
+                for k in range(d):
+                    # (d/dx_j N_k) G_k   +   N_k (d/dx_j G_k)
+                    acc += dwts * n_vals[dentry_ids, inv, k] * blocks[k]
+                    acc += wts * n_vals[entry_ids, inv, k] * fields.dblock(k, j, cell_offset)
+            slow[j] += w_z * eps * acc
+            accf = np.zeros(mesh.n_nodes)
+            for entry_ids, wts in stencil:
+                for k in range(d):
+                    accf += wts * n_grads[entry_ids, inv, j, k] * blocks[k]
+            fast[j] += w_z * accf
+    to_gf = lambda v: GridFunction(mesh, v)  # noqa: E731
+    return [to_gf(v) for v in slow], [to_gf(v) for v in fast]

@@ -196,6 +196,31 @@ def test_eval_n_periodic_interpolation(sine_cell):
     assert abs(vals[1, 0] - exact[0]) <= 1e-4
 
 
+def test_eval_n_bilinear_2d():
+    # nodal data on a 2D periodic cell: values and gradients against the
+    # corner formulas of the bilinear element, including wrapped corners
+    cmesh = build_cell_mesh(8, 2)
+    rng = np.random.default_rng(3)
+    sol = cell.CellSolution(np.zeros(2), cmesh, rng.standard_normal((cmesh.n_nodes, 2)), ())
+    ys = rng.random((50, 2)) * 3.0 - 1.0
+    m, h = 8, 1.0 / 8
+    t = (ys - np.floor(ys)) * m
+    i0 = np.floor(t).astype(int)
+    tx, ty = (t - i0)[:, 0:1], (t - i0)[:, 1:2]
+    i1 = (i0 + 1) % m
+    v00 = sol.columns[i0[:, 0] * m + i0[:, 1]]
+    v01 = sol.columns[i0[:, 0] * m + i1[:, 1]]
+    v10 = sol.columns[i1[:, 0] * m + i0[:, 1]]
+    v11 = sol.columns[i1[:, 0] * m + i1[:, 1]]
+    vals = v00 * (1 - tx) * (1 - ty) + v01 * (1 - tx) * ty + v10 * tx * (1 - ty) + v11 * tx * ty
+    gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / h
+    gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / h
+    np.testing.assert_allclose(sol.eval_n(ys), vals, rtol=0, atol=1e-13)
+    grad = sol.eval_grad_n(ys)  # (n, j, k): d/dy_j of N_k
+    np.testing.assert_allclose(grad[:, 0, :], gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad[:, 1, :], gy, rtol=0, atol=1e-12)
+
+
 def test_dump_tables_csv(tmp_path, lp_table):
     _, eff, _ = lp_table
     path = tmp_path / "a0.csv"

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from oscille import cli
+from oscille import cell, cli, smoothing
 
 SINE_CFG = {
     "field": {"preset_id": "Sine1D", "params": [2, 1], "dim": 1},
@@ -57,6 +57,20 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
     bad = dict(SINE_CFG, epsilons=[0.5, 0.25, 0.125])
     rc = cli.main(["study", "--config", _write_cfg(tmp_path, bad), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("mu", float("nan")), ("epsilons", [float("inf"), 0.0625, 0.03125]),
+     ("epsilons", [0.125, float("nan"), 0.03125]), ("interior_margin", float("nan")),
+     ("domain", [[0.0, float("inf")]])],
+)
+def test_non_finite_scenario_exit_2(tmp_path, capsys, key, value):
+    bad = dict(SINE_CFG, **{key: value})
+    rc = cli.main(["study", "--config", _write_cfg(tmp_path, bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_usage_error_exit_2(capsys):
@@ -173,6 +187,21 @@ def test_shipped_configs_parse():
         assert len(sc.epsilons) >= 3
     mixed = cli.load_scenario(os.path.join(base, "mixed1d.json"))
     assert mixed.bc.kind == "mixed" and mixed.s == 0.5
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [cell.TableCoverage, cell.EllipticityViolation, smoothing.InsufficientMargin, smoothing.MarginTooLarge],
+)
+def test_corrector_and_margin_errors_exit_3(tmp_path, monkeypatch, capsys, exc):
+    def failing_study(scenario, threads=1):
+        raise exc("injected")
+
+    monkeypatch.setattr(cli.study, "run_study", failing_study)
+    cfg = _write_cfg(tmp_path, SINE_CFG)
+    rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert f"numerical failure: {exc.__name__}: injected" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):

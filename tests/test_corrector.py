@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import corrector_reference as reference
 from oscille import cell, corrector, fem
 from oscille.core import BoundarySpec, Scenario, preset_coefficient
 from oscille.mesh import GridFunction, build_cell_mesh, grid_from_callable
@@ -116,27 +119,94 @@ def test_gradient_split_identity(sine_setup):
     u0 = fem.solve_resolvent(sys_eff, lambda p: np.ones(p.shape[0]))
     inputs = _inputs(sc, eps, u0, table)
     fused = corrector.corrector_gradient(inputs)
-    slow, fast = corrector.corrector_gradient_parts(inputs)
+    slow, fast = reference.corrector_gradient_parts(inputs)
     for j in range(mesh.dim):
         summed = slow[j].values + fast[j].values
         scale = np.max(np.abs(summed)) + 1e-30
         assert np.max(np.abs(fused[j].values - summed)) / scale <= 1e-6
 
 
-def test_gradient_split_identity_2d():
+@pytest.fixture(scope="module")
+def lp2d_table():
     field = preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
+    return field, _table_for(field, 1 / 4, cell_m=16)
+
+
+def test_gradient_split_identity_2d(lp2d_table):
+    field, table = lp2d_table
     sc = _scenario(field, (1 / 4, 1 / 8, 1 / 16), rho=8, mu=-1.0)
     eps = 1 / 8
-    table = _table_for(field, 1 / 4, cell_m=16)
     mesh = fem.oscillatory_mesh(sc, eps)
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
     inputs = _inputs(sc, eps, u0, table)
     fused = corrector.corrector_gradient(inputs)
-    slow, fast = corrector.corrector_gradient_parts(inputs)
+    slow, fast = reference.corrector_gradient_parts(inputs)
     for j in range(2):
         summed = slow[j].values + fast[j].values
         scale = np.max(np.abs(summed)) + 1e-30
         assert np.max(np.abs(fused[j].values - summed)) / scale <= 1e-6
+
+
+def _entry_scaled(table):
+    # every preset is g(x) b(y), whose cell solutions do not depend on x;
+    # scaling each entry's columns differently gives the slow d/dx terms data
+    cells = [replace(sol, columns=sol.columns * (1.0 + 0.3 * np.sin(0.7 * i))) for i, sol in enumerate(table.cells)]
+    return cell.CellTable(table.x_axes, table.cell_mesh, cells)
+
+
+def _assert_matches_reference(inputs):
+    k = corrector.corrector_apply(inputs).values
+    k_ref = reference.corrector_apply(inputs).values
+    assert np.max(np.abs(k - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
+    dk = corrector.corrector_gradient(inputs)
+    slow, fast = reference.corrector_gradient_parts(inputs)
+    for j in range(inputs.mesh.dim):
+        assert np.max(np.abs(slow[j].values)) > 1e-3  # the slow terms carry data
+        dk_ref = slow[j].values + fast[j].values
+        assert np.max(np.abs(dk[j].values - dk_ref)) <= 1e-12 * np.max(np.abs(dk_ref))
+
+
+def test_kernel_matches_reference_loop_1d_mollified():
+    field = preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1)
+    sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=32, s=0.5, mu=-1.0)
+    eps = 1 / 16
+    mesh = fem.oscillatory_mesh(sc, eps)
+    u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
+    inputs = _inputs(sc, eps, u0, _entry_scaled(_table_for(field, 1 / 8, cell_m=64)))
+    assert inputs.grads[0].pad[0] < inputs.u0_ext.pad[0] - 1  # mollified pads
+    _assert_matches_reference(inputs)
+
+
+def test_kernel_matches_reference_loop_2d(lp2d_table):
+    field, table = lp2d_table
+    sc = _scenario(field, (1 / 4, 1 / 8, 1 / 16), rho=8, mu=-1.0)
+    eps = 1 / 8
+    mesh = fem.oscillatory_mesh(sc, eps)
+    u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
+    _assert_matches_reference(_inputs(sc, eps, u0, _entry_scaled(table)))
+
+
+def test_window_outside_table_raises(sine_setup):
+    field, sc, eps, _, mesh = sine_setup
+    narrow = cell.tabulate_cells(field, cell.x_axes_for(((0.0, 1.0),), 0.0), build_cell_mesh(16, 1))
+    u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
+    inputs = _inputs(sc, eps, u0, narrow)
+    with pytest.raises(cell.TableCoverage, match="tabulated range"):
+        corrector.corrector_apply(inputs)
+    with pytest.raises(cell.TableCoverage, match="tabulated range"):
+        corrector.corrector_gradient(inputs)
+
+
+def test_window_outside_gradient_grid_raises(sine_setup):
+    field, sc, eps, table, mesh = sine_setup
+    u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
+    # gradient fields extended for a window of one fine cell only
+    u0_ext, grads = corrector.build_r0(u0, sc, mesh.h[0])
+    inputs = corrector.CorrectorInputs(u0_ext, grads, table, eps, None)
+    with pytest.raises(cell.TableCoverage, match="gradient grid"):
+        corrector.corrector_apply(inputs)
+    with pytest.raises(cell.TableCoverage, match="gradient grid"):
+        corrector.corrector_gradient(inputs)
 
 
 def test_first_order_examples(sine_setup):
