@@ -10,6 +10,9 @@ and the effective tensor is the cell average A0(x) e_k = int a (grad N_k
 over a macroscopic grid with linear interpolation in x support corrector
 evaluation at arbitrary points; the Lipschitz dependence of a on x keeps
 that interpolation error dominated by the homogenization errors measured.
+The cell problem sees x only through a(x, .), so table entries whose
+a(x, .) agree bit for bit at the cell Gauss points share one solve and
+one A0.
 """
 
 from __future__ import annotations
@@ -38,11 +41,18 @@ def default_cell_m(d):
     return 256 if d == 1 else 64
 
 
+def _cell_coefficient(field, x, cell_mesh):
+    """a(x, .) at the Gauss points of the cell mesh, shape (n_elements, n_gauss)."""
+    q = quadrature(cell_mesh)
+    n_el, n_g, d = q.points.shape
+    return field.eval_at_slow(x, q.points.reshape(-1, d)).reshape(n_el, n_g)
+
+
 def _periodic_stiffness_and_loads(field, x, cell_mesh):
     """Stiffness matrix of a(x,.) on the periodic cell plus the d loads."""
     q = quadrature(cell_mesh)
-    n_el, n_g, d = q.points.shape
-    a_vals = field.eval_at_slow(x, q.points.reshape(-1, d)).reshape(n_el, n_g)
+    d = cell_mesh.dim
+    a_vals = _cell_coefficient(field, x, cell_mesh)
     if np.min(a_vals) <= 0.0:
         raise EllipticityViolation(f"coefficient nonpositive at x = {x}")
     grads = q.shape_grads
@@ -101,9 +111,8 @@ def _interpolate_periodic(columns, cell_mesh, y):
 
 @dataclass
 class CellSolution:
-    """Corrector cell functions N_k at one macroscopic anchor point."""
+    """Corrector cell functions N_k of one coefficient profile a(x, .)."""
 
-    x_anchor: np.ndarray
     cell_mesh: Mesh
     columns: np.ndarray  # (n_nodes, d) nodal values of N_k
     stats: tuple
@@ -135,7 +144,7 @@ def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL):
         sol, _lam, st = linalg.solve_saddle(matrix, c, loads[k], beta=0.0, tol=tol)
         columns[:, k] = sol
         stats.append(st)
-    return CellSolution(x, cell_mesh, columns, tuple(stats))
+    return CellSolution(cell_mesh, columns, tuple(stats))
 
 
 def effective_tensor(field, x, cell_mesh, solution=None, tol=linalg.DEFAULT_TOL):
@@ -143,8 +152,7 @@ def effective_tensor(field, x, cell_mesh, solution=None, tol=linalg.DEFAULT_TOL)
     sol = solution or solve_cell(field, x, cell_mesh, tol=tol)
     q = quadrature(cell_mesh)
     d = field.dim
-    x = np.asarray(x, dtype=float).reshape(d)
-    a_vals = field.eval_at_slow(x, q.points.reshape(-1, d)).reshape(q.points.shape[0], q.points.shape[1])
+    a_vals = _cell_coefficient(field, x, cell_mesh)
     ident = np.eye(d)[None, None, :, :]
     # d/dy_j of N_k at the Gauss points, (n_elements, n_gauss, d, d)
     grad_gauss = np.einsum("ecd,gcj->egjd", sol.columns[q.corners], q.shape_grads)
@@ -203,12 +211,26 @@ def x_axes_for(domain, margin, spacing=X_TABLE_SPACING):
     return tuple(axes)
 
 
+def _grid_points(x_axes):
+    """The points of the x-grid in C order, one array each."""
+    return [np.array(p) for p in itertools.product(*x_axes)]
+
+
 def tabulate_cells(field, x_axes, cell_mesh, tol=linalg.DEFAULT_TOL):
-    if field.dim == 1:
-        points = [(x,) for x in x_axes[0]]
-    else:
-        points = [(x1, x2) for x1 in x_axes[0] for x2 in x_axes[1]]
-    cells = [solve_cell(field, np.array(p), cell_mesh, tol=tol) for p in points]
+    """Cell solutions over the x-grid, one solve per distinct a(x, .).
+
+    The exact bytes of a(x, .) at the cell Gauss points key the solves:
+    equal keys give solve_cell identical matrices and loads, so entries
+    sharing a key share one CellSolution object, bit-identical to solving
+    each entry on its own.
+    """
+    solved = {}
+    cells = []
+    for p in _grid_points(x_axes):
+        key = _cell_coefficient(field, p, cell_mesh).tobytes()
+        if key not in solved:
+            solved[key] = solve_cell(field, p, cell_mesh, tol=tol)
+        cells.append(solved[key])
     return CellTable(tuple(np.asarray(a, dtype=float) for a in x_axes), cell_mesh, cells)
 
 
@@ -249,16 +271,19 @@ class EffectiveField:
 
 
 def effective_from_cells(field, table, tol=linalg.DEFAULT_TOL):
+    """A0 over the table's grid, once per distinct CellSolution object.
+
+    tabulate_cells gives one object only to entries whose a(x, .) agree
+    bit for bit, so those entries also share effective_tensor's inputs.
+    """
     d = field.dim
-    shape = table.grid_shape()
-    tensors = np.empty(shape + (d, d))
+    tensors = np.empty(table.grid_shape() + (d, d))
     flat = tensors.reshape(-1, d, d)
-    if d == 1:
-        points = [(x,) for x in table.x_axes[0]]
-    else:
-        points = [(x1, x2) for x1 in table.x_axes[0] for x2 in table.x_axes[1]]
-    for i, (p, sol) in enumerate(zip(points, table.cells)):
-        flat[i] = effective_tensor(field, np.array(p), table.cell_mesh, solution=sol, tol=tol)
+    known = {}  # id of a CellSolution -> its A0
+    for i, (p, sol) in enumerate(zip(_grid_points(table.x_axes), table.cells)):
+        if id(sol) not in known:
+            known[id(sol)] = effective_tensor(field, p, table.cell_mesh, solution=sol, tol=tol)
+        flat[i] = known[id(sol)]
     return EffectiveField(table.x_axes, tensors, d)
 
 

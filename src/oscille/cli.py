@@ -322,17 +322,19 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # numerical classes first: InsufficientData and NonPositiveError are ValueErrors
     try:
         return args.fn(args)
-    except (ConfigError, core.ScenarioError, core.PresetError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
     except (linalg.NonConvergence, linalg.SingularSystem, linalg.ZeroPivot, fem.SingularOperator,
             fem.QuadratureFailure, ExcessiveSize, EmptyRegion, study.InsufficientData,
-            cell_mod.TableCoverage, cell_mod.EllipticityViolation, smoothing.InsufficientMargin,
+            study.NonPositiveError, study.NonFiniteMeasurement, cell_mod.TableCoverage,
+            cell_mod.EllipticityViolation, smoothing.InsufficientMargin,
             smoothing.MarginTooLarge) as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return 3
+    except (ConfigError, core.ScenarioError, core.PresetError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return 2
 
 
 def console_main():

@@ -43,6 +43,10 @@ class NonPositiveError(ValueError):
     pass
 
 
+class NonFiniteMeasurement(RuntimeError):
+    """A load norm that is not finite and positive, or a non-finite error."""
+
+
 @dataclass(frozen=True)
 class RateTarget:
     name: str
@@ -183,6 +187,8 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
         k_field = corr_mod.corrector_apply(inputs)
         u_first = corr_mod.first_order(u0, k_field, eps)
         f_norm = lp_norm(GridFunction(mesh, np.asarray(load_fn(mesh.node_coords()))), scenario.p)
+        if not (np.isfinite(f_norm) and f_norm > 0.0):
+            raise NonFiniteMeasurement(f"L^p norm of load {load_name!r} is {f_norm!r} at eps = {eps:g}")
         diff0 = GridFunction(mesh, u_eps.values - u0.values)
         diff1 = GridFunction(mesh, u_eps.values - u_first.values)
         for t in targets:
@@ -194,7 +200,10 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
                 val = w1p_seminorm(diff, scenario.p, mask)
             else:
                 val = besov_seminorm(diff, BESOV_R, scenario.p)
-            errors[t.name] = max(errors[t.name], val / f_norm)
+            err = val / f_norm
+            if not np.isfinite(err):
+                raise NonFiniteMeasurement(f"{t.name} error of load {load_name!r} is {err!r} at eps = {eps:g}")
+            errors[t.name] = max(errors[t.name], err)
         if li == 0:
             dk = corr_mod.corrector_gradient(inputs)
             aux["corrector_ratio"] = corr_mod.corrector_norm_check(

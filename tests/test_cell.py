@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -187,6 +189,75 @@ def test_ellipticity_violation():
         cell.solve_cell(f, np.array([-2.5]), build_cell_mesh(16, 1))
 
 
+def _counted_solves(monkeypatch):
+    calls = []
+    solve = cell.solve_cell
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cell, "solve_cell", counting)
+    return calls
+
+
+def _assert_per_entry_equal(field, axes, cmesh, eff, table):
+    # each entry against its own solve: reuse must be bit-identical
+    points = [np.array(p) for p in itertools.product(*axes)]
+    assert len(table.cells) == len(points)
+    flat = eff.tensors.reshape(len(points), field.dim, field.dim)
+    for p, sol, a0 in zip(points, table.cells, flat):
+        ref = cell.solve_cell(field, p, cmesh)
+        assert np.array_equal(sol.columns, ref.columns)
+        assert np.array_equal(a0, cell.effective_tensor(field, p, cmesh, solution=ref))
+
+
+def test_table_solves_each_distinct_profile_once_2d(monkeypatch):
+    # the slow factor of LocallyPeriodic2D reads x1 only
+    field = preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
+    axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 1.5, 5))
+    cmesh = build_cell_mesh(8, 2)
+    calls = _counted_solves(monkeypatch)
+    eff, table = cell.tabulate_effective(field, axes, cmesh)
+    assert len(calls) == len(axes[0])
+    assert sorted(c[0] for c in calls) == list(axes[0])
+    for i in range(len(axes[0])):
+        row = table.cells[i * len(axes[1]):(i + 1) * len(axes[1])]
+        assert all(sol is row[0] for sol in row)
+    monkeypatch.undo()
+    _assert_per_entry_equal(field, axes, cmesh, eff, table)
+
+
+def test_table_without_repeats_solves_every_entry(monkeypatch):
+    field = preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1)
+    axes = (np.linspace(-0.25, 1.25, 7),)
+    cmesh = build_cell_mesh(32, 1)
+    calls = _counted_solves(monkeypatch)
+    eff, table = cell.tabulate_effective(field, axes, cmesh)
+    assert len(calls) == len(axes[0])
+    monkeypatch.undo()
+    _assert_per_entry_equal(field, axes, cmesh, eff, table)
+
+
+def test_x_independent_table_solves_once(monkeypatch):
+    field = preset_coefficient("Laminate2D", [2, 1], 2)
+    axes = (np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4))
+    cmesh = build_cell_mesh(8, 2)
+    calls = _counted_solves(monkeypatch)
+    eff, table = cell.tabulate_effective(field, axes, cmesh)
+    assert len(calls) == 1
+    assert len(table.cells) == 12
+    assert np.array_equal(eff.tensors, np.broadcast_to(eff.tensors[0, 0], eff.tensors.shape))
+
+
+def test_table_ellipticity_violation_in_one_entry():
+    # 1 + 0.5 x1 is nonpositive only at the last two x1 samples
+    field = preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
+    axes = (np.linspace(1.0, -2.5, 8), np.linspace(0.0, 1.0, 3))
+    with pytest.raises(cell.EllipticityViolation):
+        cell.tabulate_effective(field, axes, build_cell_mesh(8, 2))
+
+
 def test_eval_n_periodic_interpolation(sine_cell):
     ys = np.array([[0.1], [0.37], [1.1], [-0.9]])
     vals = sine_cell.eval_n(ys)
@@ -201,7 +272,7 @@ def test_eval_n_bilinear_2d():
     # corner formulas of the bilinear element, including wrapped corners
     cmesh = build_cell_mesh(8, 2)
     rng = np.random.default_rng(3)
-    sol = cell.CellSolution(np.zeros(2), cmesh, rng.standard_normal((cmesh.n_nodes, 2)), ())
+    sol = cell.CellSolution(cmesh, rng.standard_normal((cmesh.n_nodes, 2)), ())
     ys = rng.random((50, 2)) * 3.0 - 1.0
     m, h = 8, 1.0 / 8
     t = (ys - np.floor(ys)) * m

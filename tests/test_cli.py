@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from oscille import cell, cli, smoothing
+from oscille import cell, cli, smoothing, study
 
 SINE_CFG = {
     "field": {"preset_id": "Sine1D", "params": [2, 1], "dim": 1},
@@ -191,7 +191,8 @@ def test_shipped_configs_parse():
 
 @pytest.mark.parametrize(
     "exc",
-    [cell.TableCoverage, cell.EllipticityViolation, smoothing.InsufficientMargin, smoothing.MarginTooLarge],
+    [cell.TableCoverage, cell.EllipticityViolation, smoothing.InsufficientMargin, smoothing.MarginTooLarge,
+     study.InsufficientData, study.NonPositiveError, study.NonFiniteMeasurement],
 )
 def test_corrector_and_margin_errors_exit_3(tmp_path, monkeypatch, capsys, exc):
     def failing_study(scenario, threads=1):
@@ -210,3 +211,20 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
     rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_underflowing_load_norm_exit_3(tmp_path, capsys):
+    # |f|^p underflows for p = 1e308, so the load norm is 0
+    cfg = _write_cfg(tmp_path, dict(SINE_CFG, p=1e308))
+    rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert rc == 3
+    assert "numerical failure: NonFiniteMeasurement: L^p norm of load" in capsys.readouterr().err
+
+
+def test_nan_error_exit_3(tmp_path, monkeypatch, capsys):
+    # a NaN error must not be recorded as 0 by the running maximum
+    monkeypatch.setattr(cli.study, "w1p_seminorm", lambda *args: float("nan"))
+    cfg = _write_cfg(tmp_path, SINE_CFG)
+    rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert rc == 3
+    assert "numerical failure: NonFiniteMeasurement: w1_" in capsys.readouterr().err
