@@ -53,8 +53,8 @@ def _periodic_stiffness_and_loads(field, x, cell_mesh):
     q = quadrature(cell_mesh)
     d = cell_mesh.dim
     a_vals = _cell_coefficient(field, x, cell_mesh)
-    if np.min(a_vals) <= 0.0:
-        raise EllipticityViolation(f"coefficient nonpositive at x = {x}")
+    if not np.all(a_vals > 0.0):
+        raise EllipticityViolation(f"coefficient nonpositive or not a number at x = {x}")
     grads = q.shape_grads
     stiff = np.einsum("eg,g,gcd,gkd->eck", a_vals, q.weights, grads, grads, optimize=True)
     n_c = q.corners.shape[1]

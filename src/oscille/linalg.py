@@ -157,7 +157,8 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None):
     """Solve M x = b for symmetric positive definite M.
 
     Returns (x, SolveStats); raises NonConvergence if the relative
-    residual target is missed within max_iter iterations.
+    residual target is missed within max_iter iterations or the residual
+    is not a number.
     """
     if not (1e-14 <= tol <= 1e-4):
         raise ValueError("tol must lie in [1e-14, 1e-4]")
@@ -171,7 +172,7 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None):
     if np.any(diag <= 0):
         raise SingularSystem("nonpositive diagonal entry; matrix is not SPD")
     x, it, res = _pcg(lambda v: m @ v, b, diag, tol, max_iter)
-    if res > tol:
+    if not res <= tol:  # also catches a NaN residual
         raise NonConvergence(it, res)
     return x, SolveStats(it, res)
 
@@ -208,8 +209,7 @@ def solve_saddle(matrix, c, b, beta=0.0, tol=DEFAULT_TOL, max_iter=None):
         return v - v.mean()
 
     x, it, res = _pcg(lambda v: m @ v, rhs, diag, tol, max_iter, project=project)
-    norm_rhs = float(np.linalg.norm(rhs))
-    if norm_rhs > 0 and res > tol:
+    if not res <= tol:  # also catches a NaN residual
         raise NonConvergence(it, res)
     x = x + (beta - float(c @ x)) / csum
     return x, lam, SolveStats(it, res)

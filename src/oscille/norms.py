@@ -8,20 +8,23 @@ The shift-modulus (Lipschitz/Besov type) seminorm replaces the continuum
 supremum over all shifts by grid-aligned shifts at dyadic scales. That is
 a lower bound of the true seminorm; it can undershoot for strongly
 anisotropic fields, which reports should treat as a surrogate, not the
-exact value.
+exact value. Each shift length k is evaluated once, on array slices of
+the nodal values with the same Gauss rule as the overlap's own mesh, and
+the modulus at level j is the prefix maximum of those values over
+k <= 2^j.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import (
-    GridFunction,
-    Mesh,
     MeshMismatch,
     RegionMask,
+    _reference_rule,
     boundary_strip_mask,
     grads_at_gauss,
     quadrature,
@@ -99,62 +102,55 @@ def norm(u, req):
     return lp_norm(u, req.p, strip)
 
 
-def _overlap_mesh(mesh, shift_cells):
-    """Sub-mesh of the overlap when shifting by shift_cells (per axis)."""
-    new_extents = []
-    new_nodes = []
-    for k in range(mesh.dim):
-        s = shift_cells[k]
-        lo, hi = mesh.extents[k]
-        n = mesh.nodes_per_axis[k]
-        keep = n - abs(s)
-        if keep < 2:
-            return None, None
-        start = abs(s) if s < 0 else 0
-        new_lo = lo + start * mesh.h[k]
-        new_extents.append((new_lo, new_lo + (keep - 1) * mesh.h[k]))
-        new_nodes.append(keep)
-    return Mesh(mesh.dim, tuple(new_extents), tuple(new_nodes)), None
+def _shift_moduli(u, k_max, p):
+    """omega(k) for k = 1 .. k_max, as an array.
 
-
-def _shift_difference(u, shift_cells):
-    """u(.+h') - u on the overlap, as a GridFunction; None if empty."""
-    vals = u.reshaped()
-    sl_plus = []
-    sl_base = []
-    for k, s in enumerate(shift_cells):
-        n = u.mesh.nodes_per_axis[k]
-        if abs(s) >= n - 1:
-            return None
-        if s >= 0:
-            sl_plus.append(slice(s, n))
-            sl_base.append(slice(0, n - s))
-        else:
-            sl_plus.append(slice(0, n + s))
-            sl_base.append(slice(-s, n))
-    diff = vals[tuple(sl_plus)] - vals[tuple(sl_base)]
-    sub, _ = _overlap_mesh(u.mesh, shift_cells)
-    if sub is None:
-        return None
-    return GridFunction(sub, diff.ravel())
-
-
-def shift_modulus(u, t_cells, p):
-    """sup over grid shifts |h'| <= t of the L_p norm of u(.+h') - u.
-
-    Shifts are axis-aligned multiples of the grid spacing; both axes are
-    swept in 2D.
+    omega(k) is the largest, over the axes a, L_p norm of
+    u(. + k h_a e_a) - u on the overlap of the mesh with its shift; a
+    shift that leaves fewer than two node layers on its axis counts 0.
+    Each difference is taken on array slices of the nodal values and
+    integrated with the mesh's Gauss rule: element corners in
+    `element_corner_nodes` order, weights scaled by the overlap spacing as
+    a mesh of the overlap would derive it from its own extents.
     """
-    best = 0.0
-    for axis in range(u.mesh.dim):
-        for k in range(1, t_cells + 1):
-            shift = [0] * u.mesh.dim
-            shift[axis] = k
-            d = _shift_difference(u, shift)
-            if d is None:
-                continue
-            best = max(best, lp_norm(d, p))
-    return best
+    mesh = u.mesh
+    vals = u.reshaped()
+    _, ref_wts, shape_values, _ = _reference_rule(mesh.dim)
+    corner_bits = list(itertools.product((0, 1), repeat=mesh.dim))
+    omega = np.zeros(k_max)
+    for axis in range(mesh.dim):
+        n = mesh.nodes_per_axis[axis]
+        for k in range(1, min(k_max, n - 2) + 1):
+            lead = (slice(None),) * axis
+            diff = vals[lead + (slice(k, n),)] - vals[lead + (slice(0, n - k),)]
+            corners = np.stack(
+                [diff[tuple(slice(b, m - 1 + b) for b, m in zip(bits, diff.shape))] for bits in corner_bits],
+                axis=-1,
+            ).reshape(-1, len(corner_bits))
+            spacing = [((lo + (keep - 1) * hk) - lo) / (keep - 1)
+                       for (lo, _), hk, keep in zip(mesh.extents, mesh.h, diff.shape)]
+            weights = ref_wts * float(np.prod(np.array(spacing)))
+            integrand = np.abs(corners @ shape_values.T) ** p @ weights
+            omega[k - 1] = np.maximum(omega[k - 1], integrand.sum() ** (1.0 / p))
+    return omega
+
+
+def _dyadic_supremum(omega, h, r):
+    """max over levels j of (h 2^j)^(-r) * max_{k <= 2^j} omega(k).
+
+    omega[k - 1] holds omega(k) for k = 1 .. 2^J, so the levels are
+    j = 0 .. J and each inner maximum is a prefix maximum of omega. Empty
+    omega gives 0; a NaN in omega gives NaN.
+    """
+    if len(omega) == 0:
+        return 0.0
+    running = np.maximum.accumulate(omega)
+    levels = []
+    j = 0
+    while 2**j <= len(omega):
+        levels.append((h * 2**j) ** (-r) * float(running[2**j - 1]))
+        j += 1
+    return float(np.max(levels))
 
 
 def besov_seminorm(u, r, p):
@@ -167,14 +163,10 @@ def besov_seminorm(u, r, p):
         raise ValueError("r must lie in (0, 1)")
     h = min(u.mesh.h)
     width = min(hi - lo for lo, hi in u.mesh.extents)
-    best = 0.0
-    j = 0
-    while h * 2**j <= width / 4.0 + 1e-12:
-        t = h * 2**j
-        omega = shift_modulus(u, 2**j, p)
-        best = max(best, t ** (-r) * omega)
-        j += 1
-    return best
+    levels = 0
+    while h * 2**levels <= width / 4.0 + 1e-12:
+        levels += 1
+    return _dyadic_supremum(_shift_moduli(u, 2**levels // 2, p), h, r)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from scipy.integrate import quad
 from scipy.signal import convolve as _signal_convolve
 
 from .mesh import GridFunction, Mesh, r_cell
+from .norms import _dyadic_supremum
 
 
 class MarginTooLarge(RuntimeError):
@@ -338,18 +339,11 @@ def _lattice(n=1024, margin=0.5):
 
 def _holder_seminorm(vals, h, r, q):
     """Grid surrogate of the Hoelder/Besov r-seminorm (dyadic shifts)."""
-    n = vals.shape[0]
-    best = 0.0
-    j = 0
-    while 2**j <= n // 4:
-        t = h * 2**j
-        omega = 0.0
-        for k in range(1, 2**j + 1):
-            d = vals[k:] - vals[:-k]
-            omega = max(omega, _nodal_q_norm(d, h, q))
-        best = max(best, t ** (-r) * omega)
-        j += 1
-    return best
+    levels = 0
+    while 2**levels <= vals.shape[0] // 4:
+        levels += 1
+    omega = [_nodal_q_norm(vals[k:] - vals[:-k], h, q) for k in range(1, 2**levels // 2 + 1)]
+    return _dyadic_supremum(np.array(omega), h, r)
 
 
 def _growth_ok(ratios):

@@ -189,6 +189,22 @@ def test_ellipticity_violation():
         cell.solve_cell(f, np.array([-2.5]), build_cell_mesh(16, 1))
 
 
+def test_ellipticity_violation_nan_coefficient():
+    # np.min of an array holding a NaN is NaN, and NaN <= 0 is False
+    base = preset_coefficient("Sine1D", [2, 1], 1)
+
+    class OneNaN:
+        dim = 1
+
+        def eval_at_slow(self, x, y):
+            vals = base.eval_at_slow(x, y)
+            vals[3] = np.nan
+            return vals
+
+    with pytest.raises(cell.EllipticityViolation):
+        cell.solve_cell(OneNaN(), np.zeros(1), build_cell_mesh(16, 1))
+
+
 def _counted_solves(monkeypatch):
     calls = []
     solve = cell.solve_cell

@@ -68,6 +68,13 @@ def test_solve_spd_errors():
     assert exc.value.residual > 0
 
 
+def test_solve_spd_nan_rhs_raises():
+    # a NaN residual compares False against the tolerance
+    m = _to_sparse(np.eye(3))
+    with pytest.raises(linalg.NonConvergence):
+        linalg.solve_spd(m, np.array([1.0, np.nan, 1.0]))
+
+
 def test_tridiag_examples():
     x = linalg.solve_tridiag(np.array([-1.0]), np.array([2.0, 2.0]), np.array([-1.0]), np.ones(2))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
@@ -162,6 +169,14 @@ def test_saddle_singular_constraint():
     c = np.zeros(mesh.n_nodes)
     with pytest.raises(linalg.SingularSystem):
         linalg.solve_saddle(matrix, c, np.ones(mesh.n_nodes))
+
+
+def test_saddle_nan_load_raises():
+    matrix, mesh = _periodic_laplacian(16)
+    b = np.ones(mesh.n_nodes)
+    b[3] = np.nan
+    with pytest.raises(linalg.NonConvergence):
+        linalg.solve_saddle(matrix, _mean_functional(mesh), b)
 
 
 def test_determinism_bit_identical():

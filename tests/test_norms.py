@@ -1,8 +1,9 @@
+import norms_reference as reference
 import numpy as np
 import pytest
 
 from oscille import norms
-from oscille.mesh import GridFunction, boundary_strip_mask, build_domain_mesh, complement, grid_from_callable
+from oscille.mesh import GridFunction, Mesh, boundary_strip_mask, build_domain_mesh, complement, grid_from_callable
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,46 @@ def test_besov_lipschitz_bounded_near_one():
     for r in (0.9, 0.95, 0.99):
         val = norms.besov_seminorm(u, r, 2.0)
         assert val <= 2.0 + 1e-9  # Lipschitz constant 2
+
+
+def _random_field(mesh, seed):
+    return GridFunction(mesh, np.random.default_rng(seed).standard_normal(mesh.n_nodes))
+
+
+@pytest.mark.parametrize(
+    "extents, h, r, p",
+    [
+        (((0.3, 1.3), (0.0, 0.7)), 1 / 48, 0.5, 2.0),  # offset, non-square 2D
+        (((0.3, 1.3), (0.0, 0.7)), 1 / 48, 0.25, 1.5),
+        (((0.1, 1.37),), 1 / 300, 0.5, 1.5),
+        (((0.1, 1.37),), 1 / 300, 0.9, 3.0),
+        (((-0.6, 0.45),), 1 / 1000, 0.5, 2.0),
+    ],
+)
+def test_besov_matches_overlap_mesh_reference(extents, h, r, p):
+    u = _random_field(build_domain_mesh(extents, h), 7)
+    assert norms.besov_seminorm(u, r, p) == reference.besov_seminorm(u, r, p)
+
+
+def test_besov_matches_reference_with_skipped_shifts():
+    # 3 nodes on the second axis: every shift of 2 cells or more along it
+    # leaves fewer than two node layers and is skipped
+    u = _random_field(Mesh(2, ((0.0, 1.0), (0.2, 1.2)), (65, 3)), 8)
+    val = norms.besov_seminorm(u, 0.5, 2.0)
+    assert val > 0.0
+    assert val == reference.besov_seminorm(u, 0.5, 2.0)
+
+
+def test_besov_spacing_above_quarter_width_is_zero():
+    u = _random_field(Mesh(1, ((0.0, 1.0),), (3,)), 9)
+    assert norms.besov_seminorm(u, 0.5, 2.0) == 0.0
+    assert reference.besov_seminorm(u, 0.5, 2.0) == 0.0
+
+
+def test_besov_nan_field_is_nan(fine_1d):
+    u = grid_from_callable(fine_1d, lambda p: p[:, 0])
+    u.values[100] = np.nan
+    assert np.isnan(norms.besov_seminorm(u, 0.5, 2.0))
 
 
 def test_strip_lemma_constant_ratio_one():
