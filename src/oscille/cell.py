@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from . import linalg
@@ -60,9 +61,7 @@ def _periodic_stiffness_and_loads(field, x, cell_mesh):
     n_c = q.corners.shape[1]
     rows = np.repeat(q.corners, n_c, axis=1).ravel()
     cols = np.tile(q.corners, (1, n_c)).ravel()
-    matrix = linalg.SparseMatrix.from_coo(
-        cell_mesh.n_nodes, cell_mesh.n_nodes, rows, cols, stiff.ravel(), symmetric=True
-    )
+    matrix = sp.csr_matrix((stiff.ravel(), (rows, cols)), shape=(cell_mesh.n_nodes, cell_mesh.n_nodes))
     # loads: b_k[i] = -int a e_k . grad phi_i
     loads = np.zeros((d, cell_mesh.n_nodes))
     for k in range(d):

@@ -325,7 +325,7 @@ def main(argv=None):
     # numerical classes first: InsufficientData and NonPositiveError are ValueErrors
     try:
         return args.fn(args)
-    except (linalg.NonConvergence, linalg.SingularSystem, linalg.ZeroPivot, fem.SingularOperator,
+    except (linalg.NonConvergence, linalg.SingularSystem, fem.SingularOperator,
             fem.QuadratureFailure, ExcessiveSize, EmptyRegion, study.InsufficientData,
             study.NonPositiveError, study.NonFiniteMeasurement, cell_mod.TableCoverage,
             cell_mod.EllipticityViolation, smoothing.InsufficientMargin,

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import solveh_banded
 
 from . import core, linalg
 from .mesh import ExcessiveSize, GridFunction, Mesh, MeshMismatch, build_domain_mesh, node_cap, quadrature
@@ -28,7 +30,7 @@ class QuadratureFailure(RuntimeError):
 class AssembledSystem:
     """Reduced stiffness-plus-shift matrix with its Dirichlet bookkeeping."""
 
-    matrix: linalg.SparseMatrix  # reduced to free dofs
+    matrix: sp.csr_matrix  # reduced to free dofs
     constrained_dofs: np.ndarray  # sorted Dirichlet node indices
     free_dofs: np.ndarray
     mesh: Mesh
@@ -105,7 +107,7 @@ def assemble(mesh, sampler, mu, bc):
 
     rows = np.repeat(q.corners, n_c, axis=1).ravel()
     cols = np.tile(q.corners, (1, n_c)).ravel()
-    full = linalg.SparseMatrix.from_coo(mesh.n_nodes, mesh.n_nodes, rows, cols, stiff.ravel(), symmetric=True)
+    full = sp.csr_matrix((stiff.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
 
     constrained = dirichlet_nodes(mesh, bc)
     if constrained.size == 0 and mu == 0.0:
@@ -113,9 +115,8 @@ def assemble(mesh, sampler, mu, bc):
     keep = np.ones(mesh.n_nodes, dtype=bool)
     keep[constrained] = False
     free = np.nonzero(keep)[0]
-    reduced = full.as_scipy()[free][:, free]
     return AssembledSystem(
-        matrix=linalg.SparseMatrix.from_scipy(reduced, symmetric=True),
+        matrix=full[free][:, free],
         constrained_dofs=constrained,
         free_dofs=free,
         mesh=mesh,
@@ -142,12 +143,16 @@ def assemble_load(mesh, f):
     return out
 
 
-def _is_tridiagonal(system):
-    return system.mesh.dim == 1
+def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):
+    """Solve the assembled system for a load; Dirichlet nodes come back 0.
 
-
-def solve_resolvent_stats(system, f, tol=linalg.DEFAULT_TOL):
-    """Like solve_resolvent but also returns the solver statistics."""
+    1D systems are tridiagonal and SPD, and go through LAPACK banded
+    Cholesky (`scipy.linalg.solveh_banded`); 2D systems through
+    Jacobi-preconditioned conjugate gradients (`linalg.solve_spd`) to
+    relative residual `tol`. Both are deterministic. A 1D system that is
+    not positive definite, or a non-finite load, raises
+    `linalg.SingularSystem`.
+    """
     if isinstance(f, GridFunction) or callable(f):
         load = assemble_load(system.mesh, f)
     else:
@@ -155,40 +160,22 @@ def solve_resolvent_stats(system, f, tol=linalg.DEFAULT_TOL):
         if load.shape[0] != system.n_full:
             raise MeshMismatch("load vector length does not match the mesh")
     b = load[system.free_dofs]
-    if _is_tridiagonal(system):
-        m = system.matrix.as_scipy().tocoo()
-        n = system.matrix.n_rows
-        diag = np.zeros(n)
-        sub = np.zeros(max(n - 1, 0))
-        sup = np.zeros(max(n - 1, 0))
-        for r, c, v in zip(m.row, m.col, m.data):
-            if r == c:
-                diag[r] = v
-            elif c == r - 1:
-                sub[c] = v
-            elif c == r + 1:
-                sup[r] = v
-            else:
-                raise MeshMismatch("1D system is not tridiagonal")
-        x = linalg.solve_tridiag(sub, diag, sup, b)
-        norm_b = float(np.linalg.norm(b))
-        res = float(np.linalg.norm(system.matrix.matvec(x) - b)) / norm_b if norm_b else 0.0
-        stats = linalg.SolveStats(0, res)
+    m = system.matrix
+    if system.mesh.dim == 1:
+        upper = np.zeros((2, m.shape[0]))
+        upper[0, 1:] = m.diagonal(1)
+        upper[1] = m.diagonal(0)
+        try:
+            x = solveh_banded(upper, b)
+        except np.linalg.LinAlgError as exc:
+            raise linalg.SingularSystem(f"1D system is not positive definite: {exc}") from exc
+        except ValueError as exc:  # check_finite rejects infs and NaNs
+            raise linalg.SingularSystem(f"1D system or load is not finite: {exc}") from exc
     else:
-        x, stats = linalg.solve_spd(system.matrix, b, tol=tol)
+        x, _ = linalg.solve_spd(m, b, tol=tol)
     out = np.zeros(system.n_full)
     out[system.free_dofs] = x
-    return GridFunction(system.mesh, out), stats
-
-
-def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):
-    """Solve the assembled system for a load; Dirichlet nodes come back 0.
-
-    1D systems go through direct tridiagonal elimination, 2D through
-    preconditioned conjugate gradients. Both are deterministic.
-    """
-    gf, _ = solve_resolvent_stats(system, f, tol=tol)
-    return gf
+    return GridFunction(system.mesh, out)
 
 
 def oscillatory_mesh(scenario, eps):

@@ -1,10 +1,13 @@
-"""Sparse storage and the solvers behind every assembly/solve step.
+"""Iterative solvers for the 2D fine-mesh and periodic cell systems.
 
-Matrices live in compressed-row form; solves are deterministic so repeated
-runs produce bit-identical results. The iterative path is conjugate
-gradients with a Jacobi preconditioner, which is all the structured SPD
-systems here need. Solver tolerances sit far below any homogenization
-error being measured, keeping algebraic error out of the rate fits.
+Matrices are plain `scipy.sparse` CSR matrices as assembled by `fem` and
+`cell`; 1D systems are solved in `fem` by banded Cholesky instead. The
+solvers here are conjugate gradients with a Jacobi preconditioner, which
+is all the structured SPD systems need, and they are deterministic, so
+repeated runs produce bit-identical results. Convergence is judged on the
+recursive residual against `tol`, which sits far below any
+homogenization error being measured, keeping algebraic error out of the
+rate fits.
 """
 
 from __future__ import annotations
@@ -12,16 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 DEFAULT_TOL = 1e-10
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class ZeroPivot(RuntimeError):
     pass
 
 
@@ -40,85 +38,6 @@ class NonConvergence(RuntimeError):
 class SolveStats:
     iterations: int
     residual: float
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """CSR matrix; column indices strictly increasing within each row."""
-
-    n_rows: int
-    n_cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    symmetric: bool = False
-
-    @classmethod
-    def from_coo(cls, n_rows, n_cols, rows, cols, vals, symmetric=False):
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(n_rows, n_cols, m.indptr, m.indices, m.data, symmetric)
-
-    @classmethod
-    def from_scipy(cls, m, symmetric=False):
-        m = m.tocsr()
-        m.sort_indices()
-        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, symmetric)
-
-    def as_scipy(self):
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n_rows, self.n_cols))
-
-    def matvec(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.n_cols:
-            raise DimensionMismatch(f"matrix is {self.n_rows}x{self.n_cols}, vector has {v.shape[0]}")
-        return self.as_scipy() @ v
-
-    def diagonal(self):
-        return self.as_scipy().diagonal()
-
-    def symmetry_defect(self):
-        """max |M - M^T| relative to max |M|."""
-        m = self.as_scipy()
-        d = m - m.T
-        top = np.max(np.abs(d.data)) if d.nnz else 0.0
-        scale = np.max(np.abs(self.data)) if self.data.size else 1.0
-        return top / scale if scale > 0 else 0.0
-
-
-def solve_tridiag(sub, diag, sup, b):
-    """Direct elimination for a tridiagonal system (Thomas algorithm).
-
-    Caller guarantees diagonal dominance or positive definiteness; a
-    vanishing pivot raises ZeroPivot.
-    """
-    diag = np.asarray(diag, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = diag.shape[0]
-    sub = np.asarray(sub, dtype=float)
-    sup = np.asarray(sup, dtype=float)
-    if b.shape[0] != n or (n > 1 and (sub.shape[0] != n - 1 or sup.shape[0] != n - 1)):
-        raise DimensionMismatch("tridiagonal bands and rhs sizes disagree")
-    scale = np.max(np.abs(diag)) if n else 1.0
-    c = np.empty(n)
-    d = np.empty(n)
-    piv = diag[0]
-    if abs(piv) <= 1e-300 * max(scale, 1.0):
-        raise ZeroPivot("zero pivot in tridiagonal elimination")
-    c[0] = sup[0] / piv if n > 1 else 0.0
-    d[0] = b[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - sub[i - 1] * c[i - 1]
-        if abs(piv) <= 1e-14 * max(scale, 1.0):
-            raise ZeroPivot(f"zero pivot at row {i}")
-        c[i] = sup[i] / piv if i < n - 1 else 0.0
-        d[i] = (b[i] - sub[i - 1] * d[i - 1]) / piv
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
 
 
 def _pcg(matvec, b, diag, tol, max_iter, project=None):
@@ -154,7 +73,7 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None):
 
 
 def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None):
-    """Solve M x = b for symmetric positive definite M.
+    """Solve M x = b for a symmetric positive definite scipy sparse M.
 
     Returns (x, SolveStats); raises NonConvergence if the relative
     residual target is missed within max_iter iterations or the residual
@@ -163,22 +82,22 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None):
     if not (1e-14 <= tol <= 1e-4):
         raise ValueError("tol must lie in [1e-14, 1e-4]")
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != matrix.n_rows or matrix.n_rows != matrix.n_cols:
+    n = matrix.shape[0]
+    if b.shape[0] != n or matrix.shape[1] != n:
         raise DimensionMismatch("solve_spd needs a square matrix matching the rhs")
     if max_iter is None:
-        max_iter = max(1000, 20 * matrix.n_rows)
-    m = matrix.as_scipy()
-    diag = m.diagonal().copy()
+        max_iter = max(1000, 20 * n)
+    diag = matrix.diagonal()
     if np.any(diag <= 0):
         raise SingularSystem("nonpositive diagonal entry; matrix is not SPD")
-    x, it, res = _pcg(lambda v: m @ v, b, diag, tol, max_iter)
+    x, it, res = _pcg(lambda v: matrix @ v, b, diag, tol, max_iter)
     if not res <= tol:  # also catches a NaN residual
         raise NonConvergence(it, res)
     return x, SolveStats(it, res)
 
 
 def solve_saddle(matrix, c, b, beta=0.0, tol=DEFAULT_TOL, max_iter=None):
-    """Solve M x + lam*c = b, c.x = beta, for M semidefinite with constant kernel.
+    """Solve M x + lam*c = b, c.x = beta, for a scipy sparse M with constant kernel.
 
     The constraint functional c here is proportional to the kernel vector
     (the discrete mean on a periodic mesh), so the multiplier is fixed by
@@ -188,7 +107,7 @@ def solve_saddle(matrix, c, b, beta=0.0, tol=DEFAULT_TOL, max_iter=None):
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    n = matrix.n_rows
+    n = matrix.shape[0]
     if b.shape[0] != n or c.shape[0] != n:
         raise DimensionMismatch("saddle system sizes disagree")
     csum = float(c.sum())
@@ -200,15 +119,14 @@ def solve_saddle(matrix, c, b, beta=0.0, tol=DEFAULT_TOL, max_iter=None):
     lam = float(b.sum()) / csum
     rhs = b - lam * c
 
-    m = matrix.as_scipy()
-    diag = m.diagonal().copy()
+    diag = matrix.diagonal()
     if np.any(diag <= 0):
         raise SingularSystem("nonpositive diagonal entry in saddle solve")
 
     def project(v):
         return v - v.mean()
 
-    x, it, res = _pcg(lambda v: m @ v, rhs, diag, tol, max_iter, project=project)
+    x, it, res = _pcg(lambda v: matrix @ v, rhs, diag, tol, max_iter, project=project)
     if not res <= tol:  # also catches a NaN residual
         raise NonConvergence(it, res)
     x = x + (beta - float(c @ x)) / csum

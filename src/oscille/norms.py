@@ -23,34 +23,12 @@ import numpy as np
 
 from .mesh import (
     MeshMismatch,
-    RegionMask,
     _reference_rule,
     boundary_strip_mask,
     grads_at_gauss,
     quadrature,
     values_at_gauss,
 )
-
-NORM_KINDS = ("lp", "w1p_semi", "w1p_full", "besov_semi", "strip_lp")
-
-
-@dataclass(frozen=True)
-class NormRequest:
-    kind: str
-    p: float
-    mask: RegionMask | None = None
-    r: float | None = None
-    strip_eps: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if not (1.0 < self.p < np.inf):
-            raise ValueError("p must lie in (1, inf)")
-        if self.kind == "besov_semi" and not (self.r and 0.0 < self.r < 1.0):
-            raise ValueError("besov_semi needs r in (0, 1)")
-        if self.kind == "strip_lp" and not (self.strip_eps and self.strip_eps > 0):
-            raise ValueError("strip_lp needs a positive strip_eps")
 
 
 def _element_weights(mesh, mask=None):
@@ -86,20 +64,6 @@ def w1p_norm(u, p, mask=None):
     a = lp_norm(u, p, mask)
     b = w1p_seminorm(u, p, mask)
     return float((a**p + b**p) ** (1.0 / p))
-
-
-def norm(u, req):
-    """Dispatch a NormRequest against a grid function."""
-    if req.kind == "lp":
-        return lp_norm(u, req.p, req.mask)
-    if req.kind == "w1p_semi":
-        return w1p_seminorm(u, req.p, req.mask)
-    if req.kind == "w1p_full":
-        return w1p_norm(u, req.p, req.mask)
-    if req.kind == "besov_semi":
-        return besov_seminorm(u, req.r, req.p)
-    strip = boundary_strip_mask(u.mesh, req.strip_eps)
-    return lp_norm(u, req.p, strip)
 
 
 def _shift_moduli(u, k_max, p):

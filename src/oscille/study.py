@@ -178,8 +178,8 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
     aux = {}
     for li, (load_name, load_fn) in enumerate(load_dictionary(scenario.dim)):
         f_vec = fem.assemble_load(mesh, load_fn)
-        u_eps, st_osc = fem.solve_resolvent_stats(osc_sys, f_vec, tol=solver_tol)
-        u0, st_eff = fem.solve_resolvent_stats(eff_sys, f_vec, tol=solver_tol)
+        u_eps = fem.solve_resolvent(osc_sys, f_vec, tol=solver_tol)
+        u0 = fem.solve_resolvent(eff_sys, f_vec, tol=solver_tol)
         u0_ext, grads = corr_mod.build_r0(u0, scenario, eps)
         inputs = corr_mod.CorrectorInputs(
             u0_ext, grads, ctable, eps, eps if scenario.s < 1.0 else None
@@ -214,8 +214,6 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
                 aux["w1_plain_interior"] = w1p_seminorm(diff0, scenario.p, imask) / f_norm
             strip = boundary_strip_mask(mesh, eps)
             aux["w1_corr_strip"] = w1p_seminorm(diff1, scenario.p, strip) / f_norm
-            aux["solver_iterations"] = max(st_osc.iterations, st_eff.iterations)
-            aux["solver_residual"] = max(st_osc.residual, st_eff.residual)
 
     excluded = {t.name: errors[t.name] <= EXCLUSION_FACTOR * solver_tol for t in targets}
     return CaseRow(eps, mesh.h[0], errors, excluded, aux)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -228,3 +229,19 @@ def test_nan_error_exit_3(tmp_path, monkeypatch, capsys):
     rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
     assert rc == 3
     assert "numerical failure: NonFiniteMeasurement: w1_" in capsys.readouterr().err
+
+
+def test_indefinite_1d_system_exit_3(tmp_path, monkeypatch, capsys):
+    # a negated 1D system is not positive definite: the banded Cholesky
+    # failure is a numerical failure, not a config error
+    assemble = cli.study.fem.assemble
+
+    def negated(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        return dataclasses.replace(system, matrix=-system.matrix)
+
+    monkeypatch.setattr(cli.study.fem, "assemble", negated)
+    cfg = _write_cfg(tmp_path, SINE_CFG)
+    rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert rc == 3
+    assert "numerical failure: SingularSystem: 1D system is not positive definite" in capsys.readouterr().err

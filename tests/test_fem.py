@@ -12,7 +12,7 @@ ONES = lambda p: np.ones(p.shape[0])  # noqa: E731
 def test_hand_assembled_reduced_system():
     m = build_domain_mesh(((0.0, 1.0),), 0.5)
     sys1 = fem.assemble(m, ONES, 0.0, core.BoundarySpec("dirichlet"))
-    np.testing.assert_allclose(sys1.matrix.as_scipy().toarray(), [[4.0]], atol=1e-14)
+    np.testing.assert_allclose(sys1.matrix.toarray(), [[4.0]], atol=1e-14)
     np.testing.assert_array_equal(sys1.constrained_dofs, [0, 2])
 
 
@@ -22,8 +22,8 @@ def test_mass_shift_against_dense_oracle():
     sys0 = fem.assemble(m, ONES, 0.0, core.BoundarySpec("dirichlet"))
     sys1 = fem.assemble(m, ONES, -1.0, core.BoundarySpec("dirichlet"))
     h = 1 / 8
-    diff = sys1.matrix.as_scipy().toarray() - sys0.matrix.as_scipy().toarray()
-    n = sys0.matrix.n_rows
+    diff = sys1.matrix.toarray() - sys0.matrix.toarray()
+    n = sys0.matrix.shape[0]
     mass = np.zeros((n, n))
     for i in range(n):
         mass[i, i] = 2 * h / 3
@@ -42,7 +42,8 @@ def test_symmetry_defect_small():
     m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), 1 / 16)
     field = core.preset_coefficient("SineProduct2D", [2, 1], 2)
     sys2 = fem.assemble(m, lambda p: core.tau_eps(field, 0.25, p), -1.0, core.BoundarySpec("dirichlet"))
-    assert sys2.matrix.symmetry_defect() <= 1e-14
+    a = sys2.matrix
+    assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
 
 
 def test_resolvent_1d_analytic():
@@ -160,7 +161,7 @@ def test_one_cell_oscillatory_vs_dense_oracle():
     m = build_domain_mesh(((0.0, 1.0),), 1 / 16)
     s = fem.assemble(m, lambda p: core.tau_eps(field, 1.0, p), 0.0, core.BoundarySpec("dirichlet"))
     u = fem.solve_resolvent(s, ONES)
-    dense = s.matrix.as_scipy().toarray()
+    dense = s.matrix.toarray()
     b = fem.assemble_load(m, ONES)[s.free_dofs]
     x = np.linalg.solve(dense, b)
     np.testing.assert_allclose(u.values[s.free_dofs], x, atol=1e-10)

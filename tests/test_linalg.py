@@ -1,19 +1,35 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solveh_banded
 
-from oscille import linalg
+from oscille import fem, linalg
 from oscille.cell import _mean_functional, _periodic_stiffness_and_loads
 from oscille.core import preset_coefficient
-from oscille.mesh import build_cell_mesh
+from oscille.mesh import build_cell_mesh, build_domain_mesh
 
 
-def _to_sparse(dense, symmetric=True):
-    return linalg.SparseMatrix.from_scipy(sp.csr_matrix(dense), symmetric=symmetric)
+def _solve_1d(dense, b):
+    """Solve dense x = b through the 1D path of fem.solve_resolvent.
+
+    The hand-built system has one free node per row and a Dirichlet node
+    at each end of a 1D mesh, so the banded solve sees exactly `dense`.
+    """
+    n = dense.shape[0]
+    system = fem.AssembledSystem(
+        matrix=sp.csr_matrix(dense),
+        constrained_dofs=np.array([0, n + 1]),
+        free_dofs=np.arange(1, n + 1),
+        mesh=build_domain_mesh(((0.0, 1.0),), 1.0 / (n + 1)),
+        mu=0.0,
+    )
+    load = np.zeros(system.n_full)
+    load[system.free_dofs] = b
+    return fem.solve_resolvent(system, load).values[system.free_dofs]
 
 
 def test_solve_spd_identity():
-    m = _to_sparse(np.eye(5))
+    m = sp.csr_matrix(np.eye(5))
     b = np.arange(1.0, 6.0)
     x, stats = linalg.solve_spd(m, b)
     np.testing.assert_allclose(x, b, atol=1e-12)
@@ -22,7 +38,7 @@ def test_solve_spd_identity():
 
 
 def test_solve_spd_diagonal():
-    m = _to_sparse(np.diag([1.0, 2.0, 4.0]))
+    m = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
     x, _ = linalg.solve_spd(m, np.ones(3))
     np.testing.assert_allclose(x, [1.0, 0.5, 0.25], atol=1e-12)
 
@@ -37,8 +53,8 @@ def test_solve_spd_matches_tridiagonal_direct():
     n, h = 100, 1.0 / 101.0
     lap, off, main = _laplacian_1d(n, h)
     b = np.ones(n)
-    x_cg, stats = linalg.solve_spd(linalg.SparseMatrix.from_scipy(lap, True), b, tol=1e-12)
-    x_direct = linalg.solve_tridiag(off, main, off, b)
+    x_cg, stats = linalg.solve_spd(lap, b, tol=1e-12)
+    x_direct = solveh_banded(np.stack([np.concatenate([[0.0], off]), main]), b)
     assert stats.residual <= 1e-12
     np.testing.assert_allclose(x_cg, x_direct, rtol=1e-9, atol=1e-12)
 
@@ -47,7 +63,7 @@ def test_solve_spd_residual_contract():
     rng = np.random.default_rng(3)
     a = rng.random((40, 40))
     spd = a @ a.T + 40 * np.eye(40)
-    m = _to_sparse(spd)
+    m = sp.csr_matrix(spd)
     b = rng.random(40)
     for tol in (1e-6, 1e-10):
         x, stats = linalg.solve_spd(m, b, tol=tol)
@@ -56,29 +72,30 @@ def test_solve_spd_residual_contract():
 
 
 def test_solve_spd_errors():
-    m = _to_sparse(np.eye(4))
+    m = sp.csr_matrix(np.eye(4))
     with pytest.raises(linalg.DimensionMismatch):
         linalg.solve_spd(m, np.ones(5))
     with pytest.raises(ValueError):
         linalg.solve_spd(m, np.ones(4), tol=1e-2)
     lap, _, _ = _laplacian_1d(50, 1.0 / 51)
     with pytest.raises(linalg.NonConvergence) as exc:
-        linalg.solve_spd(linalg.SparseMatrix.from_scipy(lap, True), np.ones(50), max_iter=2)
+        linalg.solve_spd(lap, np.ones(50), max_iter=2)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0
 
 
 def test_solve_spd_nan_rhs_raises():
     # a NaN residual compares False against the tolerance
-    m = _to_sparse(np.eye(3))
+    m = sp.csr_matrix(np.eye(3))
     with pytest.raises(linalg.NonConvergence):
         linalg.solve_spd(m, np.array([1.0, np.nan, 1.0]))
 
 
 def test_tridiag_examples():
-    x = linalg.solve_tridiag(np.array([-1.0]), np.array([2.0, 2.0]), np.array([-1.0]), np.ones(2))
+    # both through the 1D path of fem.solve_resolvent
+    x = _solve_1d(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.ones(2))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
-    x = linalg.solve_tridiag(np.zeros(3), np.ones(4), np.zeros(3), np.arange(4.0))
+    x = _solve_1d(np.eye(4), np.arange(4.0))
     np.testing.assert_allclose(x, np.arange(4.0))
 
 
@@ -89,14 +106,21 @@ def test_tridiag_random_spd_vs_cg():
     main = 2.5 + rng.random(n)
     dense = np.diag(main) + np.diag(sub, -1) + np.diag(sub, 1)
     b = rng.random(n)
-    x_direct = linalg.solve_tridiag(sub, main, sub, b)
-    x_cg, _ = linalg.solve_spd(_to_sparse(dense), b, tol=1e-12)
+    x_direct = _solve_1d(dense, b)
+    x_cg, _ = linalg.solve_spd(sp.csr_matrix(dense), b, tol=1e-12)
     np.testing.assert_allclose(x_direct, x_cg, atol=1e-10)
+    np.testing.assert_allclose(x_direct, np.linalg.solve(dense, b), atol=1e-12)
 
 
 def test_tridiag_zero_pivot():
-    with pytest.raises(linalg.ZeroPivot):
-        linalg.solve_tridiag(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]), np.ones(2))
+    # [[0, 1], [1, 1]] has a zero first pivot and is indefinite
+    with pytest.raises(linalg.SingularSystem, match="not positive definite"):
+        _solve_1d(np.array([[0.0, 1.0], [1.0, 1.0]]), np.ones(2))
+
+
+def test_tridiag_non_finite_load_raises():
+    with pytest.raises(linalg.SingularSystem, match="not finite"):
+        _solve_1d(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.array([1.0, np.nan]))
 
 
 def _periodic_laplacian(m):
@@ -123,7 +147,7 @@ def test_saddle_fourier_oracle():
     load = np.sin(2 * np.pi * y)
     load -= load.mean()
     x, lam, _ = linalg.solve_saddle(matrix, c, load, tol=1e-12)
-    dense = matrix.as_scipy().toarray()
+    dense = matrix.toarray()
     first_row = dense[0]
     eig = np.fft.fft(first_row)
     bhat = np.fft.fft(load)
@@ -144,14 +168,14 @@ def test_saddle_nonzero_mean_dense_oracle():
     x, lam, _ = linalg.solve_saddle(matrix, c, b, tol=1e-12)
     # dense bordered oracle
     dense = np.zeros((n + 1, n + 1))
-    dense[:n, :n] = matrix.as_scipy().toarray()
+    dense[:n, :n] = matrix.toarray()
     dense[:n, n] = c
     dense[n, :n] = c
     sol = np.linalg.solve(dense, np.concatenate([b, [0.0]]))
     np.testing.assert_allclose(x, sol[:n], atol=1e-8)
     assert lam == pytest.approx(sol[n], abs=1e-8)
     # residual of the constrained system
-    res = matrix.matvec(x) + lam * c - b
+    res = matrix @ x + lam * c - b
     assert np.linalg.norm(res) / np.linalg.norm(b) <= 1e-9
 
 
@@ -183,17 +207,10 @@ def test_determinism_bit_identical():
     rng = np.random.default_rng(13)
     a = rng.random((60, 60))
     spd = a @ a.T + 60 * np.eye(60)
-    m = _to_sparse(spd)
+    m = sp.csr_matrix(spd)
     b = rng.random(60)
     x1, s1 = linalg.solve_spd(m, b)
     x2, s2 = linalg.solve_spd(m, b)
     assert np.array_equal(x1, x2)
     assert s1 == s2
 
-
-def test_sparse_matrix_layout_and_symmetry():
-    m = _to_sparse(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    for r in range(m.n_rows):
-        row = m.indices[m.indptr[r] : m.indptr[r + 1]]
-        assert np.all(np.diff(row) > 0)
-    assert m.symmetry_defect() <= 1e-14

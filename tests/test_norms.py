@@ -26,15 +26,10 @@ def test_w1_seminorm_sine(fine_1d):
     assert norms.w1p_seminorm(u, 2.0) == pytest.approx(2 * np.pi / np.sqrt(2), abs=1e-3)
 
 
-def test_norm_request_dispatch(fine_1d):
+def test_w1p_norm_linear(fine_1d):
     u = grid_from_callable(fine_1d, lambda p: p[:, 0])
-    full = norms.norm(u, norms.NormRequest("w1p_full", 2.0))
     expect = np.sqrt(1.0 / 3.0 + 1.0)
-    assert full == pytest.approx(expect, abs=1e-6)
-    with pytest.raises(ValueError):
-        norms.NormRequest("lq", 2.0)
-    with pytest.raises(ValueError):
-        norms.NormRequest("besov_semi", 2.0)  # missing r
+    assert norms.w1p_norm(u, 2.0) == pytest.approx(expect, abs=1e-6)
 
 
 def test_homogeneity(fine_1d):
