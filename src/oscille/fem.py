@@ -8,11 +8,12 @@ part or mu < 0 the reduced system is symmetric positive definite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
+from scipy.linalg import eigh, solveh_banded
 
 from . import core, linalg
 from .mesh import ExcessiveSize, GridFunction, Mesh, MeshMismatch, build_domain_mesh, node_cap, quadrature
@@ -35,39 +36,95 @@ class AssembledSystem:
     free_dofs: np.ndarray
     mesh: Mesh
     mu: float
+    preconditioner: FastDiagonalization | None = None  # 2D systems only
 
     @property
     def n_full(self):
         return self.mesh.n_nodes
 
 
-def dirichlet_nodes(mesh, bc):
-    """Sorted node indices carrying a homogeneous Dirichlet condition."""
+@dataclass(frozen=True)
+class FastDiagonalization:
+    """Exact inverse of P = abar (K1 x M2 + M1 x K2) - mu M1 x M2 on the free dofs.
+
+    K_a and M_a are the 1D Q1 stiffness and consistent mass of axis a on
+    its free nodes, and K_a v = lam M_a v with V_a^T M_a V_a = I, so
+    P^-1 = (V1 x V2) diag(1 / (abar (lam_i + lam_j) - mu)) (V1 x V2)^T
+    (Lynch, Rice and Thomas, Numer. Math. 6, 1964). With abar = sqrt(lo*hi)
+    for coefficient eigenvalues in [lo, hi], cond(P^-1 A) <= hi/lo at
+    every mesh size.
+    """
+
+    v1: np.ndarray
+    v2: np.ndarray
+    inv_eig: np.ndarray  # (f1, f2): 1 / (abar (lam_i + lam_j) - mu)
+    kappa: float  # certified bound hi/lo on cond(P^-1 A)
+
+    def __call__(self, r):
+        t = self.v1.T @ r.reshape(self.inv_eig.shape) @ self.v2
+        return (self.v1 @ (t * self.inv_eig) @ self.v2.T).ravel()
+
+    def max_iter(self, tol):
+        """Twice the CG iterations kappa implies for residual tol, plus 50."""
+        return 2 * math.ceil(0.5 * math.sqrt(self.kappa) * math.log(2.0 / tol)) + 50
+
+
+def _coefficient_bounds(a_vals):
+    """Extreme eigenvalues (lo, hi) of scalar (E, g) or 2x2 (E, g, 2, 2) samples."""
+    if a_vals.ndim == 2:
+        return float(a_vals.min()), float(a_vals.max())
+    a, d = a_vals[..., 0, 0], a_vals[..., 1, 1]
+    mid = 0.5 * (a + d)
+    rad = np.hypot(0.5 * (a - d), 0.5 * (a_vals[..., 0, 1] + a_vals[..., 1, 0]))
+    return float((mid - rad).min()), float((mid + rad).max())
+
+
+def _axis_eigen(n, h, free):
+    """Generalized eigenpairs of the 1D Q1 stiffness and mass on the free nodes."""
+    k = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h
+    m = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) * (h / 6.0)
+    k[0, 0] = k[-1, -1] = 1.0 / h
+    m[0, 0] = m[-1, -1] = h / 3.0
+    sel = np.ix_(free, free)
+    return eigh(k[sel], m[sel])
+
+
+def _fast_diagonalization(mesh, free_axes, a_vals, mu):
+    lo, hi = _coefficient_bounds(a_vals)
+    if not (lo > 0.0 and math.isfinite(hi / lo)):
+        raise linalg.SingularSystem(f"coefficient eigenvalues in [{lo:g}, {hi:g}] are not uniformly positive")
+    abar = math.sqrt(lo * hi)
+    (lam1, v1), (lam2, v2) = (_axis_eigen(n, h, f) for n, h, f in zip(mesh.nodes_per_axis, mesh.h, free_axes))
+    inv_eig = 1.0 / (abar * (lam1[:, None] + lam2[None, :]) - mu)
+    return FastDiagonalization(v1, v2, inv_eig, hi / lo)
+
+
+def _free_axes(mesh, bc):
+    """Per-axis masks of the nodes off the Dirichlet ends.
+
+    Dirichlet edges are whole mesh lines, so the free nodes are the tensor
+    product of these masks.
+    """
     bc.validate_for_dim(mesh.dim)
     if bc.kind == "neumann":
-        return np.array([], dtype=int)
-    if bc.kind == "dirichlet":
+        edges = ()
+    elif bc.kind == "dirichlet":
         edges = core.EDGE_NAMES_1D if mesh.dim == 1 else core.EDGE_NAMES_2D
     else:
         edges = bc.dirichlet_edges
-    n = mesh.nodes_per_axis
-    picked = np.zeros(mesh.n_nodes, dtype=bool)
-    if mesh.dim == 1:
-        idx = {"left": 0, "right": n[0] - 1}
-        for e in edges:
-            picked[idx[e]] = True
-    else:
-        grid = picked.reshape(n)
-        for e in edges:
-            if e == "left":
-                grid[0, :] = True
-            elif e == "right":
-                grid[-1, :] = True
-            elif e == "bottom":
-                grid[:, 0] = True
-            elif e == "top":
-                grid[:, -1] = True
-    return np.nonzero(picked)[0]
+    ends = {"left": (0, 0), "right": (0, -1), "bottom": (1, 0), "top": (1, -1)}
+    free = [np.ones(n, dtype=bool) for n in mesh.nodes_per_axis]
+    for e in edges:
+        axis, end = ends[e]
+        free[axis][end] = False
+    return free
+
+
+def dirichlet_nodes(mesh, bc):
+    """Sorted node indices carrying a homogeneous Dirichlet condition."""
+    free = _free_axes(mesh, bc)
+    keep = free[0] if mesh.dim == 1 else np.logical_and.outer(free[0], free[1]).ravel()
+    return np.nonzero(~keep)[0]
 
 
 def _sample_coefficient(sampler, points):
@@ -86,6 +143,9 @@ def assemble(mesh, sampler, mu, bc):
 
     The sampler maps points (n, d) to scalar values (n,) or to matrices
     (n, d, d). Entries follow the tensor Gauss rule of the mesh exactly.
+    A 2D system also carries its CG preconditioner, built from the
+    extreme coefficient eigenvalues at these Gauss points; samples whose
+    eigenvalues are not uniformly positive raise `linalg.SingularSystem`.
     """
     if mu > 0:
         raise ValueError("mu must be nonpositive")
@@ -121,6 +181,7 @@ def assemble(mesh, sampler, mu, bc):
         free_dofs=free,
         mesh=mesh,
         mu=mu,
+        preconditioner=None if d == 1 else _fast_diagonalization(mesh, _free_axes(mesh, bc), a_vals, mu),
     )
 
 
@@ -147,11 +208,13 @@ def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):
     """Solve the assembled system for a load; Dirichlet nodes come back 0.
 
     1D systems are tridiagonal and SPD, and go through LAPACK banded
-    Cholesky (`scipy.linalg.solveh_banded`); 2D systems through
-    Jacobi-preconditioned conjugate gradients (`linalg.solve_spd`) to
-    relative residual `tol`. Both are deterministic. A 1D system that is
-    not positive definite, or a non-finite load, raises
-    `linalg.SingularSystem`.
+    Cholesky (`scipy.linalg.solveh_banded`); 2D systems through conjugate
+    gradients (`linalg.solve_spd`) to relative residual `tol`,
+    preconditioned by the system's `FastDiagonalization` and stopped at
+    the iteration count its certified condition bound implies. Both are
+    deterministic. A 1D system that is not positive definite, or a
+    non-finite load, raises `linalg.SingularSystem`; a 2D solve that
+    misses `tol` raises `linalg.NonConvergence`.
     """
     if isinstance(f, GridFunction) or callable(f):
         load = assemble_load(system.mesh, f)
@@ -172,7 +235,8 @@ def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):
         except ValueError as exc:  # check_finite rejects infs and NaNs
             raise linalg.SingularSystem(f"1D system or load is not finite: {exc}") from exc
     else:
-        x, _ = linalg.solve_spd(m, b, tol=tol)
+        pre = system.preconditioner
+        x, _ = linalg.solve_spd(m, b, tol=tol, max_iter=pre.max_iter(tol), preconditioner=pre)
     out = np.zeros(system.n_full)
     out[system.free_dofs] = x
     return GridFunction(system.mesh, out)

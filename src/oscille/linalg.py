@@ -2,9 +2,11 @@
 
 Matrices are plain `scipy.sparse` CSR matrices as assembled by `fem` and
 `cell`; 1D systems are solved in `fem` by banded Cholesky instead. The
-solvers here are conjugate gradients with a Jacobi preconditioner, which
-is all the structured SPD systems need, and they are deterministic, so
-repeated runs produce bit-identical results. Convergence is judged on the
+solvers here are preconditioned conjugate gradients: `solve_spd` takes
+the preconditioner as a callable (`fem` passes the fast diagonalization
+of each 2D system) and falls back to Jacobi, which the periodic cell
+solve `solve_saddle` uses. They are deterministic, so repeated runs
+produce bit-identical results. Convergence is judged on the
 recursive residual against `tol`, which sits far below any
 homogenization error being measured, keeping algebraic error out of the
 rate fits.
@@ -40,18 +42,25 @@ class SolveStats:
     residual: float
 
 
-def _pcg(matvec, b, diag, tol, max_iter, project=None):
-    """Jacobi-preconditioned CG; returns (x, iterations, relative residual)."""
+def _jacobi(matrix):
+    diag = matrix.diagonal()
+    if np.any(diag <= 0):
+        raise SingularSystem("nonpositive diagonal entry; matrix is not SPD")
+    inv_diag = 1.0 / diag
+    return lambda r: inv_diag * r
+
+
+def _pcg(matvec, b, precondition, tol, max_iter, project=None):
+    """Preconditioned CG; returns (x, iterations, relative residual)."""
     b = np.asarray(b, dtype=float)
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b), 0, 0.0
-    inv_diag = 1.0 / diag
     x = np.zeros_like(b)
     r = b.copy()
     if project is not None:
         r = project(r)
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     res = float(np.linalg.norm(r)) / norm_b
@@ -63,7 +72,7 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None):
         r -= alpha * ap
         if project is not None:
             r = project(r)
-        z = inv_diag * r
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -72,9 +81,11 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None):
     return x, it, res
 
 
-def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None):
+def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None, preconditioner=None):
     """Solve M x = b for a symmetric positive definite scipy sparse M.
 
+    `preconditioner` maps a residual to an approximation of M^-1 applied
+    to it and must be symmetric positive definite; the default is Jacobi.
     Returns (x, SolveStats); raises NonConvergence if the relative
     residual target is missed within max_iter iterations or the residual
     is not a number.
@@ -87,10 +98,9 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None):
         raise DimensionMismatch("solve_spd needs a square matrix matching the rhs")
     if max_iter is None:
         max_iter = max(1000, 20 * n)
-    diag = matrix.diagonal()
-    if np.any(diag <= 0):
-        raise SingularSystem("nonpositive diagonal entry; matrix is not SPD")
-    x, it, res = _pcg(lambda v: matrix @ v, b, diag, tol, max_iter)
+    if preconditioner is None:
+        preconditioner = _jacobi(matrix)
+    x, it, res = _pcg(lambda v: matrix @ v, b, preconditioner, tol, max_iter)
     if not res <= tol:  # also catches a NaN residual
         raise NonConvergence(it, res)
     return x, SolveStats(it, res)
@@ -119,14 +129,10 @@ def solve_saddle(matrix, c, b, beta=0.0, tol=DEFAULT_TOL, max_iter=None):
     lam = float(b.sum()) / csum
     rhs = b - lam * c
 
-    diag = matrix.diagonal()
-    if np.any(diag <= 0):
-        raise SingularSystem("nonpositive diagonal entry in saddle solve")
-
     def project(v):
         return v - v.mean()
 
-    x, it, res = _pcg(lambda v: matrix @ v, rhs, diag, tol, max_iter, project=project)
+    x, it, res = _pcg(lambda v: matrix @ v, rhs, _jacobi(matrix), tol, max_iter, project=project)
     if not res <= tol:  # also catches a NaN residual
         raise NonConvergence(it, res)
     x = x + (beta - float(c @ x)) / csum

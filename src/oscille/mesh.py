@@ -89,12 +89,6 @@ class Mesh:
         xx = np.meshgrid(*axes, indexing="ij")
         return np.stack([a.ravel() for a in xx], axis=1)
 
-    def node_index(self, multi):
-        """Flatten a per-axis index tuple of arrays."""
-        if self.dim == 1:
-            return multi[0]
-        return multi[0] * self.nodes_per_axis[1] + multi[1]
-
 
 @dataclass
 class GridFunction:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from oscille import cell, cli, smoothing, study
+from oscille import cell, cli, fem, smoothing, study
 
 SINE_CFG = {
     "field": {"preset_id": "Sine1D", "params": [2, 1], "dim": 1},
@@ -245,3 +245,40 @@ def test_indefinite_1d_system_exit_3(tmp_path, monkeypatch, capsys):
     rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
     assert rc == 3
     assert "numerical failure: SingularSystem: 1D system is not positive definite" in capsys.readouterr().err
+
+
+LAMINATE_CFG = dict(
+    SINE_CFG,
+    field={"preset_id": "Laminate2D", "params": [2, 1], "dim": 2},
+    domain=[[0.0, 1.0], [0.0, 1.0]],
+    mu=-1.0,
+    epsilons=[0.25, 0.125, 0.0625],
+    points_per_period=8,
+)
+
+
+def test_stagnating_2d_solve_fails_fast_exit_3(tmp_path, monkeypatch, capsys):
+    # abar 1e4 times too small against the mass shift spreads the Neumann
+    # spectrum (the sine load then needs 122 iterations); the solve stops
+    # at the 92 iterations the certified kappa = 3 implies, not at 20 per dof
+    bounds = fem._coefficient_bounds
+
+    def scaled(a_vals):
+        lo, hi = bounds(a_vals)
+        return 1e-4 * lo, 1e-4 * hi
+
+    monkeypatch.setattr(fem, "_coefficient_bounds", scaled)
+    cfg = _write_cfg(tmp_path, dict(LAMINATE_CFG, bc={"kind": "neumann"}))
+    rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: NonConvergence: no convergence after" in err
+    assert int(err.split("no convergence after ")[1].split()[0]) == 92
+
+
+def test_non_elliptic_2d_coefficient_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fem, "_coefficient_bounds", lambda a_vals: (0.0, 1.0))
+    cfg = _write_cfg(tmp_path, LAMINATE_CFG)
+    rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert rc == 3
+    assert "numerical failure: SingularSystem: coefficient eigenvalues" in capsys.readouterr().err

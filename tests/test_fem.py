@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from oscille import core, fem
+from oscille import core, fem, linalg
 from oscille.mesh import GridFunction, build_domain_mesh, grid_from_callable
 from oscille.norms import lp_norm, w1p_norm
 
@@ -253,3 +253,100 @@ def test_fem_self_consistency_2d_single_eps():
     u0 = fem.solve_resolvent(s_eff, load)
     homog = lp_norm(GridFunction(m12, u12.values - u0.values), 2.0)
     assert fem_shift <= 0.25 * homog
+
+
+def _axis_mass(mesh, axis, dirichlet_ends):
+    """1D Q1 consistent mass of one axis of a 2D mesh on its free nodes.
+
+    fem.assemble on the axis' 1D mesh gives K - mu M, so M is the
+    difference of two shifts.
+    """
+    line = build_domain_mesh((mesh.extents[axis],), mesh.h[axis] * (1 + 1e-12))
+    assert line.nodes_per_axis[0] == mesh.nodes_per_axis[axis]
+    kind = {0: "neumann", 1: "mixed", 2: "dirichlet"}[len(dirichlet_ends)]
+    bc = core.BoundarySpec(kind, dirichlet_ends if kind == "mixed" else ())
+    shifted = [fem.assemble(line, ONES, mu, bc).matrix.toarray() for mu in (-1.0, -2.0)]
+    return shifted[1] - shifted[0]
+
+
+@pytest.mark.parametrize(
+    "edges, mu",
+    [
+        (("left", "right", "bottom", "top"), 0.0),
+        ((), -1.5),
+        (("left", "top"), 0.0),
+        (("bottom", "right", "top"), -0.5),
+    ],
+)
+def test_fast_diagonalization_is_the_constant_coefficient_operator(edges, mu):
+    # non-square box: n1 != n2 and h1 != h2, so swapped axes would show
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.75)), 0.1)
+    assert m.nodes_per_axis == (11, 9) and m.h[0] != m.h[1]
+    if len(edges) == 4:
+        bc = core.BoundarySpec("dirichlet")
+    elif edges:
+        bc = core.BoundarySpec("mixed", edges)
+    else:
+        bc = core.BoundarySpec("neumann")
+    c = 2.5
+    s = fem.assemble(m, lambda p: np.full(p.shape[0], c), mu, bc)
+    pre = s.preconditioner
+    assert pre.kappa == 1.0
+    ends = [tuple(e for e in edges if e in ("left", "right")),
+            tuple({"bottom": "left", "top": "right"}[e] for e in edges if e in ("bottom", "top"))]
+    # V^-1 = V^T M, so P = (M1 V1 x M2 V2) diag(1 / inv_eig) (M1 V1 x M2 V2)^T
+    w = np.kron(_axis_mass(m, 0, ends[0]) @ pre.v1, _axis_mass(m, 1, ends[1]) @ pre.v2)
+    p = w @ np.diag(1.0 / pre.inv_eig.ravel()) @ w.T
+    a = s.matrix.toarray()
+    assert np.abs(p - a).max() <= 1e-13 * np.abs(a).max()
+    # and applying the preconditioner inverts the assembled matrix
+    x = np.random.default_rng(0).standard_normal(a.shape[0])
+    np.testing.assert_allclose(pre(a @ x), x, rtol=0, atol=1e-10 * np.abs(x).max())
+
+
+def test_coefficient_bounds_closed_form():
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((5, 4, 2, 2))
+    samples = b @ np.swapaxes(b, -1, -2) + 0.1 * np.eye(2)
+    eig = np.linalg.eigvalsh(samples)
+    lo, hi = fem._coefficient_bounds(samples)
+    assert lo == pytest.approx(eig.min(), rel=1e-12)
+    assert hi == pytest.approx(eig.max(), rel=1e-12)
+    assert fem._coefficient_bounds(np.array([[2.0, 3.0], [0.5, 1.0]])) == (0.5, 3.0)
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        lambda p: p[:, 0] - 0.5,  # changes sign
+        lambda p: np.full(p.shape[0], 1e-320) + (p[:, 0] > 0.5),  # hi/lo overflows
+        lambda p: np.broadcast_to(np.diag([1.0, -1.0]), (p.shape[0], 2, 2)),  # indefinite
+    ],
+)
+def test_preconditioner_rejects_non_elliptic_coefficient(sampler):
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), 1 / 4)
+    with pytest.raises(linalg.SingularSystem, match="not uniformly positive"):
+        fem.assemble(m, sampler, -1.0, core.BoundarySpec("dirichlet"))
+
+
+def test_fast_diagonalization_iterations_do_not_grow_with_h():
+    field = core.preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
+    rho, tol = 12, linalg.DEFAULT_TOL
+    load = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])  # noqa: E731
+    iterations = []
+    for n in (48, 96, 192):
+        eps = rho / n
+        m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), (1 + 1e-12) / n)
+        s = fem.assemble(m, lambda p: core.tau_eps(field, eps, p), -1.0, core.BoundarySpec("dirichlet"))
+        b = fem.assemble_load(m, load)[s.free_dofs]
+        pre = s.preconditioner
+        x, stats = linalg.solve_spd(s.matrix, b, tol=tol, max_iter=pre.max_iter(tol), preconditioner=pre)
+        assert np.linalg.norm(b - s.matrix @ x) <= tol * np.linalg.norm(b)
+        x_jacobi, _ = linalg.solve_spd(s.matrix, b, tol=tol)
+        assert np.linalg.norm(x - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
+        np.testing.assert_array_equal(fem.solve_resolvent(s, load).values[s.free_dofs], x)
+        iterations.append(stats.iterations)
+    # the count rises slightly toward the kappa bound as eps = rho*h fills
+    # the spectrum (21, 24, 25 here), but never by more than 3 per halving
+    assert max(iterations) <= 30
+    assert np.abs(np.diff(iterations)).max() <= 3

@@ -71,6 +71,16 @@ def test_solve_spd_residual_contract():
         assert stats.residual <= tol
 
 
+def test_solve_spd_exact_preconditioner_one_iteration():
+    rng = np.random.default_rng(4)
+    a = rng.random((30, 30))
+    spd = a @ a.T + 30 * np.eye(30)
+    b = rng.random(30)
+    x, stats = linalg.solve_spd(sp.csr_matrix(spd), b, preconditioner=lambda r: np.linalg.solve(spd, r))
+    assert stats.iterations == 1
+    np.testing.assert_allclose(x, np.linalg.solve(spd, b), rtol=1e-12)
+
+
 def test_solve_spd_errors():
     m = sp.csr_matrix(np.eye(4))
     with pytest.raises(linalg.DimensionMismatch):
