@@ -79,22 +79,43 @@ def _coefficient_bounds(a_vals):
     return float((mid - rad).min()), float((mid + rad).max())
 
 
-def _axis_eigen(n, h, free):
-    """Generalized eigenpairs of the 1D Q1 stiffness and mass on the free nodes."""
-    k = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h
-    m = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) * (h / 6.0)
-    k[0, 0] = k[-1, -1] = 1.0 / h
-    m[0, 0] = m[-1, -1] = h / 3.0
-    sel = np.ix_(free, free)
-    return eigh(k[sel], m[sel])
+def _tridiagonal(diag, off):
+    """Dense symmetric tridiagonal matrix with the given diagonal and constant off-diagonal."""
+    n = diag.size
+    out = np.zeros((n, n))
+    i = np.arange(n)
+    out[i, i] = diag
+    out[i[:-1], i[1:]] = out[i[1:], i[:-1]] = off
+    return out
+
+
+def _axis_eigen(h, free):
+    """Generalized eigenpairs of the 1D Q1 stiffness and mass on the free nodes.
+
+    The free nodes of an axis are contiguous, so both matrices are
+    tridiagonal; a mesh end node carries half the interior diagonal.
+    """
+    d = np.full(free.size, 2.0)
+    d[[0, -1]] = 1.0
+    d = d[free]
+    k = _tridiagonal(d / h, -1.0 / h)
+    m = _tridiagonal(d * (h / 3.0), h / 6.0)
+    return eigh(k, m, overwrite_a=True, overwrite_b=True)
 
 
 def _fast_diagonalization(mesh, free_axes, a_vals, mu):
+    # the per-axis factors are dense, so bound them by the node cap
+    n_dense = max(mesh.nodes_per_axis) ** 2
+    if n_dense > node_cap():
+        raise ExcessiveSize(
+            f"preconditioner factors would need {n_dense} entries for axis sizes "
+            f"{mesh.nodes_per_axis}, cap {node_cap()}"
+        )
     lo, hi = _coefficient_bounds(a_vals)
     if not (lo > 0.0 and math.isfinite(hi / lo)):
         raise linalg.SingularSystem(f"coefficient eigenvalues in [{lo:g}, {hi:g}] are not uniformly positive")
     abar = math.sqrt(lo * hi)
-    (lam1, v1), (lam2, v2) = (_axis_eigen(n, h, f) for n, h, f in zip(mesh.nodes_per_axis, mesh.h, free_axes))
+    (lam1, v1), (lam2, v2) = (_axis_eigen(h, f) for h, f in zip(mesh.h, free_axes))
     inv_eig = 1.0 / (abar * (lam1[:, None] + lam2[None, :]) - mu)
     return FastDiagonalization(v1, v2, inv_eig, hi / lo)
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from oscille import core, fem, linalg
-from oscille.mesh import GridFunction, build_domain_mesh, grid_from_callable
+from oscille.mesh import ExcessiveSize, GridFunction, build_domain_mesh, grid_from_callable
 from oscille.norms import lp_norm, w1p_norm
 
 ONES = lambda p: np.ones(p.shape[0])  # noqa: E731
@@ -329,12 +329,26 @@ def test_preconditioner_rejects_non_elliptic_coefficient(sampler):
         fem.assemble(m, sampler, -1.0, core.BoundarySpec("dirichlet"))
 
 
+def test_preconditioner_factors_respect_node_cap(monkeypatch):
+    # the per-axis factors are dense: a 41 x 3 strip has 123 nodes but
+    # needs 41^2 = 1681 entries per axis factor
+    monkeypatch.setenv("OSCILLE_NODE_CAP", "1000")
+    strip = build_domain_mesh(((0.0, 1.0), (0.0, 0.05)), (1 + 1e-12) / 40)
+    assert strip.nodes_per_axis == (41, 3)
+    with pytest.raises(ExcessiveSize, match="preconditioner factors"):
+        fem.assemble(strip, lambda p: np.ones(p.shape[0]), -1.0, core.BoundarySpec("neumann"))
+    # a square mesh under the cap is never refused: its axis size squared is its node count
+    square = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), (1 + 1e-12) / 30)
+    assert square.n_nodes == 961
+    assert fem.assemble(square, lambda p: np.ones(p.shape[0]), -1.0, core.BoundarySpec("neumann")).preconditioner
+
+
 def test_fast_diagonalization_iterations_do_not_grow_with_h():
     field = core.preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
     rho, tol = 12, linalg.DEFAULT_TOL
     load = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])  # noqa: E731
     iterations = []
-    for n in (48, 96, 192):
+    for n in (96, 192, 384):
         eps = rho / n
         m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), (1 + 1e-12) / n)
         s = fem.assemble(m, lambda p: core.tau_eps(field, eps, p), -1.0, core.BoundarySpec("dirichlet"))
@@ -346,7 +360,8 @@ def test_fast_diagonalization_iterations_do_not_grow_with_h():
         assert np.linalg.norm(x - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
         np.testing.assert_array_equal(fem.solve_resolvent(s, load).values[s.free_dofs], x)
         iterations.append(stats.iterations)
-    # the count rises slightly toward the kappa bound as eps = rho*h fills
-    # the spectrum (21, 24, 25 here), but never by more than 3 per halving
+    # on coarser meshes the Gauss samples span less of the coefficient's
+    # range (kappa 3.3, 3.8 and 17, 21 iterations at h = 1/24, 1/48); from
+    # h = 1/96 on kappa is 4.1-4.4 and the count settles (24, 25, 26 here)
     assert max(iterations) <= 30
-    assert np.abs(np.diff(iterations)).max() <= 3
+    assert max(iterations) - min(iterations) <= 3
