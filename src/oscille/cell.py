@@ -25,16 +25,17 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 from . import linalg
+from .core import ConfigError, NumericalError
 from .mesh import Mesh, MeshMismatch, quadrature
 
 X_TABLE_SPACING = 1.0 / 16.0
 
 
-class EllipticityViolation(RuntimeError):
+class EllipticityViolation(NumericalError):
     pass
 
 
-class TableCoverage(RuntimeError):
+class TableCoverage(NumericalError):
     pass
 
 
@@ -116,18 +117,6 @@ class CellSolution:
     columns: np.ndarray  # (n_nodes, d) nodal values of N_k
     stats: tuple
 
-    def mean_defect(self):
-        c = _mean_functional(self.cell_mesh)
-        return float(np.max(np.abs(c @ self.columns)))
-
-    def eval_n(self, y):
-        """N(y) by periodic multilinear interpolation, shape (n, d)."""
-        return _interpolate_periodic([self.columns], self.cell_mesh, y)[0][0]
-
-    def eval_grad_n(self, y):
-        """d/dy_j N_k (y) from the element interpolant, shape (n, d, d)."""
-        return _interpolate_periodic([self.columns], self.cell_mesh, y)[1][0]
-
 
 def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL):
     """Solve the periodic cell problem at macroscopic point x."""
@@ -180,6 +169,24 @@ def locate_on_axes(x_axes, pts):
     return idx, loc
 
 
+def multilinear(values, x_axes, pts):
+    """Multilinear interpolation of grid values at points (n, d).
+
+    values has shape grid_shape + trailing; the result has shape
+    (n,) + trailing. Corners are summed in C order, each weighted axis by
+    axis by its hat, 1 - t or t.
+    """
+    idx, loc = locate_on_axes(x_axes, pts)
+    terms = []
+    for bits in itertools.product((0, 1), repeat=len(x_axes)):
+        term = values[tuple(i + b for i, b in zip(idx, bits))]
+        for t, b in zip(loc, bits):
+            t = t.reshape(t.shape + (1,) * (term.ndim - 1))
+            term = term * (t if b else 1 - t)
+        terms.append(term)
+    return sum(terms[1:], terms[0])
+
+
 @dataclass
 class CellTable:
     """Cell solutions tabulated over a macroscopic grid (C-order)."""
@@ -194,9 +201,6 @@ class CellTable:
 
     def grid_shape(self):
         return tuple(len(a) for a in self.x_axes)
-
-    def locate(self, pts):
-        return locate_on_axes(self.x_axes, pts)
 
 
 def x_axes_for(domain, margin, spacing=X_TABLE_SPACING):
@@ -242,31 +246,8 @@ class EffectiveField:
     dim: int
 
     def tensor_at(self, pts):
-        pts = np.asarray(pts, dtype=float).reshape(-1, self.dim)
-        idx, loc = locate_on_axes(self.x_axes, pts)
-        if self.dim == 1:
-            i = idx[0]
-            t = loc[0][:, None, None]
-            return self.tensors[i] * (1 - t) + self.tensors[i + 1] * t
-        i, j = idx
-        tx = loc[0][:, None, None]
-        ty = loc[1][:, None, None]
-        t00 = self.tensors[i, j]
-        t01 = self.tensors[i, j + 1]
-        t10 = self.tensors[i + 1, j]
-        t11 = self.tensors[i + 1, j + 1]
-        return t00 * (1 - tx) * (1 - ty) + t01 * (1 - tx) * ty + t10 * tx * (1 - ty) + t11 * tx * ty
-
-    def lipschitz_estimate(self):
-        """Largest finite-difference slope of the tensor table (max-entry norm)."""
-        best = 0.0
-        for k in range(self.dim):
-            ax = self.x_axes[k]
-            d = np.diff(self.tensors, axis=k)
-            hk = ax[1] - ax[0]
-            if d.size:
-                best = max(best, float(np.max(np.abs(d)) / hk))
-        return best
+        """A0 at points (n, d), shape (n, d, d)."""
+        return multilinear(self.tensors, self.x_axes, pts)
 
 
 def effective_from_cells(field, table, tol=linalg.DEFAULT_TOL):
@@ -295,7 +276,7 @@ def tabulate_effective(field, x_axes, cell_mesh, tol=linalg.DEFAULT_TOL):
 def closed_form_1d_effective(field, x):
     """Reference harmonic mean 1 / int dy / a(x, y) by adaptive quadrature."""
     if field.dim != 1:
-        raise ValueError("closed form applies to d = 1 only")
+        raise ConfigError("closed form applies to d = 1 only")
     x_arr = np.asarray([x], dtype=float).reshape(1, 1)
 
     def integrand(y):
@@ -303,37 +284,6 @@ def closed_form_1d_effective(field, x):
 
     val, err = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     if err > 1e-9:
-        raise RuntimeError(f"quadrature failed to converge (err {err:.2e})")
+        raise NumericalError(f"quadrature failed to converge (err {err:.2e})")
     return 1.0 / val
 
-
-def dump_cell_csv(solution, path):
-    """Write the nodal cell functions N_k of one solution to CSV."""
-    mesh = solution.cell_mesh
-    d = mesh.dim
-    coords = mesh.node_coords()
-    with open(path, "w", encoding="utf-8") as fh:
-        head = [f"y{k+1}" for k in range(d)] + [f"n{k+1}" for k in range(d)]
-        fh.write(",".join(head) + "\n")
-        for i in range(mesh.n_nodes):
-            row = [f"{coords[i, k]:.12g}" for k in range(d)]
-            row += [f"{solution.columns[i, k]:.12g}" for k in range(d)]
-            fh.write(",".join(row) + "\n")
-
-
-def dump_tables_csv(eff, path):
-    """Write the effective-tensor table to CSV for inspection."""
-    d = eff.dim
-    with open(path, "w", encoding="utf-8") as fh:
-        head = [f"x{k+1}" for k in range(d)] + [f"a{j+1}{k+1}" for j in range(d) for k in range(d)]
-        fh.write(",".join(head) + "\n")
-        if d == 1:
-            for i, x in enumerate(eff.x_axes[0]):
-                row = [f"{x:.12g}", f"{eff.tensors[i, 0, 0]:.12g}"]
-                fh.write(",".join(row) + "\n")
-        else:
-            for i, x1 in enumerate(eff.x_axes[0]):
-                for j, x2 in enumerate(eff.x_axes[1]):
-                    t = eff.tensors[i, j]
-                    row = [f"{x1:.12g}", f"{x2:.12g}"] + [f"{t[a, b]:.12g}" for a in range(d) for b in range(d)]
-                    fh.write(",".join(row) + "\n")

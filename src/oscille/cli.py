@@ -8,8 +8,9 @@ Commands
   audit           randomized ellipticity audit of a preset
 
 Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage or config
-error, 3 numerical failure. CSV output is byte-identical across runs on
-the same platform for the same config.
+error (`core.ConfigError`), 3 numerical failure (`core.NumericalError`).
+Any other exception is a bug and ends in a traceback. CSV output is
+byte-identical across runs on the same platform for the same config.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import sys
 import numpy as np
 
 from . import cell as cell_mod
-from . import core, fem, linalg, norms, smoothing, study
-from .mesh import EmptyRegion, ExcessiveSize, build_cell_mesh, build_domain_mesh, grid_from_callable
+from . import core, norms, smoothing, study
+from .core import ConfigError
+from .mesh import build_cell_mesh, build_domain_mesh, grid_from_callable
 
 _SCENARIO_KEYS = {
     "field",
@@ -42,47 +44,75 @@ _FIELD_KEYS = {"preset_id", "params", "dim"}
 _BC_KEYS = {"kind", "dirichlet_edges"}
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _reject_unknown(d, allowed, where):
-    unknown = set(d) - allowed
+def _object(d, keys, where, optional=()):
+    """Check that d is a JSON object with every key of keys and no key outside keys and optional."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    unknown = set(d) - keys - set(optional)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = keys - set(d)
+    if missing:
+        raise ConfigError(f"missing {where} keys: {sorted(missing)}")
+    return d
+
+
+def _typed(v, where, kind, types):
+    # bool is an int subclass, but true is not a number
+    if isinstance(v, bool) or not isinstance(v, types):
+        raise ConfigError(f"{where} must be {kind}, got {v!r}")
+    return v
+
+
+def _number(v, where):
+    try:
+        return float(_typed(v, where, "a number", (int, float)))
+    except OverflowError:
+        raise ConfigError(f"{where} is too large, got {v!r}") from None
+
+
+def _string(v, where):
+    return _typed(v, where, "a string", str)
+
+
+def _list(v, where, item):
+    return tuple(item(x, f"entries of {where}") for x in _typed(v, where, "a list", list))
 
 
 def scenario_from_dict(cfg):
-    """Strict JSON-to-Scenario mapping; unknown keys are errors."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    _reject_unknown(cfg, _SCENARIO_KEYS, "scenario")
-    missing = _SCENARIO_KEYS - set(cfg)
-    if missing:
-        raise ConfigError(f"missing scenario keys: {sorted(missing)}")
-    fcfg = cfg["field"]
-    _reject_unknown(fcfg, _FIELD_KEYS, "field")
-    field = core.preset_coefficient(fcfg["preset_id"], fcfg["params"], int(fcfg["dim"]))
-    bcfg = cfg["bc"]
-    _reject_unknown(bcfg, _BC_KEYS, "bc")
-    bc = core.BoundarySpec(bcfg["kind"], tuple(bcfg.get("dirichlet_edges", ())))
+    """Strict JSON-to-Scenario mapping; unknown keys and wrong types are errors."""
+    _object(cfg, _SCENARIO_KEYS, "scenario")
+    fcfg = _object(cfg["field"], _FIELD_KEYS, "field")
+    field = core.preset_coefficient(
+        _string(fcfg["preset_id"], "field.preset_id"),
+        _list(fcfg["params"], "field.params", _number),
+        _typed(fcfg["dim"], "field.dim", "an integer", int),
+    )
+    bcfg = _object(cfg["bc"], {"kind"}, "bc", optional=_BC_KEYS)
+    edges = _list(bcfg.get("dirichlet_edges", []), "bc.dirichlet_edges", _string)
+    bc = core.BoundarySpec(_string(bcfg["kind"], "bc.kind"), edges)
     return core.Scenario(
         field=field,
-        domain=tuple(tuple(ax) for ax in cfg["domain"]),
+        domain=_list(cfg["domain"], "domain", lambda ax, _: _list(ax, "domain axes", _number)),
         bc=bc,
-        mu=float(cfg["mu"]),
-        p=float(cfg["p"]),
-        s=float(cfg["s"]),
-        s_plus=float(cfg["s_plus"]),
-        epsilons=tuple(cfg["epsilons"]),
-        points_per_period=int(cfg["points_per_period"]),
-        interior_margin=float(cfg["interior_margin"]),
+        mu=_number(cfg["mu"], "mu"),
+        p=_number(cfg["p"], "p"),
+        s=_number(cfg["s"], "s"),
+        s_plus=_number(cfg["s_plus"], "s_plus"),
+        epsilons=_list(cfg["epsilons"], "epsilons", _number),
+        points_per_period=_typed(cfg["points_per_period"], "points_per_period", "an integer", int),
+        interior_margin=_number(cfg["interior_margin"], "interior_margin"),
     )
 
 
 def load_scenario(path, eps_override=None, ppp_override=None):
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # a missing file, bad JSON or bad UTF-8
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config root must be an object, got {cfg!r}")
     if eps_override is not None:
         cfg["epsilons"] = eps_override
     if ppp_override is not None:
@@ -188,12 +218,16 @@ def _svg_loglog(path, target, pts, fit):
         fh.write("\n".join(parts) + "\n")
 
 
-def _infer_dim(preset):
-    return 1 if preset in ("Constant", "Sine1D", "LocallyPeriodic1D") else 2
+def _floats(text, flag):
+    """A comma-separated list of numbers from a command-line flag."""
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_study(args):
-    eps = [float(t) for t in args.eps.split(",")] if args.eps else None
+    eps = _floats(args.eps, "--eps") if args.eps else None
     scenario = load_scenario(args.config, eps_override=eps, ppp_override=args.ppp)
     threads = args.threads or os.cpu_count() or 1
     report = study.run_study(scenario, threads=threads)
@@ -204,12 +238,13 @@ def _cmd_study(args):
 
 
 def _cmd_cell(args):
-    params = [float(t) for t in args.params.split(",")]
-    dim = args.dim or _infer_dim(args.preset)
-    field = core.preset_coefficient(args.preset, params, dim)
+    field = core.preset_coefficient(args.preset, _floats(args.params, "--params"), args.dim)
+    dim = field.dim
     m = args.m or cell_mod.default_cell_m(dim)
     cmesh = build_cell_mesh(m, dim)
-    x = np.array([float(t) for t in args.x.split(",")]) if args.x else np.zeros(dim)
+    x = _floats(args.x, "--x") if args.x else [0.0] * dim
+    if len(x) != dim:
+        raise ConfigError(f"--x needs {dim} coordinates for {args.preset}, got {args.x!r}")
     tensor = cell_mod.effective_tensor(field, x, cmesh)
     if dim == 1:
         sys.stdout.write(f"A0 = {tensor[0, 0]:.6g}\n")
@@ -266,9 +301,7 @@ def _cmd_suite_strip(args):
 
 
 def _cmd_audit(args):
-    params = [float(t) for t in args.params.split(",")]
-    dim = args.dim or _infer_dim(args.preset)
-    field = core.preset_coefficient(args.preset, params, dim)
+    field = core.preset_coefficient(args.preset, _floats(args.params, "--params"), args.dim)
     audit = core.audit_ellipticity(field, args.samples, seed=args.seed)
     sys.stdout.write(
         f"min_eig={audit.min_eig:.6g} (certified {field.c_a:g})\n"
@@ -322,17 +355,12 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # numerical classes first: InsufficientData and NonPositiveError are ValueErrors
     try:
         return args.fn(args)
-    except (linalg.NonConvergence, linalg.SingularSystem, fem.SingularOperator,
-            fem.QuadratureFailure, ExcessiveSize, EmptyRegion, study.InsufficientData,
-            study.NonPositiveError, study.NonFiniteMeasurement, cell_mod.TableCoverage,
-            cell_mod.EllipticityViolation, smoothing.InsufficientMargin,
-            smoothing.MarginTooLarge) as exc:
+    except core.NumericalError as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return 3
-    except (ConfigError, core.ScenarioError, core.PresetError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
 

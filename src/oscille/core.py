@@ -16,21 +16,30 @@ import numpy as np
 EDGE_NAMES_1D = ("left", "right")
 EDGE_NAMES_2D = ("left", "right", "bottom", "top")
 
-PRESETS = (
-    "Constant",
-    "Sine1D",
-    "Laminate2D",
-    "SineProduct2D",
-    "LocallyPeriodic1D",
-    "LocallyPeriodic2D",
-)
+# preset id -> the dimensions it is defined in; the first is the default
+PRESET_DIMS = {
+    "Constant": (1, 2),
+    "Sine1D": (1,),
+    "Laminate2D": (2,),
+    "SineProduct2D": (2,),
+    "LocallyPeriodic1D": (1,),
+    "LocallyPeriodic2D": (2,),
+}
 
 
-class PresetError(ValueError):
+class ConfigError(ValueError):
+    """Bad input: a config, flag or argument the program cannot use (exit code 2)."""
+
+
+class NumericalError(RuntimeError):
+    """A computation that cannot give a trustworthy result (exit code 3)."""
+
+
+class PresetError(ConfigError):
     """Unknown preset id or parameters violating ellipticity."""
 
 
-class ScenarioError(ValueError):
+class ScenarioError(ConfigError):
     """Scenario field combination violates an invariant."""
 
 
@@ -38,7 +47,7 @@ def _as_points(v, dim):
     """Coerce a point or an array of points to shape (n, dim)."""
     arr = np.atleast_2d(np.asarray(v, dtype=float))
     if arr.shape[-1] != dim:
-        raise ValueError(f"expected points with {dim} components, got shape {arr.shape}")
+        raise ConfigError(f"expected points with {dim} components, got shape {arr.shape}")
     return arr.reshape(-1, dim)
 
 
@@ -79,29 +88,31 @@ def _eval_preset(preset_id, params, x, y):
     if preset_id == "Constant":
         (c,) = params
         return np.full(y.shape[0], c)
-    if preset_id == "Sine1D":
-        c, amp = params
-        return c + amp * np.sin(2.0 * np.pi * y[:, 0])
-    if preset_id == "Laminate2D":
+    if preset_id in ("Sine1D", "Laminate2D"):
         c, amp = params
         return c + amp * np.sin(2.0 * np.pi * y[:, 0])
     if preset_id == "SineProduct2D":
         c, amp = params
         return c + amp * np.sin(2.0 * np.pi * y[:, 0]) * np.sin(2.0 * np.pi * y[:, 1])
-    if preset_id == "LocallyPeriodic1D":
-        c, amp, slope = params
-        return (1.0 + slope * x[:, 0]) * (c + amp * np.sin(2.0 * np.pi * y[:, 0]))
-    if preset_id == "LocallyPeriodic2D":
+    if preset_id in ("LocallyPeriodic1D", "LocallyPeriodic2D"):
         c, amp, slope = params
         return (1.0 + slope * x[:, 0]) * (c + amp * np.sin(2.0 * np.pi * y[:, 0]))
     raise PresetError(f"unknown preset {preset_id!r}")
 
 
-def preset_coefficient(preset_id, params, dim):
-    """Build a coefficient field with analytically certified bounds."""
+def preset_coefficient(preset_id, params, dim=None):
+    """Build a coefficient field with analytically certified bounds.
+
+    dim defaults to the first dimension the preset is defined in.
+    """
     params = tuple(float(p) for p in params)
-    if preset_id not in PRESETS:
-        raise PresetError(f"unknown preset {preset_id!r}; choose one of {PRESETS}")
+    if preset_id not in PRESET_DIMS:
+        raise PresetError(f"unknown preset {preset_id!r}; choose one of {tuple(PRESET_DIMS)}")
+    dim = PRESET_DIMS[preset_id][0] if dim is None else dim
+    if dim not in PRESET_DIMS[preset_id]:
+        raise PresetError(f"{preset_id} requires dim in {PRESET_DIMS[preset_id]}")
+    if not all(math.isfinite(p) for p in params):
+        raise PresetError(f"{preset_id} parameters must be finite, got {list(params)}")
 
     if preset_id == "Constant":
         if len(params) != 1:
@@ -109,17 +120,12 @@ def preset_coefficient(preset_id, params, dim):
         (c,) = params
         if c <= 0:
             raise PresetError("constant coefficient must be positive")
-        if dim not in (1, 2):
-            raise PresetError("dim must be 1 or 2")
         return CoefficientField(preset_id, params, dim, 0.0, c, c)
 
     if preset_id in ("Sine1D", "Laminate2D", "SineProduct2D"):
         if len(params) != 2:
             raise PresetError(f"{preset_id} takes [mean, amplitude]")
         c, amp = params
-        want_dim = 1 if preset_id == "Sine1D" else 2
-        if dim != want_dim:
-            raise PresetError(f"{preset_id} requires dim={want_dim}")
         if amp < 0 or amp >= c:
             raise PresetError("need 0 <= amplitude < mean for ellipticity")
         return CoefficientField(preset_id, params, dim, 0.0, c - amp, c + amp)
@@ -128,9 +134,6 @@ def preset_coefficient(preset_id, params, dim):
     if len(params) != 3:
         raise PresetError(f"{preset_id} takes [mean, amplitude, slope]")
     c, amp, slope = params
-    want_dim = 1 if preset_id == "LocallyPeriodic1D" else 2
-    if dim != want_dim:
-        raise PresetError(f"{preset_id} requires dim={want_dim}")
     if amp < 0 or amp >= c:
         raise PresetError("need 0 <= amplitude < mean for ellipticity")
     g_lo, g_hi = min(1.0, 1.0 + slope), max(1.0, 1.0 + slope)
@@ -149,7 +152,7 @@ def tau_eps(field, eps, x):
     frac wraps componentwise into the unit cell [0,1)^d.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError("eps must be positive")
     x = _as_points(x, field.dim)
     y = x / eps
     y = y - np.floor(y)
@@ -171,7 +174,7 @@ def audit_ellipticity(field, sample_count, seed=0, tol=1e-12):
     means the certificates held on every sample.
     """
     if sample_count < 1000:
-        raise ValueError("sample_count must be at least 10^3")
+        raise ConfigError("sample_count must be at least 10^3")
     rng = np.random.default_rng(seed)
     d = field.dim
     x = rng.random((sample_count, d))
@@ -261,8 +264,8 @@ class Scenario:
         for name, v in numbers:
             if not math.isfinite(v):
                 raise ScenarioError(f"{name} must be finite, got {v}")
-        if len(self.domain) != self.dim:
-            raise ScenarioError("domain extents must match the field dimension")
+        if len(self.domain) != self.dim or any(len(ax) != 2 for ax in self.domain):
+            raise ScenarioError("domain must be one [lo, hi] pair per field dimension")
         for lo, hi in self.domain:
             if not hi > lo:
                 raise ScenarioError("degenerate domain extents")

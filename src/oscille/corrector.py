@@ -32,7 +32,7 @@ import numpy as np
 
 from .cell import CellTable, TableCoverage, _interpolate_periodic, locate_on_axes
 from .mesh import GridFunction, MeshMismatch, r_cell
-from .smoothing import ExtendedFunction, _extended_mesh, extend, mollify, window_weights
+from .smoothing import ExtendedFunction, _extended_mesh, _window_per_axis, extend, mollify
 
 MARGIN_FACTOR = 5.0
 
@@ -104,18 +104,6 @@ def build_r0(u0, scenario, eps):
             gext = mollify(gext, eps)
         grads.append(gext)
     return u0_ext, grads
-
-
-def _z_offsets(mesh, eps):
-    """Tensor z-quadrature: per-axis cell offsets and weights."""
-    per_axis = []
-    for h in mesh.h:
-        rho = eps / h
-        if abs(rho - round(rho)) > 1e-9:
-            raise ValueError("eps must be an integer multiple of the fine spacing")
-        offs, w = window_weights(int(round(rho)))
-        per_axis.append((offs, w))
-    return per_axis
 
 
 def _fast_coordinates(mesh, eps):
@@ -233,7 +221,7 @@ def _corrector_setup(inputs):
     gathered at every slot and node, components first."""
     mesh = inputs.mesh
     d = mesh.dim
-    stencils, entry = _axis_stencils(inputs.table, mesh, _z_offsets(mesh, inputs.eps))
+    stencils, entry = _axis_stencils(inputs.table, mesh, _window_per_axis(mesh, inputs.eps))
     y, inv = _fast_coordinates(mesh, inputs.eps)
     n_vals, n_grads = _interpolate_periodic([sol.columns for sol in inputs.table.cells], inputs.table.cell_mesh, y)
     at = (entry, inv.reshape((1,) * d + mesh.nodes_per_axis))

@@ -16,14 +16,15 @@ import scipy.sparse as sp
 from scipy.linalg import eigh, solveh_banded
 
 from . import core, linalg
+from .core import ConfigError, NumericalError
 from .mesh import ExcessiveSize, GridFunction, Mesh, MeshMismatch, build_domain_mesh, node_cap, quadrature
 
 
-class SingularOperator(RuntimeError):
+class SingularOperator(NumericalError):
     pass
 
 
-class QuadratureFailure(RuntimeError):
+class QuadratureFailure(NumericalError):
     pass
 
 
@@ -169,7 +170,7 @@ def assemble(mesh, sampler, mu, bc):
     eigenvalues are not uniformly positive raise `linalg.SingularSystem`.
     """
     if mu > 0:
-        raise ValueError("mu must be nonpositive")
+        raise ConfigError("mu must be nonpositive")
     q = quadrature(mesh)
     n_el, n_g, d = q.points.shape
     n_c = q.corners.shape[1]
@@ -271,7 +272,7 @@ def oscillatory_mesh(scenario, eps):
     for lo, hi in extents:
         ratio = (hi - lo) / h
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(
+            raise ConfigError(
                 f"h = eps/rho = {h:g} does not divide the extent [{lo}, {hi}]; "
                 "choose eps with 1/eps integer"
             )
@@ -281,24 +282,3 @@ def oscillatory_mesh(scenario, eps):
     if total > node_cap():
         raise ExcessiveSize(f"oscillatory mesh would need {total} nodes, cap {node_cap()}")
     return build_domain_mesh(extents, h * (1 + 1e-12))
-
-
-def default_load(dim):
-    """The scenario's primary smooth load: constant in 1D terms, f = 1."""
-    return lambda pts: np.ones(pts.shape[0])
-
-
-def solve_oscillatory(scenario, eps, load=None):
-    """Reference solve with the two-scale coefficient a(x, x/eps)."""
-    if not any(abs(eps - e) < 1e-12 for e in scenario.epsilons):
-        raise ValueError("eps must be one of scenario.epsilons")
-    if load is None:
-        load = default_load(scenario.dim)
-    mesh = oscillatory_mesh(scenario, eps)
-    system = assemble(
-        mesh,
-        lambda pts: core.tau_eps(scenario.field, eps, pts),
-        scenario.mu,
-        scenario.bc,
-    )
-    return solve_resolvent(system, load), mesh

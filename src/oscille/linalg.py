@@ -18,18 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ConfigError, NumericalError
+
 DEFAULT_TOL = 1e-10
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(ConfigError):
     pass
 
 
-class SingularSystem(RuntimeError):
+class SingularSystem(NumericalError):
     pass
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(NumericalError):
     def __init__(self, iterations, residual):
         super().__init__(f"no convergence after {iterations} iterations (residual {residual:.3e})")
         self.iterations = iterations
@@ -91,7 +93,7 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None, preconditioner=None):
     is not a number.
     """
     if not (1e-14 <= tol <= 1e-4):
-        raise ValueError("tol must lie in [1e-14, 1e-4]")
+        raise ConfigError("tol must lie in [1e-14, 1e-4]")
     b = np.asarray(b, dtype=float)
     n = matrix.shape[0]
     if b.shape[0] != n or matrix.shape[1] != n:

@@ -15,25 +15,30 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import ConfigError, NumericalError
+
 DEFAULT_NODE_CAP = 4_000_000
 GAUSS_1D = (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))  # on [-1, 1], weights 1
 
 
-class ExcessiveSize(RuntimeError):
+class ExcessiveSize(NumericalError):
     pass
 
 
-class EmptyRegion(RuntimeError):
+class EmptyRegion(NumericalError):
     pass
 
 
-class MeshMismatch(ValueError):
+class MeshMismatch(ConfigError):
     pass
 
 
 def node_cap():
     v = os.environ.get("OSCILLE_NODE_CAP")
-    return int(v) if v else DEFAULT_NODE_CAP
+    try:
+        return int(v) if v else DEFAULT_NODE_CAP
+    except ValueError:
+        raise ConfigError(f"OSCILLE_NODE_CAP must be an integer, got {v!r}") from None
 
 
 def r_cell(d):
@@ -50,9 +55,9 @@ class Mesh:
 
     def __post_init__(self):
         if self.dim not in (1, 2):
-            raise ValueError("only d=1 and d=2 are supported")
+            raise ConfigError("only d=1 and d=2 are supported")
         if len(self.extents) != self.dim or len(self.nodes_per_axis) != self.dim:
-            raise ValueError("extents/nodes_per_axis must match dim")
+            raise ConfigError("extents/nodes_per_axis must match dim")
 
     @property
     def h(self):
@@ -105,24 +110,10 @@ class GridFunction:
     def reshaped(self):
         return self.values.reshape(self.mesh.nodes_per_axis)
 
-    def copy(self):
-        return GridFunction(self.mesh, self.values.copy())
-
 
 def grid_from_callable(mesh, fn):
     """Sample a callable of points (n, d) -> (n,) onto the mesh nodes."""
     return GridFunction(mesh, np.asarray(fn(mesh.node_coords()), dtype=float))
-
-
-def dump_grid_csv(u, path):
-    """Write nodal coordinates and values of a grid function to CSV."""
-    coords = u.mesh.node_coords()
-    d = u.mesh.dim
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([f"x{k+1}" for k in range(d)] + ["value"]) + "\n")
-        for i in range(u.mesh.n_nodes):
-            row = [f"{coords[i, k]:.12g}" for k in range(d)] + [f"{u.values[i]:.12g}"]
-            fh.write(",".join(row) + "\n")
 
 
 @dataclass
@@ -139,12 +130,12 @@ class RegionMask:
 def build_domain_mesh(extents, h_target, cap=None):
     """Uniform mesh with spacing at most h_target per axis."""
     if h_target <= 0:
-        raise ValueError("h_target must be positive")
+        raise ConfigError("h_target must be positive")
     extents = tuple(tuple(map(float, ax)) for ax in extents)
     nodes = []
     for lo, hi in extents:
         if not hi > lo:
-            raise ValueError("degenerate extents")
+            raise ConfigError("degenerate extents")
         n_sub = max(1, math.ceil((hi - lo) / h_target - 1e-12))
         nodes.append(n_sub + 1)
     total = int(np.prod(nodes))
@@ -157,7 +148,7 @@ def build_domain_mesh(extents, h_target, cap=None):
 def build_cell_mesh(m, d, cap=None):
     """Periodic unit-cell mesh with m subdivisions per axis (m >= 4)."""
     if m < 4:
-        raise ValueError("cell mesh needs at least 4 subdivisions per axis")
+        raise ConfigError("cell mesh needs at least 4 subdivisions per axis")
     total = m**d
     limit = cap if cap is not None else node_cap()
     if total > limit:
@@ -195,10 +186,10 @@ def interior_mask(mesh, margin):
     if mesh.periodic:
         raise MeshMismatch("interior_mask applies to domain meshes")
     if margin < 0:
-        raise ValueError("margin must be nonnegative")
+        raise ConfigError("margin must be nonnegative")
     width = min(hi - lo for lo, hi in mesh.extents)
     if margin >= width / 2.0:
-        raise ValueError("margin must be smaller than half the domain width")
+        raise ConfigError("margin must be smaller than half the domain width")
     cent = element_centroids(mesh)
     # closure distance along each axis: centroid distance minus half the cell
     dist = np.full(cent.shape[0], np.inf)
@@ -217,7 +208,7 @@ def boundary_strip_mask(mesh, eps):
     if mesh.periodic:
         raise MeshMismatch("boundary_strip_mask applies to domain meshes")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError("eps must be positive")
     cent = element_centroids(mesh)
     dist = _boundary_distance(cent, mesh.extents)
     width = r_cell(mesh.dim) * eps

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ConfigError
 from .mesh import (
     MeshMismatch,
     _reference_rule,
@@ -124,7 +125,7 @@ def besov_seminorm(u, r, p):
     side. Constant fields give 0; Lipschitz fields stay bounded as r -> 1.
     """
     if not (0.0 < r < 1.0):
-        raise ValueError("r must lie in (0, 1)")
+        raise ConfigError("r must lie in (0, 1)")
     h = min(u.mesh.h)
     width = min(hi - lo for lo, hi in u.mesh.extents)
     levels = 0

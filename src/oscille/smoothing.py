@@ -25,15 +25,17 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.signal import convolve as _signal_convolve
 
+from .cell import multilinear
+from .core import ConfigError, NumericalError
 from .mesh import GridFunction, Mesh, r_cell
 from .norms import _dyadic_supremum
 
 
-class MarginTooLarge(RuntimeError):
+class MarginTooLarge(NumericalError):
     pass
 
 
-class InsufficientMargin(RuntimeError):
+class InsufficientMargin(NumericalError):
     pass
 
 
@@ -49,16 +51,9 @@ class ExtendedFunction:
     def mesh(self):
         return self.base.mesh
 
-    @property
-    def margin(self):
-        return min(p * h for p, h in zip(self.pad, self.source_mesh.h))
-
     def source_block(self):
         sl = tuple(slice(p, p + n) for p, n in zip(self.pad, self.source_mesh.nodes_per_axis))
         return self.base.reshaped()[sl]
-
-    def restrict(self):
-        return GridFunction(self.source_mesh, self.source_block().ravel())
 
 
 def _extended_mesh(source, pad):
@@ -86,7 +81,7 @@ def _reflect_axis(arr, pad, axis):
 def extend(u, margin):
     """Extend a grid function past each face by at least `margin`."""
     if margin < 0:
-        raise ValueError("margin must be nonnegative")
+        raise ConfigError("margin must be nonnegative")
     mesh = u.mesh
     pad = tuple(int(math.ceil(margin / h - 1e-12)) for h in mesh.h)
     vals = u.reshaped()
@@ -113,7 +108,7 @@ def window_weights(rho):
     are symmetric, nonnegative and sum to 1 exactly in exact arithmetic.
     """
     if rho < 1:
-        raise ValueError("window needs at least one cell")
+        raise ConfigError("window needs at least one cell")
     half = 0.5 * rho  # in cell units
     j_max = int(math.ceil(half + 1.0 - 1e-12)) - 1
 
@@ -136,21 +131,14 @@ def window_weights(rho):
     return offsets[keep], w[keep]
 
 
-def _window_per_axis(ext, eps):
-    """Per-axis (offsets, weights, in-cell window size) for side-eps cube."""
-    mesh = ext.source_mesh
+def _window_per_axis(mesh, eps):
+    """Per-axis (offsets, weights) of the side-eps cube average on mesh."""
     out = []
-    for axis, h in enumerate(mesh.h):
+    for h in mesh.h:
         rho = eps / h
         if abs(rho - round(rho)) > 1e-9:
-            raise ValueError(f"cube side eps = {eps:g} must be an integer multiple of h = {h:g}")
-        rho = int(round(rho))
-        offs, w = window_weights(rho)
-        if offs[-1] > ext.pad[axis]:
-            raise InsufficientMargin(
-                f"need {offs[-1]} pad nodes on axis {axis}, extension has {ext.pad[axis]}"
-            )
-        out.append((offs, w))
+            raise ConfigError(f"cube side eps = {eps:g} must be an integer multiple of h = {h:g}")
+        out.append(window_weights(int(round(rho))))
     return out
 
 
@@ -159,10 +147,13 @@ def steklov(ext, eps):
 
     Separable: each axis is averaged in turn, consuming that axis's pad.
     """
-    win = _window_per_axis(ext, eps)
-    vals = ext.base.reshaped()
     mesh = ext.source_mesh
-    for axis, (offs, w) in enumerate(win):
+    vals = ext.base.reshaped()
+    for axis, (offs, w) in enumerate(_window_per_axis(mesh, eps)):
+        if offs[-1] > ext.pad[axis]:
+            raise InsufficientMargin(
+                f"need {offs[-1]} pad nodes on axis {axis}, extension has {ext.pad[axis]}"
+            )
         moved = np.moveaxis(vals, axis, 0)
         start = ext.pad[axis]
         n = mesh.nodes_per_axis[axis]
@@ -178,39 +169,19 @@ def shift_T(ext, eps, z):
     mesh = ext.source_mesh
     z = np.asarray(z, dtype=float).reshape(mesh.dim)
     if np.any(np.abs(z) > r_cell(mesh.dim) + 1e-12):
-        raise ValueError("z must lie in the centered unit cube")
+        raise ConfigError("z must lie in the centered unit cube")
     pts = mesh.node_coords() + eps * z[None, :]
     return GridFunction(mesh, eval_extended(ext, pts))
 
 
 def eval_extended(ext, pts):
-    """Multilinear interpolation of the extended data at arbitrary points."""
+    """Multilinear interpolation of the extended data at arbitrary points.
+
+    A point outside the extended box raises `cell.TableCoverage`.
+    """
     emesh = ext.mesh
-    pts = np.asarray(pts, dtype=float).reshape(-1, emesh.dim)
-    idx = []
-    loc = []
-    for k in range(emesh.dim):
-        lo, hi = emesh.extents[k]
-        h = emesh.h[k]
-        t = (pts[:, k] - lo) / h
-        if np.any(t < -1e-9) or np.any(t > emesh.nodes_per_axis[k] - 1 + 1e-9):
-            raise InsufficientMargin("evaluation point outside the extended box")
-        i = np.clip(np.floor(t).astype(int), 0, emesh.nodes_per_axis[k] - 2)
-        idx.append(i)
-        loc.append(np.clip(t - i, 0.0, 1.0))
-    vals = ext.base.reshaped()
-    if emesh.dim == 1:
-        i = idx[0]
-        t = loc[0]
-        return vals[i] * (1 - t) + vals[i + 1] * t
-    i, j = idx
-    tx, ty = loc
-    return (
-        vals[i, j] * (1 - tx) * (1 - ty)
-        + vals[i, j + 1] * (1 - tx) * ty
-        + vals[i + 1, j] * tx * (1 - ty)
-        + vals[i + 1, j + 1] * tx * ty
-    )
+    x_axes = tuple(emesh.axis_coords(k) for k in range(emesh.dim))
+    return multilinear(ext.base.reshaped(), x_axes, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +201,7 @@ def bump_normalizer(d):
     else:
         val, err = quad(lambda r: 2.0 * math.pi * r * profile(r), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
     if err > 1e-10:
-        raise RuntimeError("bump normalizer quadrature failed")
+        raise NumericalError("bump normalizer quadrature failed")
     return 1.0 / val
 
 
@@ -252,7 +223,7 @@ def mollifier_weights(delta, h, d):
         w = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0) * kappa
     total = w.sum()
     if total <= 0:
-        raise ValueError("mollifier kernel has no support on the grid; refine h")
+        raise NumericalError("mollifier kernel has no support on the grid; refine h")
     return w / total, k
 
 
@@ -263,7 +234,7 @@ def mollify(ext, delta):
     raises InsufficientMargin when the extension cannot absorb it.
     """
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise ConfigError("delta must be positive")
     mesh = ext.source_mesh
     w, k = mollifier_weights(delta, ext.mesh.h, mesh.dim)
     new_pad = tuple(p - kk for p, kk in zip(ext.pad, k))
@@ -490,7 +461,7 @@ def isometry_check(eps_list=(1 / 8, 1 / 16, 1 / 32), n=256, q=2.0, samples=None)
         for eps in eps_list:
             rho = eps / h
             if abs(rho - round(rho)) > 1e-12 or int(round(rho)) % 2:
-                raise ValueError("eps/h must be an even integer for the aligned check")
+                raise ConfigError("eps/h must be an even integer for the aligned check")
             rho = int(round(rho))
             offs, wts = window_weights(rho)
             y = (x / eps) - np.floor(x / eps)

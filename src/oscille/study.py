@@ -25,7 +25,7 @@ from . import cell as cell_mod
 from . import core
 from . import corrector as corr_mod
 from . import fem, linalg
-from .core import Scenario
+from .core import ConfigError, NumericalError, Scenario
 from .mesh import GridFunction, boundary_strip_mask, build_cell_mesh, interior_mask
 from .norms import besov_seminorm, lp_norm, w1p_seminorm
 
@@ -35,15 +35,15 @@ BESOV_R = 0.5
 EXCLUSION_FACTOR = 10.0
 
 
-class InsufficientData(ValueError):
+class InsufficientData(NumericalError):
     pass
 
 
-class NonPositiveError(ValueError):
+class NonPositiveError(NumericalError):
     pass
 
 
-class NonFiniteMeasurement(RuntimeError):
+class NonFiniteMeasurement(NumericalError):
     """A load norm that is not finite and positive, or a non-finite error."""
 
 
@@ -57,7 +57,7 @@ class RateTarget:
 
     def __post_init__(self):
         if not (0.0 < self.guaranteed_exponent <= 2.0):
-            raise ValueError("guaranteed exponent must lie in (0, 2]")
+            raise ConfigError("guaranteed exponent must lie in (0, 2]")
 
 
 def derive_targets(scenario: Scenario):
@@ -154,13 +154,6 @@ def verdict(fit, guaranteed_exponent, tolerance=FIT_TOLERANCE):
     return "PASS" if ok else "FAIL"
 
 
-def _effective_sampler(eff):
-    def sampler(pts):
-        return eff.tensor_at(pts)
-
-    return sampler
-
-
 def _case(scenario, eps, eff, ctable, targets, solver_tol):
     mesh = fem.oscillatory_mesh(scenario, eps)
     osc_sys = fem.assemble(
@@ -169,7 +162,7 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
         scenario.mu,
         scenario.bc,
     )
-    eff_sys = fem.assemble(mesh, _effective_sampler(eff), scenario.mu, scenario.bc)
+    eff_sys = fem.assemble(mesh, eff.tensor_at, scenario.mu, scenario.bc)
     imask = None
     if scenario.interior_margin > 0:
         imask = interior_mask(mesh, scenario.interior_margin)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from oscille.cell import TableCoverage, locate_on_axes
+from oscille.cell import TableCoverage, _interpolate_periodic, locate_on_axes
 from oscille.corrector import _central_diff_axis
 from oscille.mesh import GridFunction
 from oscille.smoothing import window_weights
@@ -39,13 +39,7 @@ def _fast_coordinates(mesh, eps):
 def _table_entry_values(table, y_pts):
     """Every tabulated cell solution at the deduplicated node fast-coordinates."""
     uniq, inv = np.unique(np.round(y_pts / 1e-12).astype(np.int64), axis=0, return_inverse=True)
-    y_uniq = uniq * 1e-12
-    n_e = len(table.cells)
-    vals = np.empty((n_e, y_uniq.shape[0], table.cells[0].columns.shape[1]))
-    grads = np.empty((n_e, y_uniq.shape[0], vals.shape[2], vals.shape[2]))
-    for i, sol in enumerate(table.cells):
-        vals[i] = sol.eval_n(y_uniq)
-        grads[i] = sol.eval_grad_n(y_uniq)
+    vals, grads = _interpolate_periodic([sol.columns for sol in table.cells], table.cell_mesh, uniq * 1e-12)
     return vals, grads, inv.ravel()
 
 

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oscille import cell, linalg
 from oscille.core import preset_coefficient
-from oscille.mesh import build_cell_mesh
+from oscille.mesh import build_cell_mesh, quadrature
 
 SQRT3 = np.sqrt(3.0)
 
@@ -62,7 +64,8 @@ def test_cell_solution_matches_antiderivative(sine_cell):
 
 
 def test_mean_zero(sine_cell):
-    assert sine_cell.mean_defect() <= 1e-10
+    mean = cell._mean_functional(sine_cell.cell_mesh) @ sine_cell.columns
+    assert np.max(np.abs(mean)) <= 1e-10
 
 
 def test_laminate_reduces_to_1d(sine_cell):
@@ -172,7 +175,19 @@ def test_tabulated_locally_periodic_values(lp_table):
 def test_tabulated_lipschitz_estimate(lp_table):
     _, eff, _ = lp_table
     # d/dx of (1 + x/2) sqrt(3) is sqrt(3)/2
-    assert eff.lipschitz_estimate() == pytest.approx(0.5 * SQRT3, rel=0.05)
+    slope = np.max(np.abs(np.diff(eff.tensors, axis=0))) / np.diff(eff.x_axes[0])[0]
+    assert slope == pytest.approx(0.5 * SQRT3, rel=0.05)
+
+
+def test_multilinear_reproduces_bilinear_tensors():
+    axes = (np.linspace(-0.5, 1.5, 9), np.linspace(0.0, 1.0, 5))
+    xx, yy = np.meshgrid(*axes, indexing="ij")
+    coef = np.arange(16.0).reshape(4, 2, 2)  # bilinear in x per tensor entry
+    values = coef[0] + xx[..., None, None] * coef[1] + yy[..., None, None] * coef[2] + (xx * yy)[..., None, None] * coef[3]
+    pts = np.random.default_rng(4).uniform([-0.5, 0.0], [1.5, 1.0], (100, 2))
+    x, y = pts[:, 0, None, None], pts[:, 1, None, None]
+    want = coef[0] + x * coef[1] + y * coef[2] + x * y * coef[3]
+    np.testing.assert_allclose(cell.multilinear(values, axes, pts), want, rtol=1e-13, atol=1e-13)
 
 
 def test_table_coverage_error(lp_table):
@@ -274,7 +289,7 @@ def test_table_ellipticity_violation_in_one_entry():
 
 def test_eval_n_periodic_interpolation(sine_cell):
     ys = np.array([[0.1], [0.37], [1.1], [-0.9]])
-    vals = sine_cell.eval_n(ys)
+    vals = cell._interpolate_periodic([sine_cell.columns], sine_cell.cell_mesh, ys)[0][0]
     np.testing.assert_allclose(vals[2], vals[0], atol=1e-12)
     np.testing.assert_allclose(vals[3], vals[0], atol=1e-12)
     exact = _exact_n([0.37])
@@ -286,38 +301,93 @@ def test_eval_n_bilinear_2d():
     # corner formulas of the bilinear element, including wrapped corners
     cmesh = build_cell_mesh(8, 2)
     rng = np.random.default_rng(3)
-    sol = cell.CellSolution(cmesh, rng.standard_normal((cmesh.n_nodes, 2)), ())
+    columns = rng.standard_normal((cmesh.n_nodes, 2))
     ys = rng.random((50, 2)) * 3.0 - 1.0
     m, h = 8, 1.0 / 8
     t = (ys - np.floor(ys)) * m
     i0 = np.floor(t).astype(int)
     tx, ty = (t - i0)[:, 0:1], (t - i0)[:, 1:2]
     i1 = (i0 + 1) % m
-    v00 = sol.columns[i0[:, 0] * m + i0[:, 1]]
-    v01 = sol.columns[i0[:, 0] * m + i1[:, 1]]
-    v10 = sol.columns[i1[:, 0] * m + i0[:, 1]]
-    v11 = sol.columns[i1[:, 0] * m + i1[:, 1]]
+    v00 = columns[i0[:, 0] * m + i0[:, 1]]
+    v01 = columns[i0[:, 0] * m + i1[:, 1]]
+    v10 = columns[i1[:, 0] * m + i0[:, 1]]
+    v11 = columns[i1[:, 0] * m + i1[:, 1]]
     vals = v00 * (1 - tx) * (1 - ty) + v01 * (1 - tx) * ty + v10 * tx * (1 - ty) + v11 * tx * ty
     gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / h
     gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / h
-    np.testing.assert_allclose(sol.eval_n(ys), vals, rtol=0, atol=1e-13)
-    grad = sol.eval_grad_n(ys)  # (n, j, k): d/dy_j of N_k
+    got, grads = cell._interpolate_periodic([columns], cmesh, ys)
+    np.testing.assert_allclose(got[0], vals, rtol=0, atol=1e-13)
+    grad = grads[0]  # (n, j, k): d/dy_j of N_k
     np.testing.assert_allclose(grad[:, 0, :], gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(grad[:, 1, :], gy, rtol=0, atol=1e-12)
 
 
-def test_dump_tables_csv(tmp_path, lp_table):
-    _, eff, _ = lp_table
-    path = tmp_path / "a0.csv"
-    cell.dump_tables_csv(eff, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,a11"
-    assert len(lines) == 1 + len(eff.x_axes[0])
+
+class _FourierCell:
+    """a(y) = scale * (c + sum_k amp_k cos(2 pi n_k . (y + shift) + phase_k)), x-independent.
+
+    c exceeds sum |amp_k|, so a is positive; a general direction n_k makes
+    A0 a full 2x2 tensor in 2D.
+    """
+
+    def __init__(self, dim, c, modes, scale=1.0, shift=0.0):
+        self.dim, self.c, self.modes, self.scale, self.shift = dim, c, modes, scale, shift
+
+    def eval_at_slow(self, x, y):
+        y = np.asarray(y, dtype=float).reshape(-1, self.dim) + self.shift
+        vals = np.full(y.shape[0], self.c)
+        for n, amp, phase in self.modes:
+            vals += amp * np.cos(2.0 * np.pi * (y @ np.array(n[: self.dim])) + phase)
+        return self.scale * vals
 
 
-def test_dump_cell_csv(tmp_path, sine_cell):
-    path = tmp_path / "n.csv"
-    cell.dump_cell_csv(sine_cell, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "y1,n1"
-    assert len(lines) == 1 + sine_cell.cell_mesh.n_nodes
+@st.composite
+def _cells(draw):
+    """A random x-independent coefficient and a cell mesh with m <= 16."""
+    dim = draw(st.sampled_from([1, 2]))
+    mode = st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.floats(0.0, 1.0), st.floats(0.0, 6.3))
+    modes = draw(st.lists(mode, min_size=1, max_size=3))
+    c = sum(amp for _, amp, _ in modes) + draw(st.floats(0.05, 2.0))
+    return _FourierCell(dim, c, modes), build_cell_mesh(draw(st.integers(4, 16)), dim)
+
+
+def _a0(coef, cmesh):
+    return cell.effective_tensor(coef, np.zeros(coef.dim), cmesh)
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
+
+
+@_PROPERTY
+@given(_cells())
+def test_a0_symmetric_within_discrete_voigt_reuss(case):
+    # the discrete A0 minimizes the Gauss-rule energy over periodic Q1 fields,
+    # so the Gauss-weighted arithmetic and harmonic means of the same samples
+    # bound its eigenvalues exactly
+    coef, cmesh = case
+    a0 = _a0(coef, cmesh)
+    scale = np.max(np.abs(a0))
+    assert np.max(np.abs(a0 - a0.T)) <= 1e-8 * scale
+    a_vals = cell._cell_coefficient(coef, np.zeros(coef.dim), cmesh)
+    w = np.broadcast_to(quadrature(cmesh).weights, a_vals.shape)
+    arith = np.sum(w * a_vals)
+    harm = 1.0 / np.sum(w / a_vals)
+    eig = np.linalg.eigvalsh(0.5 * (a0 + a0.T))
+    assert harm * (1 - 1e-8) <= eig.min() and eig.max() <= arith * (1 + 1e-8)
+
+
+@_PROPERTY
+@given(_cells(), st.floats(0.1, 10.0))
+def test_a0_scales_with_coefficient(case, c):
+    coef, cmesh = case
+    scaled = _FourierCell(coef.dim, coef.c, coef.modes, scale=c)
+    np.testing.assert_allclose(_a0(scaled, cmesh), c * _a0(coef, cmesh), rtol=1e-8, atol=1e-8 * c * coef.c)
+
+
+@_PROPERTY
+@given(_cells(), st.tuples(st.integers(-16, 16), st.integers(-16, 16)))
+def test_a0_invariant_under_whole_node_y_shift(case, k):
+    coef, cmesh = case
+    shift = np.array(k[: coef.dim]) / np.array(cmesh.nodes_per_axis)
+    shifted = _FourierCell(coef.dim, coef.c, coef.modes, shift=shift)
+    np.testing.assert_allclose(_a0(shifted, cmesh), _a0(coef, cmesh), rtol=1e-8, atol=1e-8 * coef.c)

@@ -1,11 +1,17 @@
 import dataclasses
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscille import cell, cli, fem, smoothing, study
+import oscille
+from oscille import cell, cli, core, fem, smoothing, study
 
 SINE_CFG = {
     "field": {"preset_id": "Sine1D", "params": [2, 1], "dim": 1},
@@ -72,6 +78,102 @@ def test_non_finite_scenario_exit_2(tmp_path, capsys, key, value):
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["study"], {"field": {"params": [2, 1], "dim": 1}}),
+        (["study"], {"domain": 5}),
+        (["study"], {"epsilons": 0.1}),
+        (["study"], {"mu": None}),
+        (["study"], {"points_per_period": 12.7}),
+        (["study"], {"points_per_period": True}),
+        (["study"], {"interior_margin": 0.6}),
+        (["study"], {"epsilons": [0.12, 0.06, 0.03]}),  # h = eps/16 does not divide [0, 1]
+        (["study"], '{"field": {"preset_id": "Sine1D", '),
+        (["study"], "[1, 2]"),
+        (["study", "--eps", "0.1,x"], {}),
+        (["cell", "--preset", "Sine1D", "--params", "2,abc"], None),
+        (["cell", "--preset", "Sine1D", "--params", "2,1", "--m", "2"], None),
+        (["cell", "--preset", "Sine1D", "--params", "2,1", "--x", "0.1,0.2"], None),
+        (["audit", "--preset", "Sine1D", "--params", "2,1", "--samples", "10"], None),
+    ],
+)
+def test_config_errors_exit_2_without_traceback(tmp_path, capsys, argv, cfg):
+    if cfg is not None:
+        text = cfg if isinstance(cfg, str) else json.dumps(dict(SINE_CFG, **cfg))
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv = argv + ["--config", str(path), "--out", str(tmp_path / "o"), "--threads", "1"]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_propagates(tmp_path, monkeypatch):
+    # an exception outside the two error bases is a bug: no exit code hides it
+    def failing_study(scenario, threads=1):
+        raise ValueError("injected bug")
+
+    monkeypatch.setattr(cli.study, "run_study", failing_study)
+    cfg = _write_cfg(tmp_path, SINE_CFG)
+    with pytest.raises(ValueError, match="injected bug"):
+        cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+def test_every_exception_class_has_one_base():
+    assert cli.ConfigError is core.ConfigError
+    found = []
+    for info in pkgutil.iter_modules(oscille.__path__):
+        module = importlib.import_module(f"oscille.{info.name}")
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                found.append(obj)
+                assert issubclass(obj, core.ConfigError) != issubclass(obj, core.NumericalError), obj
+    assert len(found) == 19  # the two bases and the 17 classes under them
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_NEAR_VALID = (st.integers(-2, 64) | st.floats(-1.0, 2.0) | st.lists(st.floats(-1.0, 2.0), max_size=4)
+               | st.sampled_from(["Sine1D", "Laminate2D", "Constant", "mixed", "neumann", "left", "top"]))
+_PATHS = [(k,) for k in SINE_CFG] + [("field", k) for k in SINE_CFG["field"]] + [
+    ("bc", "kind"), ("bc", "dirichlet_edges"), ("extra",), ("field", "extra")]
+_DROP = object()
+
+
+@st.composite
+def _configs(draw):
+    """SINE_CFG with up to three entries dropped or replaced by a JSON value."""
+    cfg = json.loads(json.dumps(SINE_CFG))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        *parents, key = draw(st.sampled_from(_PATHS))
+        d = cfg
+        for name in parents:
+            d = d.get(name) if isinstance(d, dict) else None
+        if isinstance(d, dict):
+            value = draw(_NEAR_VALID | _JSON | st.just(_DROP))
+            if value is _DROP:
+                d.pop(key, None)
+            else:
+                d[key] = value
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_configs())
+def test_any_json_config_builds_or_is_config_error(cfg):
+    try:
+        sc = cli.scenario_from_dict(cfg)
+    except cli.ConfigError:
+        return
+    assert isinstance(sc, core.Scenario)
 
 
 def test_usage_error_exit_2(capsys):

@@ -33,6 +33,21 @@ def test_preset_rejections():
         core.preset_coefficient("Sine1D", [2.0, 1.0], 2)  # wrong dim
 
 
+def test_preset_dims_table():
+    params = {"Constant": [2.0], "LocallyPeriodic1D": [2, 1, 0.5], "LocallyPeriodic2D": [2, 1, 0.5]}
+    for preset, dims in core.PRESET_DIMS.items():
+        p = params.get(preset, [2, 1])
+        assert core.preset_coefficient(preset, p).dim == dims[0]  # the default
+        for d in (1, 2):
+            if d in dims:
+                assert core.preset_coefficient(preset, p, d).dim == d
+            else:
+                with pytest.raises(core.PresetError, match="requires dim"):
+                    core.preset_coefficient(preset, p, d)
+    with pytest.raises(core.PresetError, match="must be finite"):
+        core.preset_coefficient("Sine1D", [float("nan"), 1.0])
+
+
 def test_tau_eps_examples():
     f = core.preset_coefficient("Sine1D", [2.0, 1.0], 1)
     assert core.tau_eps(f, 0.5, np.array([[0.25]]))[0] == pytest.approx(2.0, abs=1e-14)

@@ -128,7 +128,8 @@ def _oscillatory_oracle_1d(a_fn, eps, f_fn, n_fine=200_001):
 def test_oscillatory_1d_matches_quadrature_oracle():
     sc = _scenario_1d()
     eps = 1 / 16
-    u, mesh = fem.solve_oscillatory(sc, eps, ONES)
+    mesh = fem.oscillatory_mesh(sc, eps)
+    u = fem.solve_resolvent(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc), ONES)
     xf, uf = _oscillatory_oracle_1d(lambda y: 2 + np.sin(2 * np.pi * y), eps, lambda x: np.ones_like(x))
     oracle = np.interp(mesh.node_coords()[:, 0], xf, uf)
     rel = lp_norm(GridFunction(mesh, u.values - oracle), 2.0) / lp_norm(GridFunction(mesh, oracle), 2.0)
@@ -148,7 +149,8 @@ def test_oscillatory_constant_field_equals_effective():
         points_per_period=8,
         interior_margin=0.0,
     )
-    u, mesh = fem.solve_oscillatory(sc, 1 / 8, ONES)
+    mesh = fem.oscillatory_mesh(sc, 1 / 8)
+    u = fem.solve_resolvent(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, 1 / 8, p), sc.mu, sc.bc), ONES)
     s_eff = fem.assemble(mesh, lambda p: 2.0 * np.ones(p.shape[0]), 0.0, sc.bc)
     u_eff = fem.solve_resolvent(s_eff, ONES)
     np.testing.assert_array_equal(u.values, u_eff.values)
@@ -172,7 +174,8 @@ def test_uniform_stability_across_sweep():
     sc = _scenario_1d(eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64), rho=16)
     ratios = []
     for eps in sc.epsilons:
-        u, mesh = fem.solve_oscillatory(sc, eps, ONES)
+        mesh = fem.oscillatory_mesh(sc, eps)
+        u = fem.solve_resolvent(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc), ONES)
         ratios.append(w1p_norm(u, 2.0) / 1.0)
     assert max(ratios) / min(ratios) <= 1.5
 
@@ -184,7 +187,8 @@ def test_fem_self_consistency_h_refinement():
     errs = {}
     for rho in (16, 32):
         sc = _scenario_1d(eps_list=(1 / 4, 1 / 8, 1 / 16), rho=rho)
-        u, mesh = fem.solve_oscillatory(sc, eps, ONES)
+        mesh = fem.oscillatory_mesh(sc, eps)
+        u = fem.solve_resolvent(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc), ONES)
         errs[rho] = (u, mesh)
     u16, m16 = errs[16]
     u32, m32 = errs[32]
@@ -199,11 +203,8 @@ def test_fem_self_consistency_h_refinement():
 
 
 def test_oscillatory_mesh_alignment_error():
-    sc = _scenario_1d()
-    with pytest.raises(ValueError):
-        fem.solve_oscillatory(sc, 1 / 10, ONES)  # not in scenario.epsilons
     sc_bad = _scenario_1d(eps_list=(0.21, 0.11, 0.07), rho=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(core.ConfigError):
         fem.oscillatory_mesh(sc_bad, 0.21)  # h does not divide the domain
 
 
@@ -237,8 +238,12 @@ def test_fem_self_consistency_2d_single_eps():
 
     eps = 1 / 8
     load = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])  # noqa: E731
-    u12, m12 = fem.solve_oscillatory(scen(12), eps, load)
-    u24, m24 = fem.solve_oscillatory(scen(24), eps, load)
+    solved = []
+    for sc in (scen(12), scen(24)):
+        mesh = fem.oscillatory_mesh(sc, eps)
+        system = fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc)
+        solved += [fem.solve_resolvent(system, load), mesh]
+    u12, m12, u24, m24 = solved
     u24_on_12 = u24.values.reshape(m24.nodes_per_axis)[::2, ::2].ravel()
     fem_shift = lp_norm(GridFunction(m12, u12.values - u24_on_12), 2.0)
     # effective reference on the same mesh: (1 + x1/2) diag(sqrt(3), 2)

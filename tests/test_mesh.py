@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscille import mesh
+from oscille import core, mesh
 
 
 def test_build_domain_mesh_examples():
@@ -127,11 +127,10 @@ def test_periodic_corner_wrap():
     assert corners[-1, 1] == 0  # last element wraps to the first node
 
 
-def test_dump_grid_csv(tmp_path):
-    m = mesh.build_domain_mesh(((0.0, 1.0),), 0.5)
-    u = mesh.grid_from_callable(m, lambda p: p[:, 0])
-    path = tmp_path / "u.csv"
-    mesh.dump_grid_csv(u, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,value"
-    assert len(lines) == 4
+
+def test_node_cap_environment(monkeypatch):
+    monkeypatch.setenv("OSCILLE_NODE_CAP", "1000")
+    assert mesh.node_cap() == 1000
+    monkeypatch.setenv("OSCILLE_NODE_CAP", "lots")
+    with pytest.raises(core.ConfigError, match="OSCILLE_NODE_CAP"):
+        mesh.node_cap()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oscille import core
 from oscille import smoothing as sm
 from oscille.mesh import build_domain_mesh, grid_from_callable
 from oscille.norms import halving_factors
@@ -74,7 +75,7 @@ def test_extend_2d_restrict_roundtrip():
     m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), 1 / 8)
     u = grid_from_callable(m, lambda p: np.sin(p[:, 0]) * p[:, 1])
     ext = sm.extend(u, 0.25)
-    np.testing.assert_array_equal(ext.restrict().values, u.values)
+    np.testing.assert_array_equal(ext.source_block().ravel(), u.values)
 
 
 def test_window_weights_properties():
@@ -140,6 +141,16 @@ def test_shift_sine_interpolation_error():
     sh = sm.shift_T(ext, 0.25, np.array([0.5]))
     x = m.node_coords()[:, 0]
     assert np.max(np.abs(sh.values - np.sin(2 * np.pi * (x + 0.125)))) <= 5e-4
+
+
+def test_eval_extended_bilinear_and_outside_box():
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), 1 / 16)
+    ext = sm.extended_from_callable(m, 0.25, lambda p: 1 + 2 * p[:, 0] - p[:, 1] + 3 * p[:, 0] * p[:, 1])
+    pts = np.random.default_rng(5).uniform(-0.25, 1.25, (200, 2))
+    want = 1 + 2 * pts[:, 0] - pts[:, 1] + 3 * pts[:, 0] * pts[:, 1]
+    np.testing.assert_allclose(sm.eval_extended(ext, pts), want, rtol=0, atol=1e-13)
+    with pytest.raises(core.NumericalError):
+        sm.eval_extended(ext, np.array([[1.3, 0.5]]))
 
 
 def test_mollifier_kernel_normalized():
