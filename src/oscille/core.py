@@ -292,6 +292,8 @@ class Scenario:
             raise ScenarioError("points_per_period must be positive")
         if self.interior_margin < 0:
             raise ScenarioError("interior_margin must be nonnegative")
+        if self.interior_margin >= min(hi - lo for lo, hi in self.domain) / 2.0:
+            raise ScenarioError("interior_margin must be smaller than half the shortest domain side")
         if self.interior_margin > 0 and self.interior_margin <= 5.0 * eps[0]:
             # Interior theory wants the region separated by >> eps; keep the
             # run legal but flag it so reports can show the caveat.

@@ -21,7 +21,9 @@ with W the slow-table interpolation weights. K and all three gradient
 terms are one kernel, `_window_sum`. The window weights and the slow hats
 are both products of per-axis factors and every shift x + eps z is a
 fine-grid node, so the z average is d slice passes of per-axis 1D
-stencils followed by one gather of the tabulated cell values.
+stencils followed by one gather of the tabulated cell values. Stencils
+and gathered values do not depend on the load: `corrector_setup` builds
+them once per mesh and eps, interpolating each distinct cell solution once.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CellTable, TableCoverage, _interpolate_periodic, locate_on_axes
-from .mesh import GridFunction, MeshMismatch, r_cell
+from .mesh import GridFunction, Mesh, MeshMismatch, r_cell
 from .smoothing import ExtendedFunction, _extended_mesh, _window_per_axis, extend, mollify
 
 MARGIN_FACTOR = 5.0
@@ -43,7 +45,6 @@ class CorrectorInputs:
     grads: list  # d ExtendedFunction gradient components (mollified if s < 1)
     table: CellTable
     eps: float
-    delta: float | None  # None when no mollification was applied (s = 1)
 
     @property
     def mesh(self):
@@ -216,35 +217,60 @@ def _window_sum(stencils, coeff, fields, deriv_axis=None):
     return np.ravel(out)
 
 
-def _corrector_setup(inputs):
-    """Stencils, gradient fields, and the tabulated cell values N and d/dy N
+@dataclass
+class CorrectorSetup:
+    """The load-independent part of the corrector on one mesh and eps:
+    the per-axis stencils, and the tabulated cell values N and d/dy N
     gathered at every slot and node, components first."""
-    mesh = inputs.mesh
+
+    mesh: Mesh
+    eps: float
+    table: CellTable
+    stencils: list
+    n_at: np.ndarray  # (k, slots_d..slots_1, n_1..n_d)
+    dn_at: np.ndarray  # (j, k, slots_d..slots_1, n_1..n_d)
+
+
+def corrector_setup(table, mesh, eps):
+    """Build the CorrectorSetup once per mesh and eps; every load reuses it.
+
+    Entries sharing one CellSolution object share its values, so each
+    distinct object is interpolated once and the gather goes through the
+    entry -> solution index.
+    """
     d = mesh.dim
-    stencils, entry = _axis_stencils(inputs.table, mesh, _window_per_axis(mesh, inputs.eps))
-    y, inv = _fast_coordinates(mesh, inputs.eps)
-    n_vals, n_grads = _interpolate_periodic([sol.columns for sol in inputs.table.cells], inputs.table.cell_mesh, y)
-    at = (entry, inv.reshape((1,) * d + mesh.nodes_per_axis))
-    fields = [(g.base.reshaped(), g.pad) for g in inputs.grads]
+    stencils, entry = _axis_stencils(table, mesh, _window_per_axis(mesh, eps))
+    y, inv = _fast_coordinates(mesh, eps)
+    distinct = list({id(sol): sol for sol in table.cells}.values())
+    row = {id(sol): i for i, sol in enumerate(distinct)}
+    sol_of = np.array([row[id(sol)] for sol in table.cells])
+    n_vals, n_grads = _interpolate_periodic([sol.columns for sol in distinct], table.cell_mesh, y)
+    at = (sol_of[entry], inv.reshape((1,) * d + mesh.nodes_per_axis))
     n_at = np.moveaxis(n_vals[at], -1, 0)  # (k, ...)
     dn_at = np.moveaxis(n_grads[at], (-2, -1), (0, 1))  # (j, k, ...)
-    return stencils, fields, n_at, dn_at
+    return CorrectorSetup(mesh, eps, table, stencils, n_at, dn_at)
 
 
-def corrector_apply(inputs):
+def _gradient_fields(inputs, setup):
+    if setup.mesh != inputs.mesh or setup.eps != inputs.eps or setup.table is not inputs.table:
+        raise MeshMismatch("corrector setup was built for another mesh, eps or table")
+    return [(g.base.reshaped(), g.pad) for g in inputs.grads]
+
+
+def corrector_apply(inputs, setup):
     """Assemble the corrector field K on the source mesh."""
-    stencils, fields, n_at, _ = _corrector_setup(inputs)
-    return GridFunction(inputs.mesh, _window_sum(stencils, n_at, fields))
+    return GridFunction(inputs.mesh, _window_sum(setup.stencils, setup.n_at, _gradient_fields(inputs, setup)))
 
 
-def corrector_gradient(inputs):
+def corrector_gradient(inputs, setup):
     """eps * D K = slow part + fast part, each a window sum, per component j.
 
     slow_j = eps * cube-average of (d/dx_j W) N_k G_k + W N_k (d/dx_j G_k),
     fast_j = cube-average of W (d/dy_j N_k) G_k,
     with W the slow-table interpolation weights.
     """
-    stencils, fields, n_at, dn_at = _corrector_setup(inputs)
+    fields = _gradient_fields(inputs, setup)
+    stencils, n_at, dn_at = setup.stencils, setup.n_at, setup.dn_at
     out = []
     for j in range(inputs.mesh.dim):
         dfields = [

@@ -8,15 +8,14 @@ The shift-modulus (Lipschitz/Besov type) seminorm replaces the continuum
 supremum over all shifts by grid-aligned shifts at dyadic scales. That is
 a lower bound of the true seminorm; it can undershoot for strongly
 anisotropic fields, which reports should treat as a surrogate, not the
-exact value. Each shift length k is evaluated once, on array slices of
-the nodal values with the same Gauss rule as the overlap's own mesh, and
-the modulus at level j is the prefix maximum of those values over
-k <= 2^j.
+exact value. Each shift length k is one difference of element slices of
+the field's Gauss values, and the modulus at level j is the prefix maximum
+over k <= 2^j. That agrees with the overlap-mesh definition to rounding,
+not bit for bit (at most 3e-16 relative on random 1D and 2D fields).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ import numpy as np
 from .core import ConfigError
 from .mesh import (
     MeshMismatch,
-    _reference_rule,
     boundary_strip_mask,
     grads_at_gauss,
     quadrature,
@@ -73,29 +71,21 @@ def _shift_moduli(u, k_max, p):
     omega(k) is the largest, over the axes a, L_p norm of
     u(. + k h_a e_a) - u on the overlap of the mesh with its shift; a
     shift that leaves fewer than two node layers on its axis counts 0.
-    Each difference is taken on array slices of the nodal values and
-    integrated with the mesh's Gauss rule: element corners in
-    `element_corner_nodes` order, weights scaled by the overlap spacing as
-    a mesh of the overlap would derive it from its own extents.
+    A shift by k whole cells maps Gauss points to Gauss points, so the
+    difference's Gauss values are G[e + k e_a] - G[e] of one Gauss
+    evaluation G, integrated with the mesh's own weights; the overlap
+    mesh's spacing can differ from the mesh's by rounding.
     """
     mesh = u.mesh
-    vals = u.reshaped()
-    _, ref_wts, shape_values, _ = _reference_rule(mesh.dim)
-    corner_bits = list(itertools.product((0, 1), repeat=mesh.dim))
+    q = quadrature(mesh)
+    vals = values_at_gauss(u, q).reshape(mesh.cells_per_axis + (-1,))
     omega = np.zeros(k_max)
     for axis in range(mesh.dim):
         n = mesh.nodes_per_axis[axis]
         for k in range(1, min(k_max, n - 2) + 1):
             lead = (slice(None),) * axis
-            diff = vals[lead + (slice(k, n),)] - vals[lead + (slice(0, n - k),)]
-            corners = np.stack(
-                [diff[tuple(slice(b, m - 1 + b) for b, m in zip(bits, diff.shape))] for bits in corner_bits],
-                axis=-1,
-            ).reshape(-1, len(corner_bits))
-            spacing = [((lo + (keep - 1) * hk) - lo) / (keep - 1)
-                       for (lo, _), hk, keep in zip(mesh.extents, mesh.h, diff.shape)]
-            weights = ref_wts * float(np.prod(np.array(spacing)))
-            integrand = np.abs(corners @ shape_values.T) ** p @ weights
+            diff = vals[lead + (slice(k, None),)] - vals[lead + (slice(None, -k),)]
+            integrand = np.abs(diff) ** p @ q.weights
             omega[k - 1] = np.maximum(omega[k - 1], integrand.sum() ** (1.0 / p))
     return omega
 

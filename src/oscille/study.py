@@ -167,6 +167,8 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
     if scenario.interior_margin > 0:
         imask = interior_mask(mesh, scenario.interior_margin)
 
+    setup = corr_mod.corrector_setup(ctable, mesh, eps)
+
     errors = {t.name: 0.0 for t in targets}
     aux = {}
     for li, (load_name, load_fn) in enumerate(load_dictionary(scenario.dim)):
@@ -174,10 +176,8 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
         u_eps = fem.solve_resolvent(osc_sys, f_vec, tol=solver_tol)
         u0 = fem.solve_resolvent(eff_sys, f_vec, tol=solver_tol)
         u0_ext, grads = corr_mod.build_r0(u0, scenario, eps)
-        inputs = corr_mod.CorrectorInputs(
-            u0_ext, grads, ctable, eps, eps if scenario.s < 1.0 else None
-        )
-        k_field = corr_mod.corrector_apply(inputs)
+        inputs = corr_mod.CorrectorInputs(u0_ext, grads, ctable, eps)
+        k_field = corr_mod.corrector_apply(inputs, setup)
         u_first = corr_mod.first_order(u0, k_field, eps)
         f_norm = lp_norm(GridFunction(mesh, np.asarray(load_fn(mesh.node_coords()))), scenario.p)
         if not (np.isfinite(f_norm) and f_norm > 0.0):
@@ -198,7 +198,7 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
                 raise NonFiniteMeasurement(f"{t.name} error of load {load_name!r} is {err!r} at eps = {eps:g}")
             errors[t.name] = max(errors[t.name], err)
         if li == 0:
-            dk = corr_mod.corrector_gradient(inputs)
+            dk = corr_mod.corrector_gradient(inputs, setup)
             aux["corrector_ratio"] = corr_mod.corrector_norm_check(
                 k_field, dk, f_norm, eps, scenario.p
             )

@@ -54,22 +54,27 @@ def _shift_difference(u, shift_cells):
     return GridFunction(sub, diff.ravel())
 
 
+def shift_norm(u, k, p):
+    """Largest over the axes of the L_p norm of u(. + k h_a e_a) - u on the
+    overlap mesh; 0 when the shift leaves no overlap on any axis."""
+    best = 0.0
+    for axis in range(u.mesh.dim):
+        shift = [0] * u.mesh.dim
+        shift[axis] = k
+        d = _shift_difference(u, shift)
+        if d is None:
+            continue
+        best = max(best, lp_norm(d, p))
+    return best
+
+
 def shift_modulus(u, t_cells, p):
     """sup over grid shifts |h'| <= t of the L_p norm of u(.+h') - u.
 
     Shifts are axis-aligned multiples of the grid spacing; both axes are
     swept in 2D.
     """
-    best = 0.0
-    for axis in range(u.mesh.dim):
-        for k in range(1, t_cells + 1):
-            shift = [0] * u.mesh.dim
-            shift[axis] = k
-            d = _shift_difference(u, shift)
-            if d is None:
-                continue
-            best = max(best, lp_norm(d, p))
-    return best
+    return max([0.0] + [shift_norm(u, k, p) for k in range(1, t_cells + 1)])
 
 
 def besov_seminorm(u, r, p):

@@ -80,6 +80,18 @@ def test_non_finite_scenario_exit_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_impossible_interior_margin_rejected_before_tabulating(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(cell, "solve_cell", lambda *args, **kwargs: solves.append(args))
+    bad = dict(SINE_CFG, interior_margin=0.5)  # exactly half the side leaves no interior
+    with pytest.raises(core.ScenarioError, match="half the shortest domain side"):
+        cli.scenario_from_dict(bad)
+    rc = cli.main(["study", "--config", _write_cfg(tmp_path, bad), "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert rc == 2
+    assert "half the shortest domain side" in capsys.readouterr().err
+    assert solves == []
+
+
 @pytest.mark.parametrize(
     "argv, cfg",
     [
@@ -271,7 +283,8 @@ def test_header_only_csv_for_no_targets(tmp_path):
         scenario=cli.scenario_from_dict(SINE_CFG), targets=[], rows=[], fits={}, verdicts={}
     )
     files = cli.write_report(rep, str(tmp_path / "empty"))
-    body = open(files[0]).read()
+    with open(files[0]) as fh:
+        body = fh.read()
     assert body == "target,eps,h,error,slope,verdict\n"
     assert os.path.exists(files[1])
 

@@ -172,6 +172,13 @@ def test_scenario_neumann_needs_negative_mu():
     _scenario(bc=core.BoundarySpec("neumann"), mu=-1.0)
 
 
+def test_scenario_interior_margin_below_half_shortest_side():
+    wide = dict(field=core.preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2), domain=((0.0, 2.0), (0.0, 0.5)))
+    with pytest.raises(core.ScenarioError, match="half the shortest domain side"):
+        _scenario(interior_margin=0.25, **wide)
+    assert _scenario(interior_margin=0.2, **wide).interior_margin == 0.2
+
+
 def test_scenario_interior_margin_warning():
     sc = _scenario(interior_margin=0.25)
     assert sc.warnings  # margin 0.25 <= 5 * (1/8)

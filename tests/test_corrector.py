@@ -7,7 +7,7 @@ from scipy.integrate import quad
 import corrector_reference as reference
 from oscille import cell, corrector, fem
 from oscille.core import BoundarySpec, Scenario, preset_coefficient
-from oscille.mesh import GridFunction, build_cell_mesh, grid_from_callable
+from oscille.mesh import GridFunction, MeshMismatch, build_cell_mesh, grid_from_callable
 from oscille.norms import lp_norm
 
 SQRT3 = np.sqrt(3.0)
@@ -37,8 +37,19 @@ def _table_for(field, eps, cell_m=128):
 
 def _inputs(scenario, eps, u0, table):
     u0_ext, grads = corrector.build_r0(u0, scenario, eps)
-    delta = eps if scenario.s < 1.0 else None
-    return corrector.CorrectorInputs(u0_ext, grads, table, eps, delta)
+    return corrector.CorrectorInputs(u0_ext, grads, table, eps)
+
+
+def _setup(inputs):
+    return corrector.corrector_setup(inputs.table, inputs.mesh, inputs.eps)
+
+
+def _apply(inputs):
+    return corrector.corrector_apply(inputs, _setup(inputs))
+
+
+def _gradient(inputs):
+    return corrector.corrector_gradient(inputs, _setup(inputs))
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +69,14 @@ def test_constant_field_gives_zero_corrector():
     for eps in sc.epsilons:
         mesh = fem.oscillatory_mesh(sc, eps)
         u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
-        k = corrector.corrector_apply(_inputs(sc, eps, u0, table))
+        k = _apply(_inputs(sc, eps, u0, table))
         assert np.max(np.abs(k.values)) <= 1e-10
 
 
 def test_constant_u0_gives_zero_corrector(sine_setup):
     field, sc, eps, table, mesh = sine_setup
     u0 = grid_from_callable(mesh, lambda p: np.full(p.shape[0], 3.0))
-    k = corrector.corrector_apply(_inputs(sc, eps, u0, table))
+    k = _apply(_inputs(sc, eps, u0, table))
     assert np.max(np.abs(k.values)) <= 1e-12
 
 
@@ -76,7 +87,7 @@ def test_two_scale_oracle_1d(sine_setup):
     f_fn = lambda p: SQRT3 * (2 * np.pi) ** 2 * np.sin(2 * np.pi * p[:, 0])  # noqa: E731
     eff_sys = fem.assemble(mesh, lambda p: SQRT3 * np.ones(p.shape[0]), sc.mu, sc.bc)
     u0 = fem.solve_resolvent(eff_sys, f_fn)
-    k = corrector.corrector_apply(_inputs(sc, eps, u0, table))
+    k = _apply(_inputs(sc, eps, u0, table))
 
     # independent oracle: exact N, exact u0' = 2 pi cos(2 pi x), exact cube
     # average of the cosine over [x - eps/2, x + eps/2]
@@ -105,9 +116,9 @@ def test_linearity_in_f(sine_setup):
     u1 = fem.solve_resolvent(sys_eff, f1)
     u2 = fem.solve_resolvent(sys_eff, f2)
     u12 = fem.solve_resolvent(sys_eff, lambda p: a * f1(p) + b * f2(p))
-    k1 = corrector.corrector_apply(_inputs(sc, eps, u1, table))
-    k2 = corrector.corrector_apply(_inputs(sc, eps, u2, table))
-    k12 = corrector.corrector_apply(_inputs(sc, eps, u12, table))
+    k1 = _apply(_inputs(sc, eps, u1, table))
+    k2 = _apply(_inputs(sc, eps, u2, table))
+    k12 = _apply(_inputs(sc, eps, u12, table))
     combo = a * k1.values + b * k2.values
     scale = np.max(np.abs(combo)) + 1e-30
     assert np.max(np.abs(k12.values - combo)) / scale <= 1e-8
@@ -118,7 +129,7 @@ def test_gradient_split_identity(sine_setup):
     sys_eff = fem.assemble(mesh, lambda p: SQRT3 * np.ones(p.shape[0]), sc.mu, sc.bc)
     u0 = fem.solve_resolvent(sys_eff, lambda p: np.ones(p.shape[0]))
     inputs = _inputs(sc, eps, u0, table)
-    fused = corrector.corrector_gradient(inputs)
+    fused = _gradient(inputs)
     slow, fast = reference.corrector_gradient_parts(inputs)
     for j in range(mesh.dim):
         summed = slow[j].values + fast[j].values
@@ -139,7 +150,7 @@ def test_gradient_split_identity_2d(lp2d_table):
     mesh = fem.oscillatory_mesh(sc, eps)
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
     inputs = _inputs(sc, eps, u0, table)
-    fused = corrector.corrector_gradient(inputs)
+    fused = _gradient(inputs)
     slow, fast = reference.corrector_gradient_parts(inputs)
     for j in range(2):
         summed = slow[j].values + fast[j].values
@@ -154,11 +165,21 @@ def _entry_scaled(table):
     return cell.CellTable(table.x_axes, table.cell_mesh, cells)
 
 
+def _row_scaled(table):
+    # one CellSolution object per slow index along x_1, shared by every
+    # entry of that row: the table repeats objects, yet N depends on x_1
+    n2 = len(table.x_axes[1])
+    rows = [replace(table.cells[i * n2], columns=table.cells[i * n2].columns * (1.0 + 0.3 * np.sin(0.7 * i)))
+            for i in range(len(table.x_axes[0]))]
+    return cell.CellTable(table.x_axes, table.cell_mesh, [rows[e // n2] for e in range(len(table.cells))])
+
+
 def _assert_matches_reference(inputs):
-    k = corrector.corrector_apply(inputs).values
+    setup = _setup(inputs)
+    k = corrector.corrector_apply(inputs, setup).values
     k_ref = reference.corrector_apply(inputs).values
     assert np.max(np.abs(k - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
-    dk = corrector.corrector_gradient(inputs)
+    dk = corrector.corrector_gradient(inputs, setup)
     slow, fast = reference.corrector_gradient_parts(inputs)
     for j in range(inputs.mesh.dim):
         assert np.max(np.abs(slow[j].values)) > 1e-3  # the slow terms carry data
@@ -186,15 +207,37 @@ def test_kernel_matches_reference_loop_2d(lp2d_table):
     _assert_matches_reference(_inputs(sc, eps, u0, _entry_scaled(table)))
 
 
+def test_kernel_matches_reference_loop_2d_shared_cells(lp2d_table):
+    field, table = lp2d_table
+    sc = _scenario(field, (1 / 4, 1 / 8, 1 / 16), rho=8, mu=-1.0)
+    eps = 1 / 8
+    mesh = fem.oscillatory_mesh(sc, eps)
+    u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
+    table = _row_scaled(table)
+    assert len({id(sol) for sol in table.cells}) == len(table.x_axes[0]) < len(table.cells)
+    _assert_matches_reference(_inputs(sc, eps, u0, table))
+
+
+def test_setup_for_another_mesh_eps_or_table_raises(sine_setup):
+    field, sc, eps, table, mesh = sine_setup
+    inputs = _inputs(sc, eps, grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0])), table)
+    coarse = fem.oscillatory_mesh(sc, 1 / 8)
+    for other in (
+        corrector.corrector_setup(table, mesh, 1 / 8),
+        corrector.corrector_setup(table, coarse, eps),
+        corrector.corrector_setup(_entry_scaled(table), mesh, eps),
+    ):
+        with pytest.raises(MeshMismatch):
+            corrector.corrector_apply(inputs, other)
+        with pytest.raises(MeshMismatch):
+            corrector.corrector_gradient(inputs, other)
+
+
 def test_window_outside_table_raises(sine_setup):
     field, sc, eps, _, mesh = sine_setup
     narrow = cell.tabulate_cells(field, cell.x_axes_for(((0.0, 1.0),), 0.0), build_cell_mesh(16, 1))
-    u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
-    inputs = _inputs(sc, eps, u0, narrow)
     with pytest.raises(cell.TableCoverage, match="tabulated range"):
-        corrector.corrector_apply(inputs)
-    with pytest.raises(cell.TableCoverage, match="tabulated range"):
-        corrector.corrector_gradient(inputs)
+        corrector.corrector_setup(narrow, mesh, eps)
 
 
 def test_window_outside_gradient_grid_raises(sine_setup):
@@ -202,11 +245,11 @@ def test_window_outside_gradient_grid_raises(sine_setup):
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
     # gradient fields extended for a window of one fine cell only
     u0_ext, grads = corrector.build_r0(u0, sc, mesh.h[0])
-    inputs = corrector.CorrectorInputs(u0_ext, grads, table, eps, None)
+    inputs = corrector.CorrectorInputs(u0_ext, grads, table, eps)
     with pytest.raises(cell.TableCoverage, match="gradient grid"):
-        corrector.corrector_apply(inputs)
+        _apply(inputs)
     with pytest.raises(cell.TableCoverage, match="gradient grid"):
-        corrector.corrector_gradient(inputs)
+        _gradient(inputs)
 
 
 def test_first_order_examples(sine_setup):
@@ -216,7 +259,7 @@ def test_first_order_examples(sine_setup):
     np.testing.assert_array_equal(corrector.first_order(u0, zero, eps).values, u0.values)
     k = grid_from_callable(mesh, lambda p: p[:, 0])
     np.testing.assert_array_equal(corrector.first_order(u0, k, 0.0).values, u0.values)
-    from oscille.mesh import MeshMismatch, build_domain_mesh
+    from oscille.mesh import build_domain_mesh
 
     other = grid_from_callable(build_domain_mesh(((0.0, 1.0),), 0.5), lambda p: p[:, 0])
     with pytest.raises(MeshMismatch):
@@ -298,7 +341,7 @@ def test_table_spacing_halving_changes_little():
         eff, table = cell.tabulate_effective(field, axes, cmesh)
         sys_eff = fem.assemble(mesh, lambda p: eff.tensor_at(p), sc.mu, sc.bc)
         u0 = fem.solve_resolvent(sys_eff, f_fn)
-        k = corrector.corrector_apply(_inputs(sc, eps, u0, table))
+        k = _apply(_inputs(sc, eps, u0, table))
         uo1 = corrector.first_order(u0, k, eps)
         errs.append(w1p_seminorm(GridFunction(mesh, u_eps.values - uo1.values), 2.0))
     assert abs(errs[0] - errs[1]) / errs[1] <= 0.10
@@ -315,7 +358,7 @@ def test_corrector_q_norm_bounded():
         mesh = fem.oscillatory_mesh(sc, eps)
         sys_eff = fem.assemble(mesh, lambda p: SQRT3 * np.ones(p.shape[0]), sc.mu, sc.bc)
         u0 = fem.solve_resolvent(sys_eff, lambda p: np.ones(p.shape[0]))
-        k = corrector.corrector_apply(_inputs(sc, eps, u0, table))
+        k = _apply(_inputs(sc, eps, u0, table))
         f_norm = lp_norm(grid_from_callable(mesh, lambda p: np.ones(p.shape[0])), 2.0)
         ratios.append(lp_norm(k, 4.0) / f_norm)
     assert max(ratios) / min(ratios) <= 1.5

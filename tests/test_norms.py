@@ -115,7 +115,7 @@ def _random_field(mesh, seed):
 )
 def test_besov_matches_overlap_mesh_reference(extents, h, r, p):
     u = _random_field(build_domain_mesh(extents, h), 7)
-    assert norms.besov_seminorm(u, r, p) == reference.besov_seminorm(u, r, p)
+    assert norms.besov_seminorm(u, r, p) == pytest.approx(reference.besov_seminorm(u, r, p), rel=1e-12)
 
 
 def test_besov_matches_reference_with_skipped_shifts():
@@ -124,7 +124,23 @@ def test_besov_matches_reference_with_skipped_shifts():
     u = _random_field(Mesh(2, ((0.0, 1.0), (0.2, 1.2)), (65, 3)), 8)
     val = norms.besov_seminorm(u, 0.5, 2.0)
     assert val > 0.0
-    assert val == reference.besov_seminorm(u, 0.5, 2.0)
+    assert val == pytest.approx(reference.besov_seminorm(u, 0.5, 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mesh, p",
+    [
+        (build_domain_mesh(((0.3, 1.3), (0.0, 0.7)), 1 / 48), 1.5),  # non-square 2D
+        (Mesh(2, ((0.0, 1.0), (0.2, 1.2)), (65, 3)), 2.0),  # shifts of 2 or more skip axis 1
+    ],
+)
+def test_shift_moduli_match_reference_per_shift(mesh, p):
+    u = _random_field(mesh, 10)
+    k_max = max(mesh.nodes_per_axis)  # the last two shifts leave no overlap on any axis
+    omega = norms._shift_moduli(u, k_max, p)
+    expected = [reference.shift_norm(u, k, p) for k in range(1, k_max + 1)]
+    assert omega == pytest.approx(expected, rel=1e-12)
+    assert omega[-2:].tolist() == [0.0, 0.0] and np.all(omega[:-2] > 0.0)
 
 
 def test_besov_spacing_above_quarter_width_is_zero():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscille import study
+from oscille import corrector, study
 from oscille.core import BoundarySpec, Scenario, preset_coefficient
 
 
@@ -165,3 +165,35 @@ def test_summarize_contains_verdicts(small_sine_report):
     text = study.summarize(small_sine_report)
     assert "lp:" in text and "verdict=PASS" in text
     assert "corrector boundedness ratio" in text
+
+
+def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
+    sc = Scenario(
+        field=preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2),
+        domain=((0.0, 0.5), (0.0, 0.5)),
+        bc=BoundarySpec("dirichlet"),
+        mu=-1.0,
+        p=2.0,
+        s=1.0,
+        s_plus=1.0,
+        epsilons=(1 / 8, 1 / 16, 1 / 32),
+        points_per_period=4,
+        interior_margin=0.0,
+    )
+    setups, columns = [], []
+    build, interpolate = corrector.corrector_setup, corrector._interpolate_periodic
+
+    def counting_setup(table, mesh, eps):
+        setups.append((eps, len(table.cells), len({id(sol) for sol in table.cells})))
+        return build(table, mesh, eps)
+
+    def counting_interpolate(cols, cell_mesh, y):
+        columns.append(len(cols))
+        return interpolate(cols, cell_mesh, y)
+
+    monkeypatch.setattr(corrector, "corrector_setup", counting_setup)
+    monkeypatch.setattr(corrector, "_interpolate_periodic", counting_interpolate)
+    study.run_study(sc)
+    assert [eps for eps, _, _ in setups] == list(sc.epsilons)
+    assert columns == [distinct for _, _, distinct in setups]
+    assert all(distinct < entries for _, entries, distinct in setups)  # the table repeats objects
