@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
 
 from . import linalg
 from .core import ConfigError, NumericalError
@@ -277,6 +276,8 @@ def closed_form_1d_effective(field, x):
     """Reference harmonic mean 1 / int dy / a(x, y) by adaptive quadrature."""
     if field.dim != 1:
         raise ConfigError("closed form applies to d = 1 only")
+    from scipy.integrate import quad  # imported here: a study never needs it, and it loads slowly
+
     x_arr = np.asarray([x], dtype=float).reshape(1, 1)
 
     def integrand(y):

@@ -367,3 +367,7 @@ def main(argv=None):
 
 def console_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

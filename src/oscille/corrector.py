@@ -20,10 +20,15 @@ part from the cell variable, by the chain rule inside the z average:
 with W the slow-table interpolation weights. K and all three gradient
 terms are one kernel, `_window_sum`. The window weights and the slow hats
 are both products of per-axis factors and every shift x + eps z is a
-fine-grid node, so the z average is d slice passes of per-axis 1D
-stencils followed by one gather of the tabulated cell values. Stencils
-and gathered values do not depend on the load: `corrector_setup` builds
-them once per mesh and eps, interpolating each distinct cell solution once.
+fine-grid node, so the z average is d passes of per-axis 1D stencils
+followed by one gather of the tabulated cell values. On a 2D mesh each
+pass is one sparse product: the axis stencil, or its slow-derivative
+twin, is a CSR map from the shifted nodes to (slot, node) rows, applied
+to every column of the other axis at once. A 1D pass has one column, so
+building that map would cost as much as the pass; it loops over the
+offsets instead. Stencils, maps and gathered values do not depend on the
+load: `corrector_setup` builds them once per mesh and eps, interpolating
+each distinct cell solution once.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cell import CellTable, TableCoverage, _interpolate_periodic, locate_on_axes
 from .mesh import GridFunction, Mesh, MeshMismatch, r_cell
@@ -131,7 +137,8 @@ class _AxisStencil:
     The window offsets j of node i reach the points x_0 + h q, q = i + j;
     each lies in table cell idx[q] with local coordinate t[q] (q counted
     from the first offset). Node i's table indices are stored as slots
-    counted from idx[i], the cell of its first offset.
+    counted from idx[i], the cell of its first offset. On a 2D mesh `ops`
+    holds the axis pass as CSR maps, the hat's and its x-derivative's.
     """
 
     offsets: np.ndarray  # window offsets in fine-grid cells
@@ -140,13 +147,18 @@ class _AxisStencil:
     t: np.ndarray  # (n + n_offsets - 1,)
     inv_h: float  # 1 / table spacing
     n_slots: int
+    ops: tuple = ()  # (hat, d/dx hat), each (n_slots * n, n + span); empty in 1D
+
+    @property
+    def span(self):
+        return self.offsets[-1] - self.offsets[0]
 
     @property
     def n(self):
-        return len(self.idx) - (self.offsets[-1] - self.offsets[0])
+        return len(self.idx) - self.span
 
-    def weights(self, col, deriv):
-        """(n_slots, n) weights of offset number col on each node's slots.
+    def hat(self, col, deriv):
+        """Each node's slot for offset number col, and the weights there.
 
         The hat puts w (1 - t) on cell idx and w t on idx + 1; its
         x-derivative puts -w / H and w / H there.
@@ -155,12 +167,31 @@ class _AxisStencil:
         q0 = self.offsets[col] - self.offsets[0]
         slot = self.idx[q0 : q0 + n] - self.idx[:n]
         t = self.t[q0 : q0 + n]
-        lower, upper = (-self.inv_h, self.inv_h) if deriv else (1.0 - t, t)
-        out = np.zeros((self.n_slots, n))
-        nodes = np.arange(n)
-        out[slot, nodes] = self.w[col] * lower
-        out[slot + 1, nodes] = self.w[col] * upper
-        return out
+        lower, upper = (np.full(n, -self.inv_h), np.full(n, self.inv_h)) if deriv else (1.0 - t, t)
+        return slot, self.w[col] * lower, self.w[col] * upper
+
+
+def _axis_operator(st, deriv):
+    """The axis pass as one CSR map from n + span shifted nodes to (slot, node).
+
+    Row (s, i) holds node i's offsets whose point lies in table cell
+    idx[i] + s - 1 (upper hat) or idx[i] + s (lower hat), columns in offset
+    order, so each row sums its terms in the order the streamed pass does.
+    """
+    n = st.n
+    hats = [st.hat(col, deriv) for col in range(len(st.offsets))]
+    slot, lower, upper = (np.stack(parts, axis=1) for parts in zip(*hats))  # each (n, n_offsets)
+    cols = np.arange(n)[:, None] + (st.offsets - st.offsets[0])
+    data, indices, counts = [], [], []
+    for s in range(st.n_slots):
+        is_lower = slot == s
+        hit = is_lower | (slot == s - 1)
+        i, c = np.nonzero(hit)  # node-major, offsets ascending
+        data.append(np.where(is_lower[i, c], lower[i, c], upper[i, c]))
+        indices.append(cols[i, c])
+        counts.append(np.count_nonzero(hit, axis=1))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(st.n_slots * n, n + st.span))
 
 
 def _axis_stencils(table, mesh, windows):
@@ -179,7 +210,10 @@ def _axis_stencils(table, mesh, windows):
             raise TableCoverage(f"slow axis {a}: {exc}") from exc
         span = offs[-1] - offs[0]
         n_slots = int(np.max(idx[span : span + n] - idx[:n])) + 2
-        stencils.append(_AxisStencil(offs, w, idx, t, 1.0 / (x_axis[1] - x_axis[0]), n_slots))
+        st = _AxisStencil(offs, w, idx, t, 1.0 / (x_axis[1] - x_axis[0]), n_slots)
+        if d > 1:
+            st.ops = (_axis_operator(st, False), _axis_operator(st, True))
+        stencils.append(st)
         # slots past the table end carry zero weight; clip them to a valid entry
         ids = np.minimum(np.arange(n_slots)[:, None] + idx[:n], len(x_axis) - 1)
         shape = [1] * (2 * d)
@@ -188,31 +222,49 @@ def _axis_stencils(table, mesh, windows):
     return stencils, entry
 
 
+def _streamed_pass(st, vals, start, deriv):
+    """A 1D pass: one (n_slots, n) weight per offset, accumulated in order."""
+    n = st.n
+    nodes = np.arange(n)
+    acc = 0.0
+    for col, s0 in enumerate(start):
+        slot, lower, upper = st.hat(col, deriv)
+        weight = np.zeros((st.n_slots, n))
+        weight[slot, nodes] = lower
+        weight[slot + 1, nodes] = upper
+        acc = acc + vals[s0 : s0 + n] * weight
+    return acc
+
+
+def _sparse_pass(op, vals, ax, s0, n):
+    """op @ X along axis ax of vals, starting at node s0; prepends the slot axis."""
+    moved = np.moveaxis(vals, ax, 0)[s0 : s0 + op.shape[1]]
+    out = (op @ moved.reshape(op.shape[1], -1)).reshape((-1, n) + moved.shape[1:])
+    return np.moveaxis(out, 1, 1 + ax)
+
+
 def _window_sum(stencils, coeff, fields, deriv_axis=None):
     """sum_z w_z sum_corner W(x + eps z) C[corner, y(x)] . F(x + eps z), nodewise.
 
     W is the slow-table hat, or its x-derivative along deriv_axis. coeff
     holds C_k at every slot and node, shape (d, slots_d..slots_1, n_1..n_d);
     fields holds F_k as (values, pad) on h-aligned grids. Each axis is one
-    slice pass of its 1D stencil, so nothing is located per offset.
+    pass of its 1D stencil, so nothing is located per offset: a sparse
+    product on a 2D mesh, a loop over the offsets in 1D.
     """
     d = len(stencils)
     out = 0.0
     for k, (vals, pad) in enumerate(fields):
         for a, st in enumerate(stencils):
             ax = 2 * a  # a slot axes lead, each pass prepends one
-            n = st.n
             start = pad[a] + st.offsets
-            if start[0] < 0 or start[-1] + n > vals.shape[ax]:
+            if start[0] < 0 or start[-1] + st.n > vals.shape[ax]:
                 raise TableCoverage("z shift leaves the extended gradient grid")
-            bshape = [st.n_slots] + [1] * vals.ndim
-            bshape[1 + ax] = n
-            sl = [slice(None)] * vals.ndim
-            acc = 0.0
-            for col, s0 in enumerate(start):
-                sl[ax] = slice(s0, s0 + n)
-                acc = acc + vals[tuple(sl)] * st.weights(col, a == deriv_axis).reshape(bshape)
-            vals = acc
+            deriv = a == deriv_axis
+            if st.ops:
+                vals = _sparse_pass(st.ops[deriv], vals, ax, start[0], st.n)
+            else:
+                vals = _streamed_pass(st, vals, start, deriv)
         out = out + np.sum(coeff[k] * vals, axis=tuple(range(d)))
     return np.ravel(out)
 

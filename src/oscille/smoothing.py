@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import convolve as _signal_convolve
 
 from .cell import multilinear
 from .core import ConfigError, NumericalError
@@ -192,6 +190,7 @@ def eval_extended(ext, pts):
 @lru_cache(maxsize=4)
 def bump_normalizer(d):
     """kappa with kappa * int_{|x|<1} exp(-1/(1-|x|^2)) dx = 1 (quadrature)."""
+    from scipy.integrate import quad  # imported here: only s < 1 needs it, and it loads slowly
 
     def profile(r):
         return math.exp(-1.0 / (1.0 - r * r)) if r < 1.0 else 0.0
@@ -244,7 +243,9 @@ def mollify(ext, delta):
     if mesh.dim == 1:
         sm = np.convolve(vals, w[::-1], mode="valid")
     else:
-        sm = _signal_convolve(vals, w[::-1, ::-1], mode="valid", method="auto")
+        from scipy.signal import convolve  # imported here: only 2D needs it, and it loads slowly
+
+        sm = convolve(vals, w[::-1, ::-1], mode="valid", method="auto")
     out_mesh = _extended_mesh(mesh, new_pad)
     return ExtendedFunction(GridFunction(out_mesh, sm.ravel()), mesh, new_pad)
 

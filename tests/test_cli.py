@@ -4,6 +4,8 @@ import inspect
 import json
 import os
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,6 +289,32 @@ def test_header_only_csv_for_no_targets(tmp_path):
         body = fh.read()
     assert body == "target,eps,h,error,slope,verdict\n"
     assert os.path.exists(files[1])
+
+
+def _run_python(args, tmp_path):
+    # the child finds oscille where this process imported it from
+    src = os.path.dirname(os.path.dirname(oscille.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_and_maps_exit_codes(tmp_path):
+    cfg = _write_cfg(tmp_path, dict(SINE_CFG, epsilons=[0.25, 0.125, 0.0625], points_per_period=8))
+    done = _run_python(["-m", "oscille.cli", "study", "--config", cfg, "--out", "out", "--threads", "1"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "rates.csv").read_text().startswith("target,eps,h,error,slope,verdict\n")
+    no_preset = dict(SINE_CFG, field={k: v for k, v in SINE_CFG["field"].items() if k != "preset_id"})
+    cfg = _write_cfg(tmp_path, no_preset, name="no_preset.json")
+    done = _run_python(["-m", "oscille.cli", "study", "--config", cfg, "--out", "bad"], tmp_path)
+    assert done.returncode == 2 and "config error" in done.stderr
+    assert not (tmp_path / "bad").exists()
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
+    probe = "import sys, oscille.cli; print(*[m for m in ('scipy.signal', 'scipy.integrate', 'scipy.stats') if m in sys.modules])"
+    done = _run_python(["-c", probe], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_suite_smoothing_command(capsys):

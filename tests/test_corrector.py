@@ -13,10 +13,10 @@ from oscille.norms import lp_norm
 SQRT3 = np.sqrt(3.0)
 
 
-def _scenario(field, eps_list, rho, s=1.0, mu=0.0):
+def _scenario(field, eps_list, rho, s=1.0, mu=0.0, domain=None):
     return Scenario(
         field=field,
-        domain=tuple(((0.0, 1.0),) * field.dim),
+        domain=domain or tuple(((0.0, 1.0),) * field.dim),
         bc=BoundarySpec("dirichlet"),
         mu=mu,
         p=2.0,
@@ -216,6 +216,20 @@ def test_kernel_matches_reference_loop_2d_shared_cells(lp2d_table):
     table = _row_scaled(table)
     assert len({id(sol) for sol in table.cells}) == len(table.x_axes[0]) < len(table.cells)
     _assert_matches_reference(_inputs(sc, eps, u0, table))
+
+
+def test_kernel_matches_reference_loop_2d_mollified_rectangle(lp2d_table):
+    # s < 1 sends the gradient through the 2D convolution, and unequal node
+    # counts give each axis its own operators
+    field, table = lp2d_table
+    sc = _scenario(field, (1 / 4, 1 / 8, 1 / 16), rho=8, s=0.5, mu=-1.0, domain=((0.0, 1.0), (0.0, 0.5)))
+    eps = 1 / 8
+    mesh = fem.oscillatory_mesh(sc, eps)
+    assert mesh.nodes_per_axis[0] > mesh.nodes_per_axis[1]
+    u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1] * (2.0 - p[:, 1]))
+    inputs = _inputs(sc, eps, u0, _entry_scaled(table))
+    assert all(g.pad[a] < inputs.u0_ext.pad[a] - 1 for g in inputs.grads for a in range(2))  # mollified pads
+    _assert_matches_reference(inputs)
 
 
 def test_setup_for_another_mesh_eps_or_table_raises(sine_setup):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,20 +182,40 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
         points_per_period=4,
         interior_margin=0.0,
     )
-    setups, columns = [], []
+    setups, columns, operators = [], [], []
     build, interpolate = corrector.corrector_setup, corrector._interpolate_periodic
+    axis_operator = corrector._axis_operator
 
     def counting_setup(table, mesh, eps):
-        setups.append((eps, len(table.cells), len({id(sol) for sol in table.cells})))
-        return build(table, mesh, eps)
+        built = len(operators)
+        setup = build(table, mesh, eps)
+        setups.append((eps, len(table.cells), len({id(sol) for sol in table.cells}), len(operators) - built))
+        return setup
 
     def counting_interpolate(cols, cell_mesh, y):
         columns.append(len(cols))
         return interpolate(cols, cell_mesh, y)
 
+    def counting_operator(st, deriv):
+        operators.append(deriv)
+        return axis_operator(st, deriv)
+
     monkeypatch.setattr(corrector, "corrector_setup", counting_setup)
     monkeypatch.setattr(corrector, "_interpolate_periodic", counting_interpolate)
+    monkeypatch.setattr(corrector, "_axis_operator", counting_operator)
     study.run_study(sc)
-    assert [eps for eps, _, _ in setups] == list(sc.epsilons)
-    assert columns == [distinct for _, _, distinct in setups]
-    assert all(distinct < entries for _, entries, distinct in setups)  # the table repeats objects
+    assert [eps for eps, _, _, _ in setups] == list(sc.epsilons)
+    assert columns == [distinct for _, _, distinct, _ in setups]
+    assert all(distinct < entries for _, entries, distinct, _ in setups)  # the table repeats objects
+    # a hat and a slow-derivative map per axis, built by the setup and
+    # reused by every apply and gradient of that eps
+    assert [built for _, _, _, built in setups] == [4, 4, 4]
+    assert len(operators) == 4 * len(setups)
+
+    # 1D passes stream over the offsets and build no operator
+    setups.clear()
+    study.run_study(dataclasses.replace(
+        sc, field=preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1), domain=((0.0, 1.0),), points_per_period=8
+    ))
+    assert [built for _, _, _, built in setups] == [0, 0, 0]
+    assert len(operators) == 12
