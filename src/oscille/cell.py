@@ -139,12 +139,10 @@ def effective_tensor(field, x, cell_mesh, solution=None, tol=linalg.DEFAULT_TOL)
     sol = solution or solve_cell(field, x, cell_mesh, tol=tol)
     q = quadrature(cell_mesh)
     d = field.dim
-    a_vals = _cell_coefficient(field, x, cell_mesh)
-    ident = np.eye(d)[None, None, :, :]
-    # d/dy_j of N_k at the Gauss points, (n_elements, n_gauss, d, d)
-    grad_gauss = np.einsum("ecd,gcj->egjd", sol.columns[q.corners], q.shape_grads)
-    integrand = a_vals[:, :, None, None] * (ident + grad_gauss)
-    return np.einsum("g,egjk->jk", q.weights, integrand)
+    wa = _cell_coefficient(field, x, cell_mesh) * q.weights  # (n_elements, n_gauss)
+    # int a d/dy_j phi_c over each element, rows (element, corner), columns j
+    b = (wa @ q.shape_grads.reshape(len(q.weights), -1)).reshape(-1, d)
+    return wa.sum() * np.eye(d) + b.T @ sol.columns[q.corners].reshape(-1, d)
 
 
 def locate_on_axes(x_axes, pts):
@@ -162,7 +160,10 @@ def locate_on_axes(x_axes, pts):
                 f"[{ax[0]:g}, {ax[-1]:g}] queried at "
                 f"[{pts[:, k].min():g}, {pts[:, k].max():g}]"
             )
-        i = np.clip(np.floor(t).astype(int), 0, len(ax) - 2)
+        # a point within rounding below a node takes the cell above it, so
+        # the hat's x-derivative at a node has one side however the point was
+        # computed
+        i = np.clip(np.floor(t + 1e-9).astype(int), 0, len(ax) - 2)
         idx.append(i)
         loc.append(np.clip(t - i, 0.0, 1.0))
     return idx, loc

@@ -219,17 +219,22 @@ def _svg_loglog(path, target, pts, fit):
 
 
 def _floats(text, flag):
-    """A comma-separated list of numbers from a command-line flag."""
+    """A comma-separated list of finite numbers from a command-line flag."""
     try:
-        return [float(t) for t in text.split(",")]
+        values = [float(t) for t in text.split(",")]
+        if all(math.isfinite(v) for v in values):
+            return values
     except ValueError:
-        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+        pass
+    raise ConfigError(f"{flag} must be comma-separated finite numbers, got {text!r}")
 
 
 def _cmd_study(args):
-    eps = _floats(args.eps, "--eps") if args.eps else None
+    threads = args.threads if args.threads is not None else os.cpu_count() or 1
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
+    eps = _floats(args.eps, "--eps") if args.eps is not None else None
     scenario = load_scenario(args.config, eps_override=eps, ppp_override=args.ppp)
-    threads = args.threads or os.cpu_count() or 1
     report = study.run_study(scenario, threads=threads)
     files = write_report(report, args.out, plot=args.plot)
     sys.stdout.write(study.summarize(report))
@@ -240,9 +245,9 @@ def _cmd_study(args):
 def _cmd_cell(args):
     field = core.preset_coefficient(args.preset, _floats(args.params, "--params"), args.dim)
     dim = field.dim
-    m = args.m or cell_mod.default_cell_m(dim)
+    m = args.m if args.m is not None else cell_mod.default_cell_m(dim)
     cmesh = build_cell_mesh(m, dim)
-    x = _floats(args.x, "--x") if args.x else [0.0] * dim
+    x = _floats(args.x, "--x") if args.x is not None else [0.0] * dim
     if len(x) != dim:
         raise ConfigError(f"--x needs {dim} coordinates for {args.preset}, got {args.x!r}")
     tensor = cell_mod.effective_tensor(field, x, cmesh)

@@ -175,6 +175,8 @@ def audit_ellipticity(field, sample_count, seed=0, tol=1e-12):
     """
     if sample_count < 1000:
         raise ConfigError("sample_count must be at least 10^3")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     d = field.dim
     x = rng.random((sample_count, d))

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 
 from .cell import CellTable, TableCoverage, _interpolate_periodic, locate_on_axes
 from .mesh import GridFunction, Mesh, MeshMismatch, r_cell
-from .smoothing import ExtendedFunction, _extended_mesh, _window_per_axis, extend, mollify
+from .smoothing import ExtendedFunction, _extended_mesh, _window_per_axis, extend, mollify, window_weights
 
 MARGIN_FACTOR = 5.0
 
@@ -68,6 +68,17 @@ def corrector_margin(eps, dim, width=None):
     if width is not None:
         margin = min(margin, 0.5 * width * 0.92)
     return margin
+
+
+def table_margin(eps, rho):
+    """How far past the domain the corrector reads the cell table at eps.
+
+    `_axis_stencils` locates x + h j for the offsets j of
+    `window_weights(rho)`, h = eps / rho, so the widest offset times h is
+    the whole reach; the extension margin of u0 is wider and not needed.
+    """
+    offsets, _ = window_weights(rho)
+    return float(np.max(np.abs(offsets))) * eps / rho
 
 
 def _central_diff_axis(vals, h, axis):

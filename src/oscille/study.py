@@ -217,9 +217,9 @@ def run_study(scenario, threads=1, solver_tol=linalg.DEFAULT_TOL):
     targets = derive_targets(scenario)
     d = scenario.dim
     cell_mesh = build_cell_mesh(cell_mod.default_cell_m(d), d)
-    # table coverage: the corrector queries the slow variable at x + eps*z,
-    # so the largest extension margin plus one spacing is enough
-    margin = corr_mod.corrector_margin(scenario.epsilons[0], d) + scenario.epsilons[0]
+    # the corrector reads the cell table only at x + eps*z, and the largest
+    # eps (the first) reaches farthest past the domain
+    margin = corr_mod.table_margin(scenario.epsilons[0], scenario.points_per_period)
     x_axes = cell_mod.x_axes_for(scenario.domain, margin)
     eff, ctable = cell_mod.tabulate_effective(scenario.field, x_axes, cell_mesh, tol=solver_tol)
 

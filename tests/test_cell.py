@@ -355,6 +355,31 @@ def _a0(coef, cmesh):
     return cell.effective_tensor(coef, np.zeros(coef.dim), cmesh)
 
 
+def _a0_einsum(coef, x, cmesh, sol):
+    """A0 = sum_g w a (I + grad N) from grad N at every Gauss point, the
+    reference for effective_tensor's single matrix product."""
+    q = quadrature(cmesh)
+    a_vals = cell._cell_coefficient(coef, x, cmesh)
+    grad_gauss = np.einsum("ecd,gcj->egjd", sol.columns[q.corners], q.shape_grads)
+    integrand = a_vals[:, :, None, None] * (np.eye(coef.dim) + grad_gauss)
+    return np.einsum("g,egjk->jk", q.weights, integrand)
+
+
+def _assert_a0_matches_einsum(coef, x, cmesh):
+    sol = cell.solve_cell(coef, x, cmesh)
+    want = _a0_einsum(coef, x, cmesh, sol)
+    got = cell.effective_tensor(coef, x, cmesh, solution=sol)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "preset, params, m",
+    [("LocallyPeriodic2D", [2, 1, 0.5], 64), ("Laminate2D", [2, 1], 128)],
+)
+def test_a0_matches_einsum_reference(preset, params, m):
+    _assert_a0_matches_einsum(preset_coefficient(preset, params, 2), np.array([0.3, 0.7]), build_cell_mesh(m, 2))
+
+
 _PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 
 
@@ -391,3 +416,10 @@ def test_a0_invariant_under_whole_node_y_shift(case, k):
     shift = np.array(k[: coef.dim]) / np.array(cmesh.nodes_per_axis)
     shifted = _FourierCell(coef.dim, coef.c, coef.modes, shift=shift)
     np.testing.assert_allclose(_a0(shifted, cmesh), _a0(coef, cmesh), rtol=1e-8, atol=1e-8 * coef.c)
+
+
+@_PROPERTY
+@given(_cells())
+def test_a0_matches_einsum_reference_random_cells(case):
+    coef, cmesh = case
+    _assert_a0_matches_einsum(coef, np.zeros(coef.dim), cmesh)

@@ -217,6 +217,33 @@ def test_audit_command(capsys):
     assert "min_eig" in out and "VIOLATION" not in out
 
 
+_CELL = ["cell", "--preset", "Sine1D", "--params", "2,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _CELL + ["--m", "0"],
+        _CELL + ["--x", "nan"],
+        _CELL + ["--x", "inf"],
+        _CELL + ["--x", ""],
+        ["audit", "--preset", "Sine1D", "--params", "2,1", "--seed", "-1"],
+        ["study", "--threads", "-2"],
+        ["study", "--threads", "0"],
+        ["study", "--eps", "0.125,nan,0.03125"],
+    ],
+    ids=" ".join,
+)
+def test_misread_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # each flag value once ran as something else: --m 0 as the default m,
+    # a non-finite --x as a point, --threads 0 or -2 as all cores or serial
+    monkeypatch.setattr(study, "run_study", lambda *a, **k: pytest.fail("the study ran"))
+    if argv[0] == "study":
+        argv = argv + ["--config", _write_cfg(tmp_path, SINE_CFG), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def study_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("study")

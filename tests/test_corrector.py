@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from scipy.integrate import quad
 
 import corrector_reference as reference
-from oscille import cell, corrector, fem
+from oscille import cell, corrector, fem, smoothing
+from oscille.cli import load_scenario
 from oscille.core import BoundarySpec, Scenario, preset_coefficient
 from oscille.mesh import GridFunction, MeshMismatch, build_cell_mesh, grid_from_callable
 from oscille.norms import lp_norm
 
 SQRT3 = np.sqrt(3.0)
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _scenario(field, eps_list, rho, s=1.0, mu=0.0, domain=None):
@@ -230,6 +233,49 @@ def test_kernel_matches_reference_loop_2d_mollified_rectangle(lp2d_table):
     inputs = _inputs(sc, eps, u0, _entry_scaled(table))
     assert all(g.pad[a] < inputs.u0_ext.pad[a] - 1 for g in inputs.grads for a in range(2))  # mollified pads
     _assert_matches_reference(inputs)
+
+
+def _tight_axes(sc, narrower_by=0.0):
+    """The x-grid run_study tabulates: the corrector's reach at the largest eps."""
+    return cell.x_axes_for(sc.domain, corrector.table_margin(sc.epsilons[0], sc.points_per_period) - narrower_by)
+
+
+@pytest.mark.parametrize("config", ["sine1d.json", "mixed1d.json", "laminate2d.json"])
+@pytest.mark.parametrize("rho", [1, 2, 3, 5, 12, 32])
+def test_table_margin_is_the_reach_at_the_largest_eps(config, rho):
+    sc = load_scenario(os.path.join(CONFIG_DIR, config), ppp_override=rho)
+    eps = sc.epsilons[0]
+    mesh = fem.oscillatory_mesh(sc, eps)
+    windows = smoothing._window_per_axis(mesh, eps)
+    axes = _tight_axes(sc)
+    corrector._axis_stencils(cell.CellTable(axes, None, []), mesh, windows)  # no TableCoverage
+    for a, ((offs, _), ax) in enumerate(zip(windows, axes)):
+        # the first and last slow points the stencils locate
+        x = mesh.axis_coords(a)
+        assert abs(x[0] + mesh.h[a] * offs[0] - ax[0]) <= 1e-12
+        assert abs(x[-1] + mesh.h[a] * offs[-1] - ax[-1]) <= 1e-12
+    narrow = cell.CellTable(_tight_axes(sc, narrower_by=mesh.h[0]), None, [])
+    with pytest.raises(cell.TableCoverage):
+        corrector._axis_stencils(narrow, mesh, windows)
+
+
+@pytest.mark.parametrize(
+    "preset, params, dim, rho, cell_m",
+    [("Sine1D", [2, 1], 1, 32, 64), ("LocallyPeriodic2D", [2, 1, 0.5], 2, 12, 16)],
+)
+def test_kernel_matches_reference_loop_at_the_table_edge(preset, params, dim, rho, cell_m):
+    # on the tight table at the largest eps the last nodes have a slot past
+    # the table end, whose clipped entry must carry zero weight; at rho = 12
+    # fine nodes also sit on table nodes, where the slow derivative is one-sided
+    field = preset_coefficient(preset, params, dim)
+    sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=rho, mu=-1.0)
+    eps = sc.epsilons[0]
+    mesh = fem.oscillatory_mesh(sc, eps)
+    table = cell.tabulate_cells(field, _tight_axes(sc), build_cell_mesh(cell_m, field.dim))
+    stencils, _ = corrector._axis_stencils(table, mesh, smoothing._window_per_axis(mesh, eps))
+    assert any(np.max(st.idx[: st.n]) + st.n_slots > len(ax) for st, ax in zip(stencils, table.x_axes))
+    u0 = grid_from_callable(mesh, lambda p: np.prod(np.sin(np.pi * p), axis=1) + p[:, -1])
+    _assert_matches_reference(_inputs(sc, eps, u0, _entry_scaled(table)))
 
 
 def test_setup_for_another_mesh_eps_or_table_raises(sine_setup):
