@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, solveh_banded
+from scipy.linalg import solveh_banded
 
 from . import core, linalg
 from .core import ConfigError, NumericalError
@@ -49,21 +50,24 @@ class FastDiagonalization:
     """Exact inverse of P = abar (K1 x M2 + M1 x K2) - mu M1 x M2 on the free dofs.
 
     K_a and M_a are the 1D Q1 stiffness and consistent mass of axis a on
-    its free nodes, and K_a v = lam M_a v with V_a^T M_a V_a = I, so
-    P^-1 = (V1 x V2) diag(1 / (abar (lam_i + lam_j) - mu)) (V1 x V2)^T
+    its free nodes. With S = sqrt(2) at free mesh-end nodes and 1 elsewhere,
+    one orthonormal sine or cosine transform Q_a gives S K_a S = Q_a diag(k) Q_a^T
+    and S M_a S = Q_a diag(m) Q_a^T, k = (2 - 2 cos t)/h, m = h (2 + cos t)/3, so
+    P^-1 = S (Q1 x Q2) diag(1 / (abar (k_i m_j + m_i k_j) - mu m_i m_j)) (Q1 x Q2)^T S
     (Lynch, Rice and Thomas, Numer. Math. 6, 1964). With abar = sqrt(lo*hi)
     for coefficient eigenvalues in [lo, hi], cond(P^-1 A) <= hi/lo at
     every mesh size.
     """
 
-    v1: np.ndarray
-    v2: np.ndarray
-    inv_eig: np.ndarray  # (f1, f2): 1 / (abar (lam_i + lam_j) - mu)
+    transforms: tuple  # per axis: (Q^T, Q) applied along a given axis
+    scale: np.ndarray  # (f1, f2): S, sqrt(2) at each free mesh-end node
+    inv_eig: np.ndarray  # (f1, f2): 1 / (abar (k_i m_j + m_i k_j) - mu m_i m_j)
     kappa: float  # certified bound hi/lo on cond(P^-1 A)
 
     def __call__(self, r):
-        t = self.v1.T @ r.reshape(self.inv_eig.shape) @ self.v2
-        return (self.v1 @ (t * self.inv_eig) @ self.v2.T).ravel()
+        (fwd1, inv1), (fwd2, inv2) = self.transforms
+        t = fwd2(fwd1(self.scale * r.reshape(self.scale.shape), axis=0), axis=1)
+        return (self.scale * inv2(inv1(t * self.inv_eig, axis=0), axis=1)).ravel()
 
     def max_iter(self, tol):
         """Twice the CG iterations kappa implies for residual tol, plus 50."""
@@ -80,45 +84,36 @@ def _coefficient_bounds(a_vals):
     return float((mid - rad).min()), float((mid + rad).max())
 
 
-def _tridiagonal(diag, off):
-    """Dense symmetric tridiagonal matrix with the given diagonal and constant off-diagonal."""
-    n = diag.size
-    out = np.zeros((n, n))
-    i = np.arange(n)
-    out[i, i] = diag
-    out[i[:-1], i[1:]] = out[i[1:], i[:-1]] = off
-    return out
+def _axis_spectrum(h, free):
+    """(Q^T, Q), stiffness and mass eigenvalues k and m, and S of one axis on its free nodes.
 
-
-def _axis_eigen(h, free):
-    """Generalized eigenpairs of the 1D Q1 stiffness and mass on the free nodes.
-
-    The free nodes of an axis are contiguous, so both matrices are
-    tridiagonal; a mesh end node carries half the interior diagonal.
+    The free nodes of an axis are contiguous, so its two ends (Dirichlet
+    or natural) pick the transform and the frequencies t = (j + c) pi / (n - 1).
     """
-    d = np.full(free.size, 2.0)
-    d[[0, -1]] = 1.0
-    d = d[free]
-    k = _tridiagonal(d / h, -1.0 / h)
-    m = _tridiagonal(d * (h / 3.0), h / 6.0)
-    return eigh(k, m, overwrite_a=True, overwrite_b=True)
+    from scipy import fft  # imported here: only 2D needs it, and it loads slowly
+
+    name, forward, inverse, c = {
+        (False, False): ("dst", 1, 1, 1.0),
+        (True, True): ("dct", 1, 1, 0.0),
+        (False, True): ("dst", 3, 2, 0.5),
+        (True, False): ("dct", 3, 2, 0.5),
+    }[bool(free[0]), bool(free[-1])]
+    q = tuple(partial(getattr(fft, name), type=t, norm="ortho") for t in (forward, inverse))
+    cos = np.cos((np.arange(np.count_nonzero(free)) + c) * (math.pi / (free.size - 1)))
+    scale = np.ones(free.size)
+    scale[[0, -1]] = math.sqrt(2.0)
+    return q, (2.0 - 2.0 * cos) / h, h * (2.0 + cos) / 3.0, scale[free]
 
 
 def _fast_diagonalization(mesh, free_axes, a_vals, mu):
-    # the per-axis factors are dense, so bound them by the node cap
-    n_dense = max(mesh.nodes_per_axis) ** 2
-    if n_dense > node_cap():
-        raise ExcessiveSize(
-            f"preconditioner factors would need {n_dense} entries for axis sizes "
-            f"{mesh.nodes_per_axis}, cap {node_cap()}"
-        )
     lo, hi = _coefficient_bounds(a_vals)
     if not (lo > 0.0 and math.isfinite(hi / lo)):
         raise linalg.SingularSystem(f"coefficient eigenvalues in [{lo:g}, {hi:g}] are not uniformly positive")
     abar = math.sqrt(lo * hi)
-    (lam1, v1), (lam2, v2) = (_axis_eigen(h, f) for h, f in zip(mesh.h, free_axes))
-    inv_eig = 1.0 / (abar * (lam1[:, None] + lam2[None, :]) - mu)
-    return FastDiagonalization(v1, v2, inv_eig, hi / lo)
+    (q1, k1, m1, s1), (q2, k2, m2, s2) = (_axis_spectrum(h, f) for h, f in zip(mesh.h, free_axes))
+    k1, m1, s1 = k1[:, None], m1[:, None], s1[:, None]
+    inv_eig = 1.0 / (abar * (k1 * m2 + m1 * k2) - mu * m1 * m2)
+    return FastDiagonalization((q1, q2), s1 * s2, inv_eig, hi / lo)
 
 
 def _free_axes(mesh, bc):

@@ -214,6 +214,8 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
 
 def run_study(scenario, threads=1, solver_tol=linalg.DEFAULT_TOL):
     """Run the full sweep of a scenario and fit each target's rate."""
+    if not (isinstance(threads, int) and threads >= 1):
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     targets = derive_targets(scenario)
     d = scenario.dim
     cell_mesh = build_cell_mesh(cell_mod.default_cell_m(d), d)
@@ -224,7 +226,7 @@ def run_study(scenario, threads=1, solver_tol=linalg.DEFAULT_TOL):
     eff, ctable = cell_mod.tabulate_effective(scenario.field, x_axes, cell_mesh, tol=solver_tol)
 
     eps_list = list(scenario.epsilons)
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(
                 pool.map(lambda e: _case(scenario, e, eff, ctable, targets, solver_tol), eps_list)

@@ -454,11 +454,14 @@ def test_non_elliptic_2d_coefficient_exit_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure: SingularSystem: coefficient eigenvalues" in capsys.readouterr().err
 
 
-def test_elongated_2d_domain_over_cap_exit_3(tmp_path, monkeypatch, capsys):
-    # 129 x 65 nodes at the finest eps fit a cap of 10,000, but the
-    # preconditioner's dense x-axis factor would need 129^2 = 16,641 entries
+def test_elongated_2d_domain_under_cap_runs_study(tmp_path, monkeypatch, capsys):
+    # 129 x 65 nodes at the finest eps fit a cap of 10,000; the long axis
+    # alone (129^2 = 16,641) would not, and the preconditioner needs no
+    # room per axis
     monkeypatch.setenv("OSCILLE_NODE_CAP", "10000")
     cfg = _write_cfg(tmp_path, dict(LAMINATE_CFG, domain=[[0.0, 1.0], [0.0, 0.5]]))
     rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
-    assert rc == 3
-    assert "numerical failure: ExcessiveSize: preconditioner factors would need 16641" in capsys.readouterr().err
+    assert rc in (0, 1)  # a verdict, not a numerical failure
+    assert "ExcessiveSize" not in capsys.readouterr().err
+    rows = (tmp_path / "o" / "rates.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 3 * 3  # header, then three targets at three eps

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oscille import cell as cell_mod
 from oscille import corrector, study
-from oscille.core import BoundarySpec, Scenario, preset_coefficient
+from oscille.core import BoundarySpec, ConfigError, Scenario, preset_coefficient
 
 
 def test_fit_rate_exact_linear():
@@ -161,6 +162,28 @@ def test_corrector_ratio_stable(small_sine_report):
 def test_rows_sorted_and_threaded_matches_serial(small_sine_report):
     eps = [r.eps for r in small_sine_report.rows]
     assert eps == sorted(eps, reverse=True)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_run_study_rejects_thread_count_below_one(threads, monkeypatch):
+    def no_cell_solve(*args, **kwargs):
+        raise AssertionError("cell problem solved before the thread count was checked")
+
+    monkeypatch.setattr(cell_mod, "solve_cell", no_cell_solve)
+    sc = Scenario(
+        field=preset_coefficient("Sine1D", [2, 1], 1),
+        domain=((0.0, 1.0),),
+        bc=BoundarySpec("dirichlet"),
+        mu=0.0,
+        p=2.0,
+        s=1.0,
+        s_plus=1.0,
+        epsilons=(1 / 8, 1 / 16, 1 / 32),
+        points_per_period=8,
+        interior_margin=0.0,
+    )
+    with pytest.raises(ConfigError, match="threads must be a positive integer"):
+        study.run_study(sc, threads=threads)
 
 
 def test_summarize_contains_verdicts(small_sine_report):
