@@ -286,6 +286,7 @@ def element_corner_nodes(mesh):
 
 @dataclass(frozen=True)
 class QuadratureData:
+    """Tensor two-point Gauss rule: every weight equals jac / 2^dim."""
     points: np.ndarray  # (n_elements, n_gauss, dim) global coordinates
     weights: np.ndarray  # (n_gauss,) including the jacobian
     shape_values: np.ndarray  # (n_gauss, n_corner)
@@ -322,7 +323,8 @@ def values_at_gauss(u, quad=None):
 
 
 def grads_at_gauss(u, quad=None):
-    """Element-gradient of the nodal field at Gauss points: (E, n_gauss, dim)."""
+    """Element-gradient at Gauss points, (E, n_gauss, dim): one product of the
+    (E, corners) nodal gather with the shape gradients as (corners, n_gauss * dim)."""
     q = quad or quadrature(u.mesh)
-    corner_vals = u.values[q.corners]
-    return np.einsum("ec,gcd->egd", corner_vals, q.shape_grads)
+    g, c, d = q.shape_grads.shape
+    return (u.values[q.corners] @ q.shape_grads.transpose(1, 0, 2).reshape(c, g * d)).reshape(-1, g, d)

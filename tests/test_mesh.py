@@ -121,6 +121,31 @@ def test_quadrature_integrates_bilinear_exactly():
     np.testing.assert_allclose(g[:, :, 1], 3.0, atol=1e-12)
 
 
+_RULE_MESHES = [
+    pytest.param(mesh.build_domain_mesh(((0.1, 1.37),), 1 / 40), id="1d"),
+    pytest.param(mesh.build_domain_mesh(((0.0, 1.0), (0.0, 0.5)), 1 / 24), id="2d-nonsquare"),
+    pytest.param(mesh.build_cell_mesh(8, 2), id="2d-periodic-cell"),
+]
+
+
+@pytest.mark.parametrize("m", _RULE_MESHES)
+def test_quadrature_weights_all_equal(m):
+    # the Gauss-rule norms factor the weight out as w^(1/p)
+    w = mesh.quadrature(m).weights
+    assert w.shape == (2**m.dim,)
+    assert np.all(w == np.prod(m.h) / 2**m.dim)
+
+
+@pytest.mark.parametrize("m", _RULE_MESHES)
+def test_grads_at_gauss_matches_einsum(m):
+    u = mesh.GridFunction(m, np.random.default_rng(3).standard_normal(m.n_nodes))
+    q = mesh.quadrature(m)
+    expected = np.einsum("ec,gcd->egd", u.values[q.corners], q.shape_grads)
+    g = mesh.grads_at_gauss(u, q)
+    assert g.shape == (m.n_elements, 2**m.dim, m.dim)
+    np.testing.assert_allclose(g, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+
+
 def test_periodic_corner_wrap():
     m = mesh.build_cell_mesh(4, 1)
     corners = mesh.element_corner_nodes(m)

@@ -155,6 +155,17 @@ def test_besov_nan_field_is_nan(fine_1d):
     assert np.isnan(norms.besov_seminorm(u, 0.5, 2.0))
 
 
+@pytest.mark.parametrize("norm", [norms.lp_norm, norms.w1p_seminorm])
+def test_nan_node_is_nan_unless_masked_out(fine_1d, norm):
+    u = grid_from_callable(fine_1d, lambda p: np.sin(2 * np.pi * p[:, 0]))
+    u.values[0] = np.nan  # touches the first element only
+    strip = boundary_strip_mask(fine_1d, 1 / 8)
+    assert np.isnan(norm(u, 2.0))
+    assert np.isnan(norm(u, 1.5, strip))
+    inner = norm(u, 1.5, complement(strip))
+    assert np.isfinite(inner) and inner > 0.0
+
+
 def test_strip_lemma_constant_ratio_one():
     # mesh aligned so the element strip is exactly [0, eps/2] on each side
     for eps in (1 / 8, 1 / 16, 1 / 32):

@@ -1,10 +1,12 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from oscille import cell as cell_mod
 from oscille import corrector, study
+from oscille.cli import load_scenario
 from oscille.core import BoundarySpec, ConfigError, Scenario, preset_coefficient
 
 
@@ -242,3 +244,44 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
     ))
     assert [built for _, _, _, built in setups] == [0, 0, 0]
     assert len(operators) == 12
+
+
+# Slopes and per-row errors (eps -> lp, w1_corr, besov_half) of the
+# shipped 1D configs, recorded values: a change that only reorders
+# floating-point rounding keeps them to 1e-9 relative.
+_RECORDED_1D = {
+    "mixed1d.json": (
+        {"lp": 0.9095022233750959, "w1_corr": 1.0786194232899242, "besov_half": 0.4957675611880151},
+        {
+            0.125: (0.00484180572824699, 0.0070338855573118, 0.01630090325398783),
+            0.0625: (0.0024440713897944132, 0.0028593871391127098, 0.011626019051054612),
+            0.03125: (0.001249895401875435, 0.001217693868050797, 0.008253967738701682),
+            0.015625: (0.0006546105163938696, 0.0005473451114125973, 0.0058477940879388),
+            0.0078125: (0.00035819507412021654, 0.00027405716027415644, 0.004138968175621044),
+            0.00390625: (0.00021138292965591231, 0.0001798175824678589, 0.0029280792519747506),
+        },
+    ),
+    "sine1d.json": (
+        {"lp": 0.9910775131928434, "w1_corr": 0.9866445953989542, "besov_half": 0.4958146433693324},
+        {
+            0.125: (0.002131852537937276, 0.007683352322676225, 0.011091922994750947),
+            0.0625: (0.0010716766545074937, 0.003870245736377786, 0.007897638453597505),
+            0.03125: (0.0005370582253548852, 0.0019444702805670492, 0.005601853098181197),
+            0.015625: (0.00026968547935035593, 0.0009790288826500735, 0.003966943363880953),
+            0.0078125: (0.00013697457661920493, 0.0005000048020211527, 0.0028070624210731927),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_RECORDED_1D))
+def test_shipped_1d_study_matches_recorded(config):
+    # mixed1d is the only shipped study with s < 1, so the only one that mollifies
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", config))
+    rep = study.run_study(scenario)
+    slopes, rows = _RECORDED_1D[config]
+    assert set(rep.verdicts.values()) == {"PASS"}
+    assert {name: fit.slope for name, fit in rep.fits.items()} == pytest.approx(slopes, rel=1e-9)
+    assert [r.eps for r in rep.rows] == list(rows)
+    for r in rep.rows:
+        assert [r.errors[name] for name in ("lp", "w1_corr", "besov_half")] == pytest.approx(rows[r.eps], rel=1e-9)
