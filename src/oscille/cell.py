@@ -83,9 +83,7 @@ def _interpolate_periodic(columns, cell_mesh, y):
     """Periodic multilinear interpolation of nodal cell functions.
 
     columns is a sequence of (n_nodes, d) nodal arrays, one per cell
-    solution. Returns the values N_k(y), shape (n_sol, n, d), and the
-    element-interpolant gradients d/dy_j N_k(y), shape (n_sol, n, d, d)
-    indexed [sol, point, j, k].
+    solution. Returns the values N_k(y), shape (n_sol, n, d).
     """
     d = cell_mesh.dim
     m = np.array(cell_mesh.nodes_per_axis)
@@ -94,18 +92,13 @@ def _interpolate_periodic(columns, cell_mesh, y):
     idx = np.minimum(np.floor(t).astype(int), m - 1)
     loc = t - idx
     hats = (1.0 - loc, loc)  # per-axis hat value of the lower / upper corner
-    slopes = (-1.0 / np.array(cell_mesh.h), 1.0 / np.array(cell_mesh.h))
-    ids, wts, dwts = [], [], []
+    ids, wts = [], []
     for bits in itertools.product((0, 1), repeat=d):
         ids.append(np.ravel_multi_index(((idx + bits) % m).T, tuple(m)))
-        factors = np.stack([hats[b][:, a] for a, b in enumerate(bits)])  # (d, n)
-        wts.append(factors.prod(axis=0))
-        dwts.append([slopes[b][a] * np.delete(factors, a, axis=0).prod(axis=0) for a, b in enumerate(bits)])
+        wts.append(np.stack([hats[b][:, a] for a, b in enumerate(bits)]).prod(axis=0))
     ids = np.stack(ids, axis=1)  # (n, corners)
-    wts = np.stack(wts, axis=1)
-    dwts = np.stack([np.stack(g) for g in dwts], axis=2)  # (j, n, corners)
     corners = np.stack([np.asarray(c)[ids] for c in columns])  # (sol, n, corners, d)
-    return np.einsum("nc,snck->snk", wts, corners), np.einsum("jnc,snck->snjk", dwts, corners)
+    return np.einsum("nc,snck->snk", np.stack(wts, axis=1), corners)
 
 
 @dataclass
@@ -161,8 +154,8 @@ def locate_on_axes(x_axes, pts):
                 f"[{pts[:, k].min():g}, {pts[:, k].max():g}]"
             )
         # a point within rounding below a node takes the cell above it, so
-        # the hat's x-derivative at a node has one side however the point was
-        # computed
+        # the cell of a point on a node does not depend on how the point
+        # was computed
         i = np.clip(np.floor(t + 1e-9).astype(int), 0, len(ax) - 2)
         idx.append(i)
         loc.append(np.clip(t - i, 0.0, 1.0))

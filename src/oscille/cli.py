@@ -291,17 +291,15 @@ def _cmd_suite_strip(args):
         mesh = build_domain_mesh(((0.0, 1.0),) * d, h)
         u = grid_from_callable(mesh, fn)
         rows = norms.strip_lemma_check(u, 2.0, eps_list)
+        steps = norms.halving_factors([row.ratio for row in rows])
+        ok = ok and all(0.5 - 1e-9 <= f <= 2.0 + 1e-9 for f in steps)
         sys.stdout.write(f"d={d}:\n")
-        prev = None
-        for row in rows:
-            step = "" if prev is None else f" step={prev / row.ratio:.3f}"
-            if prev is not None and not (0.5 - 1e-9 <= prev / row.ratio <= 2.0 + 1e-9):
-                ok = False
+        for i, row in enumerate(rows):
+            step = f" step={steps[i - 1]:.3f}" if i else ""
             sys.stdout.write(
                 f"  eps={row.eps:<9g} strip={row.strip_norm:.4e} "
                 f"pred={row.predictor:.4e} ratio={row.ratio:.4f}{step}\n"
             )
-            prev = row.ratio
     return 0 if ok else 1
 
 

@@ -12,23 +12,20 @@ the macroscopic cell table by linear interpolation in the slow variable
 and periodic interpolation in the fast one. The z average uses the same
 window weights as the Steklov smoother, so the two constructions agree.
 
-The gradient of the corrector is a slow part (scaled by eps) plus a fast
-part from the cell variable, by the chain rule inside the z average:
+The window weights and the slow hats are both products of per-axis
+factors and every shift x + eps z is a fine-grid node, so the z average,
+`_window_sum`, is d passes of per-axis 1D stencils followed by one
+gather of the tabulated cell values. On a 2D mesh each pass is one sparse
+product: the axis stencil is a CSR map from the shifted nodes to (slot,
+node) rows, applied to every column of the other axis at once. A 1D pass
+has one column, so building that map would cost as much as the pass; it
+loops over the offsets instead. Stencils, maps and gathered values do
+not depend on the load: `corrector_setup` builds them once per mesh and
+eps, interpolating each distinct cell solution once.
 
-    eps DK_j = eps avg_z [ (d_j W) N G + W N (d_j G) ] + avg_z [ W (d_{y_j} N) G ],
-
-with W the slow-table interpolation weights. K and all three gradient
-terms are one kernel, `_window_sum`. The window weights and the slow hats
-are both products of per-axis factors and every shift x + eps z is a
-fine-grid node, so the z average is d passes of per-axis 1D stencils
-followed by one gather of the tabulated cell values. On a 2D mesh each
-pass is one sparse product: the axis stencil, or its slow-derivative
-twin, is a CSR map from the shifted nodes to (slot, node) rows, applied
-to every column of the other axis at once. A 1D pass has one column, so
-building that map would cost as much as the pass; it loops over the
-offsets instead. Stencils, maps and gathered values do not depend on the
-load: `corrector_setup` builds them once per mesh and eps, interpolating
-each distinct cell solution once.
+The gradient of K is the element gradient of its nodal values, the one
+the w1_corr error differentiates when it subtracts eps K; the
+boundedness check measures that same gradient.
 """
 
 from __future__ import annotations
@@ -39,10 +36,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cell import CellTable, TableCoverage, _interpolate_periodic, locate_on_axes
-from .mesh import GridFunction, Mesh, MeshMismatch, r_cell
-from .smoothing import ExtendedFunction, _extended_mesh, _window_per_axis, extend, mollify, window_weights
-
-MARGIN_FACTOR = 5.0
+from .mesh import GridFunction, Mesh, MeshMismatch
+from .norms import lp_norm, w1p_seminorm
+from .smoothing import ExtendedFunction, _central_diff, _extended_mesh, _window_per_axis, extend, mollify, window_weights
 
 
 @dataclass
@@ -57,39 +53,15 @@ class CorrectorInputs:
         return self.u0_ext.source_mesh
 
 
-def corrector_margin(eps, dim, width=None):
-    """Extension margin used throughout: five cube radii.
-
-    The reflection can only extend by half the domain width, so the
-    five-radius margin is capped when eps is a sizable fraction of the
-    domain; the cap always leaves room for the cube shifts themselves.
-    """
-    margin = MARGIN_FACTOR * r_cell(dim) * eps
-    if width is not None:
-        margin = min(margin, 0.5 * width * 0.92)
-    return margin
-
-
 def table_margin(eps, rho):
     """How far past the domain the corrector reads the cell table at eps.
 
     `_axis_stencils` locates x + h j for the offsets j of
     `window_weights(rho)`, h = eps / rho, so the widest offset times h is
-    the whole reach; the extension margin of u0 is wider and not needed.
+    the whole reach.
     """
     offsets, _ = window_weights(rho)
     return float(np.max(np.abs(offsets))) * eps / rho
-
-
-def _central_diff_axis(vals, h, axis):
-    moved = np.moveaxis(vals, axis, 0)
-    out = (moved[2:] - moved[:-2]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def _shrink(ext, n_nodes):
-    """Drop n_nodes of padding per side (values array already cropped)."""
-    return tuple(p - n_nodes for p in ext.pad)
 
 
 def build_r0(u0, scenario, eps):
@@ -97,26 +69,27 @@ def build_r0(u0, scenario, eps):
 
     Returns (u0_ext, grads): the extension of u0 and d gradient component
     ExtendedFunctions. Mollification with delta = eps applies exactly when
-    scenario.s < 1; for s = 1 the gradient is used as is.
+    scenario.s < 1; for s = 1 the gradient is used as is. The extension
+    reaches as far as the gradient is read: the window's `table_margin`,
+    plus 2h, one node for each central difference (u0 to its gradient, and
+    the gradient to its own, as a chain-rule eps DK takes it), plus the
+    mollifier radius eps when s < 1.
     """
     mesh = u0.mesh
     d = mesh.dim
-    width = min(hi - lo for lo, hi in mesh.extents)
-    extra = eps if scenario.s < 1.0 else 0.0  # mollification eats one delta
-    margin = corrector_margin(eps, d, width=width) + extra
-    hard = 0.5 * eps + 2.0 * max(mesh.h) + extra
-    margin = max(min(margin, 0.5 * width - 2.0 * max(mesh.h)), hard)
+    margin = table_margin(eps, scenario.points_per_period) + 2.0 * max(mesh.h)
+    if scenario.s < 1.0:
+        margin += eps
     u0_ext = extend(u0, margin)
     emesh = u0_ext.mesh
     vals = u0_ext.base.reshaped()
+    # central differences drop one node on the differenced axis only;
+    # crop one node on every axis to keep the box symmetric
+    pad = tuple(p - 1 for p in u0_ext.pad)
     grads = []
     for k in range(d):
-        g = _central_diff_axis(vals, emesh.h[k], k)
-        # central differences drop one node on the differenced axis only;
-        # crop one node on every axis to keep the box symmetric
-        sl = tuple(slice(1, -1) if ax != k else slice(None) for ax in range(d))
-        g = g[sl]
-        pad = _shrink(u0_ext, 1)
+        g = _central_diff(vals, emesh.h[k], k)
+        g = g[tuple(slice(1, -1) if ax != k else slice(None) for ax in range(d))]
         gext = ExtendedFunction(GridFunction(_extended_mesh(mesh, pad), g.ravel()), mesh, pad)
         if scenario.s < 1.0:
             gext = mollify(gext, eps)
@@ -148,17 +121,16 @@ class _AxisStencil:
     The window offsets j of node i reach the points x_0 + h q, q = i + j;
     each lies in table cell idx[q] with local coordinate t[q] (q counted
     from the first offset). Node i's table indices are stored as slots
-    counted from idx[i], the cell of its first offset. On a 2D mesh `ops`
-    holds the axis pass as CSR maps, the hat's and its x-derivative's.
+    counted from idx[i], the cell of its first offset. On a 2D mesh `op`
+    holds the axis pass as a CSR map.
     """
 
     offsets: np.ndarray  # window offsets in fine-grid cells
     w: np.ndarray  # window weight per offset
     idx: np.ndarray  # (n + n_offsets - 1,)
     t: np.ndarray  # (n + n_offsets - 1,)
-    inv_h: float  # 1 / table spacing
     n_slots: int
-    ops: tuple = ()  # (hat, d/dx hat), each (n_slots * n, n + span); empty in 1D
+    op: sp.csr_matrix = None  # (n_slots * n, n + span); None in 1D
 
     @property
     def span(self):
@@ -168,21 +140,17 @@ class _AxisStencil:
     def n(self):
         return len(self.idx) - self.span
 
-    def hat(self, col, deriv):
-        """Each node's slot for offset number col, and the weights there.
-
-        The hat puts w (1 - t) on cell idx and w t on idx + 1; its
-        x-derivative puts -w / H and w / H there.
-        """
+    def hat(self, col):
+        """Each node's slot for offset number col, and the hat weights
+        there: w (1 - t) on cell idx and w t on idx + 1."""
         n = self.n
         q0 = self.offsets[col] - self.offsets[0]
         slot = self.idx[q0 : q0 + n] - self.idx[:n]
         t = self.t[q0 : q0 + n]
-        lower, upper = (np.full(n, -self.inv_h), np.full(n, self.inv_h)) if deriv else (1.0 - t, t)
-        return slot, self.w[col] * lower, self.w[col] * upper
+        return slot, self.w[col] * (1.0 - t), self.w[col] * t
 
 
-def _axis_operator(st, deriv):
+def _axis_operator(st):
     """The axis pass as one CSR map from n + span shifted nodes to (slot, node).
 
     Row (s, i) holds node i's offsets whose point lies in table cell
@@ -190,7 +158,7 @@ def _axis_operator(st, deriv):
     order, so each row sums its terms in the order the streamed pass does.
     """
     n = st.n
-    hats = [st.hat(col, deriv) for col in range(len(st.offsets))]
+    hats = [st.hat(col) for col in range(len(st.offsets))]
     slot, lower, upper = (np.stack(parts, axis=1) for parts in zip(*hats))  # each (n, n_offsets)
     cols = np.arange(n)[:, None] + (st.offsets - st.offsets[0])
     data, indices, counts = [], [], []
@@ -221,9 +189,9 @@ def _axis_stencils(table, mesh, windows):
             raise TableCoverage(f"slow axis {a}: {exc}") from exc
         span = offs[-1] - offs[0]
         n_slots = int(np.max(idx[span : span + n] - idx[:n])) + 2
-        st = _AxisStencil(offs, w, idx, t, 1.0 / (x_axis[1] - x_axis[0]), n_slots)
+        st = _AxisStencil(offs, w, idx, t, n_slots)
         if d > 1:
-            st.ops = (_axis_operator(st, False), _axis_operator(st, True))
+            st.op = _axis_operator(st)
         stencils.append(st)
         # slots past the table end carry zero weight; clip them to a valid entry
         ids = np.minimum(np.arange(n_slots)[:, None] + idx[:n], len(x_axis) - 1)
@@ -233,13 +201,13 @@ def _axis_stencils(table, mesh, windows):
     return stencils, entry
 
 
-def _streamed_pass(st, vals, start, deriv):
+def _streamed_pass(st, vals, start):
     """A 1D pass: one (n_slots, n) weight per offset, accumulated in order."""
     n = st.n
     nodes = np.arange(n)
     acc = 0.0
     for col, s0 in enumerate(start):
-        slot, lower, upper = st.hat(col, deriv)
+        slot, lower, upper = st.hat(col)
         weight = np.zeros((st.n_slots, n))
         weight[slot, nodes] = lower
         weight[slot + 1, nodes] = upper
@@ -254,14 +222,14 @@ def _sparse_pass(op, vals, ax, s0, n):
     return np.moveaxis(out, 1, 1 + ax)
 
 
-def _window_sum(stencils, coeff, fields, deriv_axis=None):
+def _window_sum(stencils, coeff, fields):
     """sum_z w_z sum_corner W(x + eps z) C[corner, y(x)] . F(x + eps z), nodewise.
 
-    W is the slow-table hat, or its x-derivative along deriv_axis. coeff
-    holds C_k at every slot and node, shape (d, slots_d..slots_1, n_1..n_d);
-    fields holds F_k as (values, pad) on h-aligned grids. Each axis is one
-    pass of its 1D stencil, so nothing is located per offset: a sparse
-    product on a 2D mesh, a loop over the offsets in 1D.
+    W is the slow-table hat. coeff holds C_k at every slot and node, shape
+    (d, slots_d..slots_1, n_1..n_d); fields holds F_k as (values, pad) on
+    h-aligned grids. Each axis is one pass of its 1D stencil, so nothing
+    is located per offset: a sparse product on a 2D mesh, a loop over the
+    offsets in 1D.
     """
     d = len(stencils)
     out = 0.0
@@ -271,11 +239,10 @@ def _window_sum(stencils, coeff, fields, deriv_axis=None):
             start = pad[a] + st.offsets
             if start[0] < 0 or start[-1] + st.n > vals.shape[ax]:
                 raise TableCoverage("z shift leaves the extended gradient grid")
-            deriv = a == deriv_axis
-            if st.ops:
-                vals = _sparse_pass(st.ops[deriv], vals, ax, start[0], st.n)
+            if st.op is not None:
+                vals = _sparse_pass(st.op, vals, ax, start[0], st.n)
             else:
-                vals = _streamed_pass(st, vals, start, deriv)
+                vals = _streamed_pass(st, vals, start)
         out = out + np.sum(coeff[k] * vals, axis=tuple(range(d)))
     return np.ravel(out)
 
@@ -283,15 +250,14 @@ def _window_sum(stencils, coeff, fields, deriv_axis=None):
 @dataclass
 class CorrectorSetup:
     """The load-independent part of the corrector on one mesh and eps:
-    the per-axis stencils, and the tabulated cell values N and d/dy N
-    gathered at every slot and node, components first."""
+    the per-axis stencils, and the tabulated cell values N gathered at
+    every slot and node, components first."""
 
     mesh: Mesh
     eps: float
     table: CellTable
     stencils: list
     n_at: np.ndarray  # (k, slots_d..slots_1, n_1..n_d)
-    dn_at: np.ndarray  # (j, k, slots_d..slots_1, n_1..n_d)
 
 
 def corrector_setup(table, mesh, eps):
@@ -307,56 +273,26 @@ def corrector_setup(table, mesh, eps):
     distinct = list({id(sol): sol for sol in table.cells}.values())
     row = {id(sol): i for i, sol in enumerate(distinct)}
     sol_of = np.array([row[id(sol)] for sol in table.cells])
-    n_vals, n_grads = _interpolate_periodic([sol.columns for sol in distinct], table.cell_mesh, y)
-    at = (sol_of[entry], inv.reshape((1,) * d + mesh.nodes_per_axis))
-    n_at = np.moveaxis(n_vals[at], -1, 0)  # (k, ...)
-    dn_at = np.moveaxis(n_grads[at], (-2, -1), (0, 1))  # (j, k, ...)
-    return CorrectorSetup(mesh, eps, table, stencils, n_at, dn_at)
-
-
-def _gradient_fields(inputs, setup):
-    if setup.mesh != inputs.mesh or setup.eps != inputs.eps or setup.table is not inputs.table:
-        raise MeshMismatch("corrector setup was built for another mesh, eps or table")
-    return [(g.base.reshaped(), g.pad) for g in inputs.grads]
+    n_vals = _interpolate_periodic([sol.columns for sol in distinct], table.cell_mesh, y)
+    n_at = np.moveaxis(n_vals[sol_of[entry], inv.reshape((1,) * d + mesh.nodes_per_axis)], -1, 0)
+    return CorrectorSetup(mesh, eps, table, stencils, n_at)
 
 
 def corrector_apply(inputs, setup):
     """Assemble the corrector field K on the source mesh."""
-    return GridFunction(inputs.mesh, _window_sum(setup.stencils, setup.n_at, _gradient_fields(inputs, setup)))
+    if setup.mesh != inputs.mesh or setup.eps != inputs.eps or setup.table is not inputs.table:
+        raise MeshMismatch("corrector setup was built for another mesh, eps or table")
+    fields = [(g.base.reshaped(), g.pad) for g in inputs.grads]
+    return GridFunction(inputs.mesh, _window_sum(setup.stencils, setup.n_at, fields))
 
 
-def corrector_gradient(inputs, setup):
-    """eps * D K = slow part + fast part, each a window sum, per component j.
+def corrector_norm_check(K, f_norm, eps, p):
+    """(eps ||DK||_p + ||K||_p) / ||f||_p; the sweep should stay level.
 
-    slow_j = eps * cube-average of (d/dx_j W) N_k G_k + W N_k (d/dx_j G_k),
-    fast_j = cube-average of W (d/dy_j N_k) G_k,
-    with W the slow-table interpolation weights.
+    DK is the element gradient of the nodal K, the gradient the w1_corr
+    error takes of the eps K it subtracts.
     """
-    fields = _gradient_fields(inputs, setup)
-    stencils, n_at, dn_at = setup.stencils, setup.n_at, setup.dn_at
-    out = []
-    for j in range(inputs.mesh.dim):
-        dfields = [
-            (_central_diff_axis(vals, g.mesh.h[j], j), tuple(p - (a == j) for a, p in enumerate(pad)))
-            for g, (vals, pad) in zip(inputs.grads, fields)
-        ]
-        slow = _window_sum(stencils, n_at, fields, deriv_axis=j) + _window_sum(stencils, n_at, dfields)
-        fast = _window_sum(stencils, dn_at[j], fields)
-        out.append(GridFunction(inputs.mesh, inputs.eps * slow + fast))
-    return out
-
-
-def corrector_norm_check(K, dk_components, f_norm, eps, p):
-    """(eps ||DK||_p + ||K||_p) / ||f||_p; the sweep should stay level."""
-    from .norms import lp_norm
-
-    mag = np.zeros(K.mesh.n_nodes)
-    for comp in dk_components:
-        mag += comp.values**2
-    # dk_components already carry the eps scaling from the assembly
-    dk_norm = lp_norm(GridFunction(K.mesh, np.sqrt(mag)), p)
-    k_norm = lp_norm(K, p)
-    return (dk_norm + k_norm) / f_norm
+    return (eps * w1p_seminorm(K, p) + lp_norm(K, p)) / f_norm
 
 
 def first_order(u0, K, eps):

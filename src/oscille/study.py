@@ -198,10 +198,7 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
                 raise NonFiniteMeasurement(f"{t.name} error of load {load_name!r} is {err!r} at eps = {eps:g}")
             errors[t.name] = max(errors[t.name], err)
         if li == 0:
-            dk = corr_mod.corrector_gradient(inputs, setup)
-            aux["corrector_ratio"] = corr_mod.corrector_norm_check(
-                k_field, dk, f_norm, eps, scenario.p
-            )
+            aux["corrector_ratio"] = corr_mod.corrector_norm_check(k_field, f_norm, eps, scenario.p)
             aux["w1_plain"] = w1p_seminorm(diff0, scenario.p) / f_norm
             if imask is not None:
                 aux["w1_plain_interior"] = w1p_seminorm(diff0, scenario.p, imask) / f_norm

@@ -4,17 +4,20 @@ This is the original z-quadrature loop: for every window offset z it
 locates every shifted node in the slow table, gathers the corner entries
 and the grid-aligned gradient blocks, and accumulates. It is slow but
 follows the formulas term by term, so the production kernel in
-`oscille.corrector` is checked against it.
+`oscille.corrector` is checked against it. Its chain-rule gradient
+eps DK = slow + fast is the oracle for the element gradient of K that
+the boundedness check measures.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from oscille.cell import TableCoverage, _interpolate_periodic, locate_on_axes
-from oscille.corrector import _central_diff_axis
 from oscille.mesh import GridFunction
-from oscille.smoothing import window_weights
+from oscille.smoothing import _central_diff, window_weights
 
 
 def _z_offsets(mesh, eps):
@@ -36,11 +39,40 @@ def _fast_coordinates(mesh, eps):
     return y - np.floor(y)
 
 
+def interpolant_gradient(columns, cell_mesh, y):
+    """Gradient of the periodic multilinear cell interpolant at points y.
+
+    columns is a sequence of (n_nodes, d) nodal arrays, one per cell
+    solution; returns d/dy_j N_k(y), shape (n_sol, n, d, d) indexed
+    [sol, point, j, k]. Each corner weight is a product of per-axis hats,
+    so its y_j-derivative swaps the axis-j hat for its slope +-1/h_j.
+    """
+    d = cell_mesh.dim
+    m = np.array(cell_mesh.nodes_per_axis)
+    y = np.asarray(y, dtype=float).reshape(-1, d)
+    t = (y - np.floor(y)) * m
+    idx = np.minimum(np.floor(t).astype(int), m - 1)
+    loc = t - idx
+    hats = (1.0 - loc, loc)
+    slopes = (-1.0 / np.array(cell_mesh.h), 1.0 / np.array(cell_mesh.h))
+    ids, dwts = [], []
+    for bits in itertools.product((0, 1), repeat=d):
+        ids.append(np.ravel_multi_index(((idx + bits) % m).T, tuple(m)))
+        factors = np.stack([hats[b][:, a] for a, b in enumerate(bits)])  # (d, n)
+        dwts.append([slopes[b][a] * np.delete(factors, a, axis=0).prod(axis=0) for a, b in enumerate(bits)])
+    ids = np.stack(ids, axis=1)  # (n, corners)
+    dwts = np.stack([np.stack(g) for g in dwts], axis=2)  # (j, n, corners)
+    corners = np.stack([np.asarray(c)[ids] for c in columns])  # (sol, n, corners, d)
+    return np.einsum("jnc,snck->snjk", dwts, corners)
+
+
 def _table_entry_values(table, y_pts):
-    """Every tabulated cell solution at the deduplicated node fast-coordinates."""
+    """Every tabulated cell solution, and its y-gradient, at the
+    deduplicated node fast-coordinates."""
     uniq, inv = np.unique(np.round(y_pts / 1e-12).astype(np.int64), axis=0, return_inverse=True)
-    vals, grads = _interpolate_periodic([sol.columns for sol in table.cells], table.cell_mesh, uniq * 1e-12)
-    return vals, grads, inv.ravel()
+    columns = [sol.columns for sol in table.cells]
+    vals = _interpolate_periodic(columns, table.cell_mesh, uniq * 1e-12)
+    return vals, interpolant_gradient(columns, table.cell_mesh, uniq * 1e-12), inv.ravel()
 
 
 def _table_stencil(table, pts):
@@ -116,7 +148,7 @@ class _ShiftedFields:
         key = (comp, axis)
         if key not in self.grad_of_grad:
             g = self.grads[comp]
-            self.grad_of_grad[key] = _central_diff_axis(g.base.reshaped(), g.mesh.h[axis], axis)
+            self.grad_of_grad[key] = _central_diff(g.base.reshaped(), g.mesh.h[axis], axis)
         arr = self.grad_of_grad[key]
         pad = self.pads[comp]
         sl = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import corrector_reference as reference
 from oscille import cell, linalg
 from oscille.core import preset_coefficient
 from oscille.mesh import build_cell_mesh, quadrature
@@ -289,7 +290,7 @@ def test_table_ellipticity_violation_in_one_entry():
 
 def test_eval_n_periodic_interpolation(sine_cell):
     ys = np.array([[0.1], [0.37], [1.1], [-0.9]])
-    vals = cell._interpolate_periodic([sine_cell.columns], sine_cell.cell_mesh, ys)[0][0]
+    vals = cell._interpolate_periodic([sine_cell.columns], sine_cell.cell_mesh, ys)[0]
     np.testing.assert_allclose(vals[2], vals[0], atol=1e-12)
     np.testing.assert_allclose(vals[3], vals[0], atol=1e-12)
     exact = _exact_n([0.37])
@@ -297,8 +298,10 @@ def test_eval_n_periodic_interpolation(sine_cell):
 
 
 def test_eval_n_bilinear_2d():
-    # nodal data on a 2D periodic cell: values and gradients against the
-    # corner formulas of the bilinear element, including wrapped corners
+    # nodal data on a 2D periodic cell: the interpolated values, and the
+    # interpolant gradients the corrector reference differentiates with,
+    # against the corner formulas of the bilinear element, including
+    # wrapped corners
     cmesh = build_cell_mesh(8, 2)
     rng = np.random.default_rng(3)
     columns = rng.standard_normal((cmesh.n_nodes, 2))
@@ -315,9 +318,9 @@ def test_eval_n_bilinear_2d():
     vals = v00 * (1 - tx) * (1 - ty) + v01 * (1 - tx) * ty + v10 * tx * (1 - ty) + v11 * tx * ty
     gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / h
     gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / h
-    got, grads = cell._interpolate_periodic([columns], cmesh, ys)
+    got = cell._interpolate_periodic([columns], cmesh, ys)
     np.testing.assert_allclose(got[0], vals, rtol=0, atol=1e-13)
-    grad = grads[0]  # (n, j, k): d/dy_j of N_k
+    grad = reference.interpolant_gradient([columns], cmesh, ys)[0]  # (n, j, k): d/dy_j of N_k
     np.testing.assert_allclose(grad[:, 0, :], gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(grad[:, 1, :], gy, rtol=0, atol=1e-12)
 

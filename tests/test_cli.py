@@ -351,6 +351,13 @@ def test_suite_smoothing_command(capsys):
     assert "steklov_tau_norm" in out and "isometry" in out and "FAIL" not in out
 
 
+def test_suite_strip_command(capsys):
+    rc = cli.main(["suite-strip"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "d=1:" in out and "d=2:" in out and out.count("step=") == 8
+
+
 def test_shipped_configs_parse():
     base = os.path.join(os.path.dirname(__file__), "..", "configs")
     for name in ("sine1d.json", "laminate2d.json", "mixed1d.json"):

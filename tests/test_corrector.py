@@ -9,7 +9,7 @@ import corrector_reference as reference
 from oscille import cell, corrector, fem, smoothing
 from oscille.cli import load_scenario
 from oscille.core import BoundarySpec, Scenario, preset_coefficient
-from oscille.mesh import GridFunction, MeshMismatch, build_cell_mesh, grid_from_callable
+from oscille.mesh import GridFunction, MeshMismatch, build_cell_mesh, build_domain_mesh, grid_from_callable
 from oscille.norms import lp_norm
 
 SQRT3 = np.sqrt(3.0)
@@ -31,11 +31,9 @@ def _scenario(field, eps_list, rho, s=1.0, mu=0.0, domain=None):
     )
 
 
-def _table_for(field, eps, cell_m=128):
-    cmesh = build_cell_mesh(cell_m, field.dim)
-    margin = corrector.corrector_margin(eps, field.dim) + eps
-    axes = cell.x_axes_for(tuple(((0.0, 1.0),) * field.dim), margin)
-    return cell.tabulate_cells(field, axes, cmesh)
+def _table_for(sc, cell_m=128):
+    """The cell table run_study builds: the corrector's reach at the largest eps."""
+    return cell.tabulate_cells(sc.field, _tight_axes(sc), build_cell_mesh(cell_m, sc.field.dim))
 
 
 def _inputs(scenario, eps, u0, table):
@@ -51,16 +49,12 @@ def _apply(inputs):
     return corrector.corrector_apply(inputs, _setup(inputs))
 
 
-def _gradient(inputs):
-    return corrector.corrector_gradient(inputs, _setup(inputs))
-
-
 @pytest.fixture(scope="module")
 def sine_setup():
     field = preset_coefficient("Sine1D", [2, 1], 1)
     eps = 1 / 16
     sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=32)
-    table = _table_for(field, 1 / 8)
+    table = _table_for(sc)
     mesh = fem.oscillatory_mesh(sc, eps)
     return field, sc, eps, table, mesh
 
@@ -68,7 +62,7 @@ def sine_setup():
 def test_constant_field_gives_zero_corrector():
     field = preset_coefficient("Constant", [2.0], 1)
     sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=16)
-    table = _table_for(field, 1 / 8, cell_m=32)
+    table = _table_for(sc, cell_m=32)
     for eps in sc.epsilons:
         mesh = fem.oscillatory_mesh(sc, eps)
         u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
@@ -127,23 +121,32 @@ def test_linearity_in_f(sine_setup):
     assert np.max(np.abs(k12.values - combo)) / scale <= 1e-8
 
 
+def _assert_norm_check_matches_split_gradient(inputs, f_norm=1.0):
+    # the check differentiates the nodal K elementwise; the reference sums
+    # the chain-rule parts eps DK = slow + fast at the nodes. The two
+    # discretize the same gradient, so the ratios agree to 2 percent
+    mesh = inputs.mesh
+    k = _apply(inputs)
+    slow, fast = reference.corrector_gradient_parts(inputs)
+    mag = np.sqrt(sum((sl.values + fa.values) ** 2 for sl, fa in zip(slow, fast)))
+    dk_norm, k_norm = lp_norm(GridFunction(mesh, mag), 2.0), lp_norm(k, 2.0)
+    assert dk_norm > 3.0 * k_norm  # the gradient term dominates the ratio
+    expected = (dk_norm + k_norm) / f_norm
+    ratio = corrector.corrector_norm_check(k, f_norm, inputs.eps, 2.0)
+    assert abs(ratio - expected) <= 0.02 * expected
+
+
 def test_gradient_split_identity(sine_setup):
     field, sc, eps, table, mesh = sine_setup
     sys_eff = fem.assemble(mesh, lambda p: SQRT3 * np.ones(p.shape[0]), sc.mu, sc.bc)
     u0 = fem.solve_resolvent(sys_eff, lambda p: np.ones(p.shape[0]))
-    inputs = _inputs(sc, eps, u0, table)
-    fused = _gradient(inputs)
-    slow, fast = reference.corrector_gradient_parts(inputs)
-    for j in range(mesh.dim):
-        summed = slow[j].values + fast[j].values
-        scale = np.max(np.abs(summed)) + 1e-30
-        assert np.max(np.abs(fused[j].values - summed)) / scale <= 1e-6
+    _assert_norm_check_matches_split_gradient(_inputs(sc, eps, u0, table), f_norm=2.0)
 
 
 @pytest.fixture(scope="module")
 def lp2d_table():
     field = preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
-    return field, _table_for(field, 1 / 4, cell_m=16)
+    return field, _table_for(_scenario(field, (1 / 4, 1 / 8, 1 / 16), rho=8), cell_m=32)
 
 
 def test_gradient_split_identity_2d(lp2d_table):
@@ -152,13 +155,7 @@ def test_gradient_split_identity_2d(lp2d_table):
     eps = 1 / 8
     mesh = fem.oscillatory_mesh(sc, eps)
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
-    inputs = _inputs(sc, eps, u0, table)
-    fused = _gradient(inputs)
-    slow, fast = reference.corrector_gradient_parts(inputs)
-    for j in range(2):
-        summed = slow[j].values + fast[j].values
-        scale = np.max(np.abs(summed)) + 1e-30
-        assert np.max(np.abs(fused[j].values - summed)) / scale <= 1e-6
+    _assert_norm_check_matches_split_gradient(_inputs(sc, eps, u0, table))
 
 
 def _entry_scaled(table):
@@ -178,27 +175,50 @@ def _row_scaled(table):
 
 
 def _assert_matches_reference(inputs):
-    setup = _setup(inputs)
-    k = corrector.corrector_apply(inputs, setup).values
+    k = _apply(inputs).values
     k_ref = reference.corrector_apply(inputs).values
     assert np.max(np.abs(k - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
-    dk = corrector.corrector_gradient(inputs, setup)
-    slow, fast = reference.corrector_gradient_parts(inputs)
-    for j in range(inputs.mesh.dim):
-        assert np.max(np.abs(slow[j].values)) > 1e-3  # the slow terms carry data
-        dk_ref = slow[j].values + fast[j].values
-        assert np.max(np.abs(dk[j].values - dk_ref)) <= 1e-12 * np.max(np.abs(dk_ref))
 
 
-def test_kernel_matches_reference_loop_1d_mollified():
+def _mollified_1d_inputs():
     field = preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1)
     sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=32, s=0.5, mu=-1.0)
     eps = 1 / 16
     mesh = fem.oscillatory_mesh(sc, eps)
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
-    inputs = _inputs(sc, eps, u0, _entry_scaled(_table_for(field, 1 / 8, cell_m=64)))
+    inputs = _inputs(sc, eps, u0, _entry_scaled(_table_for(sc, cell_m=64)))
     assert inputs.grads[0].pad[0] < inputs.u0_ext.pad[0] - 1  # mollified pads
-    _assert_matches_reference(inputs)
+    return inputs
+
+
+def test_kernel_matches_reference_loop_1d_mollified():
+    _assert_matches_reference(_mollified_1d_inputs())
+
+
+def test_norm_check_matches_reference_gradient_1d_mollified():
+    _assert_norm_check_matches_split_gradient(_mollified_1d_inputs())
+
+
+def test_norm_check_matches_reference_gradient_2d_x_dependent(lp2d_table):
+    # scaled entries make N depend on x, so the slow chain-rule terms of
+    # the reference carry data
+    field, table = lp2d_table
+    sc = _scenario(field, (1 / 4, 1 / 8, 1 / 16), rho=12, mu=-1.0)
+    eps = 1 / 8
+    mesh = fem.oscillatory_mesh(sc, eps)
+    u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
+    inputs = _inputs(sc, eps, u0, _entry_scaled(table))
+    slow, _ = reference.corrector_gradient_parts(inputs)
+    assert all(np.max(np.abs(part.values)) > 1e-3 for part in slow)
+    _assert_norm_check_matches_split_gradient(inputs)
+
+
+def test_corrector_norm_check_closed_form():
+    # K = sin(pi x) on [0, 1]: ||K||_2 = 1/sqrt(2) and ||K'||_2 = pi/sqrt(2)
+    k = grid_from_callable(build_domain_mesh(((0.0, 1.0),), 1 / 256), lambda p: np.sin(np.pi * p[:, 0]))
+    eps, f_norm = 1 / 16, 0.5
+    exact = (eps * np.pi + 1.0) / np.sqrt(2.0) / f_norm
+    assert abs(corrector.corrector_norm_check(k, f_norm, eps, 2.0) - exact) <= 1e-4 * exact
 
 
 def test_kernel_matches_reference_loop_2d(lp2d_table):
@@ -259,6 +279,20 @@ def test_table_margin_is_the_reach_at_the_largest_eps(config, rho):
         corrector._axis_stencils(narrow, mesh, windows)
 
 
+@pytest.mark.parametrize("config", ["sine1d.json", "mixed1d.json", "laminate2d.json"])
+@pytest.mark.parametrize("rho", [1, 2, 3, 5, 12, 32])
+def test_build_r0_extends_u0_by_the_reach(config, rho):
+    # the gradient fields reach one node past the widest window offset, so
+    # the chain-rule reference can central-difference them there, and no
+    # further; the mollifier (mixed1d, s = 0.5) takes its radius on top
+    sc = load_scenario(os.path.join(CONFIG_DIR, config), ppp_override=rho)
+    eps = sc.epsilons[0]
+    mesh = fem.oscillatory_mesh(sc, eps)
+    _, grads = corrector.build_r0(grid_from_callable(mesh, lambda p: np.sum(p, axis=1)), sc, eps)
+    for a, (offs, _) in enumerate(smoothing._window_per_axis(mesh, eps)):
+        assert all(g.pad[a] == offs[-1] + 1 for g in grads)
+
+
 @pytest.mark.parametrize(
     "preset, params, dim, rho, cell_m",
     [("Sine1D", [2, 1], 1, 32, 64), ("LocallyPeriodic2D", [2, 1, 0.5], 2, 12, 16)],
@@ -266,7 +300,7 @@ def test_table_margin_is_the_reach_at_the_largest_eps(config, rho):
 def test_kernel_matches_reference_loop_at_the_table_edge(preset, params, dim, rho, cell_m):
     # on the tight table at the largest eps the last nodes have a slot past
     # the table end, whose clipped entry must carry zero weight; at rho = 12
-    # fine nodes also sit on table nodes, where the slow derivative is one-sided
+    # fine nodes also sit on table nodes, where rounding picks the cell
     field = preset_coefficient(preset, params, dim)
     sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=rho, mu=-1.0)
     eps = sc.epsilons[0]
@@ -289,8 +323,6 @@ def test_setup_for_another_mesh_eps_or_table_raises(sine_setup):
     ):
         with pytest.raises(MeshMismatch):
             corrector.corrector_apply(inputs, other)
-        with pytest.raises(MeshMismatch):
-            corrector.corrector_gradient(inputs, other)
 
 
 def test_window_outside_table_raises(sine_setup):
@@ -308,8 +340,6 @@ def test_window_outside_gradient_grid_raises(sine_setup):
     inputs = corrector.CorrectorInputs(u0_ext, grads, table, eps)
     with pytest.raises(cell.TableCoverage, match="gradient grid"):
         _apply(inputs)
-    with pytest.raises(cell.TableCoverage, match="gradient grid"):
-        _gradient(inputs)
 
 
 def test_first_order_examples(sine_setup):
@@ -329,7 +359,7 @@ def test_first_order_examples(sine_setup):
 def test_corrector_norm_check_zero(sine_setup):
     field, sc, eps, table, mesh = sine_setup
     zero = GridFunction(mesh, np.zeros(mesh.n_nodes))
-    ratio = corrector.corrector_norm_check(zero, [zero], 1.0, eps, 2.0)
+    ratio = corrector.corrector_norm_check(zero, 1.0, eps, 2.0)
     assert ratio == 0.0
 
 
@@ -396,7 +426,7 @@ def test_table_spacing_halving_changes_little():
     errs = []
     for spacing in (1 / 16, 1 / 32):
         cmesh = build_cell_mesh(128, 1)
-        margin = corrector.corrector_margin(eps, 1) + eps
+        margin = corrector.table_margin(eps, sc.points_per_period)
         axes = cell.x_axes_for(((0.0, 1.0),), margin, spacing=spacing)
         eff, table = cell.tabulate_effective(field, axes, cmesh)
         sys_eff = fem.assemble(mesh, lambda p: eff.tensor_at(p), sc.mu, sc.bc)
@@ -412,7 +442,7 @@ def test_corrector_q_norm_bounded():
     # bounded for q between p and the embedding limit; probe q = 4, p = 2
     field = preset_coefficient("Sine1D", [2, 1], 1)
     sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=32)
-    table = _table_for(field, 1 / 8)
+    table = _table_for(sc)
     ratios = []
     for eps in sc.epsilons:
         mesh = fem.oscillatory_mesh(sc, eps)

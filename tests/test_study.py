@@ -221,9 +221,9 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
         columns.append(len(cols))
         return interpolate(cols, cell_mesh, y)
 
-    def counting_operator(st, deriv):
-        operators.append(deriv)
-        return axis_operator(st, deriv)
+    def counting_operator(st):
+        operators.append(st)
+        return axis_operator(st)
 
     monkeypatch.setattr(corrector, "corrector_setup", counting_setup)
     monkeypatch.setattr(corrector, "_interpolate_periodic", counting_interpolate)
@@ -232,10 +232,9 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
     assert [eps for eps, _, _, _ in setups] == list(sc.epsilons)
     assert columns == [distinct for _, _, distinct, _ in setups]
     assert all(distinct < entries for _, entries, distinct, _ in setups)  # the table repeats objects
-    # a hat and a slow-derivative map per axis, built by the setup and
-    # reused by every apply and gradient of that eps
-    assert [built for _, _, _, built in setups] == [4, 4, 4]
-    assert len(operators) == 4 * len(setups)
+    # one map per axis, built by the setup and reused by both loads of that eps
+    assert [built for _, _, _, built in setups] == [2, 2, 2]
+    assert len(operators) == 2 * len(setups)
 
     # 1D passes stream over the offsets and build no operator
     setups.clear()
@@ -243,7 +242,7 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
         sc, field=preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1), domain=((0.0, 1.0),), points_per_period=8
     ))
     assert [built for _, _, _, built in setups] == [0, 0, 0]
-    assert len(operators) == 12
+    assert len(operators) == 6
 
 
 # Slopes and per-row errors (eps -> lp, w1_corr, besov_half) of the
