@@ -253,6 +253,7 @@ def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):
             raise linalg.SingularSystem(f"1D system or load is not finite: {exc}") from exc
     else:
         pre = system.preconditioner
+        linalg._check_tol(tol)  # before max_iter takes log(2 / tol)
         x, _ = linalg.solve_spd(m, b, tol=tol, max_iter=pre.max_iter(tol), preconditioner=pre)
     out = np.zeros(system.n_full)
     out[system.free_dofs] = x

@@ -44,6 +44,11 @@ class SolveStats:
     residual: float
 
 
+def _check_tol(tol):
+    if not (1e-14 <= tol <= 1e-4):  # also rejects NaN
+        raise ConfigError(f"tol must lie in [1e-14, 1e-4], got {tol!r}")
+
+
 def _jacobi(matrix):
     diag = matrix.diagonal()
     if np.any(diag <= 0):
@@ -92,8 +97,7 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None, preconditioner=None):
     residual target is missed within max_iter iterations or the residual
     is not a number.
     """
-    if not (1e-14 <= tol <= 1e-4):
-        raise ConfigError("tol must lie in [1e-14, 1e-4]")
+    _check_tol(tol)
     b = np.asarray(b, dtype=float)
     n = matrix.shape[0]
     if b.shape[0] != n or matrix.shape[1] != n:
@@ -115,8 +119,10 @@ def solve_saddle(matrix, c, b, beta=0.0, tol=DEFAULT_TOL, max_iter=None):
     (the discrete mean on a periodic mesh), so the multiplier is fixed by
     projecting the equation onto constants: lam = sum(b)/sum(c). One CG
     solve on the mean-free complement then determines x up to a constant,
-    and the constant is set by the constraint.
+    and the constant is set by the constraint. `tol` must lie in
+    [1e-14, 1e-4], as for `solve_spd`.
     """
+    _check_tol(tol)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     n = matrix.shape[0]

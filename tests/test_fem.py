@@ -367,3 +367,11 @@ def test_fast_diagonalization_iterations_do_not_grow_with_h():
     # h = 1/96 on kappa is 4.1-4.4 and the count settles (24, 25, 26 here)
     assert max(iterations) <= 30
     assert max(iterations) - min(iterations) <= 3
+
+
+@pytest.mark.parametrize("tol", [0.0, np.nan])
+def test_2d_resolvent_rejects_tol_before_sizing_iterations(tol):
+    # the iteration cap takes log(2 / tol), which a zero tol divides by
+    s = fem.assemble(build_domain_mesh(((0.0, 1.0),) * 2, 1 / 8), ONES, -1.0, core.BoundarySpec("dirichlet"))
+    with pytest.raises(core.ConfigError, match="tol must lie in"):
+        fem.solve_resolvent(s, ONES, tol=tol)

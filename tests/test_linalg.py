@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 
 from oscille import fem, linalg
+from oscille.core import ConfigError
 from oscille.cell import _mean_functional, _periodic_stiffness_and_loads
 from oscille.core import preset_coefficient
 from oscille.mesh import build_cell_mesh, build_domain_mesh
@@ -92,6 +93,15 @@ def test_solve_spd_errors():
         linalg.solve_spd(lap, np.ones(50), max_iter=2)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, 1e-3])
+def test_solvers_reject_tol_outside_range(tol):
+    matrix, mesh = _periodic_laplacian(8)
+    with pytest.raises(ConfigError, match=r"tol must lie in \[1e-14, 1e-4\]"):
+        linalg.solve_spd(sp.csr_matrix(np.eye(4)), np.ones(4), tol=tol)
+    with pytest.raises(ConfigError, match=r"tol must lie in \[1e-14, 1e-4\]"):
+        linalg.solve_saddle(matrix, _mean_functional(mesh), np.ones(mesh.n_nodes), tol=tol)
 
 
 def test_solve_spd_nan_rhs_raises():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from oscille import norms
+from oscille.core import ConfigError
 from oscille.mesh import GridFunction, Mesh, boundary_strip_mask, build_domain_mesh, complement, grid_from_callable
 
 
@@ -137,7 +138,7 @@ def test_besov_matches_reference_with_skipped_shifts():
 def test_shift_moduli_match_reference_per_shift(mesh, p):
     u = _random_field(mesh, 10)
     k_max = max(mesh.nodes_per_axis)  # the last two shifts leave no overlap on any axis
-    omega = norms._shift_moduli(u, k_max, p)
+    omega = norms._shift_moduli(u, range(1, k_max + 1), p)
     expected = [reference.shift_norm(u, k, p) for k in range(1, k_max + 1)]
     assert omega == pytest.approx(expected, rel=1e-12)
     assert omega[-2:].tolist() == [0.0, 0.0] and np.all(omega[:-2] > 0.0)
@@ -153,6 +154,97 @@ def test_besov_nan_field_is_nan(fine_1d):
     u = grid_from_callable(fine_1d, lambda p: p[:, 0])
     u.values[100] = np.nan
     assert np.isnan(norms.besov_seminorm(u, 0.5, 2.0))
+
+
+def _full_sweep(u, r, p):
+    """besov_seminorm without the early stop: every level, every shift."""
+    moduli = lambda ks: norms._shift_moduli(u, ks, p)  # noqa: E731
+    return norms._dyadic_supremum(moduli, norms._dyadic_k_max(u.mesh), None, min(u.mesh.h), r)
+
+
+def _sweep_field(kind, dim):
+    mesh = build_domain_mesh(((0.0, 1.0),) * dim, 1 / 1024 if dim == 1 else 1 / 128)
+    x = mesh.node_coords()
+    rng = np.random.default_rng(12)
+    if kind == "noise":
+        vals = rng.standard_normal(mesh.n_nodes)
+    elif kind == "oscillating":  # eps = 1/32 in every axis, plus a slow term
+        vals = np.prod(np.sin(2 * np.pi * x * 32), axis=1) + 0.3 * np.sin(np.pi * x[:, 0])
+    elif kind == "linear":  # the supremum sits at the quarter-width cap
+        vals = x[:, 0].copy()
+    elif kind == "zero":
+        vals = np.zeros(mesh.n_nodes)
+    elif kind == "constant":
+        vals = np.full(mesh.n_nodes, -2.5)
+    elif kind in ("nan", "inf"):
+        vals = x[:, 0].copy()
+        vals[mesh.n_nodes // 3] = np.nan if kind == "nan" else np.inf
+    elif kind == "tiny":  # squares of the values and their differences underflow
+        vals = rng.choice([-1.0, 1.0], mesh.n_nodes) * 1e-162 * (1.0 + 0.5 * rng.random(mesh.n_nodes))
+    return GridFunction(mesh, vals)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "kind, dim",
+    [
+        ("noise", 1),
+        ("oscillating", 1),
+        ("oscillating", 2),
+        ("linear", 1),
+        ("zero", 1),
+        ("constant", 2),
+        ("nan", 1),
+        pytest.param("inf", 1, marks=pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")),
+        ("tiny", 1),
+    ],
+)
+def test_besov_early_stop_is_bit_identical_to_full_sweep(kind, dim, p):
+    u = _sweep_field(kind, dim)
+    stopped, full = norms.besov_seminorm(u, 0.5, p), _full_sweep(u, 0.5, p)
+    assert stopped == full or (np.isnan(stopped) and np.isnan(full))
+    assert np.isnan(full) == (kind in ("nan", "inf"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_besov_overflowing_powers_match_full_sweep():
+    # values within +-0.6 keep their 5000th powers finite; differences
+    # reach about 0.9 (a finite modulus) at shift 16 but pass 1.15, where the
+    # 5000th power overflows to inf, only at longer shifts
+    mesh = build_domain_mesh(((0.0, 1.0),), 1 / 256)
+    u = grid_from_callable(mesh, lambda x: 0.6 * np.sin(2 * np.pi * 4.4 * x[:, 0]))
+    assert norms.besov_seminorm(u, 0.5, 5000.0) == _full_sweep(u, 0.5, 5000.0) == np.inf
+
+
+def test_besov_subnormal_powers_match_full_sweep():
+    # the 1.2th powers of these differences are subnormal and round by an
+    # absolute step, which lifts a later shift's modulus above the
+    # Minkowski bound of the exact values
+    mesh = build_domain_mesh(((0.0, 1.0),), 1 / 32)
+    u = GridFunction(mesh, np.resize([1.0, -2.0, -1.0, 2.0], mesh.n_nodes) * 3.4e-270)
+    assert norms.besov_seminorm(u, 0.7, 1.2) == _full_sweep(u, 0.7, 1.2) > 0.0
+
+
+@pytest.mark.parametrize("kind, evaluated", [("oscillating", 16), ("linear", 256)])
+def test_besov_early_stop_skips_shifts_only_below_the_supremum(monkeypatch, kind, evaluated):
+    # the oscillating field (32 cells per period) stops before level 5, the
+    # first level whose factor times the bound cannot beat levels 0-4; the
+    # linear field's supremum sits at the cap, so it sweeps all 256 shifts
+    u = _sweep_field(kind, 1)
+    assert norms._dyadic_k_max(u.mesh) == 256
+    full = _full_sweep(u, 0.5, 2.0)
+    seen = []
+    per_shift = norms._shift_modulus
+    monkeypatch.setattr(norms, "_shift_modulus", lambda vals, k, *args: seen.append(k) or per_shift(vals, k, *args))
+    assert norms.besov_seminorm(u, 0.5, 2.0) == full
+    assert seen == list(range(1, evaluated + 1))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.999, -2.0, np.nan])
+def test_besov_rejects_p_below_one(fine_1d, p):
+    u = grid_from_callable(fine_1d, lambda x: x[:, 0])
+    with pytest.raises(ConfigError, match="p must be at least 1"):
+        norms.besov_seminorm(u, 0.5, p)
 
 
 @pytest.mark.parametrize("norm", [norms.lp_norm, norms.w1p_seminorm])

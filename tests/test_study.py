@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oscille import cell as cell_mod
-from oscille import corrector, study
+from oscille import corrector, linalg, study
 from oscille.cli import load_scenario
 from oscille.core import BoundarySpec, ConfigError, Scenario, preset_coefficient
 
@@ -186,6 +186,17 @@ def test_run_study_rejects_thread_count_below_one(threads, monkeypatch):
     )
     with pytest.raises(ConfigError, match="threads must be a positive integer"):
         study.run_study(sc, threads=threads)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, 1e-3])
+def test_run_study_rejects_solver_tol_outside_range(tol, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a system was solved before the tolerance was checked")
+
+    monkeypatch.setattr(linalg, "_pcg", no_solve)
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", "sine1d.json"))
+    with pytest.raises(ConfigError, match="tol must lie in"):
+        study.run_study(scenario, solver_tol=tol)
 
 
 def test_summarize_contains_verdicts(small_sine_report):
