@@ -6,13 +6,16 @@ zero-mean functions N_k with
     (a(x, .) (grad N_k + e_k), grad phi) = 0   for all periodic phi,
 
 and the effective tensor is the cell average A0(x) e_k = int a (grad N_k
-+ e_k) dy. In 1D this collapses to the harmonic mean of a(x, .). Tables
-over a macroscopic grid with linear interpolation in x support corrector
++ e_k) dy. `solve_cell` returns both from one solve: A0 takes the same
+samples of a(x, .) at the cell Gauss points as the stiffness matrix. In
+1D it collapses to the harmonic mean of a(x, .). Tables over a
+macroscopic grid with linear interpolation in x support corrector
 evaluation at arbitrary points; the Lipschitz dependence of a on x keeps
 that interpolation error dominated by the homogenization errors measured.
 The cell problem sees x only through a(x, .), so table entries whose
-a(x, .) agree bit for bit at the cell Gauss points share one solve and
-one A0.
+a(x, .) agree bit for bit at the cell Gauss points share one solve.
+`multilinear` is the one interpolator: in x on the table grid, and in y
+on the cell grid padded with its wrapped first node layer.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .core import ConfigError, NumericalError
-from .mesh import Mesh, MeshMismatch, quadrature
+from .mesh import Mesh, MeshMismatch, _tensor_points, quadrature
 
 X_TABLE_SPACING = 1.0 / 16.0
 
@@ -83,59 +86,50 @@ def _interpolate_periodic(columns, cell_mesh, y):
     """Periodic multilinear interpolation of nodal cell functions.
 
     columns is a sequence of (n_nodes, d) nodal arrays, one per cell
-    solution. Returns the values N_k(y), shape (n_sol, n, d).
+    solution. `multilinear` interpolates them at frac(y) on the cell grid
+    with its first node layer repeated past the last, so y and y + 1 give
+    the same value. Returns the values N_k(y), shape (n_sol, n, d).
     """
     d = cell_mesh.dim
-    m = np.array(cell_mesh.nodes_per_axis)
+    shape = cell_mesh.nodes_per_axis
+    grid = np.stack(columns, axis=1).reshape(shape + (len(columns), d))
+    wrapped = np.pad(grid, [(0, 1)] * d + [(0, 0)] * 2, mode="wrap")
+    axes = tuple(np.arange(m + 1) / m for m in shape)
     y = np.asarray(y, dtype=float).reshape(-1, d)
-    t = (y - np.floor(y)) * m
-    idx = np.minimum(np.floor(t).astype(int), m - 1)
-    loc = t - idx
-    hats = (1.0 - loc, loc)  # per-axis hat value of the lower / upper corner
-    ids, wts = [], []
-    for bits in itertools.product((0, 1), repeat=d):
-        ids.append(np.ravel_multi_index(((idx + bits) % m).T, tuple(m)))
-        wts.append(np.stack([hats[b][:, a] for a, b in enumerate(bits)]).prod(axis=0))
-    ids = np.stack(ids, axis=1)  # (n, corners)
-    corners = np.stack([np.asarray(c)[ids] for c in columns])  # (sol, n, corners, d)
-    return np.einsum("nc,snck->snk", np.stack(wts, axis=1), corners)
+    return multilinear(wrapped, axes, y - np.floor(y)).transpose(1, 0, 2)
 
 
 @dataclass
 class CellSolution:
-    """Corrector cell functions N_k of one coefficient profile a(x, .)."""
+    """Corrector cell functions N_k of one coefficient profile a(x, .),
+    and the effective tensor A0 they give."""
 
     cell_mesh: Mesh
     columns: np.ndarray  # (n_nodes, d) nodal values of N_k
+    a0: np.ndarray  # (d, d) effective tensor
     stats: tuple
 
 
 def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL):
-    """Solve the periodic cell problem at macroscopic point x."""
+    """Solve the periodic cell problem at macroscopic point x, and form
+    A0(x) = int a(x,y) (I + grad N) dy by cell quadrature."""
     if not cell_mesh.periodic:
         raise MeshMismatch("cell mesh must be periodic")
     x = np.asarray(x, dtype=float).reshape(field.dim)
-    matrix, loads, _, _ = _periodic_stiffness_and_loads(field, x, cell_mesh)
+    matrix, loads, q, a_vals = _periodic_stiffness_and_loads(field, x, cell_mesh)
     c = _mean_functional(cell_mesh)
     d = field.dim
     columns = np.zeros((cell_mesh.n_nodes, d))
     stats = []
     for k in range(d):
-        sol, _lam, st = linalg.solve_saddle(matrix, c, loads[k], beta=0.0, tol=tol)
+        sol, _lam, st = linalg.solve_saddle(matrix, c, loads[k], tol=tol)
         columns[:, k] = sol
         stats.append(st)
-    return CellSolution(cell_mesh, columns, tuple(stats))
-
-
-def effective_tensor(field, x, cell_mesh, solution=None, tol=linalg.DEFAULT_TOL):
-    """Effective tensor A0(x) = int a(x,y) (I + grad N) dy by cell quadrature."""
-    sol = solution or solve_cell(field, x, cell_mesh, tol=tol)
-    q = quadrature(cell_mesh)
-    d = field.dim
-    wa = _cell_coefficient(field, x, cell_mesh) * q.weights  # (n_elements, n_gauss)
+    wa = a_vals * q.weights  # (n_elements, n_gauss)
     # int a d/dy_j phi_c over each element, rows (element, corner), columns j
     b = (wa @ q.shape_grads.reshape(len(q.weights), -1)).reshape(-1, d)
-    return wa.sum() * np.eye(d) + b.T @ sol.columns[q.corners].reshape(-1, d)
+    a0 = wa.sum() * np.eye(d) + b.T @ columns[q.corners].reshape(-1, d)
+    return CellSolution(cell_mesh, columns, a0, tuple(stats))
 
 
 def locate_on_axes(x_axes, pts):
@@ -207,22 +201,17 @@ def x_axes_for(domain, margin, spacing=X_TABLE_SPACING):
     return tuple(axes)
 
 
-def _grid_points(x_axes):
-    """The points of the x-grid in C order, one array each."""
-    return [np.array(p) for p in itertools.product(*x_axes)]
-
-
 def tabulate_cells(field, x_axes, cell_mesh, tol=linalg.DEFAULT_TOL):
     """Cell solutions over the x-grid, one solve per distinct a(x, .).
 
     The exact bytes of a(x, .) at the cell Gauss points key the solves:
-    equal keys give solve_cell identical matrices and loads, so entries
-    sharing a key share one CellSolution object, bit-identical to solving
-    each entry on its own.
+    equal keys give solve_cell identical matrices, loads and A0 sums, so
+    entries sharing a key share one CellSolution object, bit-identical to
+    solving each entry on its own.
     """
     solved = {}
     cells = []
-    for p in _grid_points(x_axes):
+    for p in _tensor_points(x_axes):
         key = _cell_coefficient(field, p, cell_mesh).tobytes()
         if key not in solved:
             solved[key] = solve_cell(field, p, cell_mesh, tol=tol)
@@ -243,27 +232,12 @@ class EffectiveField:
         return multilinear(self.tensors, self.x_axes, pts)
 
 
-def effective_from_cells(field, table, tol=linalg.DEFAULT_TOL):
-    """A0 over the table's grid, once per distinct CellSolution object.
-
-    tabulate_cells gives one object only to entries whose a(x, .) agree
-    bit for bit, so those entries also share effective_tensor's inputs.
-    """
-    d = field.dim
-    tensors = np.empty(table.grid_shape() + (d, d))
-    flat = tensors.reshape(-1, d, d)
-    known = {}  # id of a CellSolution -> its A0
-    for i, (p, sol) in enumerate(zip(_grid_points(table.x_axes), table.cells)):
-        if id(sol) not in known:
-            known[id(sol)] = effective_tensor(field, p, table.cell_mesh, solution=sol, tol=tol)
-        flat[i] = known[id(sol)]
-    return EffectiveField(table.x_axes, tensors, d)
-
-
 def tabulate_effective(field, x_axes, cell_mesh, tol=linalg.DEFAULT_TOL):
     """Tabulate A0 over the x-grid; returns (EffectiveField, CellTable)."""
     table = tabulate_cells(field, x_axes, cell_mesh, tol=tol)
-    return effective_from_cells(field, table, tol=tol), table
+    d = field.dim
+    tensors = np.stack([sol.a0 for sol in table.cells]).reshape(table.grid_shape() + (d, d))
+    return EffectiveField(table.x_axes, tensors, d), table
 
 
 def closed_form_1d_effective(field, x):

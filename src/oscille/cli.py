@@ -250,7 +250,7 @@ def _cmd_cell(args):
     x = _floats(args.x, "--x") if args.x is not None else [0.0] * dim
     if len(x) != dim:
         raise ConfigError(f"--x needs {dim} coordinates for {args.preset}, got {args.x!r}")
-    tensor = cell_mod.effective_tensor(field, x, cmesh)
+    tensor = cell_mod.solve_cell(field, x, cmesh).a0
     if dim == 1:
         sys.stdout.write(f"A0 = {tensor[0, 0]:.6g}\n")
     else:

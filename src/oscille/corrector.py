@@ -9,8 +9,10 @@ where u0 is the effective solution extended off the domain, its gradient
 is taken by central differences on the extended grid and mollified when
 the regularity exponent s is below 1 (with delta = eps), and N comes from
 the macroscopic cell table by linear interpolation in the slow variable
-and periodic interpolation in the fast one. The z average uses the same
-window weights as the Steklov smoother, so the two constructions agree.
+and, in the fast one, by the same `multilinear` on the cell grid wrapped
+by one node layer (`cell._interpolate_periodic`). The z average uses the
+same window weights as the Steklov smoother, so the two constructions
+agree.
 
 The window weights and the slow hats are both products of per-axis
 factors and every shift x + eps z is a fine-grid node, so the z average,
@@ -21,7 +23,9 @@ node) rows, applied to every column of the other axis at once. A 1D pass
 has one column, so building that map would cost as much as the pass; it
 loops over the offsets instead. Stencils, maps and gathered values do
 not depend on the load: `corrector_setup` builds them once per mesh and
-eps, interpolating each distinct cell solution once.
+eps, interpolating each distinct cell solution once. The setup holds
+the mesh, eps and table, so `corrector_apply` takes only it and the
+gradient fields that `build_r0` makes of each load's u0.
 
 The gradient of K is the element gradient of its nodal values, the one
 the w1_corr error differentiates when it subtracts eps K; the
@@ -36,21 +40,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cell import CellTable, TableCoverage, _interpolate_periodic, locate_on_axes
-from .mesh import GridFunction, Mesh, MeshMismatch
+from .mesh import GridFunction, Mesh, MeshMismatch, _tensor_points
 from .norms import lp_norm, w1p_seminorm
 from .smoothing import ExtendedFunction, _central_diff, _extended_mesh, _window_per_axis, extend, mollify, window_weights
-
-
-@dataclass
-class CorrectorInputs:
-    u0_ext: ExtendedFunction
-    grads: list  # d ExtendedFunction gradient components (mollified if s < 1)
-    table: CellTable
-    eps: float
-
-    @property
-    def mesh(self):
-        return self.u0_ext.source_mesh
 
 
 def table_margin(eps, rho):
@@ -67,13 +59,13 @@ def table_margin(eps, rho):
 def build_r0(u0, scenario, eps):
     """Extend the effective solution and produce its (mollified) gradient.
 
-    Returns (u0_ext, grads): the extension of u0 and d gradient component
-    ExtendedFunctions. Mollification with delta = eps applies exactly when
-    scenario.s < 1; for s = 1 the gradient is used as is. The extension
-    reaches as far as the gradient is read: the window's `table_margin`,
-    plus 2h, one node for each central difference (u0 to its gradient, and
-    the gradient to its own, as a chain-rule eps DK takes it), plus the
-    mollifier radius eps when s < 1.
+    Returns the d gradient components as ExtendedFunctions. Mollification
+    with delta = eps applies exactly when scenario.s < 1; for s = 1 the
+    gradient is used as is. The extension reaches as far as the gradient
+    is read: the window's `table_margin`, plus 2h, one node for each
+    central difference (u0 to its gradient, and the gradient to its own,
+    as a chain-rule eps DK takes it), plus the mollifier radius eps when
+    s < 1.
     """
     mesh = u0.mesh
     d = mesh.dim
@@ -94,7 +86,7 @@ def build_r0(u0, scenario, eps):
         if scenario.s < 1.0:
             gext = mollify(gext, eps)
         grads.append(gext)
-    return u0_ext, grads
+    return grads
 
 
 def _fast_coordinates(mesh, eps):
@@ -110,8 +102,7 @@ def _fast_coordinates(mesh, eps):
         u, inv = np.unique(np.round((y - np.floor(y)) / 1e-12).astype(np.int64), return_inverse=True)
         uniq.append(u * 1e-12)
         invs.append(inv)
-    y = np.stack(np.meshgrid(*uniq, indexing="ij"), axis=-1).reshape(-1, mesh.dim)
-    return y, np.ravel_multi_index(np.meshgrid(*invs, indexing="ij"), [len(u) for u in uniq])
+    return _tensor_points(uniq), np.ravel_multi_index(np.meshgrid(*invs, indexing="ij"), [len(u) for u in uniq])
 
 
 @dataclass
@@ -278,12 +269,13 @@ def corrector_setup(table, mesh, eps):
     return CorrectorSetup(mesh, eps, table, stencils, n_at)
 
 
-def corrector_apply(inputs, setup):
-    """Assemble the corrector field K on the source mesh."""
-    if setup.mesh != inputs.mesh or setup.eps != inputs.eps or setup.table is not inputs.table:
-        raise MeshMismatch("corrector setup was built for another mesh, eps or table")
-    fields = [(g.base.reshaped(), g.pad) for g in inputs.grads]
-    return GridFunction(inputs.mesh, _window_sum(setup.stencils, setup.n_at, fields))
+def corrector_apply(setup, grads):
+    """Assemble the corrector field K on the setup's mesh from the
+    gradient components `build_r0` returns."""
+    if any(g.source_mesh != setup.mesh for g in grads):
+        raise MeshMismatch("corrector setup was built for another mesh")
+    fields = [(g.base.reshaped(), g.pad) for g in grads]
+    return GridFunction(setup.mesh, _window_sum(setup.stencils, setup.n_at, fields))
 
 
 def corrector_norm_check(K, f_norm, eps, p):

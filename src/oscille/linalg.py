@@ -112,8 +112,8 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None, preconditioner=None):
     return x, SolveStats(it, res)
 
 
-def solve_saddle(matrix, c, b, beta=0.0, tol=DEFAULT_TOL, max_iter=None):
-    """Solve M x + lam*c = b, c.x = beta, for a scipy sparse M with constant kernel.
+def solve_saddle(matrix, c, b, tol=DEFAULT_TOL, max_iter=None):
+    """Solve M x + lam*c = b, c.x = 0, for a scipy sparse M with constant kernel.
 
     The constraint functional c here is proportional to the kernel vector
     (the discrete mean on a periodic mesh), so the multiplier is fixed by
@@ -143,5 +143,5 @@ def solve_saddle(matrix, c, b, beta=0.0, tol=DEFAULT_TOL, max_iter=None):
     x, it, res = _pcg(lambda v: matrix @ v, rhs, _jacobi(matrix), tol, max_iter, project=project)
     if not res <= tol:  # also catches a NaN residual
         raise NonConvergence(it, res)
-    x = x + (beta - float(c @ x)) / csum
+    x = x - float(c @ x) / csum
     return x, lam, SolveStats(it, res)

@@ -4,10 +4,14 @@ Meshes are uniform tensor grids on intervals (d=1) or axis-aligned
 rectangles (d=2) with linear/bilinear nodal elements. Periodic meshes
 identify the first and last node layer and are used for the unit cell.
 Element-based masks select quadrature subdomains for restricted norms.
+Every point set (nodes, element corners, Gauss points) is a tensor
+product built one way for any d, corners in C order as
+itertools.product((0, 1), repeat=d) walks them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -61,11 +65,7 @@ class Mesh:
 
     @property
     def h(self):
-        out = []
-        for (lo, hi), n in zip(self.extents, self.nodes_per_axis):
-            cells = n if self.periodic else n - 1
-            out.append((hi - lo) / cells)
-        return tuple(out)
+        return tuple((hi - lo) / cells for (lo, hi), cells in zip(self.extents, self.cells_per_axis))
 
     @property
     def n_nodes(self):
@@ -88,11 +88,12 @@ class Mesh:
 
     def node_coords(self):
         """All node coordinates, shape (n_nodes, dim), C-order (last axis fastest)."""
-        axes = [self.axis_coords(k) for k in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        xx = np.meshgrid(*axes, indexing="ij")
-        return np.stack([a.ravel() for a in xx], axis=1)
+        return _tensor_points([self.axis_coords(k) for k in range(self.dim)])
+
+
+def _tensor_points(axes):
+    """The tensor grid of per-axis coordinates as rows (n, d), C-order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 @dataclass
@@ -127,7 +128,7 @@ class RegionMask:
             raise MeshMismatch("mask length must equal element count")
 
 
-def build_domain_mesh(extents, h_target, cap=None):
+def build_domain_mesh(extents, h_target):
     """Uniform mesh with spacing at most h_target per axis."""
     if h_target <= 0:
         raise ConfigError("h_target must be positive")
@@ -139,46 +140,34 @@ def build_domain_mesh(extents, h_target, cap=None):
         n_sub = max(1, math.ceil((hi - lo) / h_target - 1e-12))
         nodes.append(n_sub + 1)
     total = int(np.prod(nodes))
-    limit = cap if cap is not None else node_cap()
+    limit = node_cap()
     if total > limit:
         raise ExcessiveSize(f"mesh would have {total} nodes, cap is {limit}")
     return Mesh(len(extents), extents, tuple(nodes), periodic=False)
 
 
-def build_cell_mesh(m, d, cap=None):
+def build_cell_mesh(m, d):
     """Periodic unit-cell mesh with m subdivisions per axis (m >= 4)."""
     if m < 4:
         raise ConfigError("cell mesh needs at least 4 subdivisions per axis")
     total = m**d
-    limit = cap if cap is not None else node_cap()
+    limit = node_cap()
     if total > limit:
         raise ExcessiveSize(f"cell mesh would have {total} nodes, cap is {limit}")
     extents = tuple(((0.0, 1.0),) * d)
     return Mesh(d, extents, (m,) * d, periodic=True)
 
 
-def _element_bounds(mesh):
-    """Per-axis element lower edges; element k spans [edge, edge+h]."""
-    h = mesh.h
-    return [mesh.axis_coords(k)[: mesh.cells_per_axis[k]] for k in range(mesh.dim)], h
-
-
 def element_centroids(mesh):
-    edges, h = _element_bounds(mesh)
-    mids = [e + hk / 2.0 for e, hk in zip(edges, h)]
-    if mesh.dim == 1:
-        return mids[0][:, None]
-    xx = np.meshgrid(*mids, indexing="ij")
-    return np.stack([a.ravel() for a in xx], axis=1)
+    """Element midpoints: the node of corner 0 (the lower corner) plus h / 2."""
+    return mesh.node_coords()[element_corner_nodes(mesh)[:, 0]] + np.array(mesh.h) / 2.0
 
 
-def _boundary_distance(points, extents):
-    """Distance from points to the boundary of the box (inside positive)."""
-    d = np.full(points.shape[0], np.inf)
-    for k, (lo, hi) in enumerate(extents):
-        d = np.minimum(d, points[:, k] - lo)
-        d = np.minimum(d, hi - points[:, k])
-    return d
+def _boundary_distance(mesh, half):
+    """Per element, the distance from the box of half-widths half around
+    its centroid to the domain boundary (inside positive)."""
+    cent = element_centroids(mesh)
+    return np.min([np.minimum(c - s - lo, hi - (c + s)) for c, (lo, hi), s in zip(cent.T, mesh.extents, half)], axis=0)
 
 
 def interior_mask(mesh, margin):
@@ -190,14 +179,8 @@ def interior_mask(mesh, margin):
     width = min(hi - lo for lo, hi in mesh.extents)
     if margin >= width / 2.0:
         raise ConfigError("margin must be smaller than half the domain width")
-    cent = element_centroids(mesh)
-    # closure distance along each axis: centroid distance minus half the cell
-    dist = np.full(cent.shape[0], np.inf)
-    for k, (lo, hi) in enumerate(mesh.extents):
-        hk = mesh.h[k] / 2.0
-        dist = np.minimum(dist, cent[:, k] - hk - lo)
-        dist = np.minimum(dist, hi - (cent[:, k] + hk))
-    included = dist >= margin - 1e-12
+    # the closure of an element is the box of half-widths h / 2 around its centroid
+    included = _boundary_distance(mesh, [hk / 2.0 for hk in mesh.h]) >= margin - 1e-12
     if not included.any():
         raise EmptyRegion(f"no element lies {margin} away from the boundary")
     return RegionMask(mesh, included)
@@ -209,10 +192,8 @@ def boundary_strip_mask(mesh, eps):
         raise MeshMismatch("boundary_strip_mask applies to domain meshes")
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    cent = element_centroids(mesh)
-    dist = _boundary_distance(cent, mesh.extents)
     width = r_cell(mesh.dim) * eps
-    return RegionMask(mesh, dist <= width + 1e-12)
+    return RegionMask(mesh, _boundary_distance(mesh, [0.0] * mesh.dim) <= width + 1e-12)
 
 
 def complement(mask):
@@ -229,59 +210,37 @@ def _reference_rule(dim):
     """Reference-cell rule on [0,1]^dim: points, weights, shape values/derivs.
 
     Shapes are the 2^dim multilinear nodal functions ordered C-style over
-    corners (last axis fastest).
+    corners (last axis fastest); each is a product of per-axis hats, and
+    its derivative along axis k swaps the axis-k hat for its slope.
     """
     g1 = np.array([(1.0 + g) / 2.0 for g in GAUSS_1D])
-    w1 = np.array([0.5, 0.5])
-    if dim == 1:
-        pts = g1[:, None]
-        wts = w1
-    else:
-        pa, pb = np.meshgrid(g1, g1, indexing="ij")
-        pts = np.stack([pa.ravel(), pb.ravel()], axis=1)
-        wts = np.outer(w1, w1).ravel()
-    n_corner = 2**dim
-    vals = np.empty((pts.shape[0], n_corner))
-    grads = np.empty((pts.shape[0], n_corner, dim))
-    for c in range(n_corner):
-        bits = [(c >> (dim - 1 - k)) & 1 for k in range(dim)]
-        phi = np.ones(pts.shape[0])
+    pts = _tensor_points([g1] * dim)
+    wts = _tensor_points([np.array([0.5, 0.5])] * dim).prod(axis=1)
+    hats = (1.0 - pts, pts)  # per-axis hat of the lower / upper corner
+    vals = np.empty((pts.shape[0], 2**dim))
+    grads = np.empty((pts.shape[0], 2**dim, dim))
+    for c, bits in enumerate(itertools.product((0, 1), repeat=dim)):
+        factors = np.stack([hats[b][:, k] for k, b in enumerate(bits)])  # (dim, n_gauss)
+        vals[:, c] = factors.prod(axis=0)
         for k, b in enumerate(bits):
-            t = pts[:, k]
-            phi = phi * (t if b else 1.0 - t)
-        vals[:, c] = phi
-        for k in range(dim):
-            dphi = np.ones(pts.shape[0])
-            for kk, b in enumerate(bits):
-                t = pts[:, kk]
-                if kk == k:
-                    dphi = dphi * (1.0 if b else -1.0)
-                else:
-                    dphi = dphi * (t if b else 1.0 - t)
-            grads[:, c, k] = dphi
+            grads[:, c, k] = (1.0 if b else -1.0) * np.delete(factors, k, axis=0).prod(axis=0)
     return pts, wts, vals, grads
 
 
 def element_corner_nodes(mesh):
-    """Global node index of each element corner, shape (n_elements, 2^dim)."""
-    cells = mesh.cells_per_axis
-    nper = mesh.nodes_per_axis
-    if mesh.dim == 1:
-        i = np.arange(cells[0])
-        right = (i + 1) % nper[0] if mesh.periodic else i + 1
-        return np.stack([i, right], axis=1)
-    i, j = np.meshgrid(np.arange(cells[0]), np.arange(cells[1]), indexing="ij")
-    i = i.ravel()
-    j = j.ravel()
-    if mesh.periodic:
-        ip = (i + 1) % nper[0]
-        jp = (j + 1) % nper[1]
-    else:
-        ip = i + 1
-        jp = j + 1
-    n2 = nper[1]
-    # corner order: (0,0), (0,1), (1,0), (1,1) in local (axis0, axis1) bits
-    return np.stack([i * n2 + j, i * n2 + jp, ip * n2 + j, ip * n2 + jp], axis=1)
+    """Global node index of each element corner, shape (n_elements, 2^dim).
+
+    A periodic mesh wraps its last element's upper corners to the first
+    node layer; elsewhere the modulo leaves every index as it is.
+    """
+    lower = [i.ravel() for i in np.meshgrid(*map(np.arange, mesh.cells_per_axis), indexing="ij")]
+    return np.stack(
+        [
+            np.ravel_multi_index([i + b for i, b in zip(lower, bits)], mesh.nodes_per_axis, mode="wrap")
+            for bits in itertools.product((0, 1), repeat=mesh.dim)
+        ],
+        axis=1,
+    )
 
 
 @dataclass(frozen=True)
@@ -299,15 +258,10 @@ def _quadrature_cached(mesh):
     ref_pts, ref_wts, vals, ref_grads = _reference_rule(mesh.dim)
     h = np.array(mesh.h)
     jac = float(np.prod(h))
-    edges, _ = _element_bounds(mesh)
-    if mesh.dim == 1:
-        lows = edges[0][:, None]
-    else:
-        xa, xb = np.meshgrid(edges[0], edges[1], indexing="ij")
-        lows = np.stack([xa.ravel(), xb.ravel()], axis=1)
-    pts = lows[:, None, :] + ref_pts[None, :, :] * h[None, None, :]
+    corners = element_corner_nodes(mesh)
+    pts = mesh.node_coords()[corners[:, 0], None, :] + ref_pts[None, :, :] * h[None, None, :]
     grads = ref_grads / h[None, None, :]
-    return QuadratureData(pts, ref_wts * jac, vals, grads, element_corner_nodes(mesh))
+    return QuadratureData(pts, ref_wts * jac, vals, grads, corners)
 
 
 def quadrature(mesh):

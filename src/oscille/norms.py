@@ -4,7 +4,9 @@ All integrals use the element Gauss rule of the mesh, whose tensor
 two-point rule gives every Gauss point the same weight w = jac / 2^d. So
 each norm is w^(1/p) * ||v||_p of the Gauss values v, one vector p-norm (a
 BLAS dot at p = 2), and homogeneity, triangle inequality and mask
-additivity of the p-th powers hold to rounding.
+additivity of the p-th powers hold to rounding. At large p those powers
+can leave the floating-point range (|v|^400 underflows for |v| < 1e-3);
+when the plain norm shows it, the norm is taken again of v / max|v|.
 
 The shift-modulus (Lipschitz/Besov type) seminorm replaces the continuum
 supremum over all shifts by grid-aligned shifts at dyadic scales. That is
@@ -53,8 +55,23 @@ def _element_weights(mesh, mask=None):
 
 
 def _gauss_lp(v, q, p):
-    """Gauss-rule L_p norm of Gauss values v: w^(1/p) * ||v||_p, w the common weight."""
-    return float(q.weights[0] ** (1.0 / p) * np.linalg.norm(v.ravel(), p))
+    """Gauss-rule L_p norm of Gauss values v: w^(1/p) * ||v||_p, w the common weight.
+
+    ||v||_p sums |v|^p. When that sum ||v||_p^p leaves the normal range
+    (a nonzero v gives 0, a finite one inf, or the sum is subnormal), its
+    powers have underflowed or overflowed, and the norm is recomputed as
+    max|v| * ||v / max|v| ||_p, whose largest power is 1. Other inputs
+    take no second pass; NaN stays NaN. The overflow that the check
+    catches raises no warning.
+    """
+    v = v.ravel()
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v, p))
+    if not (0.0 < norm < math.inf and -1022.0 <= p * math.log2(norm) < 1024.0):
+        top = float(np.max(np.abs(v), initial=0.0))
+        if 0.0 < top < math.inf:
+            norm = top * float(np.linalg.norm(v / top, p))
+    return float(q.weights[0] ** (1.0 / p) * norm)
 
 
 def lp_norm(u, p, mask=None):

@@ -217,15 +217,9 @@ def mollifier_weights(delta, h, d):
     exactly; nonnegative by construction.
     """
     k = tuple(int(math.floor(delta / hk + 1e-12)) for hk in h)
-    kappa = bump_normalizer(d)
-    if d == 1:
-        x = np.arange(-k[0], k[0] + 1) * h[0] / delta
-        w = np.where(np.abs(x) < 1.0, np.exp(-1.0 / np.maximum(1.0 - x * x, 1e-300)), 0.0) * kappa
-    else:
-        xa = np.arange(-k[0], k[0] + 1) * h[0] / delta
-        xb = np.arange(-k[1], k[1] + 1) * h[1] / delta
-        r2 = xa[:, None] ** 2 + xb[None, :] ** 2
-        w = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0) * kappa
+    # squared radius |x / delta|^2 over the tensor grid of offsets
+    r2 = sum(x**2 for x in np.ix_(*(np.arange(-kk, kk + 1) * hk / delta for kk, hk in zip(k, h))))
+    w = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0) * bump_normalizer(d)
     total = w.sum()
     if total <= 0:
         raise NumericalError("mollifier kernel has no support on the grid; refine h")

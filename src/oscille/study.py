@@ -80,17 +80,11 @@ def derive_targets(scenario: Scenario):
     return targets
 
 
-def load_dictionary(dim):
-    """The small load dictionary whose worst error is reported."""
-    if dim == 1:
-        return [
-            ("one", lambda pts: np.ones(pts.shape[0])),
-            ("sine", lambda pts: np.sin(np.pi * pts[:, 0])),
-        ]
-    return [
-        ("one", lambda pts: np.ones(pts.shape[0])),
-        ("sine", lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])),
-    ]
+# the small load dictionary whose worst error is reported: 1 and prod_k sin(pi x_k)
+LOADS = (
+    ("one", lambda pts: np.ones(pts.shape[0])),
+    ("sine", lambda pts: np.prod(np.sin(np.pi * pts), axis=1)),
+)
 
 
 @dataclass
@@ -146,11 +140,11 @@ def fit_rate(points):
     return FitResult(float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(res**2))))
 
 
-def verdict(fit, guaranteed_exponent, tolerance=FIT_TOLERANCE):
-    """PASS when the observed slope is at least the guarantee minus tolerance."""
+def verdict(fit, guaranteed_exponent):
+    """PASS when the observed slope is at least the guarantee minus FIT_TOLERANCE."""
     if fit is None:
         return "NotApplicable"
-    ok = fit.slope >= guaranteed_exponent - tolerance and fit.residual <= FIT_RESIDUAL_LIMIT
+    ok = fit.slope >= guaranteed_exponent - FIT_TOLERANCE and fit.residual <= FIT_RESIDUAL_LIMIT
     return "PASS" if ok else "FAIL"
 
 
@@ -171,13 +165,11 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
 
     errors = {t.name: 0.0 for t in targets}
     aux = {}
-    for li, (load_name, load_fn) in enumerate(load_dictionary(scenario.dim)):
+    for li, (load_name, load_fn) in enumerate(LOADS):
         f_vec = fem.assemble_load(mesh, load_fn)
         u_eps = fem.solve_resolvent(osc_sys, f_vec, tol=solver_tol)
         u0 = fem.solve_resolvent(eff_sys, f_vec, tol=solver_tol)
-        u0_ext, grads = corr_mod.build_r0(u0, scenario, eps)
-        inputs = corr_mod.CorrectorInputs(u0_ext, grads, ctable, eps)
-        k_field = corr_mod.corrector_apply(inputs, setup)
+        k_field = corr_mod.corrector_apply(setup, corr_mod.build_r0(u0, scenario, eps))
         u_first = corr_mod.first_order(u0, k_field, eps)
         f_norm = lp_norm(GridFunction(mesh, np.asarray(load_fn(mesh.node_coords()))), scenario.p)
         if not (np.isfinite(f_norm) and f_norm > 0.0):

@@ -123,10 +123,10 @@ def _table_gradient_stencil(table, pts, axis):
 class _ShiftedFields:
     """Grid-aligned lookup of the gradient fields at x + eps*z offsets."""
 
-    def __init__(self, inputs):
-        self.mesh = inputs.mesh
+    def __init__(self, mesh, grads):
+        self.mesh = mesh
         self.d = self.mesh.dim
-        self.grads = inputs.grads
+        self.grads = grads
         self.shapes = [g.base.reshaped() for g in self.grads]
         self.pads = [g.pad for g in self.grads]
         # derivative of the gradient fields (for the slow part), one per axis
@@ -172,20 +172,21 @@ def _iter_z(per_axis):
             yield (int(j1), int(j2)), float(wa * wb)
 
 
-def corrector_apply(inputs):
-    """Assemble the corrector field K on the source mesh."""
-    mesh = inputs.mesh
+def corrector_apply(setup, grads):
+    """Assemble the corrector field K on the setup's mesh; only the
+    setup's mesh, eps and table are read."""
+    mesh = setup.mesh
     d = mesh.dim
-    per_axis = _z_offsets(mesh, inputs.eps)
-    y_pts = _fast_coordinates(mesh, inputs.eps)
-    n_vals, _, inv = _table_entry_values(inputs.table, y_pts)
-    fields = _ShiftedFields(inputs)
+    per_axis = _z_offsets(mesh, setup.eps)
+    y_pts = _fast_coordinates(mesh, setup.eps)
+    n_vals, _, inv = _table_entry_values(setup.table, y_pts)
+    fields = _ShiftedFields(mesh, grads)
     coords = mesh.node_coords()
     h = np.array(mesh.h)
     out = np.zeros(mesh.n_nodes)
     for cell_offset, w_z in _iter_z(per_axis):
         pts = coords + h[None, :] * np.array(cell_offset)[None, :]
-        stencil = _table_stencil(inputs.table, pts)
+        stencil = _table_stencil(setup.table, pts)
         contrib = np.zeros(mesh.n_nodes)
         blocks = [fields.block(k, cell_offset) for k in range(d)]
         for entry_ids, wts in stencil:
@@ -195,30 +196,31 @@ def corrector_apply(inputs):
     return GridFunction(mesh, out)
 
 
-def corrector_gradient_parts(inputs):
+def corrector_gradient_parts(setup, grads):
     """Slow and fast contributions to eps * D K, each a list of d fields.
 
     part_slow[j] = eps * cube-average of d/dx_j [N_k(x + eps z, y) G_k(x + eps z)],
     part_fast[j] = cube-average of (d/dy_j N_k)(x + eps z, y) G_k(x + eps z),
     and eps * DK = part_slow + part_fast.
     """
-    mesh = inputs.mesh
+    mesh = setup.mesh
     d = mesh.dim
-    eps = inputs.eps
+    eps = setup.eps
+    table = setup.table
     per_axis = _z_offsets(mesh, eps)
     y_pts = _fast_coordinates(mesh, eps)
-    n_vals, n_grads, inv = _table_entry_values(inputs.table, y_pts)
-    fields = _ShiftedFields(inputs)
+    n_vals, n_grads, inv = _table_entry_values(table, y_pts)
+    fields = _ShiftedFields(mesh, grads)
     coords = mesh.node_coords()
     h = np.array(mesh.h)
     slow = [np.zeros(mesh.n_nodes) for _ in range(d)]
     fast = [np.zeros(mesh.n_nodes) for _ in range(d)]
     for cell_offset, w_z in _iter_z(per_axis):
         pts = coords + h[None, :] * np.array(cell_offset)[None, :]
-        stencil = _table_stencil(inputs.table, pts)
+        stencil = _table_stencil(table, pts)
         blocks = [fields.block(k, cell_offset) for k in range(d)]
         for j in range(d):
-            dsten = _table_gradient_stencil(inputs.table, pts, j)
+            dsten = _table_gradient_stencil(table, pts, j)
             acc = np.zeros(mesh.n_nodes)
             for (entry_ids, wts), (dentry_ids, dwts) in zip(stencil, dsten):
                 for k in range(d):

@@ -49,11 +49,11 @@ def study_2d():
 def test_criterion_1_effective_tensor_oracle():
     t0 = time.time()
     f1 = preset_coefficient("Sine1D", [2, 1], 1)
-    t = cell.effective_tensor(f1, np.zeros(1), build_cell_mesh(256, 1))
+    t = cell.solve_cell(f1, np.zeros(1), build_cell_mesh(256, 1)).a0
     err1 = abs(t[0, 0] - SQRT3)
     assert err1 <= 1e-4
     f2 = preset_coefficient("Laminate2D", [2, 1], 2)
-    t2 = cell.effective_tensor(f2, np.zeros(2), build_cell_mesh(128, 2))
+    t2 = cell.solve_cell(f2, np.zeros(2), build_cell_mesh(128, 2)).a0
     err2 = np.max(np.abs(t2 - np.diag([SQRT3, 2.0])))
     assert err2 <= 1e-4
     elapsed = time.time() - t0
@@ -202,7 +202,7 @@ def test_criterion_9_property_suites(study_1d, study_2d):
 
     # Voigt-Reuss bracket for a genuinely 2D preset
     f = preset_coefficient("SineProduct2D", [2, 1], 2)
-    t = cell.effective_tensor(f, np.zeros(2), build_cell_mesh(48, 2))
+    t = cell.solve_cell(f, np.zeros(2), build_cell_mesh(48, 2)).a0
     eigs = np.linalg.eigvalsh(0.5 * (t + t.T))
     ys = np.linspace(0, 1, 101)[:-1]
     samples = np.array(

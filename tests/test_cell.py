@@ -37,13 +37,11 @@ def test_constant_cell_solution_is_zero():
     const = preset_coefficient("Constant", [2.0], 1)
     sol = cell.solve_cell(const, np.zeros(1), build_cell_mesh(64, 1))
     assert np.max(np.abs(sol.columns)) <= 1e-10
-    t = cell.effective_tensor(const, np.zeros(1), build_cell_mesh(64, 1), solution=sol)
-    np.testing.assert_allclose(t, 2.0 * np.eye(1), atol=1e-12)
+    np.testing.assert_allclose(sol.a0, 2.0 * np.eye(1), atol=1e-12)
 
 
 def test_effective_tensor_sine_1d(sine_field, sine_cell):
-    t = cell.effective_tensor(sine_field, np.zeros(1), sine_cell.cell_mesh, solution=sine_cell)
-    assert abs(t[0, 0] - SQRT3) <= 1e-4
+    assert abs(sine_cell.a0[0, 0] - SQRT3) <= 1e-4
 
 
 def _exact_n(ys):
@@ -84,7 +82,7 @@ def test_laminate_reduces_to_1d(sine_cell):
 
 def test_laminate_effective_tensor():
     lam = preset_coefficient("Laminate2D", [2, 1], 2)
-    t = cell.effective_tensor(lam, np.zeros(2), build_cell_mesh(128, 2))
+    t = cell.solve_cell(lam, np.zeros(2), build_cell_mesh(128, 2)).a0
     assert abs(t[0, 0] - SQRT3) <= 1e-4
     assert abs(t[1, 1] - 2.0) <= 1e-12  # arithmetic mean, exact for the laminate
     assert abs(t[0, 1]) <= 1e-8 and abs(t[1, 0]) <= 1e-8
@@ -92,7 +90,7 @@ def test_laminate_effective_tensor():
 
 def test_effective_tensor_symmetry():
     f = preset_coefficient("SineProduct2D", [2, 1], 2)
-    t = cell.effective_tensor(f, np.zeros(2), build_cell_mesh(32, 2))
+    t = cell.solve_cell(f, np.zeros(2), build_cell_mesh(32, 2)).a0
     assert abs(t[0, 1] - t[1, 0]) <= 1e-8
 
 
@@ -101,7 +99,7 @@ def test_voigt_reuss_bracket():
     for pid, params, d in [("Sine1D", [2, 1], 1), ("SineProduct2D", [2, 1], 2), ("Laminate2D", [3, 2], 2)]:
         f = preset_coefficient(pid, params, d)
         m = 128 if d == 1 else 48
-        t = cell.effective_tensor(f, np.zeros(d), build_cell_mesh(m, d))
+        t = cell.solve_cell(f, np.zeros(d), build_cell_mesh(m, d)).a0
         eigs = np.linalg.eigvalsh(0.5 * (t + t.T))
 
         def a_point(y):
@@ -128,7 +126,7 @@ def test_cell_mesh_convergence_order():
         ("Laminate2D", [2, 1], 2, (16, 32, 64)),
     ]:
         f = preset_coefficient(pid, params, d)
-        tensors = [cell.effective_tensor(f, np.zeros(d), build_cell_mesh(m, d)) for m in ms]
+        tensors = [cell.solve_cell(f, np.zeros(d), build_cell_mesh(m, d)).a0 for m in ms]
         d1 = np.max(np.abs(tensors[1] - tensors[0]))
         d2 = np.max(np.abs(tensors[2] - tensors[1]))
         assert d1 / d2 >= 3.0
@@ -239,7 +237,7 @@ def _assert_per_entry_equal(field, axes, cmesh, eff, table):
     for p, sol, a0 in zip(points, table.cells, flat):
         ref = cell.solve_cell(field, p, cmesh)
         assert np.array_equal(sol.columns, ref.columns)
-        assert np.array_equal(a0, cell.effective_tensor(field, p, cmesh, solution=ref))
+        assert np.array_equal(a0, ref.a0)
 
 
 def test_table_solves_each_distinct_profile_once_2d(monkeypatch):
@@ -301,14 +299,18 @@ def test_eval_n_bilinear_2d():
     # nodal data on a 2D periodic cell: the interpolated values, and the
     # interpolant gradients the corrector reference differentiates with,
     # against the corner formulas of the bilinear element, including
-    # wrapped corners
+    # wrapped corners. The wrap points sit where the cell grid's repeated
+    # first layer meets locate_on_axes' rounding nudge: frac(-1e-20) rounds
+    # to 1.0, 1 - 2^-53 lies below 1 by less than the nudge, 0 and 3 are
+    # whole periods; on each axis they all read the first node layer
     cmesh = build_cell_mesh(8, 2)
     rng = np.random.default_rng(3)
     columns = rng.standard_normal((cmesh.n_nodes, 2))
-    ys = rng.random((50, 2)) * 3.0 - 1.0
+    wrap = np.array(list(itertools.product([-1e-20, 1.0 - 2.0**-53, 0.0, 3.0], repeat=2)))
+    ys = np.concatenate([rng.random((50, 2)) * 3.0 - 1.0, wrap])
     m, h = 8, 1.0 / 8
     t = (ys - np.floor(ys)) * m
-    i0 = np.floor(t).astype(int)
+    i0 = np.minimum(np.floor(t).astype(int), m - 1)  # t = m only where frac rounds to 1
     tx, ty = (t - i0)[:, 0:1], (t - i0)[:, 1:2]
     i1 = (i0 + 1) % m
     v00 = columns[i0[:, 0] * m + i0[:, 1]]
@@ -320,6 +322,7 @@ def test_eval_n_bilinear_2d():
     gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / h
     got = cell._interpolate_periodic([columns], cmesh, ys)
     np.testing.assert_allclose(got[0], vals, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got[0, -len(wrap):], np.broadcast_to(columns[0], wrap.shape), rtol=0, atol=1e-13)
     grad = reference.interpolant_gradient([columns], cmesh, ys)[0]  # (n, j, k): d/dy_j of N_k
     np.testing.assert_allclose(grad[:, 0, :], gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(grad[:, 1, :], gy, rtol=0, atol=1e-12)
@@ -355,12 +358,12 @@ def _cells(draw):
 
 
 def _a0(coef, cmesh):
-    return cell.effective_tensor(coef, np.zeros(coef.dim), cmesh)
+    return cell.solve_cell(coef, np.zeros(coef.dim), cmesh).a0
 
 
 def _a0_einsum(coef, x, cmesh, sol):
     """A0 = sum_g w a (I + grad N) from grad N at every Gauss point, the
-    reference for effective_tensor's single matrix product."""
+    reference for the single matrix product that solve_cell forms A0 by."""
     q = quadrature(cmesh)
     a_vals = cell._cell_coefficient(coef, x, cmesh)
     grad_gauss = np.einsum("ecd,gcj->egjd", sol.columns[q.corners], q.shape_grads)
@@ -371,7 +374,7 @@ def _a0_einsum(coef, x, cmesh, sol):
 def _assert_a0_matches_einsum(coef, x, cmesh):
     sol = cell.solve_cell(coef, x, cmesh)
     want = _a0_einsum(coef, x, cmesh, sol)
-    got = cell.effective_tensor(coef, x, cmesh, solution=sol)
+    got = sol.a0
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

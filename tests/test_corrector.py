@@ -37,16 +37,21 @@ def _table_for(sc, cell_m=128):
 
 
 def _inputs(scenario, eps, u0, table):
-    u0_ext, grads = corrector.build_r0(u0, scenario, eps)
-    return corrector.CorrectorInputs(u0_ext, grads, table, eps)
-
-
-def _setup(inputs):
-    return corrector.corrector_setup(inputs.table, inputs.mesh, inputs.eps)
+    """The corrector setup on u0's mesh, and the gradient fields of u0."""
+    return corrector.corrector_setup(table, u0.mesh, eps), corrector.build_r0(u0, scenario, eps)
 
 
 def _apply(inputs):
-    return corrector.corrector_apply(inputs, _setup(inputs))
+    return corrector.corrector_apply(*inputs)
+
+
+def _assert_mollified(scenario, eps, u0, grads):
+    # s < 1 extends u0 by the mollifier radius eps more, and mollifying
+    # consumes exactly that: the pads are those of the plain gradient,
+    # the values are not
+    plain = corrector.build_r0(u0, replace(scenario, s=1.0, s_plus=1.0), eps)
+    assert [g.pad for g in grads] == [g.pad for g in plain]
+    assert not np.allclose(grads[0].base.values, plain[0].base.values)
 
 
 @pytest.fixture(scope="module")
@@ -125,14 +130,15 @@ def _assert_norm_check_matches_split_gradient(inputs, f_norm=1.0):
     # the check differentiates the nodal K elementwise; the reference sums
     # the chain-rule parts eps DK = slow + fast at the nodes. The two
     # discretize the same gradient, so the ratios agree to 2 percent
-    mesh = inputs.mesh
+    setup = inputs[0]
+    mesh = setup.mesh
     k = _apply(inputs)
-    slow, fast = reference.corrector_gradient_parts(inputs)
+    slow, fast = reference.corrector_gradient_parts(*inputs)
     mag = np.sqrt(sum((sl.values + fa.values) ** 2 for sl, fa in zip(slow, fast)))
     dk_norm, k_norm = lp_norm(GridFunction(mesh, mag), 2.0), lp_norm(k, 2.0)
     assert dk_norm > 3.0 * k_norm  # the gradient term dominates the ratio
     expected = (dk_norm + k_norm) / f_norm
-    ratio = corrector.corrector_norm_check(k, f_norm, inputs.eps, 2.0)
+    ratio = corrector.corrector_norm_check(k, f_norm, setup.eps, 2.0)
     assert abs(ratio - expected) <= 0.02 * expected
 
 
@@ -176,7 +182,7 @@ def _row_scaled(table):
 
 def _assert_matches_reference(inputs):
     k = _apply(inputs).values
-    k_ref = reference.corrector_apply(inputs).values
+    k_ref = reference.corrector_apply(*inputs).values
     assert np.max(np.abs(k - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
 
 
@@ -187,7 +193,7 @@ def _mollified_1d_inputs():
     mesh = fem.oscillatory_mesh(sc, eps)
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
     inputs = _inputs(sc, eps, u0, _entry_scaled(_table_for(sc, cell_m=64)))
-    assert inputs.grads[0].pad[0] < inputs.u0_ext.pad[0] - 1  # mollified pads
+    _assert_mollified(sc, eps, u0, inputs[1])
     return inputs
 
 
@@ -208,7 +214,7 @@ def test_norm_check_matches_reference_gradient_2d_x_dependent(lp2d_table):
     mesh = fem.oscillatory_mesh(sc, eps)
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
     inputs = _inputs(sc, eps, u0, _entry_scaled(table))
-    slow, _ = reference.corrector_gradient_parts(inputs)
+    slow, _ = reference.corrector_gradient_parts(*inputs)
     assert all(np.max(np.abs(part.values)) > 1e-3 for part in slow)
     _assert_norm_check_matches_split_gradient(inputs)
 
@@ -251,7 +257,7 @@ def test_kernel_matches_reference_loop_2d_mollified_rectangle(lp2d_table):
     assert mesh.nodes_per_axis[0] > mesh.nodes_per_axis[1]
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1] * (2.0 - p[:, 1]))
     inputs = _inputs(sc, eps, u0, _entry_scaled(table))
-    assert all(g.pad[a] < inputs.u0_ext.pad[a] - 1 for g in inputs.grads for a in range(2))  # mollified pads
+    _assert_mollified(sc, eps, u0, inputs[1])
     _assert_matches_reference(inputs)
 
 
@@ -288,7 +294,7 @@ def test_build_r0_extends_u0_by_the_reach(config, rho):
     sc = load_scenario(os.path.join(CONFIG_DIR, config), ppp_override=rho)
     eps = sc.epsilons[0]
     mesh = fem.oscillatory_mesh(sc, eps)
-    _, grads = corrector.build_r0(grid_from_callable(mesh, lambda p: np.sum(p, axis=1)), sc, eps)
+    grads = corrector.build_r0(grid_from_callable(mesh, lambda p: np.sum(p, axis=1)), sc, eps)
     for a, (offs, _) in enumerate(smoothing._window_per_axis(mesh, eps)):
         assert all(g.pad[a] == offs[-1] + 1 for g in grads)
 
@@ -312,17 +318,14 @@ def test_kernel_matches_reference_loop_at_the_table_edge(preset, params, dim, rh
     _assert_matches_reference(_inputs(sc, eps, u0, _entry_scaled(table)))
 
 
-def test_setup_for_another_mesh_eps_or_table_raises(sine_setup):
+def test_setup_for_another_mesh_raises(sine_setup):
+    # eps and table live only in the setup; the gradient fields carry the
+    # mesh they were taken on
     field, sc, eps, table, mesh = sine_setup
-    inputs = _inputs(sc, eps, grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0])), table)
-    coarse = fem.oscillatory_mesh(sc, 1 / 8)
-    for other in (
-        corrector.corrector_setup(table, mesh, 1 / 8),
-        corrector.corrector_setup(table, coarse, eps),
-        corrector.corrector_setup(_entry_scaled(table), mesh, eps),
-    ):
-        with pytest.raises(MeshMismatch):
-            corrector.corrector_apply(inputs, other)
+    grads = corrector.build_r0(grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0])), sc, eps)
+    other = corrector.corrector_setup(table, fem.oscillatory_mesh(sc, 1 / 8), eps)
+    with pytest.raises(MeshMismatch):
+        corrector.corrector_apply(other, grads)
 
 
 def test_window_outside_table_raises(sine_setup):
@@ -336,10 +339,9 @@ def test_window_outside_gradient_grid_raises(sine_setup):
     field, sc, eps, table, mesh = sine_setup
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]))
     # gradient fields extended for a window of one fine cell only
-    u0_ext, grads = corrector.build_r0(u0, sc, mesh.h[0])
-    inputs = corrector.CorrectorInputs(u0_ext, grads, table, eps)
+    grads = corrector.build_r0(u0, sc, mesh.h[0])
     with pytest.raises(cell.TableCoverage, match="gradient grid"):
-        _apply(inputs)
+        corrector.corrector_apply(corrector.corrector_setup(table, mesh, eps), grads)
 
 
 def test_first_order_examples(sine_setup):
@@ -381,11 +383,11 @@ def test_mollified_gradient_path_s_half():
         sc = _scenario(field, (1 / 8, eps, eps / 2), rho=64, s=0.5)
         mesh = fem.oscillatory_mesh(sc, eps)
         u0 = grid_from_callable(mesh, lambda p: _lacunary(p[:, 0]))
-        u0_ext, grads = corrector.build_r0(u0, sc, eps)
-        assert grads[0].pad[0] < u0_ext.pad[0] - 1  # mollification consumed padding
+        grads = corrector.build_r0(u0, sc, eps)
         # compare the mollified gradient against the raw central difference
         sc1 = _scenario(field, (1 / 8, eps, eps / 2), rho=64, s=1.0)
-        _, grads_raw = corrector.build_r0(u0, sc1, eps)
+        grads_raw = corrector.build_r0(u0, sc1, eps)
+        assert grads[0].pad == grads_raw[0].pad  # mollification consumed the extra radius
         d = grads[0].source_block().ravel() - grads_raw[0].source_block().ravel()
         h = mesh.h[0]
         diffs.append(np.sqrt(np.sum(d**2) * h))
@@ -396,8 +398,10 @@ def test_mollified_gradient_path_s_half():
 def test_build_r0_s1_keeps_gradient_unmollified(sine_setup):
     field, sc, eps, table, mesh = sine_setup
     u0 = grid_from_callable(mesh, lambda p: p[:, 0] * (1 - p[:, 0]))
-    u0_ext, grads = corrector.build_r0(u0, sc, eps)
-    assert grads[0].pad[0] == u0_ext.pad[0] - 1  # only the difference stencil
+    grads = corrector.build_r0(u0, sc, eps)
+    # the extension's pad less the difference stencil's node, nothing mollified
+    u0_ext = smoothing.extend(u0, corrector.table_margin(eps, sc.points_per_period) + 2.0 * mesh.h[0])
+    assert grads[0].pad[0] == u0_ext.pad[0] - 1
     # interior nodes carry the exact central difference; the two face nodes
     # see the curvature jump of the reflected extension, an O(h) effect
     x = mesh.node_coords()[:, 0]

@@ -206,14 +206,32 @@ def test_besov_early_stop_is_bit_identical_to_full_sweep(kind, dim, p):
     assert np.isnan(full) == (kind in ("nan", "inf"))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_besov_overflowing_powers_match_full_sweep():
     # values within +-0.6 keep their 5000th powers finite; differences
-    # reach about 0.9 (a finite modulus) at shift 16 but pass 1.15, where the
-    # 5000th power overflows to inf, only at longer shifts
+    # reach about 0.9 at shift 16 but pass 1.15, where the 5000th power
+    # overflows, only at longer shifts. Those moduli are taken of the
+    # rescaled differences, so they stay finite, and with no safe bound the
+    # walk sweeps every level
     mesh = build_domain_mesh(((0.0, 1.0),), 1 / 256)
     u = grid_from_callable(mesh, lambda x: 0.6 * np.sin(2 * np.pi * 4.4 * x[:, 0]))
-    assert norms.besov_seminorm(u, 0.5, 5000.0) == _full_sweep(u, 0.5, 5000.0) == np.inf
+    stopped = norms.besov_seminorm(u, 0.5, 5000.0)
+    assert stopped == _full_sweep(u, 0.5, 5000.0)
+    assert np.isfinite(stopped) and stopped > 0.0
+
+
+@pytest.mark.parametrize("p", [400.0, 5000.0, 1e308])
+@pytest.mark.parametrize("norm", [norms.lp_norm, norms.w1p_seminorm])
+def test_large_p_norms_neither_underflow_nor_overflow(fine_1d, norm, p):
+    # |v|^p underflows for the small field and overflows for the large one;
+    # both norms are the unit field's, scaled, and close to its maximum
+    unit = grid_from_callable(fine_1d, lambda x: np.sin(2 * np.pi * x[:, 0]))
+    ref = norm(unit, p)
+    assert np.isfinite(ref) and ref > 0.0
+    for c in (1e-3, 1e3):
+        got = norm(GridFunction(fine_1d, c * unit.values), p)
+        assert got == pytest.approx(c * ref, rel=1e-12)
+    top = 1.0 if norm is norms.lp_norm else 2 * np.pi
+    assert top * 0.97 <= ref <= top * (1 + 1e-9)
 
 
 def test_besov_subnormal_powers_match_full_sweep():

@@ -256,10 +256,22 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
     assert len(operators) == 6
 
 
-# Slopes and per-row errors (eps -> lp, w1_corr, besov_half) of the
-# shipped 1D configs, recorded values: a change that only reorders
-# floating-point rounding keeps them to 1e-9 relative.
-_RECORDED_1D = {
+# Slopes and per-row errors (eps -> one error per target, in the order of
+# the slopes) of the shipped configs over their coarsest eps, recorded
+# values: a change that only reorders floating-point rounding keeps them to
+# 1e-9 relative. laminate2d runs its 3 coarsest eps, the sweep of the 2D
+# benchmark workload.
+_RECORDED = {
+    "laminate2d.json": (
+        {"lp": 0.9593867257549956, "w1_corr": 0.9364713661000428, "w1_corr_interior": 0.9838617332579402,
+         "besov_half": 0.4684828645418526},
+        {
+            0.125: (0.000719233302356071, 0.0036872756286580348, 0.0012196083942268843, 0.004093661677952155),
+            0.08333333333333333: (0.0004888186624642325, 0.0025334219349034764, 0.000817532316103713,
+                                  0.003393680101002809),
+            0.0625: (0.0003697595416273443, 0.0019256205313441226, 0.0006167433482230861, 0.002957725733205857),
+        },
+    ),
     "mixed1d.json": (
         {"lp": 0.9095022233750959, "w1_corr": 1.0786194232899242, "besov_half": 0.4957675611880151},
         {
@@ -284,14 +296,30 @@ _RECORDED_1D = {
 }
 
 
-@pytest.mark.parametrize("config", sorted(_RECORDED_1D))
-def test_shipped_1d_study_matches_recorded(config):
-    # mixed1d is the only shipped study with s < 1, so the only one that mollifies
+@pytest.mark.parametrize("config", sorted(_RECORDED))
+def test_shipped_study_matches_recorded(config):
+    # mixed1d is the only shipped study with s < 1, so the only one that
+    # mollifies; laminate2d is the only 2D one, so the only one with a 2D
+    # cell solve, A0 table, wrapped cell interpolation and sparse corrector pass
     scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", config))
-    rep = study.run_study(scenario)
-    slopes, rows = _RECORDED_1D[config]
+    slopes, rows = _RECORDED[config]
+    rep = study.run_study(dataclasses.replace(scenario, epsilons=scenario.epsilons[: len(rows)]), threads=1)
     assert set(rep.verdicts.values()) == {"PASS"}
     assert {name: fit.slope for name, fit in rep.fits.items()} == pytest.approx(slopes, rel=1e-9)
     assert [r.eps for r in rep.rows] == list(rows)
     for r in rep.rows:
-        assert [r.errors[name] for name in ("lp", "w1_corr", "besov_half")] == pytest.approx(rows[r.eps], rel=1e-9)
+        assert [r.errors[name] for name in slopes] == pytest.approx(rows[r.eps], rel=1e-9)
+
+
+def test_large_p_study_reports_finite_nonzero_errors():
+    # at p = 400 the p-th powers of every error underflow and those of the
+    # corrector gradient overflow; the norms rescale instead of reading 0
+    # and inf, and no RuntimeWarning (an error under this suite) is raised
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", "sine1d.json"))
+    rep = study.run_study(dataclasses.replace(scenario, p=400.0))
+    assert set(rep.verdicts.values()) == {"PASS"}
+    for r in rep.rows:
+        assert all(np.isfinite(e) and e > 0.0 for e in r.errors.values())
+        assert not any(r.excluded.values())
+        assert np.isfinite(r.aux["corrector_ratio"])
+    assert 5e-3 < rep.rows[0].errors["lp"] < 6e-3 and 3e-4 < rep.rows[-1].errors["lp"] < 4e-4
