@@ -14,14 +14,24 @@ evaluation at arbitrary points; the Lipschitz dependence of a on x keeps
 that interpolation error dominated by the homogenization errors measured.
 The cell problem sees x only through a(x, .), so table entries whose
 a(x, .) agree bit for bit at the cell Gauss points share one solve.
+The table samples a(x, .) one row at a time (the entries along the last
+x-axis, one block evaluation), so it holds one row of samples, never the
+whole table, and each distinct sample array goes into its solve as is.
+Everything of a cell system that does not depend on a (the CSR pattern
+and the element-to-slot map of the stiffness matrix, the node scatter of
+the loads, the mean functional) is built once per cell mesh; a solve
+then costs two einsums and one bincount before its CG iterations.
 `multilinear` is the one interpolator: in x on the table grid, and in y
-on the cell grid padded with its wrapped first node layer.
+on the cell grid padded with its wrapped first node layer. It gathers
+the 2^d corners from the flattened grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,41 +55,74 @@ def default_cell_m(d):
     return 256 if d == 1 else 64
 
 
-def _cell_coefficient(field, x, cell_mesh):
-    """a(x, .) at the Gauss points of the cell mesh, shape (n_elements, n_gauss)."""
+def _cell_coefficient(field, xs, cell_mesh):
+    """a(x, .) at the Gauss points of the cell mesh for each slow point of
+    xs (m, d), or of a single x as m = 1; shape (m, n_elements, n_gauss)."""
     q = quadrature(cell_mesh)
     n_el, n_g, d = q.points.shape
-    return field.eval_at_slow(x, q.points.reshape(-1, d)).reshape(n_el, n_g)
+    return field.eval_block(xs, q.points.reshape(-1, d)).reshape(-1, n_el, n_g)
 
 
-def _periodic_stiffness_and_loads(field, x, cell_mesh):
-    """Stiffness matrix of a(x,.) on the periodic cell plus the d loads."""
+@dataclass(frozen=True)
+class _CellPattern:
+    """What the cell systems of one mesh share whatever the coefficient."""
+
+    path: list  # einsum contraction path of the element stiffness
+    indptr: np.ndarray  # CSR pattern of the stiffness matrix
+    indices: np.ndarray
+    slots: np.ndarray  # per stiffness then load contribution, its bincount slot
+    mean: np.ndarray  # c_i = int phi_i, the mean functional
+
+
+@lru_cache(maxsize=8)
+def _cell_pattern(cell_mesh):
+    """Element-to-CSR slot map, load scatter and mean functional of a cell mesh.
+
+    The stiffness contributions (element, row corner, column corner) and
+    the load contributions (k, element, corner) go through one bincount:
+    stiffness slots index the sorted CSR data, load slots follow at
+    nnz + k n_nodes + node. bincount adds each slot's terms in input
+    order, as the COO-to-CSR duplicate sum and np.add.at do, so the
+    matrix and loads are bit-identical to that assembly.
+    """
     q = quadrature(cell_mesh)
-    d = cell_mesh.dim
-    a_vals = _cell_coefficient(field, x, cell_mesh)
-    if not np.all(a_vals > 0.0):
-        raise EllipticityViolation(f"coefficient nonpositive or not a number at x = {x}")
-    grads = q.shape_grads
-    stiff = np.einsum("eg,g,gcd,gkd->eck", a_vals, q.weights, grads, grads, optimize=True)
-    n_c = q.corners.shape[1]
-    rows = np.repeat(q.corners, n_c, axis=1).ravel()
-    cols = np.tile(q.corners, (1, n_c)).ravel()
-    matrix = sp.csr_matrix((stiff.ravel(), (rows, cols)), shape=(cell_mesh.n_nodes, cell_mesh.n_nodes))
-    # loads: b_k[i] = -int a e_k . grad phi_i
-    loads = np.zeros((d, cell_mesh.n_nodes))
-    for k in range(d):
-        contrib = -np.einsum("eg,g,gc->ec", a_vals, q.weights, grads[:, :, k])
-        np.add.at(loads[k], q.corners.ravel(), contrib.ravel())
-    return matrix, loads, q, a_vals
+    n, d = cell_mesh.n_nodes, cell_mesh.dim
+    n_el, n_c = q.corners.shape
+    keys = (np.repeat(q.corners, n_c, axis=1) * n + np.tile(q.corners, (1, n_c))).ravel()
+    pattern = np.unique(keys)  # row * n + column of each stored entry, sorted
+    load_slots = len(pattern) + np.arange(d)[:, None] * n + q.corners.ravel()
+    slots = np.concatenate([np.searchsorted(pattern, keys), load_slots.ravel()])
+    indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.int32)
+    indices = (pattern % n).astype(np.int32)
+    corner_means = np.einsum("g,gc->c", q.weights, q.shape_values)
+    mean = np.bincount(q.corners.ravel(), np.tile(corner_means, n_el), n)
+    # the contraction path depends on the operand shapes only
+    a_like = np.broadcast_to(1.0, q.points.shape[:2])
+    path = np.einsum_path("eg,g,gcd,gkd->eck", a_like, q.weights, q.shape_grads, q.shape_grads, optimize=True)[0]
+    for a in (indptr, indices, slots, mean):
+        a.flags.writeable = False
+    return _CellPattern(path, indptr, indices, slots, mean)
 
 
 def _mean_functional(cell_mesh):
     """c_i = int phi_i over the unit cell (uniform: h^d per stored node)."""
+    return _cell_pattern(cell_mesh).mean
+
+
+def _periodic_stiffness_and_loads(a_vals, cell_mesh):
+    """Stiffness matrix of the samples a_vals (n_elements, n_gauss) on the
+    periodic cell, the d loads b_k[i] = -int a e_k . grad phi_i, and the
+    samples times their Gauss weights."""
     q = quadrature(cell_mesh)
-    c = np.zeros(cell_mesh.n_nodes)
-    contrib = np.einsum("g,gc->c", q.weights, q.shape_values)
-    np.add.at(c, q.corners.ravel(), np.tile(contrib, q.corners.shape[0]))
-    return c
+    pat = _cell_pattern(cell_mesh)
+    n, nnz = cell_mesh.n_nodes, len(pat.indices)
+    grads = q.shape_grads
+    stiff = np.einsum("eg,g,gcd,gkd->eck", a_vals, q.weights, grads, grads, optimize=pat.path)
+    wa = a_vals * q.weights
+    loads = -np.einsum("eg,gck->kec", wa, grads)
+    summed = np.bincount(pat.slots, np.concatenate([stiff.ravel(), loads.ravel()]), nnz + cell_mesh.dim * n)
+    matrix = sp.csr_matrix((summed[:nnz], pat.indices, pat.indptr), shape=(n, n))
+    return matrix, summed[nnz:].reshape(-1, n), wa
 
 
 def _interpolate_periodic(columns, cell_mesh, y):
@@ -110,13 +153,22 @@ class CellSolution:
     stats: tuple
 
 
-def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL):
+def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL, samples=None):
     """Solve the periodic cell problem at macroscopic point x, and form
-    A0(x) = int a(x,y) (I + grad N) dy by cell quadrature."""
+    A0(x) = int a(x,y) (I + grad N) dy by cell quadrature.
+
+    samples holds a(x, .) at the cell Gauss points, (n_elements,
+    n_gauss), when the caller has evaluated it already; otherwise it is
+    evaluated here.
+    """
     if not cell_mesh.periodic:
         raise MeshMismatch("cell mesh must be periodic")
     x = np.asarray(x, dtype=float).reshape(field.dim)
-    matrix, loads, q, a_vals = _periodic_stiffness_and_loads(field, x, cell_mesh)
+    a_vals = _cell_coefficient(field, x, cell_mesh)[0] if samples is None else samples
+    if not np.all(a_vals > 0.0):
+        raise EllipticityViolation(f"coefficient nonpositive or not a number at x = {x}")
+    q = quadrature(cell_mesh)
+    matrix, loads, wa = _periodic_stiffness_and_loads(a_vals, cell_mesh)
     c = _mean_functional(cell_mesh)
     d = field.dim
     columns = np.zeros((cell_mesh.n_nodes, d))
@@ -125,7 +177,6 @@ def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL):
         sol, _lam, st = linalg.solve_saddle(matrix, c, loads[k], tol=tol)
         columns[:, k] = sol
         stats.append(st)
-    wa = a_vals * q.weights  # (n_elements, n_gauss)
     # int a d/dy_j phi_c over each element, rows (element, corner), columns j
     b = (wa @ q.shape_grads.reshape(len(q.weights), -1)).reshape(-1, d)
     a0 = wa.sum() * np.eye(d) + b.T @ columns[q.corners].reshape(-1, d)
@@ -160,18 +211,28 @@ def multilinear(values, x_axes, pts):
     """Multilinear interpolation of grid values at points (n, d).
 
     values has shape grid_shape + trailing; the result has shape
-    (n,) + trailing. Corners are summed in C order, each weighted axis by
-    axis by its hat, 1 - t or t.
+    (n,) + trailing. Corners are gathered from the flattened grid and
+    summed in C order, each weighted axis by axis by its hat, 1 - t or t.
     """
     idx, loc = locate_on_axes(x_axes, pts)
-    terms = []
-    for bits in itertools.product((0, 1), repeat=len(x_axes)):
-        term = values[tuple(i + b for i, b in zip(idx, bits))]
-        for t, b in zip(loc, bits):
-            t = t.reshape(t.shape + (1,) * (term.ndim - 1))
-            term = term * (t if b else 1 - t)
-        terms.append(term)
-    return sum(terms[1:], terms[0])
+    dim = len(x_axes)
+    grid = values.shape[:dim]
+    flat = values.reshape((-1,) + values.shape[dim:])
+    base = idx[0]
+    for i, n in zip(idx[1:], grid[1:]):
+        base = base * n + i
+    strides = [math.prod(grid[k + 1:]) for k in range(dim)]
+    hats = [(1 - t, t) for t in (t.reshape(t.shape + (1,) * (flat.ndim - 1)) for t in loc)]
+    out = None
+    for bits in itertools.product((0, 1), repeat=dim):
+        term = np.take(flat, base + sum(s for s, b in zip(strides, bits) if b), axis=0)
+        for h, b in zip(hats, bits):
+            term *= h[b]
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
 
 
 @dataclass
@@ -204,19 +265,24 @@ def x_axes_for(domain, margin, spacing=X_TABLE_SPACING):
 def tabulate_cells(field, x_axes, cell_mesh, tol=linalg.DEFAULT_TOL):
     """Cell solutions over the x-grid, one solve per distinct a(x, .).
 
-    The exact bytes of a(x, .) at the cell Gauss points key the solves:
-    equal keys give solve_cell identical matrices, loads and A0 sums, so
+    a(x, .) is sampled at the cell Gauss points one row of the grid at a
+    time (the points along the last x-axis), so only one row of samples
+    is held. The exact bytes of an entry's samples key the solves: equal
+    keys give solve_cell identical matrices, loads and A0 sums, so
     entries sharing a key share one CellSolution object, bit-identical to
-    solving each entry on its own.
+    solving each entry on its own. Each distinct sample array is handed to
+    solve_cell, which does not evaluate it again.
     """
+    x_axes = tuple(np.asarray(a, dtype=float) for a in x_axes)
     solved = {}
     cells = []
-    for p in _tensor_points(x_axes):
-        key = _cell_coefficient(field, p, cell_mesh).tobytes()
-        if key not in solved:
-            solved[key] = solve_cell(field, p, cell_mesh, tol=tol)
-        cells.append(solved[key])
-    return CellTable(tuple(np.asarray(a, dtype=float) for a in x_axes), cell_mesh, cells)
+    for row in _tensor_points(x_axes).reshape(-1, len(x_axes[-1]), len(x_axes)):
+        for p, a_vals in zip(row, _cell_coefficient(field, row, cell_mesh)):
+            key = a_vals.tobytes()
+            if key not in solved:
+                solved[key] = solve_cell(field, p, cell_mesh, tol=tol, samples=a_vals)
+            cells.append(solved[key])
+    return CellTable(x_axes, cell_mesh, cells)
 
 
 @dataclass

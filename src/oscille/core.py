@@ -69,35 +69,42 @@ class CoefficientField:
     norm_inf: float
 
     def eval(self, x, y):
-        """Pointwise values a(x, y); x and y broadcast as (n, dim) arrays."""
+        """Pointwise values a(x_i, y_i); x and y broadcast as (n, dim) arrays."""
         x = _as_points(x, self.dim)
         y = _as_points(y, self.dim)
         return _eval_preset(self.preset_id, self.params, x, y)
 
-    def eval_at_slow(self, x, y):
-        """Values a(x, y_i) for a single slow point x and many fast points."""
+    def eval_block(self, x, y):
+        """Values a(x_i, y_j) for slow points x (m, dim) and fast points y
+        (n, dim), shape (m, n); terms that read only y are computed once."""
+        x = _as_points(x, self.dim)
         y = _as_points(y, self.dim)
-        x = np.broadcast_to(np.asarray(x, dtype=float).reshape(1, self.dim), y.shape)
-        return _eval_preset(self.preset_id, self.params, x, y)
+        return _eval_preset(self.preset_id, self.params, x[:, None, :], y[None, :, :])
 
 
 def _eval_preset(preset_id, params, x, y):
+    """a(x, y) for arrays whose leading axes broadcast and whose last axis
+    holds the components; a fresh array of the broadcast leading shape."""
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
     # wrap into the unit cell first: this makes periodicity exact as a
     # floating-point identity whenever y + e_k is representable
     y = y - np.floor(y)
     if preset_id == "Constant":
         (c,) = params
-        return np.full(y.shape[0], c)
+        return np.full(shape, c)
     if preset_id in ("Sine1D", "Laminate2D"):
         c, amp = params
-        return c + amp * np.sin(2.0 * np.pi * y[:, 0])
-    if preset_id == "SineProduct2D":
+        vals = c + amp * np.sin(2.0 * np.pi * y[..., 0])
+    elif preset_id == "SineProduct2D":
         c, amp = params
-        return c + amp * np.sin(2.0 * np.pi * y[:, 0]) * np.sin(2.0 * np.pi * y[:, 1])
-    if preset_id in ("LocallyPeriodic1D", "LocallyPeriodic2D"):
+        vals = c + amp * np.sin(2.0 * np.pi * y[..., 0]) * np.sin(2.0 * np.pi * y[..., 1])
+    elif preset_id in ("LocallyPeriodic1D", "LocallyPeriodic2D"):
         c, amp, slope = params
-        return (1.0 + slope * x[:, 0]) * (c + amp * np.sin(2.0 * np.pi * y[:, 0]))
-    raise PresetError(f"unknown preset {preset_id!r}")
+        vals = (1.0 + slope * x[..., 0]) * (c + amp * np.sin(2.0 * np.pi * y[..., 0]))
+    else:
+        raise PresetError(f"unknown preset {preset_id!r}")
+    # terms of y alone have y's leading shape; spread them over the x block
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape).copy()
 
 
 def preset_coefficient(preset_id, params, dim=None):

@@ -90,9 +90,14 @@ def w1p_seminorm(u, p, mask=None):
 
 
 def w1p_norm(u, p, mask=None):
+    """(||u||_p^p + |u|_{1,p}^p)^(1/p), taken of the two norms divided by
+    the larger, so their p-th powers stay in range at any p."""
     a = lp_norm(u, p, mask)
     b = w1p_seminorm(u, p, mask)
-    return float((a**p + b**p) ** (1.0 / p))
+    top = max(a, b)
+    if not 0.0 < top < math.inf:  # both zero, an infinite norm, or NaN
+        return a + b
+    return float(top * ((a / top) ** p + (b / top) ** p) ** (1.0 / p))
 
 
 def _gauss_grid(u):

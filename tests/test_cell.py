@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import cell_reference
 import corrector_reference as reference
 from oscille import cell, linalg
 from oscille.core import preset_coefficient
@@ -136,7 +137,8 @@ def test_uniqueness_under_dof_permutation(sine_field):
     # permuted unknown ordering must give the same cell function
     cmesh = build_cell_mesh(64, 1)
     sol = cell.solve_cell(sine_field, np.zeros(1), cmesh)
-    matrix, loads, _, _ = cell._periodic_stiffness_and_loads(sine_field, np.zeros(1), cmesh)
+    a_vals = cell._cell_coefficient(sine_field, np.zeros(1), cmesh)[0]
+    matrix, loads, _ = cell._periodic_stiffness_and_loads(a_vals, cmesh)
     c = cell._mean_functional(cmesh)
     rng = np.random.default_rng(17)
     perm = rng.permutation(cmesh.n_nodes)
@@ -208,9 +210,9 @@ def test_ellipticity_violation_nan_coefficient():
     class OneNaN:
         dim = 1
 
-        def eval_at_slow(self, x, y):
-            vals = base.eval_at_slow(x, y)
-            vals[3] = np.nan
+        def eval_block(self, x, y):
+            vals = base.eval_block(x, y)
+            vals[0, 3] = np.nan
             return vals
 
     with pytest.raises(cell.EllipticityViolation):
@@ -339,12 +341,13 @@ class _FourierCell:
     def __init__(self, dim, c, modes, scale=1.0, shift=0.0):
         self.dim, self.c, self.modes, self.scale, self.shift = dim, c, modes, scale, shift
 
-    def eval_at_slow(self, x, y):
+    def eval_block(self, x, y):
+        x = np.asarray(x, dtype=float).reshape(-1, self.dim)
         y = np.asarray(y, dtype=float).reshape(-1, self.dim) + self.shift
         vals = np.full(y.shape[0], self.c)
         for n, amp, phase in self.modes:
             vals += amp * np.cos(2.0 * np.pi * (y @ np.array(n[: self.dim])) + phase)
-        return self.scale * vals
+        return np.repeat((self.scale * vals)[None], len(x), axis=0)
 
 
 @st.composite
@@ -365,7 +368,7 @@ def _a0_einsum(coef, x, cmesh, sol):
     """A0 = sum_g w a (I + grad N) from grad N at every Gauss point, the
     reference for the single matrix product that solve_cell forms A0 by."""
     q = quadrature(cmesh)
-    a_vals = cell._cell_coefficient(coef, x, cmesh)
+    a_vals = cell._cell_coefficient(coef, x, cmesh)[0]
     grad_gauss = np.einsum("ecd,gcj->egjd", sol.columns[q.corners], q.shape_grads)
     integrand = a_vals[:, :, None, None] * (np.eye(coef.dim) + grad_gauss)
     return np.einsum("g,egjk->jk", q.weights, integrand)
@@ -399,7 +402,7 @@ def test_a0_symmetric_within_discrete_voigt_reuss(case):
     a0 = _a0(coef, cmesh)
     scale = np.max(np.abs(a0))
     assert np.max(np.abs(a0 - a0.T)) <= 1e-8 * scale
-    a_vals = cell._cell_coefficient(coef, np.zeros(coef.dim), cmesh)
+    a_vals = cell._cell_coefficient(coef, np.zeros(coef.dim), cmesh)[0]
     w = np.broadcast_to(quadrature(cmesh).weights, a_vals.shape)
     arith = np.sum(w * a_vals)
     harm = 1.0 / np.sum(w / a_vals)
@@ -429,3 +432,73 @@ def test_a0_invariant_under_whole_node_y_shift(case, k):
 def test_a0_matches_einsum_reference_random_cells(case):
     coef, cmesh = case
     _assert_a0_matches_einsum(coef, np.zeros(coef.dim), cmesh)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _assert_assembly_matches_reference(a_vals, cmesh):
+    matrix, loads, _ = cell._periodic_stiffness_and_loads(a_vals, cmesh)
+    ref_matrix, ref_loads = cell_reference.stiffness_and_loads(a_vals, cmesh)
+    assert np.array_equal(matrix.indptr, ref_matrix.indptr)
+    assert np.array_equal(matrix.indices, ref_matrix.indices)
+    assert np.array_equal(_bits(matrix.data), _bits(ref_matrix.data))
+    assert np.array_equal(_bits(loads), _bits(ref_loads))
+    assert np.array_equal(_bits(cell._mean_functional(cmesh)), _bits(cell_reference.mean_functional(cmesh)))
+
+
+@_PROPERTY
+@given(st.sampled_from([1, 2]), st.integers(4, 16), st.integers(0, 2**32 - 1))
+def test_cached_pattern_assembly_matches_coo_reference(dim, m, seed):
+    cmesh = build_cell_mesh(m, dim)
+    rng = np.random.default_rng(seed)
+    a_vals = rng.uniform(0.05, 5.0, quadrature(cmesh).points.shape[:2])
+    _assert_assembly_matches_reference(a_vals, cmesh)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 256), (2, 64)])
+def test_cached_pattern_assembly_matches_coo_reference_default_cells(dim, m):
+    cmesh = build_cell_mesh(m, dim)
+    a_vals = np.random.default_rng(m).uniform(0.05, 5.0, quadrature(cmesh).points.shape[:2])
+    _assert_assembly_matches_reference(a_vals, cmesh)
+
+
+def test_pattern_built_once_per_cell_mesh_over_a_table():
+    field = preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
+    axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 1.5, 5))
+    cell._cell_pattern.cache_clear()
+    cell.tabulate_effective(field, axes, build_cell_mesh(8, 2))
+    info = cell._cell_pattern.cache_info()
+    assert info.misses == 1
+    assert info.hits >= len(axes[0])  # every solve reads it
+
+
+def _interpolation_points(axes, rng):
+    """Random points, every table node, and the upper edge of each axis."""
+    inside = np.stack([rng.uniform(a[0], a[-1], 200) for a in axes], axis=1)
+    nodes = np.array(list(itertools.product(*axes)))
+    edge = np.array(list(itertools.product(*[(a[-1], a[-1] - 1e-12, a[0]) for a in axes])))
+    return np.concatenate([inside, nodes, edge])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("tensor", [False, True])
+def test_multilinear_matches_corner_loop(dim, tensor):
+    rng = np.random.default_rng(dim + 2 * tensor)
+    axes = (np.linspace(-0.3, 1.3, 9), np.linspace(0.0, 1.0, 6))[:dim]
+    trailing = (dim, dim) if tensor else ()
+    values = rng.standard_normal(tuple(len(a) for a in axes) + trailing)
+    pts = _interpolation_points(axes, rng)
+    got = cell.multilinear(values, axes, pts)
+    want = cell_reference.multilinear(values, axes, pts)
+    assert got.shape == (len(pts),) + trailing
+    assert np.array_equal(_bits(got), _bits(want))
+    # on a table node the interpolant is the node's value
+    nodes = np.array(list(itertools.product(*axes)))
+    got = cell.multilinear(values, axes, nodes)
+    np.testing.assert_allclose(got, values.reshape((-1,) + trailing), rtol=0, atol=1e-14)
+    outside = pts[:1].copy()
+    outside[0, -1] = axes[-1][-1] + 0.01
+    with pytest.raises(cell.TableCoverage):
+        cell.multilinear(values, axes, outside)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscille import core
 
@@ -195,3 +197,40 @@ def test_mixed_boundary_validation():
         core.BoundarySpec("mixed", ("left", "right")).validate_for_dim(1)  # not proper
     with pytest.raises(core.ScenarioError):
         core.BoundarySpec("mixed", ("north",)).validate_for_dim(2)
+
+
+_PRESET_CASES = [(pid, dim) for pid, dims in core.PRESET_DIMS.items() for dim in dims]
+_PARAMS = {"Constant": [2.5], "LocallyPeriodic1D": [2, 1, 0.5], "LocallyPeriodic2D": [2, 1, -0.4]}
+# fast coordinates where the wrap into [0, 1) rounds: frac(-1e-20) is 1.0
+_WRAP = [-1e-20, 1.0 - 2.0**-53, 0.0, 1.0, 3.0, -2.5]
+
+
+@st.composite
+def _blocks(draw, dim):
+    """Slow points inside and outside the unit box, fast points outside [0, 1)."""
+    coord = st.one_of(st.floats(-3.0, 4.0), st.sampled_from(_WRAP))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    x = np.array(draw(st.lists(coord, min_size=m * dim, max_size=m * dim))).reshape(m, dim)
+    y = np.array(draw(st.lists(coord, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    return x, y
+
+
+@pytest.mark.parametrize("pid, dim", _PRESET_CASES)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_block_eval_matches_pointwise_bit_for_bit(pid, dim, data):
+    f = core.preset_coefficient(pid, _PARAMS.get(pid, [2, 1]), dim)
+    x, y = data.draw(_blocks(dim))
+    m, n = len(x), len(y)
+    block = f.eval_block(x, y)
+    pointwise = f.eval(np.repeat(x, n, axis=0), np.tile(y, (m, 1))).reshape(m, n)
+    assert block.shape == (m, n)
+    assert np.array_equal(block.view(np.int64), pointwise.view(np.int64))
+    # a fresh array: writable, sharing no memory with the inputs
+    assert block.flags.writeable and block.flags.c_contiguous
+    assert not np.shares_memory(block, x) and not np.shares_memory(block, y)
+    block[...] = -1.0
+    assert np.array_equal(f.eval_block(x, y), pointwise)
+    # a single slow point is the block of one row
+    assert np.array_equal(f.eval_block(x[0], y), pointwise[:1])

@@ -5,7 +5,7 @@ from scipy.linalg import solveh_banded
 
 from oscille import fem, linalg
 from oscille.core import ConfigError
-from oscille.cell import _mean_functional, _periodic_stiffness_and_loads
+from oscille.cell import _cell_coefficient, _mean_functional, _periodic_stiffness_and_loads
 from oscille.core import preset_coefficient
 from oscille.mesh import build_cell_mesh, build_domain_mesh
 
@@ -146,7 +146,7 @@ def test_tridiag_non_finite_load_raises():
 def _periodic_laplacian(m):
     field = preset_coefficient("Constant", [1.0], 1)
     mesh = build_cell_mesh(m, 1)
-    matrix, _, _, _ = _periodic_stiffness_and_loads(field, np.zeros(1), mesh)
+    matrix, _, _ = _periodic_stiffness_and_loads(_cell_coefficient(field, np.zeros(1), mesh)[0], mesh)
     return matrix, mesh
 
 

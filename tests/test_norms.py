@@ -265,6 +265,23 @@ def test_besov_rejects_p_below_one(fine_1d, p):
         norms.besov_seminorm(u, 0.5, p)
 
 
+@pytest.mark.parametrize("p", [400.0, 5000.0, 1e308])
+def test_large_p_w1p_norm_is_finite(fine_1d, p):
+    # a**p of the seminorm 2 pi overflows a float from p = 386 on
+    u = grid_from_callable(fine_1d, lambda x: np.sin(2 * np.pi * x[:, 0]))
+    a, b = norms.lp_norm(u, p), norms.w1p_seminorm(u, p)
+    got = norms.w1p_norm(u, p)
+    assert np.isfinite(got) and got >= max(a, b)
+    assert got <= max(a, b) * 2 ** (1 / p) * (1 + 1e-15)
+
+
+def test_w1p_norm_of_zero_and_nan(fine_1d):
+    zero = GridFunction(fine_1d, np.zeros(fine_1d.n_nodes))
+    assert norms.w1p_norm(zero, 2.0) == 0.0
+    nan = GridFunction(fine_1d, np.full(fine_1d.n_nodes, np.nan))
+    assert np.isnan(norms.w1p_norm(nan, 2.0))
+
+
 @pytest.mark.parametrize("norm", [norms.lp_norm, norms.w1p_seminorm])
 def test_nan_node_is_nan_unless_masked_out(fine_1d, norm):
     u = grid_from_callable(fine_1d, lambda p: np.sin(2 * np.pi * p[:, 0]))
