@@ -17,10 +17,10 @@ a(x, .) agree bit for bit at the cell Gauss points share one solve.
 The table samples a(x, .) one row at a time (the entries along the last
 x-axis, one block evaluation), so it holds one row of samples, never the
 whole table, and each distinct sample array goes into its solve as is.
-Everything of a cell system that does not depend on a (the CSR pattern
-and the element-to-slot map of the stiffness matrix, the node scatter of
-the loads, the mean functional) is built once per cell mesh; a solve
-then costs two einsums and one bincount before its CG iterations.
+Everything of a cell system that does not depend on a (the wrapped
+stencil pattern of the stiffness matrix, the one `fem` assembles with
+too, the node scatter of the loads, the mean functional) is built once
+per cell mesh; a solve then costs two einsums and one bincount.
 `multilinear` is the one interpolator: in x on the table grid, and in y
 on the cell grid padded with its wrapped first node layer. It gathers
 the 2^d corners from the flattened grid.
@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .core import ConfigError, NumericalError
-from .mesh import Mesh, MeshMismatch, _tensor_points, quadrature
+from .mesh import Mesh, MeshMismatch, _stencil_pattern, _tensor_points, quadrature
 
 X_TABLE_SPACING = 1.0 / 16.0
 
@@ -80,20 +80,17 @@ def _cell_pattern(cell_mesh):
 
     The stiffness contributions (element, row corner, column corner) and
     the load contributions (k, element, corner) go through one bincount:
-    stiffness slots index the sorted CSR data, load slots follow at
-    nnz + k n_nodes + node. bincount adds each slot's terms in input
-    order, as the COO-to-CSR duplicate sum and np.add.at do, so the
-    matrix and loads are bit-identical to that assembly.
+    stiffness slots are those of `mesh._stencil_pattern` with every node
+    free, load slots follow at nnz + k n_nodes + node. bincount adds each
+    slot's terms in input order, as the COO-to-CSR duplicate sum and
+    np.add.at do, so the matrix and loads are bit-identical to that assembly.
     """
     q = quadrature(cell_mesh)
     n, d = cell_mesh.n_nodes, cell_mesh.dim
-    n_el, n_c = q.corners.shape
-    keys = (np.repeat(q.corners, n_c, axis=1) * n + np.tile(q.corners, (1, n_c))).ravel()
-    pattern = np.unique(keys)  # row * n + column of each stored entry, sorted
-    load_slots = len(pattern) + np.arange(d)[:, None] * n + q.corners.ravel()
-    slots = np.concatenate([np.searchsorted(pattern, keys), load_slots.ravel()])
-    indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.int32)
-    indices = (pattern % n).astype(np.int32)
+    n_el = q.corners.shape[0]
+    indptr, indices, stiff_slots = _stencil_pattern(cell_mesh, np.ones(n, dtype=bool))
+    load_slots = len(indices) + np.arange(d)[:, None] * n + q.corners.ravel()
+    slots = np.concatenate([stiff_slots, load_slots.ravel()])
     corner_means = np.einsum("g,gc->c", q.weights, q.shape_values)
     mean = np.bincount(q.corners.ravel(), np.tile(corner_means, n_el), n)
     # the contraction path depends on the operand shapes only

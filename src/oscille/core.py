@@ -222,6 +222,7 @@ class BoundarySpec:
     dirichlet_edges: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "dirichlet_edges", tuple(self.dirichlet_edges))  # hashable, as caches key on it
         if self.kind not in ("dirichlet", "neumann", "mixed"):
             raise ScenarioError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "mixed" and not self.dirichlet_edges:
@@ -231,10 +232,9 @@ class BoundarySpec:
         names = EDGE_NAMES_1D if dim == 1 else EDGE_NAMES_2D
         if self.kind != "mixed":
             return
-        edges = tuple(self.dirichlet_edges)
-        if any(e not in names for e in edges):
+        if any(e not in names for e in self.dirichlet_edges):
             raise ScenarioError(f"mixed edges must be a subset of {names}")
-        if len(set(edges)) == len(names):
+        if len(set(self.dirichlet_edges)) == len(names):
             raise ScenarioError("mixed boundary must be a proper edge subset; use dirichlet")
 
 

@@ -3,14 +3,16 @@
 The operator is the divergence form u -> -div(a grad u) - mu*u with a
 scalar or matrix coefficient sampled at Gauss points, under Dirichlet,
 Neumann or mixed boundary conditions. With mu <= 0 and either a Dirichlet
-part or mu < 0 the reduced system is symmetric positive definite.
+part or mu < 0 the reduced system is symmetric positive definite. One
+bincount sums the element matrices into the CSR pattern of the free dofs,
+`mesh._stencil_pattern` cached per (mesh, BC), in the order of a COO sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +21,7 @@ from scipy.linalg import solveh_banded
 from . import core, linalg
 from .core import ConfigError, NumericalError
 from .mesh import ExcessiveSize, GridFunction, Mesh, MeshMismatch, build_domain_mesh, node_cap, quadrature
+from .mesh import _stencil_pattern
 
 
 class SingularOperator(NumericalError):
@@ -122,6 +125,8 @@ def _free_axes(mesh, bc):
     Dirichlet edges are whole mesh lines, so the free nodes are the tensor
     product of these masks.
     """
+    if mesh.periodic:
+        raise MeshMismatch("a periodic mesh has no boundary to carry boundary conditions")
     bc.validate_for_dim(mesh.dim)
     if bc.kind == "neumann":
         edges = ()
@@ -137,11 +142,23 @@ def _free_axes(mesh, bc):
     return free
 
 
+def _free_nodes(mesh, bc):
+    return reduce(np.logical_and.outer, _free_axes(mesh, bc)).ravel()
+
+
 def dirichlet_nodes(mesh, bc):
     """Sorted node indices carrying a homogeneous Dirichlet condition."""
-    free = _free_axes(mesh, bc)
-    keep = free[0] if mesh.dim == 1 else np.logical_and.outer(free[0], free[1]).ravel()
-    return np.nonzero(~keep)[0]
+    return np.nonzero(~_free_nodes(mesh, bc))[0]
+
+
+@lru_cache(maxsize=16)
+def _pattern(mesh, bc):
+    """`_stencil_pattern` on the free nodes, cached per (mesh, BC) as the quadrature is per mesh;
+    read-only, since every matrix assembled on it shares its index arrays."""
+    pattern = _stencil_pattern(mesh, _free_nodes(mesh, bc))
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
 
 
 def _sample_coefficient(sampler, points):
@@ -166,9 +183,12 @@ def assemble(mesh, sampler, mu, bc):
     """
     if mu > 0:
         raise ConfigError("mu must be nonpositive")
+    keep = _free_nodes(mesh, bc)
+    free, constrained = np.nonzero(keep)[0], np.nonzero(~keep)[0]
+    if constrained.size == 0 and mu == 0.0:
+        raise SingularOperator("pure Neumann with mu = 0 has constants in its kernel")
     q = quadrature(mesh)
     n_el, n_g, d = q.points.shape
-    n_c = q.corners.shape[1]
     a_vals = _sample_coefficient(sampler, q.points)
     grads = q.shape_grads  # (g, c, d)
     if a_vals.ndim == 1:
@@ -182,18 +202,11 @@ def assemble(mesh, sampler, mu, bc):
         mass = np.einsum("g,gc,gk->ck", q.weights, q.shape_values, q.shape_values)
         stiff = stiff - mu * mass[None, :, :]
 
-    rows = np.repeat(q.corners, n_c, axis=1).ravel()
-    cols = np.tile(q.corners, (1, n_c)).ravel()
-    full = sp.csr_matrix((stiff.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-
-    constrained = dirichlet_nodes(mesh, bc)
-    if constrained.size == 0 and mu == 0.0:
-        raise SingularOperator("pure Neumann with mu = 0 has constants in its kernel")
-    keep = np.ones(mesh.n_nodes, dtype=bool)
-    keep[constrained] = False
-    free = np.nonzero(keep)[0]
+    indptr, indices, slots = _pattern(mesh, bc)
+    # contributions outside the free rows and columns go to the extra slot nnz
+    data = np.bincount(slots, stiff.ravel(), len(indices) + 1)[:-1]
     return AssembledSystem(
-        matrix=full[free][:, free],
+        matrix=sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size)),
         constrained_dofs=constrained,
         free_dofs=free,
         mesh=mesh,

@@ -243,6 +243,46 @@ def element_corner_nodes(mesh):
     )
 
 
+def _stencil_pattern(mesh, free):
+    """CSR pattern of a Q1 operator on the nodes of the mask free, in closed form.
+
+    Nodes i and j share an element exactly when j = i + o, o in {-1, 0, 1}^d
+    (wrapped on a periodic mesh). Entry (i, o) sits at 3^d i + rank in a
+    padded layout, rank ordering each axis's offsets by neighbour index so
+    that wrapped rows keep their columns sorted, and is kept where i and
+    i + o are free. Returns int32 indptr and indices over the free nodes,
+    and the slot of each (element, row corner, column corner) contribution,
+    nnz where its row or column is not free.
+    """
+    d, shape, n = mesh.dim, mesh.nodes_per_axis, mesh.n_nodes
+    col, rank, inside = 0, 0, True
+    for a, m in enumerate(shape):  # (offset or rank, node) arrays, one pair of axes each
+        j = np.arange(-1, 2)[:, None] + np.arange(m)  # neighbour coordinate per offset
+        j = j % m if mesh.periodic else j
+        order = np.argsort(j, axis=0)
+        j = np.take_along_axis(j, order, axis=0)
+        axes = [3 if k == a else m if k == d + a else 1 for k in range(2 * d)]
+        col = col + (np.clip(j, 0, m - 1) * math.prod(shape[a + 1:])).reshape(axes)
+        inside = inside & ((j >= 0) & (j < m)).reshape(axes)
+        rank = rank + (np.argsort(order, axis=0) * 3 ** (d - 1 - a)).reshape(axes)
+    col, inside, rank = (x.reshape(3**d, n) for x in (col, inside, rank))
+    keep = inside & free & free[col]
+    upto = np.cumsum(keep, axis=0, dtype=np.int32)  # kept entries of each row up to each rank
+    count = upto[-1]
+    slot = np.where(keep, np.cumsum(count, dtype=np.int32) - count + upto - 1, count.sum(dtype=np.int32))
+    indptr = np.concatenate([[0], np.cumsum(count[free])]).astype(np.int32)
+    indices = (np.cumsum(free) - 1)[col.T[keep.T]].astype(np.int32)
+    bits = np.array(list(itertools.product((0, 1), repeat=d)))
+    offset = (bits[None, :, :] - bits[:, None, :] + 1) @ 3 ** np.arange(d - 1, -1, -1)  # (row, column corner)
+    # slots by (offset, node grid), the grid padded by its wrapped first layer on a periodic
+    # mesh; the row corner c of every element is the node grid shifted by c
+    grid = np.take_along_axis(slot, rank, axis=0).reshape((-1,) + shape)
+    grid = np.pad(grid, [(0, 0)] + [(0, int(mesh.periodic))] * d, mode="wrap")
+    cells = mesh.cells_per_axis
+    rows = [grid[(offset[c],) + tuple(slice(b, b + k) for b, k in zip(bc, cells))] for c, bc in enumerate(bits)]
+    return indptr, indices, np.stack(rows).reshape(len(bits) ** 2, -1).T.ravel()
+
+
 @dataclass(frozen=True)
 class QuadratureData:
     """Tensor two-point Gauss rule: every weight equals jac / 2^dim."""

@@ -81,12 +81,17 @@ def lp_norm(u, p, mask=None):
     return _gauss_lp(vals if sel is None else vals[sel], q, p)
 
 
-def w1p_seminorm(u, p, mask=None):
+def w1p_seminorms(u, p, masks):
+    """|u|_{1,p} over each mask of masks (None: the whole mesh), from one gradient."""
     q = quadrature(u.mesh)
     g = grads_at_gauss(u, q)
     mag = np.sqrt(np.einsum("egd,egd->eg", g, g))
-    sel = _element_weights(u.mesh, mask)
-    return _gauss_lp(mag if sel is None else mag[sel], q, p)
+    sels = [_element_weights(u.mesh, mask) for mask in masks]
+    return [_gauss_lp(mag if sel is None else mag[sel], q, p) for sel in sels]
+
+
+def w1p_seminorm(u, p, mask=None):
+    return w1p_seminorms(u, p, (mask,))[0]
 
 
 def w1p_norm(u, p, mask=None):

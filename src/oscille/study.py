@@ -27,7 +27,7 @@ from . import corrector as corr_mod
 from . import fem, linalg
 from .core import ConfigError, NumericalError, Scenario
 from .mesh import GridFunction, boundary_strip_mask, build_cell_mesh, interior_mask
-from .norms import besov_seminorm, lp_norm, w1p_seminorm
+from .norms import besov_seminorm, lp_norm, w1p_seminorms
 
 FIT_TOLERANCE = 0.1
 FIT_RESIDUAL_LIMIT = 0.15
@@ -160,6 +160,10 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
     imask = None
     if scenario.interior_margin > 0:
         imask = interior_mask(mesh, scenario.interior_margin)
+    regions = {"global": None, "interior": imask, "strip": boundary_strip_mask(mesh, eps)}
+    # W^1_p seminorms by (uses corrector, region): the targets', and on load 0 the aux probes
+    w1p_keys = sorted({(t.uses_corrector, t.region) for t in targets if t.norm_kind == "w1p_semi"})
+    probe_keys = [(False, "global"), (True, "strip")] + ([(False, "interior")] if imask is not None else [])
 
     setup = corr_mod.corrector_setup(ctable, mesh, eps)
 
@@ -176,13 +180,17 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
             raise NonFiniteMeasurement(f"L^p norm of load {load_name!r} is {f_norm!r} at eps = {eps:g}")
         diff0 = GridFunction(mesh, u_eps.values - u0.values)
         diff1 = GridFunction(mesh, u_eps.values - u_first.values)
+        semi = {}
+        for corrected, diff in ((False, diff0), (True, diff1)):  # one gradient per difference
+            keys = [k for k in w1p_keys + (probe_keys if li == 0 else []) if k[0] == corrected]
+            semi.update(zip(keys, w1p_seminorms(diff, scenario.p, [regions[r] for _, r in keys]) if keys else []))
         for t in targets:
             diff = diff1 if t.uses_corrector else diff0
-            mask = imask if t.region == "interior" else None
+            mask = regions[t.region]
             if t.norm_kind == "lp":
                 val = lp_norm(diff, scenario.p, mask)
             elif t.norm_kind == "w1p_semi":
-                val = w1p_seminorm(diff, scenario.p, mask)
+                val = semi[t.uses_corrector, t.region]
             else:
                 val = besov_seminorm(diff, BESOV_R, scenario.p)
             err = val / f_norm
@@ -191,11 +199,10 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
             errors[t.name] = max(errors[t.name], err)
         if li == 0:
             aux["corrector_ratio"] = corr_mod.corrector_norm_check(k_field, f_norm, eps, scenario.p)
-            aux["w1_plain"] = w1p_seminorm(diff0, scenario.p) / f_norm
+            aux["w1_plain"] = semi[False, "global"] / f_norm
             if imask is not None:
-                aux["w1_plain_interior"] = w1p_seminorm(diff0, scenario.p, imask) / f_norm
-            strip = boundary_strip_mask(mesh, eps)
-            aux["w1_corr_strip"] = w1p_seminorm(diff1, scenario.p, strip) / f_norm
+                aux["w1_plain_interior"] = semi[False, "interior"] / f_norm
+            aux["w1_corr_strip"] = semi[True, "strip"] / f_norm
 
     excluded = {t.name: errors[t.name] <= EXCLUSION_FACTOR * solver_tol for t in targets}
     return CaseRow(eps, mesh.h[0], errors, excluded, aux)

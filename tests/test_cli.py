@@ -403,7 +403,7 @@ def test_underflowing_load_norm_exit_3(tmp_path, monkeypatch, capsys):
 
 def test_nan_error_exit_3(tmp_path, monkeypatch, capsys):
     # a NaN error must not be recorded as 0 by the running maximum
-    monkeypatch.setattr(cli.study, "w1p_seminorm", lambda *args: float("nan"))
+    monkeypatch.setattr(cli.study, "w1p_seminorms", lambda u, p, masks: [float("nan")] * len(masks))
     cfg = _write_cfg(tmp_path, SINE_CFG)
     rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
     assert rc == 3

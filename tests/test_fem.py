@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import spsolve
 
-from oscille import core, fem, linalg
-from oscille.mesh import GridFunction, build_domain_mesh, grid_from_callable
+import fem_reference
+from oscille import cell, core, fem, linalg, study
+from oscille import mesh as mesh_mod
+from oscille.mesh import GridFunction, MeshMismatch, build_cell_mesh, build_domain_mesh, grid_from_callable
 from oscille.norms import lp_norm, w1p_norm
 
 ONES = lambda p: np.ones(p.shape[0])  # noqa: E731
@@ -375,3 +380,134 @@ def test_2d_resolvent_rejects_tol_before_sizing_iterations(tol):
     s = fem.assemble(build_domain_mesh(((0.0, 1.0),) * 2, 1 / 8), ONES, -1.0, core.BoundarySpec("dirichlet"))
     with pytest.raises(core.ConfigError, match="tol must lie in"):
         fem.solve_resolvent(s, ONES, tol=tol)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _boundary_specs(dim):
+    """Dirichlet, Neumann and every mixed edge subset."""
+    names = core.EDGE_NAMES_1D if dim == 1 else core.EDGE_NAMES_2D
+    yield core.BoundarySpec("dirichlet")
+    yield core.BoundarySpec("neumann")
+    for r in range(1, len(names)):
+        for edges in itertools.combinations(names, r):
+            yield core.BoundarySpec("mixed", edges)
+
+
+def _rough_sampler(dim, tensor):
+    """Positive samples that vary from Gauss point to Gauss point, scalar or SPD (d, d)."""
+
+    def sample(p):
+        v = np.exp(np.sin(37.0 * p[:, 0]) + np.cos(53.0 * p[:, -1]))
+        if not tensor:
+            return v
+        a = v[:, None, None] * np.eye(dim)
+        if dim == 2:
+            a[:, 0, 1] = a[:, 1, 0] = 0.5 * v * np.sin(11.0 * p[:, 0])
+        return a
+
+    return sample
+
+
+def _assert_csr_equal(got, want):
+    assert got.shape == want.shape
+    assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(_bits(got.data), _bits(want.data))
+
+
+@pytest.mark.parametrize(
+    "extents, h",
+    [
+        (((0.0, 1.0),), 1 / 13),
+        (((-0.5, 1.25),), 0.25),
+        (((0.0, 1.0),), 1.0),  # 2 nodes
+        (((0.0, 1.0), (0.0, 0.75)), 0.1),
+        (((-0.5, 1.0), (0.25, 0.5)), 1 / 12),
+        (((0.0, 1.0), (0.0, 1.0)), 1.0),  # 2 x 2 nodes; all-Dirichlet leaves no free dof
+        (((0.0, 2.0), (0.0, 1.0)), 1.0),
+    ],
+)
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+@pytest.mark.parametrize("tensor", [False, True])
+def test_assembly_matches_coo_reference(extents, h, mu, tensor):
+    m = build_domain_mesh(extents, h)
+    sampler = _rough_sampler(m.dim, tensor)
+    for bc in _boundary_specs(m.dim):
+        if bc.kind == "neumann" and mu == 0.0:
+            with pytest.raises(fem.SingularOperator):
+                fem.assemble(m, sampler, mu, bc)
+            continue
+        s = fem.assemble(m, sampler, mu, bc)
+        matrix, free, constrained = fem_reference.assemble(m, sampler, mu, bc)
+        _assert_csr_equal(s.matrix, matrix)
+        assert np.array_equal(s.free_dofs, free)
+        assert np.array_equal(s.constrained_dofs, constrained)
+        assert np.array_equal(fem.dirichlet_nodes(m, bc), constrained)
+        if bc.kind == "dirichlet" and m.n_nodes == 4:
+            assert s.matrix.shape == (0, 0)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_pattern_on_a_scattered_node_mask(dim, periodic):
+    # a mask that is no tensor product of per-axis masks, on domain and
+    # periodic meshes, against the COO sum sliced by the same mask
+    m = build_cell_mesh(6, dim) if periodic else build_domain_mesh(((0.0, 1.0), (0.0, 0.7))[:dim], 0.1)
+    rng = np.random.default_rng(dim + 2 * periodic)
+    for keep in (rng.random(m.n_nodes) < 0.6, np.ones(m.n_nodes, dtype=bool), np.zeros(m.n_nodes, dtype=bool)):
+        stiff = rng.uniform(-1.0, 1.0, (m.n_elements, 2**dim, 2**dim))
+        indptr, indices, slots = mesh_mod._stencil_pattern(m, keep)
+        assert indptr.dtype == indices.dtype == np.int32
+        data = np.bincount(slots, stiff.ravel(), len(indices) + 1)[:-1]
+        n_free = np.count_nonzero(keep)
+        got = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
+        free = np.nonzero(keep)[0]
+        _assert_csr_equal(got, fem_reference.full_matrix(m, stiff)[free][:, free])
+
+
+def test_periodic_mesh_rejected():
+    # an 8 x 8 cell mesh has no boundary: its nodes 0 and m - 1 are
+    # neighbours across the wrap, not Dirichlet nodes
+    cm = build_cell_mesh(8, 2)
+    for bc in (core.BoundarySpec("dirichlet"), core.BoundarySpec("mixed", ("left",)), core.BoundarySpec("neumann")):
+        with pytest.raises(MeshMismatch):
+            fem.assemble(cm, ONES, -1.0, bc)
+        with pytest.raises(MeshMismatch):
+            fem.dirichlet_nodes(cm, bc)
+
+
+def test_pattern_built_once_per_mesh_and_bc_over_studies(monkeypatch):
+    sc = core.Scenario(
+        field=core.preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2),
+        domain=((0.0, 0.5), (0.0, 0.5)),
+        bc=core.BoundarySpec("mixed", ("left", "bottom")),
+        mu=-1.0,
+        p=2.0,
+        s=1.0,
+        s_plus=1.0,
+        epsilons=(1 / 8, 1 / 16, 1 / 32),
+        points_per_period=4,
+        interior_margin=0.0,
+    )
+    built = []
+    build = mesh_mod._stencil_pattern
+
+    def counting(m, free):
+        built.append((m, free.tobytes()))
+        return build(m, free)
+
+    monkeypatch.setattr(fem, "_stencil_pattern", counting)
+    monkeypatch.setattr(cell, "_stencil_pattern", counting)
+    fem._pattern.cache_clear()
+    cell._cell_pattern.cache_clear()
+    study.run_study(sc)
+    # one pattern per fine mesh, shared by its oscillatory and effective
+    # systems, and one for the cell mesh
+    assert len(built) == len(set(built)) == len(sc.epsilons) + 1
+    assert fem._pattern.cache_info().hits >= len(sc.epsilons)
+    study.run_study(sc)  # a second study reuses them all
+    assert len(built) == len(sc.epsilons) + 1

@@ -4,7 +4,16 @@ import pytest
 
 from oscille import norms
 from oscille.core import ConfigError
-from oscille.mesh import GridFunction, Mesh, boundary_strip_mask, build_domain_mesh, complement, grid_from_callable
+from oscille.mesh import (
+    GridFunction,
+    Mesh,
+    boundary_strip_mask,
+    build_domain_mesh,
+    complement,
+    grads_at_gauss,
+    grid_from_callable,
+    quadrature,
+)
 
 
 @pytest.fixture(scope="module")
@@ -326,3 +335,22 @@ def test_mask_mesh_mismatch(fine_1d):
     u = grid_from_callable(fine_1d, lambda p: p[:, 0])
     with pytest.raises(Exception):
         norms.lp_norm(u, 2.0, mask)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_w1p_seminorms_equal_separate_calls_bit_for_bit(dim):
+    # one gradient for several masks gives each mask's seminorm exactly as
+    # a call of its own, and as the masked Gauss-rule norm of |grad u|
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.75))[:dim], 1 / 24)
+    u = GridFunction(m, np.random.default_rng(dim).standard_normal(m.n_nodes))
+    strip = boundary_strip_mask(m, 0.1)
+    masks = [None, strip, complement(strip), strip]
+    q = quadrature(m)
+    g = grads_at_gauss(u, q)
+    mag = np.sqrt(np.einsum("egd,egd->eg", g, g))
+    for p in (1.0, 2.0, 3.5, 400.0):
+        got = norms.w1p_seminorms(u, p, masks)
+        assert np.array_equal(np.array(got).view(np.int64), np.array([norms.w1p_seminorm(u, p, k) for k in masks]).view(np.int64))
+        want = [norms._gauss_lp(mag if k is None else mag[k.included], q, p) for k in masks]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    assert norms.w1p_seminorms(u, 2.0, []) == []
