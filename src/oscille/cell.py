@@ -17,10 +17,10 @@ a(x, .) agree bit for bit at the cell Gauss points share one solve.
 The table samples a(x, .) one row at a time (the entries along the last
 x-axis, one block evaluation), so it holds one row of samples, never the
 whole table, and each distinct sample array goes into its solve as is.
-Everything of a cell system that does not depend on a (the wrapped
-stencil pattern of the stiffness matrix, the one `fem` assembles with
-too, the node scatter of the loads, the mean functional) is built once
-per cell mesh; a solve then costs two einsums and one bincount.
+The cell's matrix, loads and mean functional go through `fem`'s Q1
+assembly with every node free: the matrix into the wrapped stencil
+pattern `fem` caches per mesh, the loads by its nodal scatter, and the
+mean functional is the load vector of f = 1, cached per cell mesh.
 `multilinear` is the one interpolator: in x on the table grid, and in y
 on the cell grid padded with its wrapped first node layer. It gathers
 the 2^d corners from the flattened grid.
@@ -34,11 +34,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import linalg
+from . import fem, linalg
 from .core import ConfigError, NumericalError
-from .mesh import Mesh, MeshMismatch, _stencil_pattern, _tensor_points, quadrature
+from .mesh import Mesh, MeshMismatch, _tensor_points, quadrature
 
 X_TABLE_SPACING = 1.0 / 16.0
 
@@ -63,47 +62,12 @@ def _cell_coefficient(field, xs, cell_mesh):
     return field.eval_block(xs, q.points.reshape(-1, d)).reshape(-1, n_el, n_g)
 
 
-@dataclass(frozen=True)
-class _CellPattern:
-    """What the cell systems of one mesh share whatever the coefficient."""
-
-    path: list  # einsum contraction path of the element stiffness
-    indptr: np.ndarray  # CSR pattern of the stiffness matrix
-    indices: np.ndarray
-    slots: np.ndarray  # per stiffness then load contribution, its bincount slot
-    mean: np.ndarray  # c_i = int phi_i, the mean functional
-
-
 @lru_cache(maxsize=8)
-def _cell_pattern(cell_mesh):
-    """Element-to-CSR slot map, load scatter and mean functional of a cell mesh.
-
-    The stiffness contributions (element, row corner, column corner) and
-    the load contributions (k, element, corner) go through one bincount:
-    stiffness slots are those of `mesh._stencil_pattern` with every node
-    free, load slots follow at nnz + k n_nodes + node. bincount adds each
-    slot's terms in input order, as the COO-to-CSR duplicate sum and
-    np.add.at do, so the matrix and loads are bit-identical to that assembly.
-    """
-    q = quadrature(cell_mesh)
-    n, d = cell_mesh.n_nodes, cell_mesh.dim
-    n_el = q.corners.shape[0]
-    indptr, indices, stiff_slots = _stencil_pattern(cell_mesh, np.ones(n, dtype=bool))
-    load_slots = len(indices) + np.arange(d)[:, None] * n + q.corners.ravel()
-    slots = np.concatenate([stiff_slots, load_slots.ravel()])
-    corner_means = np.einsum("g,gc->c", q.weights, q.shape_values)
-    mean = np.bincount(q.corners.ravel(), np.tile(corner_means, n_el), n)
-    # the contraction path depends on the operand shapes only
-    a_like = np.broadcast_to(1.0, q.points.shape[:2])
-    path = np.einsum_path("eg,g,gcd,gkd->eck", a_like, q.weights, q.shape_grads, q.shape_grads, optimize=True)[0]
-    for a in (indptr, indices, slots, mean):
-        a.flags.writeable = False
-    return _CellPattern(path, indptr, indices, slots, mean)
-
-
 def _mean_functional(cell_mesh):
-    """c_i = int phi_i over the unit cell (uniform: h^d per stored node)."""
-    return _cell_pattern(cell_mesh).mean
+    """c_i = int phi_i over the unit cell, the load of f = 1; read-only, cached per cell mesh."""
+    c = fem.assemble_load(cell_mesh, lambda y: np.ones(len(y)))
+    c.flags.writeable = False
+    return c
 
 
 def _periodic_stiffness_and_loads(a_vals, cell_mesh):
@@ -111,15 +75,10 @@ def _periodic_stiffness_and_loads(a_vals, cell_mesh):
     periodic cell, the d loads b_k[i] = -int a e_k . grad phi_i, and the
     samples times their Gauss weights."""
     q = quadrature(cell_mesh)
-    pat = _cell_pattern(cell_mesh)
-    n, nnz = cell_mesh.n_nodes, len(pat.indices)
-    grads = q.shape_grads
-    stiff = np.einsum("eg,g,gcd,gkd->eck", a_vals, q.weights, grads, grads, optimize=pat.path)
+    matrix = fem._csr(cell_mesh, None, fem._scalar_stiffness(a_vals, q))
     wa = a_vals * q.weights
-    loads = -np.einsum("eg,gck->kec", wa, grads)
-    summed = np.bincount(pat.slots, np.concatenate([stiff.ravel(), loads.ravel()]), nnz + cell_mesh.dim * n)
-    matrix = sp.csr_matrix((summed[:nnz], pat.indices, pat.indptr), shape=(n, n))
-    return matrix, summed[nnz:].reshape(-1, n), wa
+    loads = -np.einsum("eg,gck->kec", wa, q.shape_grads)
+    return matrix, np.stack([fem._nodal(q, load, cell_mesh.n_nodes) for load in loads]), wa
 
 
 def _interpolate_periodic(columns, cell_mesh, y):
@@ -150,7 +109,7 @@ class CellSolution:
     stats: tuple
 
 
-def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL, samples=None):
+def solve_cell(field, x, cell_mesh, samples=None):
     """Solve the periodic cell problem at macroscopic point x, and form
     A0(x) = int a(x,y) (I + grad N) dy by cell quadrature.
 
@@ -171,7 +130,7 @@ def solve_cell(field, x, cell_mesh, tol=linalg.DEFAULT_TOL, samples=None):
     columns = np.zeros((cell_mesh.n_nodes, d))
     stats = []
     for k in range(d):
-        sol, _lam, st = linalg.solve_saddle(matrix, c, loads[k], tol=tol)
+        sol, _lam, st = linalg.solve_saddle(matrix, c, loads[k])
         columns[:, k] = sol
         stats.append(st)
     # int a d/dy_j phi_c over each element, rows (element, corner), columns j
@@ -259,7 +218,7 @@ def x_axes_for(domain, margin, spacing=X_TABLE_SPACING):
     return tuple(axes)
 
 
-def tabulate_cells(field, x_axes, cell_mesh, tol=linalg.DEFAULT_TOL):
+def tabulate_cells(field, x_axes, cell_mesh):
     """Cell solutions over the x-grid, one solve per distinct a(x, .).
 
     a(x, .) is sampled at the cell Gauss points one row of the grid at a
@@ -277,7 +236,7 @@ def tabulate_cells(field, x_axes, cell_mesh, tol=linalg.DEFAULT_TOL):
         for p, a_vals in zip(row, _cell_coefficient(field, row, cell_mesh)):
             key = a_vals.tobytes()
             if key not in solved:
-                solved[key] = solve_cell(field, p, cell_mesh, tol=tol, samples=a_vals)
+                solved[key] = solve_cell(field, p, cell_mesh, samples=a_vals)
             cells.append(solved[key])
     return CellTable(x_axes, cell_mesh, cells)
 
@@ -295,9 +254,9 @@ class EffectiveField:
         return multilinear(self.tensors, self.x_axes, pts)
 
 
-def tabulate_effective(field, x_axes, cell_mesh, tol=linalg.DEFAULT_TOL):
+def tabulate_effective(field, x_axes, cell_mesh):
     """Tabulate A0 over the x-grid; returns (EffectiveField, CellTable)."""
-    table = tabulate_cells(field, x_axes, cell_mesh, tol=tol)
+    table = tabulate_cells(field, x_axes, cell_mesh)
     d = field.dim
     tensors = np.stack([sol.a0 for sol in table.cells]).reshape(table.grid_shape() + (d, d))
     return EffectiveField(table.x_axes, tensors, d), table

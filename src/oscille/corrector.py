@@ -147,21 +147,17 @@ def _axis_operator(st):
     Row (s, i) holds node i's offsets whose point lies in table cell
     idx[i] + s - 1 (upper hat) or idx[i] + s (lower hat), columns in offset
     order, so each row sums its terms in the order the streamed pass does.
+    Built in closed form: a (slot, node, offset) block masked where a hat
+    is hit, read in C order, with indptr from the row counts.
     """
     n = st.n
-    hats = [st.hat(col) for col in range(len(st.offsets))]
-    slot, lower, upper = (np.stack(parts, axis=1) for parts in zip(*hats))  # each (n, n_offsets)
-    cols = np.arange(n)[:, None] + (st.offsets - st.offsets[0])
-    data, indices, counts = [], [], []
-    for s in range(st.n_slots):
-        is_lower = slot == s
-        hit = is_lower | (slot == s - 1)
-        i, c = np.nonzero(hit)  # node-major, offsets ascending
-        data.append(np.where(is_lower[i, c], lower[i, c], upper[i, c]))
-        indices.append(cols[i, c])
-        counts.append(np.count_nonzero(hit, axis=1))
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(st.n_slots * n, n + st.span))
+    cols = np.arange(n)[:, None] + (st.offsets - st.offsets[0])  # (node, offset): shifted node
+    slot, t = st.idx[cols] - st.idx[:n, None], st.t[cols]
+    is_lower = slot == np.arange(st.n_slots)[:, None, None]
+    hit = is_lower | (slot + 1 == np.arange(st.n_slots)[:, None, None])
+    data = np.where(is_lower, st.w * (1.0 - t), st.w * t)[hit]
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(hit, axis=2))])
+    return sp.csr_matrix((data, np.broadcast_to(cols, hit.shape)[hit], indptr), shape=(st.n_slots * n, n + st.span))
 
 
 def _axis_stencils(table, mesh, windows):

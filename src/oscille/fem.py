@@ -3,9 +3,15 @@
 The operator is the divergence form u -> -div(a grad u) - mu*u with a
 scalar or matrix coefficient sampled at Gauss points, under Dirichlet,
 Neumann or mixed boundary conditions. With mu <= 0 and either a Dirichlet
-part or mu < 0 the reduced system is symmetric positive definite. One
-bincount sums the element matrices into the CSR pattern of the free dofs,
-`mesh._stencil_pattern` cached per (mesh, BC), in the order of a COO sum.
+part or mu < 0 the reduced system is symmetric positive definite.
+
+This module is the one Q1 assembler; `cell` assembles its periodic
+systems through the same helpers, with every node free (bc None). One
+bincount sums the element matrices into the CSR pattern of the free
+nodes, `mesh._stencil_pattern` cached per (mesh, BC), and one bincount
+sums per-element corner values into a nodal vector. bincount adds each
+slot's terms in input order, so both equal a COO sum and a sequential
+scatter-add bit for bit.
 """
 
 from __future__ import annotations
@@ -153,12 +159,31 @@ def dirichlet_nodes(mesh, bc):
 
 @lru_cache(maxsize=16)
 def _pattern(mesh, bc):
-    """`_stencil_pattern` on the free nodes, cached per (mesh, BC) as the quadrature is per mesh;
-    read-only, since every matrix assembled on it shares its index arrays."""
-    pattern = _stencil_pattern(mesh, _free_nodes(mesh, bc))
+    """`_stencil_pattern` on the free nodes of bc, every node when bc is None (the periodic cell),
+    cached per (mesh, bc) as the quadrature is per mesh; read-only, since every matrix assembled
+    on it shares its index arrays."""
+    pattern = _stencil_pattern(mesh, np.ones(mesh.n_nodes, dtype=bool) if bc is None else _free_nodes(mesh, bc))
     for a in pattern:
         a.flags.writeable = False
     return pattern
+
+
+def _scalar_stiffness(a_vals, q):
+    """Element matrices (a grad phi_k, grad phi_c) of scalar samples a_vals (E, g), shape (E, c, k)."""
+    return np.einsum("eg,g,gcd,gkd->eck", a_vals, q.weights, q.shape_grads, q.shape_grads, optimize=True)
+
+
+def _csr(mesh, bc, stiff):
+    """The element matrices stiff (E, c, k) summed into the CSR matrix of `_pattern(mesh, bc)`."""
+    indptr, indices, slots = _pattern(mesh, bc)
+    # contributions outside the free rows and columns go to the extra slot nnz
+    data = np.bincount(slots, stiff.ravel(), len(indices) + 1)[:-1]
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+
+
+def _nodal(q, contrib, n_nodes):
+    """Per-element corner values contrib (E, c) summed into a vector over the n_nodes nodes of q."""
+    return np.bincount(q.corners.ravel(), contrib.ravel(), n_nodes)
 
 
 def _sample_coefficient(sampler, points):
@@ -190,23 +215,18 @@ def assemble(mesh, sampler, mu, bc):
     q = quadrature(mesh)
     n_el, n_g, d = q.points.shape
     a_vals = _sample_coefficient(sampler, q.points)
-    grads = q.shape_grads  # (g, c, d)
     if a_vals.ndim == 1:
         a_vals = a_vals.reshape(n_el, n_g)
-        # (E,g)*(g,c,d)x(g,c',d) contracted over g,d
-        stiff = np.einsum("eg,g,gcd,gkd->eck", a_vals, q.weights, grads, grads, optimize=True)
+        stiff = _scalar_stiffness(a_vals, q)
     else:
         a_vals = a_vals.reshape(n_el, n_g, d, d)
+        grads = q.shape_grads
         stiff = np.einsum("eg,gcd,egdm,gkm->eck", np.tile(q.weights, (n_el, 1)), grads, a_vals, grads, optimize=True)
     if mu != 0.0:
         mass = np.einsum("g,gc,gk->ck", q.weights, q.shape_values, q.shape_values)
         stiff = stiff - mu * mass[None, :, :]
-
-    indptr, indices, slots = _pattern(mesh, bc)
-    # contributions outside the free rows and columns go to the extra slot nnz
-    data = np.bincount(slots, stiff.ravel(), len(indices) + 1)[:-1]
     return AssembledSystem(
-        matrix=sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size)),
+        matrix=_csr(mesh, bc, stiff),
         constrained_dofs=constrained,
         free_dofs=free,
         mesh=mesh,
@@ -228,10 +248,7 @@ def assemble_load(mesh, f):
         f_g = f.values[q.corners] @ q.shape_values.T
     else:
         f_g = _sample_coefficient(f, q.points).reshape(q.points.shape[0], q.points.shape[1])
-    contrib = np.einsum("eg,g,gc->ec", f_g, q.weights, q.shape_values)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, q.corners.ravel(), contrib.ravel())
-    return out
+    return _nodal(q, np.einsum("eg,g,gc->ec", f_g, q.weights, q.shape_values), mesh.n_nodes)
 
 
 def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):

@@ -148,7 +148,7 @@ def verdict(fit, guaranteed_exponent):
     return "PASS" if ok else "FAIL"
 
 
-def _case(scenario, eps, eff, ctable, targets, solver_tol):
+def _case(scenario, eps, eff, ctable, targets):
     mesh = fem.oscillatory_mesh(scenario, eps)
     osc_sys = fem.assemble(
         mesh,
@@ -171,8 +171,8 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
     aux = {}
     for li, (load_name, load_fn) in enumerate(LOADS):
         f_vec = fem.assemble_load(mesh, load_fn)
-        u_eps = fem.solve_resolvent(osc_sys, f_vec, tol=solver_tol)
-        u0 = fem.solve_resolvent(eff_sys, f_vec, tol=solver_tol)
+        u_eps = fem.solve_resolvent(osc_sys, f_vec)
+        u0 = fem.solve_resolvent(eff_sys, f_vec)
         k_field = corr_mod.corrector_apply(setup, corr_mod.build_r0(u0, scenario, eps))
         u_first = corr_mod.first_order(u0, k_field, eps)
         f_norm = lp_norm(GridFunction(mesh, np.asarray(load_fn(mesh.node_coords()))), scenario.p)
@@ -204,11 +204,11 @@ def _case(scenario, eps, eff, ctable, targets, solver_tol):
                 aux["w1_plain_interior"] = semi[False, "interior"] / f_norm
             aux["w1_corr_strip"] = semi[True, "strip"] / f_norm
 
-    excluded = {t.name: errors[t.name] <= EXCLUSION_FACTOR * solver_tol for t in targets}
+    excluded = {t.name: errors[t.name] <= EXCLUSION_FACTOR * linalg.DEFAULT_TOL for t in targets}
     return CaseRow(eps, mesh.h[0], errors, excluded, aux)
 
 
-def run_study(scenario, threads=1, solver_tol=linalg.DEFAULT_TOL):
+def run_study(scenario, threads=1):
     """Run the full sweep of a scenario and fit each target's rate."""
     if not (isinstance(threads, int) and threads >= 1):
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
@@ -219,16 +219,14 @@ def run_study(scenario, threads=1, solver_tol=linalg.DEFAULT_TOL):
     # eps (the first) reaches farthest past the domain
     margin = corr_mod.table_margin(scenario.epsilons[0], scenario.points_per_period)
     x_axes = cell_mod.x_axes_for(scenario.domain, margin)
-    eff, ctable = cell_mod.tabulate_effective(scenario.field, x_axes, cell_mesh, tol=solver_tol)
+    eff, ctable = cell_mod.tabulate_effective(scenario.field, x_axes, cell_mesh)
 
     eps_list = list(scenario.epsilons)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda e: _case(scenario, e, eff, ctable, targets, solver_tol), eps_list)
-            )
+            rows = list(pool.map(lambda e: _case(scenario, e, eff, ctable, targets), eps_list))
     else:
-        rows = [_case(scenario, e, eff, ctable, targets, solver_tol) for e in eps_list]
+        rows = [_case(scenario, e, eff, ctable, targets) for e in eps_list]
     rows.sort(key=lambda r: -r.eps)
 
     fits = {}

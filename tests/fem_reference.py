@@ -4,7 +4,8 @@ This is the straightforward form that `oscille.fem.assemble` replaced:
 the element matrices go into a COO matrix over all nodes, whose
 duplicates scipy sums on conversion to CSR, and the reduced system is the
 slice `full[free][:, free]`, with the Dirichlet nodes found from the node
-coordinates. The production code is checked against it bit for bit.
+coordinates; the load vector goes through `np.add.at`. The production
+code is checked against it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from oscille import core
-from oscille.mesh import quadrature
+from oscille.mesh import GridFunction, quadrature
 
 
 def element_matrices(mesh, sampler, mu):
@@ -65,3 +66,16 @@ def assemble(mesh, sampler, mu, bc):
     keep[constrained] = False
     free = np.nonzero(keep)[0]
     return full[free][:, free], free, constrained
+
+
+def assemble_load(mesh, f):
+    """F_i = integral f * phi_i, a callable or the nodal interpolant of a GridFunction."""
+    q = quadrature(mesh)
+    if isinstance(f, GridFunction):
+        f_g = f.values[q.corners] @ q.shape_values.T
+    else:
+        f_g = np.asarray(f(q.points.reshape(-1, mesh.dim)), dtype=float).reshape(q.points.shape[:2])
+    contrib = np.einsum("eg,g,gc->ec", f_g, q.weights, q.shape_values)
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, q.corners.ravel(), contrib.ravel())
+    return out

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 import cell_reference
 import corrector_reference as reference
-from oscille import cell, linalg
+from oscille import cell, fem, linalg
+from oscille import mesh as mesh_mod
 from oscille.core import preset_coefficient
 from oscille.mesh import build_cell_mesh, quadrature
 
@@ -464,14 +465,23 @@ def test_cached_pattern_assembly_matches_coo_reference_default_cells(dim, m):
     _assert_assembly_matches_reference(a_vals, cmesh)
 
 
-def test_pattern_built_once_per_cell_mesh_over_a_table():
+def test_pattern_built_once_per_cell_mesh_over_a_table(monkeypatch):
     field = preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
     axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 1.5, 5))
-    cell._cell_pattern.cache_clear()
+    built = []
+    build = mesh_mod._stencil_pattern
+
+    def counting(m, free):
+        built.append(m)
+        return build(m, free)
+
+    monkeypatch.setattr(fem, "_stencil_pattern", counting)
+    fem._pattern.cache_clear()
     cell.tabulate_effective(field, axes, build_cell_mesh(8, 2))
-    info = cell._cell_pattern.cache_info()
-    assert info.misses == 1
-    assert info.hits >= len(axes[0])  # every solve reads it
+    info = fem._pattern.cache_info()
+    assert info.misses == len(built) == 1
+    # every solve (one per x_1 row, a depends on x_1 only) reads it, the first builds it
+    assert info.hits == len(axes[0]) - 1
 
 
 def _interpolation_points(axes, rng):

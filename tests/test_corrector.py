@@ -285,6 +285,27 @@ def test_table_margin_is_the_reach_at_the_largest_eps(config, rho):
         corrector._axis_stencils(narrow, mesh, windows)
 
 
+@pytest.mark.parametrize("rho", [5, 12])
+def test_axis_operator_matches_dense_hat_map(rho):
+    # on laminate2d's largest eps the windows straddle table nodes, so a
+    # node's offsets reach more than one table cell (n_slots > 2)
+    sc = load_scenario(os.path.join(CONFIG_DIR, "laminate2d.json"), ppp_override=rho)
+    mesh = fem.oscillatory_mesh(sc, sc.epsilons[0])
+    windows = smoothing._window_per_axis(mesh, sc.epsilons[0])
+    stencils, _ = corrector._axis_stencils(cell.CellTable(_tight_axes(sc), None, []), mesh, windows)
+    for st in stencils:
+        assert st.n_slots > 2
+        n, nodes = st.n, np.arange(st.n)
+        dense = np.zeros((st.n_slots * n, n + st.span))
+        for col in range(len(st.offsets)):
+            slot, lower, upper = st.hat(col)
+            shifted = nodes + st.offsets[col] - st.offsets[0]
+            dense[slot * n + nodes, shifted] = lower
+            dense[(slot + 1) * n + nodes, shifted] = upper
+        assert st.op.has_canonical_format  # columns in offset order: the streamed summation order
+        assert np.array_equal(st.op.toarray().view(np.int64), dense.view(np.int64))
+
+
 @pytest.mark.parametrize("config", ["sine1d.json", "mixed1d.json", "laminate2d.json"])
 @pytest.mark.parametrize("rho", [1, 2, 3, 5, 12, 32])
 def test_build_r0_extends_u0_by_the_reach(config, rho):

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import spsolve
 
 import fem_reference
-from oscille import cell, core, fem, linalg, study
+from oscille import core, fem, linalg, study
 from oscille import mesh as mesh_mod
 from oscille.mesh import GridFunction, MeshMismatch, build_cell_mesh, build_domain_mesh, grid_from_callable
 from oscille.norms import lp_norm, w1p_norm
@@ -501,13 +501,20 @@ def test_pattern_built_once_per_mesh_and_bc_over_studies(monkeypatch):
         return build(m, free)
 
     monkeypatch.setattr(fem, "_stencil_pattern", counting)
-    monkeypatch.setattr(cell, "_stencil_pattern", counting)
     fem._pattern.cache_clear()
-    cell._cell_pattern.cache_clear()
     study.run_study(sc)
     # one pattern per fine mesh, shared by its oscillatory and effective
-    # systems, and one for the cell mesh
+    # systems, and one for the cell mesh, all in the one cache
     assert len(built) == len(set(built)) == len(sc.epsilons) + 1
     assert fem._pattern.cache_info().hits >= len(sc.epsilons)
     study.run_study(sc)  # a second study reuses them all
     assert len(built) == len(sc.epsilons) + 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_load_scatter_matches_add_at_reference(dim):
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.7))[:dim], 0.05)
+    load = lambda p: np.sin(3.0 * p[:, 0]) * (p[:, -1] + 0.5)  # noqa: E731
+    values = np.random.default_rng(dim).uniform(-1.0, 1.0, m.n_nodes)
+    for f in (load, GridFunction(m, values)):
+        assert np.array_equal(_bits(fem.assemble_load(m, f)), _bits(fem_reference.assemble_load(m, f)))
