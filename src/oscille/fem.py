@@ -3,7 +3,8 @@
 The operator is the divergence form u -> -div(a grad u) - mu*u with a
 scalar or matrix coefficient sampled at Gauss points, under Dirichlet,
 Neumann or mixed boundary conditions. With mu <= 0 and either a Dirichlet
-part or mu < 0 the reduced system is symmetric positive definite.
+part or mu < 0 the reduced system is symmetric positive definite, and in
+2D it carries its CG preconditioner (`FastDiagonalization`).
 
 This module is the one Q1 assembler; `cell` assembles its periodic
 systems through the same helpers, with every node free (bc None). One
@@ -23,11 +24,12 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import core, linalg
 from .core import ConfigError, NumericalError
 from .mesh import ExcessiveSize, GridFunction, Mesh, MeshMismatch, build_domain_mesh, node_cap, quadrature
-from .mesh import _stencil_pattern
+from .mesh import _reference_rule, _stencil_pattern
 
 
 class SingularOperator(NumericalError):
@@ -56,41 +58,80 @@ class AssembledSystem:
 
 @dataclass(frozen=True)
 class FastDiagonalization:
-    """Exact inverse of P = abar (K1 x M2 + M1 x K2) - mu M1 x M2 on the free dofs.
+    """Exact inverse of P = c (K1[alpha] x M2 + M1[beta] x K2) - mu M1 x M2 on the free dofs.
 
-    K_a and M_a are the 1D Q1 stiffness and consistent mass of axis a on
-    its free nodes. With S = sqrt(2) at free mesh-end nodes and 1 elsewhere,
-    one orthonormal sine or cosine transform Q_a gives S K_a S = Q_a diag(k) Q_a^T
-    and S M_a S = Q_a diag(m) Q_a^T, k = (2 - 2 cos t)/h, m = h (2 + cos t)/3, so
-    P^-1 = S (Q1 x Q2) diag(1 / (abar (k_i m_j + m_i k_j) - mu m_i m_j)) (Q1 x Q2)^T S
-    (Lynch, Rice and Thomas, Numer. Math. 6, 1964). With abar = sqrt(lo*hi)
-    for coefficient eigenvalues in [lo, hi], cond(P^-1 A) <= hi/lo at
-    every mesh size.
+    P is the system's Gauss-rule form with the coefficient c D_l = c diag(alpha_l, beta_l) on each x1
+    Gauss line l (one x1 cell and x1 Gauss point); K1[alpha], M1[beta] are the 1D Q1 stiffness and mass
+    of axis 1 under that rule, K2, M2, M1 the plain ones. With S = sqrt(2) at free mesh-end nodes of
+    axis 2, an orthonormal sine or cosine transform Q gives S K2 S = Q diag(k) Q^T, S M2 S = Q diag(m) Q^T
+    (Lynch, Rice and Thomas, Numer. Math. 6, 1964), leaving per mode j the SPD tridiagonal
+    T_j = c m_j K1[alpha] + c k_j M1[beta] - mu m_j M1: Hockney's separable solver (J. ACM 12, 1965)
+    as a preconditioner (Concus and Golub, SIAM J. Numer. Anal. 10, 1973), exact when only x1 varies.
+
+    Certificate: with the eigenvalues of D_l^-1/2 A D_l^-1/2 in [lo, hi] at all Gauss points and c = sqrt(lo*hi),
+    g.Ag lies in [lo/c, hi/c] times g.(c D_l)g at each point of the shared rule; the -mu mass terms are equal and
+    nonnegative, so u.Au / u.Pu lies in [sqrt(lo/hi), sqrt(hi/lo)]: cond(P^-1 A) <= kappa = hi/lo at every h.
     """
 
-    transforms: tuple  # per axis: (Q^T, Q) applied along a given axis
-    scale: np.ndarray  # (f1, f2): S, sqrt(2) at each free mesh-end node
-    inv_eig: np.ndarray  # (f1, f2): 1 / (abar (k_i m_j + m_i k_j) - mu m_i m_j)
+    transform: tuple  # (Q^T, Q) of axis 2, applied along the contiguous array axis
+    scale: np.ndarray  # (f2,): S
+    factor: tuple | None  # dpttrf's (d, e) of diag(T_j), mode-major; None without free dofs
     kappa: float  # certified bound hi/lo on cond(P^-1 A)
 
     def __call__(self, r):
-        (fwd1, inv1), (fwd2, inv2) = self.transforms
-        t = fwd2(fwd1(self.scale * r.reshape(self.scale.shape), axis=0), axis=1)
-        return (self.scale * inv2(inv1(t * self.inv_eig, axis=0), axis=1)).ravel()
+        fwd, inv = self.transform
+        t = fwd(self.scale * r.reshape(-1, self.scale.size), axis=1)
+        x, _ = dpttrs(*self.factor, t.T.ravel())
+        return (self.scale * inv(x.reshape(t.shape[::-1]).T, axis=1)).ravel()
 
     def max_iter(self, tol):
         """Twice the CG iterations kappa implies for residual tol, plus 50."""
         return 2 * math.ceil(0.5 * math.sqrt(self.kappa) * math.log(2.0 / tol)) + 50
 
 
-def _coefficient_bounds(a_vals):
-    """Extreme eigenvalues (lo, hi) of scalar (E, g) or 2x2 (E, g, 2, 2) samples."""
+def _eigenvalues(a_vals):
+    """Smallest and largest eigenvalue of each scalar (E, g) or 2x2 (..., 2, 2) sample."""
     if a_vals.ndim == 2:
-        return float(a_vals.min()), float(a_vals.max())
+        return a_vals, a_vals
     a, d = a_vals[..., 0, 0], a_vals[..., 1, 1]
     mid = 0.5 * (a + d)
     rad = np.hypot(0.5 * (a - d), 0.5 * (a_vals[..., 0, 1] + a_vals[..., 1, 0]))
-    return float((mid - rad).min()), float((mid + rad).max())
+    return mid - rad, mid + rad
+
+
+def _coefficient_bounds(a_vals):
+    """Extreme eigenvalues (lo, hi) over scalar (E, g) or 2x2 (..., 2, 2) samples."""
+    return tuple(float(f(x)) for f, x in zip((np.min, np.max), _eigenvalues(a_vals)))
+
+
+def _line_scales(a_vals, cells1):
+    """Bounds (lo, hi) of D^-1/2 A D^-1/2 and the scales alpha, beta (cells1, 2) of the x1 Gauss lines.
+
+    Samples lie (i, j, g1, g2) by x1 cell, x2 cell and Gauss point. Line (i, g1) takes alpha = beta = s_l
+    = sqrt(lo_l hi_l) of its eigenvalue extremes, which bound those of A / s_l, so kappa = max_l hi_l/lo_l
+    <= the global hi/lo; a tensor takes alpha, beta from the ranges of A11, A22 where that gives a smaller kappa.
+    """
+
+    def extreme(x, f):  # f (np.minimum or np.maximum) over each line of samples x (E, 4)
+        r = x.reshape(cells1, -1, 2, 2)
+        lines = np.empty((cells1, 2, r.shape[1]))  # (i, g1, j): a strided reduce over j is 5x slower
+        f(r[..., 0], r[..., 1], out=lines.transpose(0, 2, 1))
+        return f.reduce(lines, axis=2)
+
+    lo, hi = (extreme(x, f) for x, f in zip(_eigenvalues(a_vals), (np.minimum, np.maximum)))
+    glo, ghi = _coefficient_bounds(np.concatenate([lo, hi], axis=1))  # those of a_vals, checked before any scale
+    if not (glo > 0.0 and math.isfinite(ghi / glo)):
+        raise linalg.SingularSystem(f"coefficient eigenvalues in [{glo:g}, {ghi:g}] are not uniformly positive")
+    s = np.sqrt(lo) * np.sqrt(hi)  # sqrt(lo * hi) underflows for tiny coefficients
+    iso = _coefficient_bounds(np.concatenate([lo / s, hi / s], axis=1)), s, s
+    if a_vals.ndim == 2:
+        return iso
+    diagonal = a_vals[..., 0, 0], a_vals[..., 1, 1]
+    alpha, beta = (np.sqrt(extreme(x, np.minimum)) * np.sqrt(extreme(x, np.maximum)) for x in diagonal)
+    inv_root = 1.0 / np.sqrt(np.stack([alpha, beta], axis=-1))
+    weights = inv_root[..., :, None] * inv_root[..., None, :]  # (i, g1, r, s): 1 / sqrt(D_r D_s)
+    tensor = _coefficient_bounds(a_vals.reshape(cells1, -1, 2, 2, 2, 2) * weights[:, None, :, None]), alpha, beta
+    return min(tensor, iso, key=lambda choice: choice[0][1] / choice[0][0])
 
 
 def _axis_spectrum(h, free):
@@ -115,14 +156,23 @@ def _axis_spectrum(h, free):
 
 
 def _fast_diagonalization(mesh, free_axes, a_vals, mu):
-    lo, hi = _coefficient_bounds(a_vals)
-    if not (lo > 0.0 and math.isfinite(hi / lo)):
-        raise linalg.SingularSystem(f"coefficient eigenvalues in [{lo:g}, {hi:g}] are not uniformly positive")
-    abar = math.sqrt(lo * hi)
-    (q1, k1, m1, s1), (q2, k2, m2, s2) = (_axis_spectrum(h, f) for h, f in zip(mesh.h, free_axes))
-    k1, m1, s1 = k1[:, None], m1[:, None], s1[:, None]
-    inv_eig = 1.0 / (abar * (k1 * m2 + m1 * k2) - mu * m1 * m2)
-    return FastDiagonalization((q1, q2), s1 * s2, inv_eig, hi / lo)
+    (lo, hi), alpha, beta = _line_scales(a_vals, mesh.cells_per_axis[0])
+    q, k, m, s = _axis_spectrum(mesh.h[1], free_axes[1])
+    free = free_axes[0]
+    if not (k.size and free.any()):  # no free dof: PCG returns before any apply
+        return FastDiagonalization(q, s, None, hi / lo)
+    h, (_, weights, values, grads) = mesh.h[0], _reference_rule(1)
+    shapes = np.stack([grads[..., 0] / h, values, values])  # K1[alpha], M1[beta], M1 as (diagonal, coupling)
+    el = np.einsum("neg,g,ngc,ngk->neck", np.stack([alpha, beta, np.ones_like(beta)]), weights * h, shapes, shapes)
+    diag = np.pad(el[..., 0, 0], ((0, 0), (0, 1))) + np.pad(el[..., 1, 1], ((0, 0), (1, 0)))
+    coupling = np.pad(el[:, free[:-1] & free[1:], 0, 1], ((0, 0), (0, 1)))  # a zero keeps stacked modes apart
+    stiff, mass_beta, mass = np.stack([diag[:, free], coupling], axis=1)
+    m, k = m[:, None, None], k[:, None, None]
+    t = math.sqrt(lo * hi) * (m * stiff + k * mass_beta) - mu * m * mass  # (mode, diagonal or coupling, node)
+    d, e, info = dpttrf(t[:, 0].ravel(), t[:, 1].ravel()[: max(t[:, 1].size - 1, 1)])  # one coupling for one dof
+    if info:
+        raise linalg.SingularSystem(f"preconditioner mode system is not positive definite (dpttrf info {info})")
+    return FastDiagonalization(q, s, (d, e), hi / lo)
 
 
 def _free_axes(mesh, bc):
@@ -203,7 +253,7 @@ def assemble(mesh, sampler, mu, bc):
     The sampler maps points (n, d) to scalar values (n,) or to matrices
     (n, d, d). Entries follow the tensor Gauss rule of the mesh exactly.
     A 2D system also carries its CG preconditioner, built from the
-    extreme coefficient eigenvalues at these Gauss points; samples whose
+    coefficient's extremes on each x1 Gauss line; samples whose
     eigenvalues are not uniformly positive raise `linalg.SingularSystem`.
     """
     if mu > 0:

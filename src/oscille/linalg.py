@@ -4,12 +4,12 @@ Matrices are plain `scipy.sparse` CSR matrices as assembled by `fem`,
 fine-mesh and cell systems alike; 1D fine-mesh systems are solved in
 `fem` by banded Cholesky instead. The solvers here are preconditioned
 conjugate gradients: `solve_spd` takes the preconditioner as a callable
-(`fem` passes the fast diagonalization of each 2D system) and falls
-back to Jacobi, which the periodic cell solve `solve_saddle` uses. They are deterministic, so repeated runs
-produce bit-identical results. Convergence is judged on the
-recursive residual against `tol`, which sits far below any
-homogenization error being measured, keeping algebraic error out of the
-rate fits.
+(`fem` passes the per-line fast diagonalization of each 2D system) and
+falls back to Jacobi, which the periodic cell solve `solve_saddle` uses.
+They are deterministic, so repeated runs produce bit-identical results.
+Convergence is judged on the recursive residual against `tol`, which sits
+far below any homogenization error being measured, keeping algebraic
+error out of the rate fits.
 """
 
 from __future__ import annotations

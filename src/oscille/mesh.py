@@ -159,8 +159,8 @@ def build_cell_mesh(m, d):
 
 
 def element_centroids(mesh):
-    """Element midpoints: the node of corner 0 (the lower corner) plus h / 2."""
-    return mesh.node_coords()[element_corner_nodes(mesh)[:, 0]] + np.array(mesh.h) / 2.0
+    """Element midpoints: per axis, the lower node of each cell plus h / 2."""
+    return _tensor_points([mesh.axis_coords(k)[: mesh.cells_per_axis[k]] + mesh.h[k] / 2.0 for k in range(mesh.dim)])
 
 
 def _boundary_distance(mesh, half):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscille
-from oscille import cell, cli, core, fem, smoothing, study
+from oscille import cell, cli, core, fem, linalg, smoothing, study
 
 SINE_CFG = {
     "field": {"preset_id": "Sine1D", "params": [2, 1], "dim": 1},
@@ -437,22 +437,32 @@ LAMINATE_CFG = dict(
 
 
 def test_stagnating_2d_solve_fails_fast_exit_3(tmp_path, monkeypatch, capsys):
-    # abar 1e4 times too small against the mass shift spreads the Neumann
-    # spectrum (the sine load then needs 122 iterations); the solve stops
-    # at the 92 iterations the certified kappa = 3 implies, not at 20 per dof
+    # a preconditioner scale 1e4 times too small against the mass shift
+    # spreads the Neumann spectrum (the sine load then needs 100 iterations);
+    # the solve stops at the count the built preconditioner certifies, 74
+    # for kappa = 1 (Laminate2D varies along x1 only), not at 20 per dof
     bounds = fem._coefficient_bounds
 
     def scaled(a_vals):
         lo, hi = bounds(a_vals)
         return 1e-4 * lo, 1e-4 * hi
 
+    built = []
+    build = fem._fast_diagonalization
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
     monkeypatch.setattr(fem, "_coefficient_bounds", scaled)
+    monkeypatch.setattr(fem, "_fast_diagonalization", recorded)
     cfg = _write_cfg(tmp_path, dict(LAMINATE_CFG, bc={"kind": "neumann"}))
     rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
     assert rc == 3
     err = capsys.readouterr().err
     assert "numerical failure: NonConvergence: no convergence after" in err
-    assert int(err.split("no convergence after ")[1].split()[0]) == 92
+    assert {pre.max_iter(linalg.DEFAULT_TOL) for pre in built} == {74}
+    assert int(err.split("no convergence after ")[1].split()[0]) == 74
 
 
 def test_non_elliptic_2d_coefficient_exit_3(tmp_path, monkeypatch, capsys):

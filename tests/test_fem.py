@@ -266,17 +266,16 @@ def test_fem_self_consistency_2d_single_eps():
     assert fem_shift <= 0.25 * homog
 
 
-@pytest.mark.parametrize(
-    "edges, mu",
-    [
-        (("left", "right", "bottom", "top"), 0.0),
-        ((), -1.5),
-        (("left", "top"), 0.0),
-        (("bottom", "right", "top"), -0.5),
-        (("right", "bottom"), -1.0),
-    ],
-)
-def test_fast_diagonalization_is_the_constant_coefficient_operator(edges, mu):
+BC_CASES = [
+    (("left", "right", "bottom", "top"), 0.0),
+    ((), -1.5),
+    (("left", "top"), 0.0),
+    (("bottom", "right", "top"), -0.5),
+    (("right", "bottom"), -1.0),
+]
+
+
+def _box_system(edges, mu, sampler):
     # non-square box: n1 != n2 and h1 != h2, so swapped axes would show;
     # the cases put Dirichlet-Dirichlet, natural-natural, Dirichlet-natural
     # and natural-Dirichlet ends on each axis
@@ -288,12 +287,61 @@ def test_fast_diagonalization_is_the_constant_coefficient_operator(edges, mu):
         bc = core.BoundarySpec("mixed", edges)
     else:
         bc = core.BoundarySpec("neumann")
-    s = fem.assemble(m, lambda p: np.full(p.shape[0], 2.5), mu, bc)
-    pre = s.preconditioner
-    assert pre.kappa == 1.0
-    a = s.matrix.toarray()
-    inverse = np.column_stack([pre(a[:, i]) for i in range(a.shape[1])])
-    np.testing.assert_allclose(inverse, np.eye(a.shape[0]), rtol=0, atol=1e-12)
+    return fem.assemble(m, sampler, mu, bc)
+
+
+def _preconditioned(s):
+    """P^-1 A of an assembled 2D system as a dense matrix, one apply per column of A."""
+    return np.column_stack([s.preconditioner(col) for col in s.matrix.toarray().T])
+
+
+def _x1_only_tensor(p):
+    a = np.zeros((p.shape[0], 2, 2))
+    a[:, 0, 0] = 1.0 + p[:, 0]
+    a[:, 1, 1] = 2.0 + np.cos(7.0 * p[:, 0])
+    return a
+
+
+@pytest.mark.parametrize("edges, mu", BC_CASES)
+def test_fast_diagonalization_is_the_constant_coefficient_operator(edges, mu):
+    constant = _box_system(edges, mu, lambda p: np.full(p.shape[0], 2.5))
+    assert constant.preconditioner.kappa == 1.0
+    # a coefficient that varies along x1 only, scalar or a diagonal tensor,
+    # is constant on every x1 Gauss line, so P = A there too
+    x1_only = (_box_system(edges, mu, sampler) for sampler in (lambda p: 2.0 + np.sin(9.0 * p[:, 0]), _x1_only_tensor))
+    for s in (constant, *x1_only):
+        assert s.preconditioner.kappa <= 1.0 + 1e-12
+        np.testing.assert_allclose(_preconditioned(s), np.eye(s.free_dofs.size), rtol=0, atol=1e-12)
+
+
+def _random_spd(stretch):
+    """SPD samples near diag(stretch, 1), drawn per Gauss point, off-diagonals varying along both axes."""
+
+    def sample(p):
+        b = np.random.default_rng(7).standard_normal((p.shape[0], 2, 2))
+        a = 0.3 * b @ np.swapaxes(b, -1, -2) + np.diag([stretch, 1.0])
+        a[:, 0, 1] += 0.2 * np.sin(5.0 * p[:, 0] + 3.0 * p[:, 1])
+        a[:, 1, 0] = a[:, 0, 1]
+        return a
+
+    return sample
+
+
+@pytest.mark.parametrize("edges, mu", BC_CASES)
+def test_fast_diagonalization_certificate_holds(edges, mu):
+    # cond(P^-1 A) never exceeds the certified kappa, and kappa never exceeds
+    # the global hi/lo (for scalar samples it is max over x1 Gauss lines of hi_l/lo_l)
+    scalar = lambda p: np.random.default_rng(3).uniform(0.2, 5.0, p.shape[0])  # noqa: E731
+    # the isotropic line scale serves _random_spd(1) and the rough tensor, A11 and A22 scales _random_spd(10)
+    for sampler in (scalar, _rough_sampler(2, False), _random_spd(1.0), _random_spd(10.0), _rough_sampler(2, True)):
+        s = _box_system(edges, mu, sampler)
+        pre = s.preconditioner
+        ev = np.linalg.eigvals(_preconditioned(s)).real
+        assert ev.min() > 0.0
+        assert ev.max() / ev.min() <= pre.kappa * (1.0 + 1e-9)
+        samples = sampler(mesh_mod.quadrature(s.mesh).points.reshape(-1, 2))
+        lo, hi = fem._coefficient_bounds(samples.reshape((-1, 4) + samples.shape[1:]))
+        assert pre.kappa <= hi / lo
 
 
 def test_coefficient_bounds_closed_form():
@@ -321,9 +369,19 @@ def test_preconditioner_rejects_non_elliptic_coefficient(sampler):
         fem.assemble(m, sampler, -1.0, core.BoundarySpec("dirichlet"))
 
 
+def test_preconditioner_rejects_indefinite_mode_system():
+    # assemble refuses mu > 0; a shift past the lowest eigenvalue (2 pi^2 here)
+    # makes the tridiagonal of the lowest mode indefinite, which dpttrf reports
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), 1 / 4)
+    free_axes = fem._free_axes(m, core.BoundarySpec("dirichlet"))
+    with pytest.raises(linalg.SingularSystem, match="mode system is not positive definite"):
+        fem._fast_diagonalization(m, free_axes, np.ones((m.n_elements, 4)), 100.0)
+
+
 def test_elongated_strip_under_node_cap_solves(monkeypatch):
-    # a 41 x 3 strip fits a cap of 1000 nodes; the preconditioner keeps no
-    # per-axis factor, so the long axis needs no room of its own
+    # a 41 x 3 strip fits a cap of 1000 nodes; the preconditioner keeps one
+    # tridiagonal factor entry per free dof and no dense per-axis factor,
+    # so the long axis needs no room of its own
     monkeypatch.setenv("OSCILLE_NODE_CAP", "1000")
     strip = build_domain_mesh(((0.0, 1.0), (0.0, 0.05)), (1 + 1e-12) / 40)
     assert strip.nodes_per_axis == (41, 3)
@@ -335,7 +393,8 @@ def test_elongated_strip_under_node_cap_solves(monkeypatch):
 
 
 def test_few_free_dofs_solve():
-    # all-Dirichlet meshes with 0 and 1 free dofs; with none, PCG returns before any transform
+    # all-Dirichlet meshes with 0 and 1 free dofs; with none the preconditioner
+    # factors nothing and PCG returns before any apply, with one it factors a 1 x 1 mode
     unit = ((0.0, 1.0), (0.0, 1.0))
     for h, free, centre in ((1.0, 0, None), (0.5, 1, 0.09)):
         m = build_domain_mesh(unit, h * (1 + 1e-12))
@@ -351,27 +410,31 @@ def test_few_free_dofs_solve():
 
 
 def test_fast_diagonalization_iterations_do_not_grow_with_h():
-    field = core.preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
     rho, tol = 12, linalg.DEFAULT_TOL
     load = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])  # noqa: E731
-    iterations = []
-    for n in (96, 192, 384):
-        eps = rho / n
-        m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), (1 + 1e-12) / n)
-        s = fem.assemble(m, lambda p: core.tau_eps(field, eps, p), -1.0, core.BoundarySpec("dirichlet"))
-        b = fem.assemble_load(m, load)[s.free_dofs]
-        pre = s.preconditioner
-        x, stats = linalg.solve_spd(s.matrix, b, tol=tol, max_iter=pre.max_iter(tol), preconditioner=pre)
-        assert np.linalg.norm(b - s.matrix @ x) <= tol * np.linalg.norm(b)
-        x_jacobi, _ = linalg.solve_spd(s.matrix, b, tol=tol)
-        assert np.linalg.norm(x - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
-        np.testing.assert_array_equal(fem.solve_resolvent(s, load).values[s.free_dofs], x)
-        iterations.append(stats.iterations)
-    # on coarser meshes the Gauss samples span less of the coefficient's
-    # range (kappa 3.3, 3.8 and 17, 21 iterations at h = 1/24, 1/48); from
-    # h = 1/96 on kappa is 4.1-4.4 and the count settles (24, 25, 26 here)
-    assert max(iterations) <= 30
-    assert max(iterations) - min(iterations) <= 3
+    iterations = {}
+    for preset, params in (("LocallyPeriodic2D", [2, 1, 0.5]), ("SineProduct2D", [2, 1])):
+        field = core.preset_coefficient(preset, params, 2)
+        for n in (96, 192, 384):
+            eps = rho / n
+            m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), (1 + 1e-12) / n)
+            s = fem.assemble(m, lambda p: core.tau_eps(field, eps, p), -1.0, core.BoundarySpec("dirichlet"))
+            b = fem.assemble_load(m, load)[s.free_dofs]
+            pre = s.preconditioner
+            x, stats = linalg.solve_spd(s.matrix, b, tol=tol, max_iter=pre.max_iter(tol), preconditioner=pre)
+            assert np.linalg.norm(b - s.matrix @ x) <= tol * np.linalg.norm(b)
+            if preset == "SineProduct2D":
+                x_jacobi, _ = linalg.solve_spd(s.matrix, b, tol=tol)
+                assert np.linalg.norm(x - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
+            np.testing.assert_array_equal(fem.solve_resolvent(s, load).values[s.free_dofs], x)
+            iterations.setdefault(preset, []).append(stats.iterations)
+    # LocallyPeriodic2D varies along x1 only, so the preconditioner is the operator
+    assert max(iterations["LocallyPeriodic2D"]) <= 2
+    # SineProduct2D varies along both axes (kappa about 2.95); the count
+    # settles and does not grow as h shrinks (18-19 here)
+    sine = iterations["SineProduct2D"]
+    assert max(sine) <= 30
+    assert max(sine) - min(sine) <= 3
 
 
 @pytest.mark.parametrize("tol", [0.0, np.nan])

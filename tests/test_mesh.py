@@ -103,6 +103,21 @@ def test_strip_and_interior_partition():
     assert not np.any(strip & inner)
 
 
+def test_masks_match_corner_node_centroids(monkeypatch):
+    # centroids from per-axis midpoints equal the lower corner node plus h / 2 bit for bit
+    m = mesh.build_domain_mesh(((0.0, 1.0), (-0.25, 0.5)), 1 / 12)
+    assert m.nodes_per_axis[0] != m.nodes_per_axis[1]
+    new = (mesh.interior_mask(m, 0.2).included, mesh.boundary_strip_mask(m, 0.1).included)
+
+    def corner_centroids(mesh_):
+        return mesh_.node_coords()[mesh.element_corner_nodes(mesh_)[:, 0]] + np.array(mesh_.h) / 2.0
+
+    assert np.array_equal(mesh.element_centroids(m), corner_centroids(m))
+    monkeypatch.setattr(mesh, "element_centroids", corner_centroids)
+    assert np.array_equal(mesh.interior_mask(m, 0.2).included, new[0])
+    assert np.array_equal(mesh.boundary_strip_mask(m, 0.1).included, new[1])
+
+
 def test_grid_function_length_check():
     m = mesh.build_domain_mesh(((0.0, 1.0),), 0.25)
     with pytest.raises(mesh.MeshMismatch):
