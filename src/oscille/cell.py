@@ -106,7 +106,6 @@ class CellSolution:
     cell_mesh: Mesh
     columns: np.ndarray  # (n_nodes, d) nodal values of N_k
     a0: np.ndarray  # (d, d) effective tensor
-    stats: tuple
 
 
 def solve_cell(field, x, cell_mesh, samples=None):
@@ -128,15 +127,12 @@ def solve_cell(field, x, cell_mesh, samples=None):
     c = _mean_functional(cell_mesh)
     d = field.dim
     columns = np.zeros((cell_mesh.n_nodes, d))
-    stats = []
     for k in range(d):
-        sol, _lam, st = linalg.solve_saddle(matrix, c, loads[k])
-        columns[:, k] = sol
-        stats.append(st)
+        columns[:, k] = linalg.solve_saddle(matrix, c, loads[k])[0]
     # int a d/dy_j phi_c over each element, rows (element, corner), columns j
     b = (wa @ q.shape_grads.reshape(len(q.weights), -1)).reshape(-1, d)
     a0 = wa.sum() * np.eye(d) + b.T @ columns[q.corners].reshape(-1, d)
-    return CellSolution(cell_mesh, columns, a0, tuple(stats))
+    return CellSolution(cell_mesh, columns, a0)
 
 
 def locate_on_axes(x_axes, pts):

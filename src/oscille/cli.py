@@ -21,12 +21,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import cell as cell_mod
 from . import core, norms, smoothing, study
 from .core import ConfigError
-from .mesh import build_cell_mesh, build_domain_mesh, grid_from_callable
+from .mesh import build_cell_mesh
 
 _SCENARIO_KEYS = {
     "field",
@@ -230,12 +228,11 @@ def _floats(text, flag):
 
 
 def _cmd_study(args):
-    threads = args.threads if args.threads is not None else os.cpu_count() or 1
-    if threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {threads}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     eps = _floats(args.eps, "--eps") if args.eps is not None else None
     scenario = load_scenario(args.config, eps_override=eps, ppp_override=args.ppp)
-    report = study.run_study(scenario, threads=threads)
+    report = study.run_study(scenario, threads=args.threads)
     files = write_report(report, args.out, plot=args.plot)
     sys.stdout.write(study.summarize(report))
     sys.stdout.write("wrote: " + ", ".join(files) + "\n")
@@ -269,38 +266,24 @@ def _cmd_suite_smoothing(args):
         ratios = ", ".join(f"{r:.4g}" for r in c.ratios)
         sys.stdout.write(f"[{status}] {c.lemma:<22} {c.sample:<10} ratios: {ratios}\n")
     iso = smoothing.isometry_check()
-    worst = 0.0
     for name, eps, lhs, rhs, rel in iso:
-        worst = max(worst, rel)
         sys.stdout.write(
             f"[{'ok ' if rel <= 1e-3 else 'FAIL'}] isometry {name:<14} eps={eps:<8g} defect={rel:.3e}\n"
         )
-    return 0 if report.all_passed and worst <= 1e-3 else 1
+    return 0 if report.all_passed and all(row[4] <= 1e-3 for row in iso) else 1
 
 
 def _cmd_suite_strip(args):
-    ok = True
-    # 2D spacing 1/362 keeps the element-quantized strip width doubling
-    # exactly when eps halves (sqrt(2)/2 * 2^-7 * 362 is almost exactly 2)
-    cases = [
-        (1, lambda pts: np.sin(np.pi * pts[:, 0]), 2 ** -9),
-        (2, lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]), 1.0 / 362.0),
-    ]
-    eps_list = [2.0**-k for k in range(3, 8)]
-    for d, fn, h in cases:
-        mesh = build_domain_mesh(((0.0, 1.0),) * d, h)
-        u = grid_from_callable(mesh, fn)
-        rows = norms.strip_lemma_check(u, 2.0, eps_list)
-        steps = norms.halving_factors([row.ratio for row in rows])
-        ok = ok and all(0.5 - 1e-9 <= f <= 2.0 + 1e-9 for f in steps)
-        sys.stdout.write(f"d={d}:\n")
-        for i, row in enumerate(rows):
-            step = f" step={steps[i - 1]:.3f}" if i else ""
+    sweeps = norms.strip_lemma_suite()
+    for sweep in sweeps:
+        sys.stdout.write(f"d={sweep.dim}:\n")
+        for i, row in enumerate(sweep.rows):
+            step = f" step={sweep.steps[i - 1]:.3f}" if i else ""
             sys.stdout.write(
                 f"  eps={row.eps:<9g} strip={row.strip_norm:.4e} "
                 f"pred={row.predictor:.4e} ratio={row.ratio:.4f}{step}\n"
             )
-    return 0 if ok else 1
+    return 0 if all(sweep.passed for sweep in sweeps) else 1
 
 
 def _cmd_audit(args):
@@ -323,7 +306,7 @@ def build_parser():
     st = sub.add_parser("study", help="run a convergence study from a JSON config")
     st.add_argument("--config", required=True)
     st.add_argument("--out", required=True)
-    st.add_argument("--threads", type=int, default=None)
+    st.add_argument("--threads", type=int, default=1, help="eps cases run in parallel (default 1)")
     st.add_argument("--plot", action="store_true")
     st.add_argument("--eps", default=None, help="comma-separated override of the eps sweep")
     st.add_argument("--ppp", type=int, default=None, help="points per period override")

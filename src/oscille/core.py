@@ -178,10 +178,11 @@ def audit_ellipticity(field, sample_count, seed=0, tol=1e-12):
     """Randomized check of the certified bounds over x in [0,1]^d, y in [0,1)^d.
 
     Violations are reported as (kind, point, value) triples; an empty tuple
-    means the certificates held on every sample.
+    means the certificates held on every sample. sample_count lies in
+    [10^3, 10^6]; a 2D audit of 10^6 samples peaks near 170 MB.
     """
-    if sample_count < 1000:
-        raise ConfigError("sample_count must be at least 10^3")
+    if not 1000 <= sample_count <= 10**6:
+        raise ConfigError(f"sample_count must lie in [10^3, 10^6], got {sample_count}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)

@@ -93,9 +93,13 @@ def _eigenvalues(a_vals):
     """Smallest and largest eigenvalue of each scalar (E, g) or 2x2 (..., 2, 2) sample."""
     if a_vals.ndim == 2:
         return a_vals, a_vals
-    a, d = a_vals[..., 0, 0], a_vals[..., 1, 1]
+    return _symmetric_eigenvalues(a_vals[..., 0, 0], a_vals[..., 1, 1], a_vals[..., 0, 1] + a_vals[..., 1, 0])
+
+
+def _symmetric_eigenvalues(a, d, off):
+    """Eigenvalues (lo, hi) of [[a, off/2], [off/2, d]]: the symmetric part of 2x2 samples, off their A12 + A21."""
     mid = 0.5 * (a + d)
-    rad = np.hypot(0.5 * (a - d), 0.5 * (a_vals[..., 0, 1] + a_vals[..., 1, 0]))
+    rad = np.hypot(0.5 * (a - d), 0.5 * off)
     return mid - rad, mid + rad
 
 
@@ -128,9 +132,12 @@ def _line_scales(a_vals, cells1):
         return iso
     diagonal = a_vals[..., 0, 0], a_vals[..., 1, 1]
     alpha, beta = (np.sqrt(extreme(x, np.minimum)) * np.sqrt(extreme(x, np.maximum)) for x in diagonal)
-    inv_root = 1.0 / np.sqrt(np.stack([alpha, beta], axis=-1))
-    weights = inv_root[..., :, None] * inv_root[..., None, :]  # (i, g1, r, s): 1 / sqrt(D_r D_s)
-    tensor = _coefficient_bounds(a_vals.reshape(cells1, -1, 2, 2, 2, 2) * weights[:, None, :, None]), alpha, beta
+    # D^-1/2 A D^-1/2 by component on the (i, j, g1, g2) samples, A_rs / sqrt(D_r D_s)
+    ra, rb = (1.0 / np.sqrt(x)[:, None, :, None] for x in (alpha, beta))
+    b, w = a_vals.reshape(cells1, -1, 2, 2, 2, 2), ra * rb
+    off = b[..., 0, 1] * w + b[..., 1, 0] * w
+    tlo, thi = _symmetric_eigenvalues(b[..., 0, 0] * (ra * ra), b[..., 1, 1] * (rb * rb), off)
+    tensor = (float(np.min(tlo)), float(np.max(thi))), alpha, beta
     return min(tensor, iso, key=lambda choice: choice[0][1] / choice[0][0])
 
 

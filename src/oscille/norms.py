@@ -40,7 +40,9 @@ from .core import ConfigError
 from .mesh import (
     MeshMismatch,
     boundary_strip_mask,
+    build_domain_mesh,
     grads_at_gauss,
+    grid_from_callable,
     quadrature,
     values_at_gauss,
 )
@@ -250,9 +252,37 @@ def strip_lemma_check(u, q, eps_list):
     return rows
 
 
+@dataclass(frozen=True)
+class StripSweep:
+    dim: int
+    rows: list  # StripRatio per eps of STRIP_SCALES
+    steps: list  # halving factors of the ratios
+    passed: bool  # every step within [1/2, 2]
+
+
+STRIP_SCALES = tuple(2.0**-k for k in range(3, 8))
+
+
+def strip_lemma_suite():
+    """The boundary-strip sweep of sin(pi x) on [0, 1] and sin(pi x1) sin(pi x2) on [0, 1]^2, at q = 2.
+
+    Each dimension passes when the ratio changes by at most a factor of 2
+    across every halving of eps.
+    """
+    cases = [
+        (1, lambda pts: np.sin(np.pi * pts[:, 0]), 2**-9),
+        # 2D spacing 1/362 keeps the element-quantized strip width doubling
+        # exactly when eps halves (sqrt(2)/2 * 2^-7 * 362 is almost exactly 2)
+        (2, lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]), 1.0 / 362.0),
+    ]
+    sweeps = []
+    for d, fn, h in cases:
+        rows = strip_lemma_check(grid_from_callable(build_domain_mesh(((0.0, 1.0),) * d, h), fn), 2.0, STRIP_SCALES)
+        steps = halving_factors([row.ratio for row in rows])
+        sweeps.append(StripSweep(d, rows, steps, all(0.5 - 1e-9 <= f <= 2.0 + 1e-9 for f in steps)))
+    return sweeps
+
+
 def halving_factors(values):
     """Ratios value[i]/value[i+1] along a sweep (guarding zero division)."""
-    out = []
-    for a, b in zip(values, values[1:]):
-        out.append(a / b if b != 0 else np.inf)
-    return out
+    return [a / b if b != 0 else np.inf for a, b in zip(values, values[1:])]

@@ -7,12 +7,13 @@ bias. Extension off the domain uses second-order reflection
 u(x0 - t) = 3 u(x0 + t) - 2 u(x0 + 2t), which matches values and first
 derivatives at the face and preserves second-order smoothness.
 
-The lemma suite turns the operator estimates for these smoothing maps
-(contractivity of the averaged trace, the order-eps identity defect, the
-mollifier blow-up/convergence trade-off at Hoelder regularity r) into
-measurable ratio sweeps. Suite norms are uniform nodal lattice norms, so
-the contraction and rearrangement identities hold exactly in the discrete
-setting rather than up to quadrature error.
+The lemma suites are fixed sweeps over the module constants. The first
+turns the operator estimates for these smoothing maps (contractivity of
+the averaged trace, the order-eps identity defect, the mollifier
+blow-up/convergence trade-off at Hoelder regularity r) into ratio sweeps,
+applying each map once per sample and scale. Suite norms are uniform nodal
+lattice norms, so the contraction and rearrangement identities hold
+exactly in the discrete setting rather than up to quadrature error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .cell import multilinear
 from .core import ConfigError, NumericalError
 from .mesh import GridFunction, Mesh, r_cell
-from .norms import _dyadic_supremum, _shift_bound
+from .norms import _dyadic_k_max, _dyadic_supremum, _shift_bound
 
 
 class MarginTooLarge(NumericalError):
@@ -278,46 +279,49 @@ class PropertyReport:
         return [c for c in self.checks if not c.passed]
 
     def by(self, lemma, sample=None):
-        out = [c for c in self.checks if c.lemma == lemma and (sample is None or c.sample == sample)]
-        return out
+        return [c for c in self.checks if c.lemma == lemma and (sample is None or c.sample == sample)]
 
 
 GROWTH_FLAG = 1.5
+SUITE_SCALES = (1 / 8, 1 / 16, 1 / 32, 1 / 64)  # cube sides eps, and the same mollifier radii delta
+SUITE_CELLS = 1024  # uniform lattice on [0, 1]
+SUITE_MARGIN = 0.5  # extension past each face, wider than every window and kernel
+ISOMETRY_SCALES = (1 / 8, 1 / 16, 1 / 32)  # each an even number of the isometry lattice's cells
+ISOMETRY_CELLS = 256  # periodic lattice on [0, 1)
+Q = 2.0  # exponent of every lattice norm of the suites
+# (name, callable, Hoelder exponent r); a Lipschitz kink and a Hoelder-1/2 cusp, as the lemma preconditions ask
+SUITE_SAMPLES = (
+    ("sine", lambda x: np.sin(2.0 * np.pi * x[:, 0]), 1.0),
+    ("poly", lambda x: x[:, 0] * (1.0 - x[:, 0]), 1.0),
+    ("hat", lambda x: 1.0 - 2.0 * np.abs(x[:, 0] - 0.5), 1.0),
+    ("sqrt_cusp", lambda x: np.sqrt(np.abs(x[:, 0] - 0.5)), 0.5),
+)
 
 
-def default_samples():
-    """(name, callable, Hoelder exponent r) triples; includes a Lipschitz
-    kink and a Hoelder-1/2 cusp as the lemma preconditions ask."""
-    return [
-        ("sine", lambda x: np.sin(2.0 * np.pi * x[:, 0]), 1.0),
-        ("poly", lambda x: x[:, 0] * (1.0 - x[:, 0]), 1.0),
-        ("hat", lambda x: 1.0 - 2.0 * np.abs(x[:, 0] - 0.5), 1.0),
-        ("sqrt_cusp", lambda x: np.sqrt(np.abs(x[:, 0] - 0.5)), 0.5),
-    ]
+def _fast_weight(y):
+    return 2.0 + np.sin(2.0 * np.pi * y)
 
 
-def _nodal_q_norm(vals, h, q):
-    return float((np.sum(np.abs(vals) ** q) * h) ** (1.0 / q))
+def _nodal_q_norm(vals, h):
+    return float((np.sum(np.abs(vals) ** Q) * h) ** (1.0 / Q))
 
 
-def _lattice(n=1024, margin=0.5):
-    mesh = Mesh(1, ((0.0, 1.0),), (n + 1,))
-    return mesh, margin
+def _cell_mean_power(w, rho):
+    """Mean of |w|^Q over the rho lattice points of one period."""
+    return float(np.mean(np.abs(w(np.arange(rho) / rho)) ** Q))
 
 
-def _holder_seminorm(vals, h, r, q):
+def _holder_seminorm(vals, mesh, r):
     """Grid surrogate of the Hoelder/Besov r-seminorm (dyadic shifts).
 
     The level walk of `besov_seminorm`, on nodal lattice norms: it stops at
     the first level that cannot raise the supremum, with the same result
     as the full sweep.
     """
-    levels = 0
-    while 2**levels <= vals.shape[0] // 4:
-        levels += 1
-    norm = lambda v: _nodal_q_norm(v, h, q)  # noqa: E731
+    h = mesh.h[0]
+    norm = lambda v: _nodal_q_norm(v, h)  # noqa: E731
     return _dyadic_supremum(
-        lambda ks: [norm(vals[k:] - vals[:-k]) for k in ks], 2**levels // 2, _shift_bound(vals, h, q, norm), h, r
+        lambda ks: [norm(vals[k:] - vals[:-k]) for k in ks], _dyadic_k_max(mesh), _shift_bound(vals, h, Q, norm), h, r
     )
 
 
@@ -325,154 +329,91 @@ def _growth_ok(ratios):
     return all(b <= GROWTH_FLAG * a + 1e-14 for a, b in zip(ratios, ratios[1:]))
 
 
-def smoothing_lemma_suite(samples=None, eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64), delta_list=None, q=2.0, n=1024):
-    """Sweep the smoothing estimates and report lemma-normalized ratios.
+def _contracts(ratios):
+    return all(rr <= 1.0 + 1e-8 for rr in ratios)
 
-    A check fails when its normalized ratio grows by more than the flag
-    factor across one halving of the scale, i.e. when the measured
-    quantity outruns what the estimate permits.
+
+def _measure(ext, src, s):
+    """At cube side and mollifier radius s, from one steklov, shift_T and mollify: the averaged
+    two-scale trace over its bound, the three identity defects and the mollified gradient's norm."""
+    mesh = ext.source_mesh
+    h, n = mesh.h[0], mesh.nodes_per_axis[0]
+    vals, pad = ext.base.values, ext.pad[0]
+    rho = int(round(s / h))
+    offs, _ = window_weights(rho)
+    x = mesh.axis_coords(0)
+    average = steklov(ext, s).values
+    trace = _nodal_q_norm(_fast_weight((x / s) - np.floor(x / s)) * average, h)
+    reach = vals[pad + offs[0] : pad + offs[-1] + n]  # the data the averages read
+    bound = _nodal_q_norm(reach, h) * _cell_mean_power(_fast_weight, rho) ** (1.0 / Q)
+    mol = mollify(ext, s)
+    p0 = mol.pad[0] - 1
+    return (
+        trace / bound,
+        _nodal_q_norm(average - src, h),
+        _nodal_q_norm(shift_T(ext, s, np.array([0.5])).values - src, h),
+        _nodal_q_norm(mol.source_block().ravel() - src, h),
+        _nodal_q_norm(_central_diff(mol.base.values, h)[p0 : p0 + n], h),
+    )
+
+
+def smoothing_lemma_suite():
+    """Sweep the smoothing estimates over SUITE_SCALES and report lemma-normalized ratios.
+
+    Each sample is measured once per scale, and each row of the table turns
+    one measured quantity into ratios. A growth check fails when its ratio
+    grows by more than the flag factor across one halving of the scale,
+    i.e. when the measured quantity outruns what the estimate permits.
     """
-    samples = samples if samples is not None else default_samples()
-    delta_list = tuple(delta_list) if delta_list is not None else tuple(eps_list)
-    eps_list = tuple(eps_list)
-    mesh, margin = _lattice(n)
-    h = mesh.h[0]
-    w_fast = lambda y: 2.0 + np.sin(2.0 * np.pi * y)  # noqa: E731
+    mesh = Mesh(1, ((0.0, 1.0),), (SUITE_CELLS + 1,))
+    h, n = mesh.h[0], mesh.nodes_per_axis[0]
     checks = []
-
-    for name, fn, r in samples:
-        ext = extended_from_callable(mesh, margin, fn)
-        ext_vals = ext.base.values
+    for name, fn, r in SUITE_SAMPLES:
+        ext = extended_from_callable(mesh, SUITE_MARGIN, fn)
+        src = ext.source_block().ravel()
         pad = ext.pad[0]
-        src = ext.source_block()
-
-        # --- averaged two-scale trace is a contraction (operator norm 1)
-        ratios = []
-        for eps in eps_list:
-            rho = int(round(eps / h))
-            offs, _ = window_weights(rho)
-            x = mesh.axis_coords(0)
-            y = (x / eps) - np.floor(x / eps)
-            lhs = _nodal_q_norm(w_fast(y) * steklov(ext, eps).values, h, q)
-            lo = pad + offs[0]
-            hi = pad + offs[-1] + mesh.nodes_per_axis[0]
-            y_cell = np.arange(rho) / rho
-            w_mean = float(np.mean(np.abs(w_fast(y_cell)) ** q)) ** (1.0 / q)
-            rhs = _nodal_q_norm(ext_vals[lo:hi], h, q) * w_mean
-            ratios.append(lhs / rhs)
-        checks.append(
-            LemmaCheck(
-                "steklov_tau_norm", name, eps_list, tuple(ratios), tuple(ratios),
-                passed=all(rr <= 1.0 + 1e-8 for rr in ratios),
-                note="contraction of the averaged two-scale trace",
-            )
+        dnorm = _nodal_q_norm(_central_diff(ext.base.values, h)[pad - 1 : pad - 1 + n], h)
+        sem = _holder_seminorm(src, mesh, r)
+        table = (  # lemma, ratio of a measured value v at scale s, pass rule, note
+            ("steklov_tau_norm", lambda v, s: v, _contracts, "contraction of the averaged two-scale trace"),
+            ("steklov_identity", lambda v, s: v / (s * dnorm), _growth_ok, "defect / (eps * grad norm)"),
+            ("translation_identity", lambda v, s: v / (s * 0.5 * dnorm), _growth_ok, "defect / (eps |z| grad norm)"),
+            ("mollify_identity", lambda v, s: v / (s**r * sem), _growth_ok, f"defect / (delta^{r:g} * seminorm)"),
+            ("mollify_gradient", lambda v, s: v * s ** (1.0 - r) / sem, _growth_ok,
+             f"grad norm * delta^{1 - r:g} / seminorm"),
         )
-
-        # --- Steklov identity defect is of order eps
-        raw = []
-        ratios = []
-        dg = _central_diff(ext_vals, h)
-        dnorm = _nodal_q_norm(dg[pad - 1 : pad - 1 + mesh.nodes_per_axis[0]], h, q)
-        for eps in eps_list:
-            sv = steklov(ext, eps)
-            defect = _nodal_q_norm(sv.values - src.ravel(), h, q)
-            raw.append(defect)
-            ratios.append(defect / (eps * dnorm))
-        checks.append(
-            LemmaCheck(
-                "steklov_identity", name, eps_list, tuple(ratios), tuple(raw),
-                passed=_growth_ok(ratios),
-                note="defect / (eps * grad norm)",
-            )
-        )
-
-        # --- translation identity defect is of order eps
-        raw = []
-        ratios = []
-        for eps in eps_list:
-            sh = shift_T(ext, eps, np.array([0.5]))
-            defect = _nodal_q_norm(sh.values - src.ravel(), h, q)
-            raw.append(defect)
-            ratios.append(defect / (eps * 0.5 * dnorm))
-        checks.append(
-            LemmaCheck(
-                "translation_identity", name, eps_list, tuple(ratios), tuple(raw),
-                passed=_growth_ok(ratios),
-                note="defect / (eps |z| grad norm)",
-            )
-        )
-
-        # --- mollifier converges at rate delta^r
-        sem = _holder_seminorm(src.ravel(), h, r, q)
-        raw = []
-        ratios = []
-        for delta in delta_list:
-            mol = mollify(ext, delta)
-            block = mol.source_block().ravel()
-            defect = _nodal_q_norm(block - src.ravel(), h, q)
-            raw.append(defect)
-            ratios.append(defect / (delta**r * sem))
-        checks.append(
-            LemmaCheck(
-                "mollify_identity", name, delta_list, tuple(ratios), tuple(raw),
-                passed=_growth_ok(ratios),
-                note=f"defect / (delta^{r:g} * seminorm)",
-            )
-        )
-
-        # --- mollified gradient blows up no faster than delta^-(1-r)
-        raw = []
-        ratios = []
-        for delta in delta_list:
-            mol = mollify(ext, delta)
-            dvals = _central_diff(mol.base.values, h)
-            p0 = mol.pad[0] - 1
-            dnorm_m = _nodal_q_norm(dvals[p0 : p0 + mesh.nodes_per_axis[0]], h, q)
-            raw.append(dnorm_m)
-            ratios.append(dnorm_m * delta ** (1.0 - r) / sem)
-        checks.append(
-            LemmaCheck(
-                "mollify_gradient", name, delta_list, tuple(ratios), tuple(raw),
-                passed=_growth_ok(ratios),
-                note=f"grad norm * delta^{1 - r:g} / seminorm",
-            )
-        )
-
+        measured = zip(*(_measure(ext, src, s) for s in SUITE_SCALES))
+        for (lemma, ratio, rule, note), raw in zip(table, measured):
+            ratios = tuple(ratio(v, s) for v, s in zip(raw, SUITE_SCALES))
+            checks.append(LemmaCheck(lemma, name, SUITE_SCALES, ratios, raw, passed=rule(ratios), note=note))
     return PropertyReport(checks)
 
 
-def isometry_check(eps_list=(1 / 8, 1 / 16, 1 / 32), n=256, q=2.0, samples=None):
+def isometry_check():
     """Two-scale translated trace preserves the norm of separable data.
 
     For u(x, y) = g(x) w(y) the lattice norms of u(x + eps z, x/eps) over
     x and z rearrange exactly into the norm of u, provided shifts wrap on
-    the torus. Returns per-sample relative defects (machine-small).
+    the torus. Returns (sample, eps, lhs, rhs, relative defect) rows, one
+    per sample and eps of ISOMETRY_SCALES; the defects are machine-small.
     """
-    if samples is None:
-        samples = [
-            ("sine_x_sine_y", lambda x: np.sin(2.0 * np.pi * x), lambda y: 2.0 + np.sin(2.0 * np.pi * y)),
-            ("poly_x_cos_y", lambda x: x * (1.0 - x), lambda y: 1.0 + 0.3 * np.cos(2.0 * np.pi * y)),
-        ]
-    h = 1.0 / n
-    x = np.arange(n) * h
+    samples = [
+        ("sine_x_sine_y", lambda x: np.sin(2.0 * np.pi * x), _fast_weight),
+        ("poly_x_cos_y", lambda x: x * (1.0 - x), lambda y: 1.0 + 0.3 * np.cos(2.0 * np.pi * y)),
+    ]
+    h = 1.0 / ISOMETRY_CELLS
+    x = np.arange(ISOMETRY_CELLS) * h
     rows = []
     for name, g_fn, w_fn in samples:
         g = g_fn(x)
-        for eps in eps_list:
-            rho = eps / h
-            if abs(rho - round(rho)) > 1e-12 or int(round(rho)) % 2:
-                raise ConfigError("eps/h must be an even integer for the aligned check")
-            rho = int(round(rho))
+        for eps in ISOMETRY_SCALES:
+            rho = int(round(eps / h))
             offs, wts = window_weights(rho)
-            y = (x / eps) - np.floor(x / eps)
-            wvals = np.abs(w_fn(y)) ** q
+            wvals = np.abs(w_fn((x / eps) - np.floor(x / eps))) ** Q
             lhs_q = 0.0
             for j, wj in zip(offs, wts):
-                gj = np.roll(g, -j)
-                lhs_q += wj * float(np.sum(np.abs(gj) ** q * wvals) * h)
-            y_cell = np.arange(rho) / rho
-            rhs_q = float(np.sum(np.abs(g) ** q) * h) * float(np.mean(np.abs(w_fn(y_cell)) ** q))
-            lhs = lhs_q ** (1.0 / q)
-            rhs = rhs_q ** (1.0 / q)
+                lhs_q += wj * float(np.sum(np.abs(np.roll(g, -j)) ** Q * wvals) * h)
+            rhs_q = float(np.sum(np.abs(g) ** Q) * h) * _cell_mean_power(w_fn, rho)
+            lhs, rhs = lhs_q ** (1.0 / Q), rhs_q ** (1.0 / Q)
             rows.append((name, eps, lhs, rhs, abs(lhs - rhs) / rhs))
     return rows

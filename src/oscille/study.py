@@ -163,7 +163,7 @@ def _case(scenario, eps, eff, ctable, targets):
     regions = {"global": None, "interior": imask, "strip": boundary_strip_mask(mesh, eps)}
     # W^1_p seminorms by (uses corrector, region): the targets', and on load 0 the aux probes
     w1p_keys = sorted({(t.uses_corrector, t.region) for t in targets if t.norm_kind == "w1p_semi"})
-    probe_keys = [(False, "global"), (True, "strip")] + ([(False, "interior")] if imask is not None else [])
+    probe_keys = [(False, "global"), (True, "strip")]
 
     setup = corr_mod.corrector_setup(ctable, mesh, eps)
 
@@ -200,8 +200,6 @@ def _case(scenario, eps, eff, ctable, targets):
         if li == 0:
             aux["corrector_ratio"] = corr_mod.corrector_norm_check(k_field, f_norm, eps, scenario.p)
             aux["w1_plain"] = semi[False, "global"] / f_norm
-            if imask is not None:
-                aux["w1_plain_interior"] = semi[False, "interior"] / f_norm
             aux["w1_corr_strip"] = semi[True, "strip"] / f_norm
 
     excluded = {t.name: errors[t.name] <= EXCLUSION_FACTOR * linalg.DEFAULT_TOL for t in targets}

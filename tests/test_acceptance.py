@@ -18,7 +18,6 @@ from oscille.mesh import (
     build_domain_mesh,
     complement,
     boundary_strip_mask,
-    grid_from_callable,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -142,26 +141,16 @@ def test_criterion_5_smoothing_lemma_suite():
 
 
 def test_criterion_6_isometry():
-    rows = smoothing.isometry_check(eps_list=(1 / 8, 1 / 16, 1 / 32))
+    rows = smoothing.isometry_check()
     worst = max(r[4] for r in rows)
     assert worst <= 1e-3
     _report("6 isometry", f"worst relative defect {worst:.2e} (<=1e-3)")
 
 
 def test_criterion_7_boundary_strip():
-    eps_list = [2.0**-k for k in range(3, 8)]
     worst = 0.0
-    cases = [
-        (1, lambda p: np.sin(np.pi * p[:, 0]), 2**-9),
-        # 2D spacing 1/362: the element-quantized strip width then doubles
-        # exactly together with eps, keeping quantization out of the steps
-        (2, lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]), 1.0 / 362.0),
-    ]
-    for d, fn, h in cases:
-        mesh = build_domain_mesh(((0.0, 1.0),) * d, h)
-        u = grid_from_callable(mesh, fn)
-        rows = norms.strip_lemma_check(u, 2.0, eps_list)
-        for step in norms.halving_factors([r.ratio for r in rows]):
+    for sweep in norms.strip_lemma_suite():
+        for step in sweep.steps:
             worst = max(worst, step, 1.0 / step)
     assert worst <= 2.0 + 1e-9
     _report("7 boundary strip", f"largest consecutive ratio change {worst:.4f} (<=2)")

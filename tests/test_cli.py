@@ -127,6 +127,19 @@ def test_config_errors_exit_2_without_traceback(tmp_path, capsys, argv, cfg):
     assert "Traceback" not in err
 
 
+def test_study_runs_serially_without_threads_flag(tmp_path, monkeypatch, capsys):
+    # one worker unless asked: each worker's BLAS may start a thread per core
+    seen = []
+
+    def stop(scenario, threads):
+        seen.append(threads)
+        raise core.NumericalError("stop after recording the thread count")
+
+    monkeypatch.setattr(cli.study, "run_study", stop)
+    assert cli.main(["study", "--config", _write_cfg(tmp_path, SINE_CFG), "--out", str(tmp_path / "o")]) == 3
+    assert seen == [1]
+
+
 def test_unexpected_exception_propagates(tmp_path, monkeypatch):
     # an exception outside the two error bases is a bug: no exit code hides it
     def failing_study(scenario, threads=1):
@@ -228,6 +241,7 @@ _CELL = ["cell", "--preset", "Sine1D", "--params", "2,1"]
         _CELL + ["--x", "inf"],
         _CELL + ["--x", ""],
         ["audit", "--preset", "Sine1D", "--params", "2,1", "--seed", "-1"],
+        ["audit", "--preset", "Sine1D", "--params", "2,1", "--samples", "1000000000000"],
         ["study", "--threads", "-2"],
         ["study", "--threads", "0"],
         ["study", "--eps", "0.125,nan,0.03125"],
@@ -236,7 +250,8 @@ _CELL = ["cell", "--preset", "Sine1D", "--params", "2,1"]
 )
 def test_misread_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
     # each flag value once ran as something else: --m 0 as the default m,
-    # a non-finite --x as a point, --threads 0 or -2 as all cores or serial
+    # a non-finite --x as a point, --threads 0 or -2 as all cores or serial,
+    # and --samples 10^12 ran out of memory with exit 1 ("violations found")
     monkeypatch.setattr(study, "run_study", lambda *a, **k: pytest.fail("the study ran"))
     if argv[0] == "study":
         argv = argv + ["--config", _write_cfg(tmp_path, SINE_CFG), "--out", str(tmp_path / "out")]

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,26 @@ def test_suite_lipschitz_gradient_bounded(suite_report):
     assert max(c.raw) / min(c.raw) <= 1.5
 
 
+def test_suite_applies_each_operator_once_per_scale(monkeypatch):
+    calls = dict.fromkeys(("steklov", "shift_T", "mollify"), 0)
+    for op in calls:
+
+        def counted(*args, _op=op, _real=getattr(sm, op)):
+            calls[_op] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sm, op, counted)
+    report = sm.smoothing_lemma_suite()
+    # steklov and shift_T once per (sample, eps), mollify once per (sample, delta)
+    once = len({c.sample for c in report.checks}) * len(report.checks[0].scales)
+    assert calls == {"steklov": once, "shift_T": once, "mollify": once}
+
+
+def test_suites_take_no_parameters():
+    for suite in (sm.smoothing_lemma_suite, sm.isometry_check):
+        assert not inspect.signature(suite).parameters
+
+
 def test_isometry_defect_small():
     rows = sm.isometry_check()
     for name, eps, lhs, rhs, rel in rows:
@@ -239,5 +261,5 @@ def test_isometry_defect_small():
 
 
 def test_suite_requires_kink_and_cusp():
-    names = {s[0] for s in sm.default_samples()}
+    names = {s[0] for s in sm.SUITE_SAMPLES}
     assert "hat" in names and "sqrt_cusp" in names
