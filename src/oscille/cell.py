@@ -12,11 +12,12 @@ samples of a(x, .) at the cell Gauss points as the stiffness matrix. In
 macroscopic grid with linear interpolation in x support corrector
 evaluation at arbitrary points; the Lipschitz dependence of a on x keeps
 that interpolation error dominated by the homogenization errors measured.
-The cell problem sees x only through a(x, .), so table entries whose
-a(x, .) agree bit for bit at the cell Gauss points share one solve.
-The table samples a(x, .) one row at a time (the entries along the last
-x-axis, one block evaluation), so it holds one row of samples, never the
-whole table, and each distinct sample array goes into its solve as is.
+The cell problem is homogeneous of degree zero in the coefficient: for
+a(x, .) = g(x) b(x, .) with a scalar g > 0, N[a] = N[b] and A0[a] =
+g A0[b]. So table entries whose profiles b agree bit for bit share one
+solve, and each scales its A0 by its own g. The table samples g and b
+one row at a time (the entries along the last x-axis), never the whole
+table.
 The cell's matrix, loads and mean functional go through `fem`'s Q1
 assembly with every node free: the matrix into the wrapped stencil
 pattern `fem` caches per mesh, the loads by its nodal scatter, and the
@@ -54,12 +55,19 @@ def default_cell_m(d):
     return 256 if d == 1 else 64
 
 
-def _cell_coefficient(field, xs, cell_mesh):
-    """a(x, .) at the Gauss points of the cell mesh for each slow point of
-    xs (m, d), or of a single x as m = 1; shape (m, n_elements, n_gauss)."""
+def _cell_factors(field, xs, cell_mesh):
+    """g (m,) and b (m or 1, n_elements, n_gauss) of a(x, .) = g(x) b(x, .)
+    at the cell Gauss points for the slow points xs (m, d), or a single x."""
     q = quadrature(cell_mesh)
     n_el, n_g, d = q.points.shape
-    return field.eval_block(xs, q.points.reshape(-1, d)).reshape(-1, n_el, n_g)
+    g, b = field.eval_factors(xs, q.points.reshape(-1, d))
+    return g, b.reshape(-1, n_el, n_g)
+
+
+def _cell_coefficient(field, xs, cell_mesh):
+    """a(x, .) = g(x) b(x, .) at the cell Gauss points, shape (m, n_elements, n_gauss)."""
+    g, b = _cell_factors(field, xs, cell_mesh)
+    return g[:, None, None] * b
 
 
 @lru_cache(maxsize=8)
@@ -215,25 +223,28 @@ def x_axes_for(domain, margin, spacing=X_TABLE_SPACING):
 
 
 def tabulate_cells(field, x_axes, cell_mesh):
-    """Cell solutions over the x-grid, one solve per distinct a(x, .).
+    """Cell solutions over the x-grid, one solve per distinct profile b.
 
-    a(x, .) is sampled at the cell Gauss points one row of the grid at a
-    time (the points along the last x-axis), so only one row of samples
-    is held. The exact bytes of an entry's samples key the solves: equal
-    keys give solve_cell identical matrices, loads and A0 sums, so
-    entries sharing a key share one CellSolution object, bit-identical to
-    solving each entry on its own. Each distinct sample array is handed to
-    solve_cell, which does not evaluate it again.
+    g and b are sampled one row of the grid at a time (the points along
+    the last x-axis); b has one row when it does not read x, so it is
+    evaluated and keyed once per row. The exact bytes of b key the
+    solves, which take b as is; every entry with that b shares the
+    solve's columns array, and its A0 is its g times the solve's A0.
     """
     x_axes = tuple(np.asarray(a, dtype=float) for a in x_axes)
     solved = {}
     cells = []
     for row in _tensor_points(x_axes).reshape(-1, len(x_axes[-1]), len(x_axes)):
-        for p, a_vals in zip(row, _cell_coefficient(field, row, cell_mesh)):
-            key = a_vals.tobytes()
+        g, profiles = _cell_factors(field, row, cell_mesh)
+        bad = ~(np.isfinite(g) & (g > 0.0))
+        if bad.any():
+            raise EllipticityViolation(f"slow factor nonpositive or not a number at x = {row[bad][0]}")
+        keys = [b.tobytes() for b in profiles]
+        for p, b, key in zip(row, profiles, keys):
             if key not in solved:
-                solved[key] = solve_cell(field, p, cell_mesh, samples=a_vals)
-            cells.append(solved[key])
+                solved[key] = solve_cell(field, p, cell_mesh, samples=b)
+        for key, gx in zip(itertools.cycle(keys), g):
+            cells.append(CellSolution(cell_mesh, solved[key].columns, gx * solved[key].a0))
     return CellTable(x_axes, cell_mesh, cells)
 
 

@@ -268,15 +268,15 @@ def _cmd_suite_smoothing(args):
     iso = smoothing.isometry_check()
     for name, eps, lhs, rhs, rel in iso:
         sys.stdout.write(
-            f"[{'ok ' if rel <= 1e-3 else 'FAIL'}] isometry {name:<14} eps={eps:<8g} defect={rel:.3e}\n"
+            f"[{'ok ' if rel <= smoothing.ISOMETRY_TOL else 'FAIL'}] isometry {name:<14} eps={eps:<8g} defect={rel:.3e}\n"
         )
-    return 0 if report.all_passed and all(row[4] <= 1e-3 for row in iso) else 1
+    return 0 if report.all_passed and all(row[4] <= smoothing.ISOMETRY_TOL for row in iso) else 1
 
 
 def _cmd_suite_strip(args):
     sweeps = norms.strip_lemma_suite()
     for sweep in sweeps:
-        sys.stdout.write(f"d={sweep.dim}:\n")
+        sys.stdout.write(f"[{'ok ' if sweep.passed else 'FAIL'}] d={sweep.dim} {sweep.sample}:\n")
         for i, row in enumerate(sweep.rows):
             step = f" step={sweep.steps[i - 1]:.3f}" if i else ""
             sys.stdout.write(

@@ -3,7 +3,9 @@
 A coefficient is a scalar function a(x, y), Lipschitz in the slow variable x
 and 1-periodic in the fast variable y, acting on gradients as a(x, y) * I.
 Presets are analytic descriptors, so periodicity is exact and ellipticity
-bounds are certified by interval arithmetic rather than sampling.
+bounds are certified by interval arithmetic rather than sampling. Each
+preset is a = g(x) b(y): a scalar slow factor (1 + slope x1 or 1) times
+a fast profile, which `CoefficientField.eval_factors` returns apart.
 """
 
 from __future__ import annotations
@@ -74,35 +76,44 @@ class CoefficientField:
         y = _as_points(y, self.dim)
         return _eval_preset(self.preset_id, self.params, x, y)
 
-    def eval_block(self, x, y):
-        """Values a(x_i, y_j) for slow points x (m, dim) and fast points y
-        (n, dim), shape (m, n); terms that read only y are computed once."""
+    def eval_factors(self, x, y):
+        """The factors g(x_i), shape (m,), and b(x_i, y_j) of a = g b for slow
+        points x (m, dim) and fast points y (n, dim); b has shape (1, n)
+        when it does not read x, as for every preset, and (m, n) otherwise."""
         x = _as_points(x, self.dim)
         y = _as_points(y, self.dim)
-        return _eval_preset(self.preset_id, self.params, x[:, None, :], y[None, :, :])
+        g, b = _preset_factors(self.preset_id, self.params, x[:, None, :], y[None, :, :])
+        return (np.ones(len(x)) if g is None else g.reshape(len(x))), b
 
 
-def _eval_preset(preset_id, params, x, y):
-    """a(x, y) for arrays whose leading axes broadcast and whose last axis
-    holds the components; a fresh array of the broadcast leading shape."""
-    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+def _preset_factors(preset_id, params, x, y):
+    """The slow factor g(x) (None when it is 1) and the fast profile b(x, y)
+    of a = g b, for arrays whose leading axes broadcast and whose last axis
+    holds the components; each has the leading shape of what it reads."""
     # wrap into the unit cell first: this makes periodicity exact as a
     # floating-point identity whenever y + e_k is representable
     y = y - np.floor(y)
     if preset_id == "Constant":
         (c,) = params
-        return np.full(shape, c)
+        return None, np.full(y.shape[:-1], c)
     if preset_id in ("Sine1D", "Laminate2D"):
         c, amp = params
-        vals = c + amp * np.sin(2.0 * np.pi * y[..., 0])
-    elif preset_id == "SineProduct2D":
+        return None, c + amp * np.sin(2.0 * np.pi * y[..., 0])
+    if preset_id == "SineProduct2D":
         c, amp = params
-        vals = c + amp * np.sin(2.0 * np.pi * y[..., 0]) * np.sin(2.0 * np.pi * y[..., 1])
-    elif preset_id in ("LocallyPeriodic1D", "LocallyPeriodic2D"):
+        return None, c + amp * np.sin(2.0 * np.pi * y[..., 0]) * np.sin(2.0 * np.pi * y[..., 1])
+    if preset_id in ("LocallyPeriodic1D", "LocallyPeriodic2D"):
         c, amp, slope = params
-        vals = (1.0 + slope * x[..., 0]) * (c + amp * np.sin(2.0 * np.pi * y[..., 0]))
-    else:
-        raise PresetError(f"unknown preset {preset_id!r}")
+        return 1.0 + slope * x[..., 0], c + amp * np.sin(2.0 * np.pi * y[..., 0])
+    raise PresetError(f"unknown preset {preset_id!r}")
+
+
+def _eval_preset(preset_id, params, x, y):
+    """a(x, y) = g(x) b(x, y) for arrays as `_preset_factors` takes them;
+    a fresh array of the broadcast leading shape."""
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    g, vals = _preset_factors(preset_id, params, x, y)
+    vals = vals if g is None else g * vals
     # terms of y alone have y's leading shape; spread them over the x block
     return vals if vals.shape == shape else np.broadcast_to(vals, shape).copy()
 

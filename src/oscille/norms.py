@@ -255,6 +255,7 @@ def strip_lemma_check(u, q, eps_list):
 @dataclass(frozen=True)
 class StripSweep:
     dim: int
+    sample: str
     rows: list  # StripRatio per eps of STRIP_SCALES
     steps: list  # halving factors of the ratios
     passed: bool  # every step within [1/2, 2]
@@ -264,22 +265,25 @@ STRIP_SCALES = tuple(2.0**-k for k in range(3, 8))
 
 
 def strip_lemma_suite():
-    """The boundary-strip sweep of sin(pi x) on [0, 1] and sin(pi x1) sin(pi x2) on [0, 1]^2, at q = 2.
+    """The boundary-strip sweeps at q = 2 of sin(pi x), cos(pi x) on [0, 1]
+    and their products in x1 and x2 on [0, 1]^2.
 
-    Each dimension passes when the ratio changes by at most a factor of 2
-    across every halving of eps.
+    The sines vanish on the boundary, so their ratios halve with eps; the
+    cosines' nonzero trace makes the inequality sharp, their ratios level.
+    A sweep passes when the ratio changes by at most a factor of 2 across
+    every halving of eps.
     """
-    cases = [
-        (1, lambda pts: np.sin(np.pi * pts[:, 0]), 2**-9),
-        # 2D spacing 1/362 keeps the element-quantized strip width doubling
-        # exactly when eps halves (sqrt(2)/2 * 2^-7 * 362 is almost exactly 2)
-        (2, lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]), 1.0 / 362.0),
-    ]
+    # 2D spacing 1/362 keeps the element-quantized strip width doubling
+    # exactly when eps halves (sqrt(2)/2 * 2^-7 * 362 is almost exactly 2)
     sweeps = []
-    for d, fn, h in cases:
-        rows = strip_lemma_check(grid_from_callable(build_domain_mesh(((0.0, 1.0),) * d, h), fn), 2.0, STRIP_SCALES)
-        steps = halving_factors([row.ratio for row in rows])
-        sweeps.append(StripSweep(d, rows, steps, all(0.5 - 1e-9 <= f <= 2.0 + 1e-9 for f in steps)))
+    for d, h in ((1, 2**-9), (2, 1.0 / 362.0)):
+        mesh = build_domain_mesh(((0.0, 1.0),) * d, h)
+        for name, trig in (("sin", np.sin), ("cos", np.cos)):
+            u = grid_from_callable(mesh, lambda pts: np.prod(trig(np.pi * pts), axis=1))
+            rows = strip_lemma_check(u, 2.0, STRIP_SCALES)
+            steps = halving_factors([row.ratio for row in rows])
+            label = f"{name}(pi x)" if d == 1 else f"{name}(pi x1) {name}(pi x2)"
+            sweeps.append(StripSweep(d, label, rows, steps, all(0.5 - 1e-9 <= f <= 2.0 + 1e-9 for f in steps)))
     return sweeps
 
 

@@ -288,6 +288,7 @@ SUITE_CELLS = 1024  # uniform lattice on [0, 1]
 SUITE_MARGIN = 0.5  # extension past each face, wider than every window and kernel
 ISOMETRY_SCALES = (1 / 8, 1 / 16, 1 / 32)  # each an even number of the isometry lattice's cells
 ISOMETRY_CELLS = 256  # periodic lattice on [0, 1)
+ISOMETRY_TOL = 1e-12  # relative defect gate; the rearrangement is exact, so rounding is all that is left
 Q = 2.0  # exponent of every lattice norm of the suites
 # (name, callable, Hoelder exponent r); a Lipschitz kink and a Hoelder-1/2 cusp, as the lemma preconditions ask
 SUITE_SAMPLES = (

@@ -143,8 +143,8 @@ def test_criterion_5_smoothing_lemma_suite():
 def test_criterion_6_isometry():
     rows = smoothing.isometry_check()
     worst = max(r[4] for r in rows)
-    assert worst <= 1e-3
-    _report("6 isometry", f"worst relative defect {worst:.2e} (<=1e-3)")
+    assert worst <= smoothing.ISOMETRY_TOL
+    _report("6 isometry", f"worst relative defect {worst:.2e} (<={smoothing.ISOMETRY_TOL:g})")
 
 
 def test_criterion_7_boundary_strip():

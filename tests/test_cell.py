@@ -211,10 +211,10 @@ def test_ellipticity_violation_nan_coefficient():
     class OneNaN:
         dim = 1
 
-        def eval_block(self, x, y):
-            vals = base.eval_block(x, y)
-            vals[0, 3] = np.nan
-            return vals
+        def eval_factors(self, x, y):
+            g, b = base.eval_factors(x, y)
+            b[0, 3] = np.nan
+            return g, b
 
     with pytest.raises(cell.EllipticityViolation):
         cell.solve_cell(OneNaN(), np.zeros(1), build_cell_mesh(16, 1))
@@ -244,23 +244,45 @@ def _assert_per_entry_equal(field, axes, cmesh, eff, table):
 
 
 def test_table_solves_each_distinct_profile_once_2d(monkeypatch):
-    # the slow factor of LocallyPeriodic2D reads x1 only
+    # LocallyPeriodic2D is (1 + 0.5 x1) b(y): one profile for the whole table
     field = preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
     axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 1.5, 5))
     cmesh = build_cell_mesh(8, 2)
     calls = _counted_solves(monkeypatch)
     eff, table = cell.tabulate_effective(field, axes, cmesh)
-    assert len(calls) == len(axes[0])
-    assert sorted(c[0] for c in calls) == list(axes[0])
-    for i in range(len(axes[0])):
-        row = table.cells[i * len(axes[1]):(i + 1) * len(axes[1])]
-        assert all(sol is row[0] for sol in row)
+    assert len(calls) == 1
     monkeypatch.undo()
-    _assert_per_entry_equal(field, axes, cmesh, eff, table)
+    points = [np.array(p) for p in itertools.product(*axes)]
+    assert len(table.cells) == len(points)
+    assert all(sol.columns is table.cells[0].columns for sol in table.cells)
+    g, b = cell._cell_factors(field, np.array(points), cmesh)
+    profile = cell.solve_cell(field, points[0], cmesh, samples=b[0])
+    assert np.array_equal(profile.columns, table.cells[0].columns)
+    flat = eff.tensors.reshape(len(points), 2, 2)
+    for p, gx, sol, a0 in zip(points, g, table.cells, flat):
+        # the profile's A0 scaled by g bit for bit, and the solve of a(x, .) itself to rounding
+        assert np.array_equal(_bits(a0), _bits(gx * profile.a0))
+        assert np.array_equal(_bits(sol.a0), _bits(a0))
+        ref = cell.solve_cell(field, p, cmesh)
+        assert np.max(np.abs(a0 - ref.a0)) <= 1e-12 * np.max(np.abs(ref.a0))
+        assert np.max(np.abs(sol.columns - ref.columns)) <= 1e-11 * np.max(np.abs(ref.columns))
+
+
+class _Modulated:
+    """a(x, y) = c + (alpha + beta x1) sin(2 pi y1): a profile that reads x, so it has no slow factor."""
+
+    def __init__(self, dim=1, c=2.0, alpha=0.5, beta=0.5):
+        self.dim, self.c, self.alpha, self.beta = dim, c, alpha, beta
+
+    def eval_factors(self, x, y):
+        x = np.asarray(x, dtype=float).reshape(-1, self.dim)
+        y = np.asarray(y, dtype=float).reshape(-1, self.dim)
+        amp = self.alpha + self.beta * x[:, :1]
+        return np.ones(len(x)), self.c + amp * np.sin(2.0 * np.pi * y[:, 0])
 
 
 def test_table_without_repeats_solves_every_entry(monkeypatch):
-    field = preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1)
+    field = _Modulated()
     axes = (np.linspace(-0.25, 1.25, 7),)
     cmesh = build_cell_mesh(32, 1)
     calls = _counted_solves(monkeypatch)
@@ -287,6 +309,22 @@ def test_table_ellipticity_violation_in_one_entry():
     axes = (np.linspace(1.0, -2.5, 8), np.linspace(0.0, 1.0, 3))
     with pytest.raises(cell.EllipticityViolation):
         cell.tabulate_effective(field, axes, build_cell_mesh(8, 2))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_table_rejects_nonfinite_slow_factor(bad):
+    base = preset_coefficient("Sine1D", [2, 1], 1)
+
+    class BadScale:
+        dim = 1
+
+        def eval_factors(self, x, y):
+            g, b = base.eval_factors(x, y)
+            g[-1] = bad
+            return g, b
+
+    with pytest.raises(cell.EllipticityViolation):
+        cell.tabulate_effective(BadScale(), (np.linspace(0.0, 1.0, 3),), build_cell_mesh(16, 1))
 
 
 def test_eval_n_periodic_interpolation(sine_cell):
@@ -342,13 +380,13 @@ class _FourierCell:
     def __init__(self, dim, c, modes, scale=1.0, shift=0.0):
         self.dim, self.c, self.modes, self.scale, self.shift = dim, c, modes, scale, shift
 
-    def eval_block(self, x, y):
+    def eval_factors(self, x, y):
         x = np.asarray(x, dtype=float).reshape(-1, self.dim)
         y = np.asarray(y, dtype=float).reshape(-1, self.dim) + self.shift
         vals = np.full(y.shape[0], self.c)
         for n, amp, phase in self.modes:
             vals += amp * np.cos(2.0 * np.pi * (y @ np.array(n[: self.dim])) + phase)
-        return np.repeat((self.scale * vals)[None], len(x), axis=0)
+        return np.ones(len(x)), (self.scale * vals)[None]
 
 
 @st.composite
@@ -477,11 +515,15 @@ def test_pattern_built_once_per_cell_mesh_over_a_table(monkeypatch):
 
     monkeypatch.setattr(fem, "_stencil_pattern", counting)
     fem._pattern.cache_clear()
-    cell.tabulate_effective(field, axes, build_cell_mesh(8, 2))
+    cmesh = build_cell_mesh(8, 2)
+    cell.tabulate_effective(field, axes, cmesh)
     info = fem._pattern.cache_info()
-    assert info.misses == len(built) == 1
-    # every solve (one per x_1 row, a depends on x_1 only) reads it, the first builds it
-    assert info.hits == len(axes[0]) - 1
+    # the table's one solve builds it
+    assert (info.misses, info.hits) == (1, 0) and len(built) == 1
+    # a profile that reads x1 takes one solve per x1 row, and each reads it
+    cell.tabulate_effective(_Modulated(dim=2), axes, cmesh)
+    info = fem._pattern.cache_info()
+    assert (info.misses, info.hits) == (1, len(axes[0])) and len(built) == 1
 
 
 def _interpolation_points(axes, rng):

@@ -370,7 +370,9 @@ def test_suite_strip_command(capsys):
     rc = cli.main(["suite-strip"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "d=1:" in out and "d=2:" in out and out.count("step=") == 8
+    for sample in ("d=1 sin(pi x)", "d=1 cos(pi x)", "d=2 sin(pi x1) sin(pi x2)", "d=2 cos(pi x1) cos(pi x2)"):
+        assert f"[ok ] {sample}:" in out
+    assert out.count("step=") == 16 and "FAIL" not in out
 
 
 def test_shipped_configs_parse():

@@ -220,17 +220,25 @@ def _blocks(draw, dim):
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_block_eval_matches_pointwise_bit_for_bit(pid, dim, data):
+    # the slow factor times the fast profile is eval, bit for bit
     f = core.preset_coefficient(pid, _PARAMS.get(pid, [2, 1]), dim)
     x, y = data.draw(_blocks(dim))
     m, n = len(x), len(y)
-    block = f.eval_block(x, y)
+    g, b = f.eval_factors(x, y)
     pointwise = f.eval(np.repeat(x, n, axis=0), np.tile(y, (m, 1))).reshape(m, n)
-    assert block.shape == (m, n)
+    # every preset's profile reads y only, so it has one row
+    assert g.shape == (m,) and b.shape == (1, n)
+    block = g[:, None] * b
     assert np.array_equal(block.view(np.int64), pointwise.view(np.int64))
-    # a fresh array: writable, sharing no memory with the inputs
-    assert block.flags.writeable and block.flags.c_contiguous
-    assert not np.shares_memory(block, x) and not np.shares_memory(block, y)
-    block[...] = -1.0
-    assert np.array_equal(f.eval_block(x, y), pointwise)
+    if not pid.startswith("LocallyPeriodic"):
+        assert np.array_equal(g, np.ones(m))
+    # fresh arrays: writable, sharing no memory with the inputs
+    for out in (g, b):
+        assert out.flags.writeable and out.flags.c_contiguous
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, y)
+    g[...] = b[...] = -1.0
+    g2, b2 = f.eval_factors(x, y)
+    assert np.array_equal(g2[:, None] * b2, pointwise)
     # a single slow point is the block of one row
-    assert np.array_equal(f.eval_block(x[0], y), pointwise[:1])
+    g1, b1 = f.eval_factors(x[0], y)
+    assert np.array_equal(g1[:, None] * b1, pointwise[:1])

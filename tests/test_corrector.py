@@ -165,8 +165,8 @@ def test_gradient_split_identity_2d(lp2d_table):
 
 
 def _entry_scaled(table):
-    # every preset is g(x) b(y), whose cell solutions do not depend on x;
-    # scaling each entry's columns differently gives the slow d/dx terms data
+    # every preset is g(x) b(y), whose cell solutions do not depend on x
+    # (the table shares one columns array among its entries); scaling each entry's columns differently gives the slow d/dx terms data
     cells = [replace(sol, columns=sol.columns * (1.0 + 0.3 * np.sin(0.7 * i))) for i, sol in enumerate(table.cells)]
     return cell.CellTable(table.x_axes, table.cell_mesh, cells)
 
@@ -242,9 +242,35 @@ def test_kernel_matches_reference_loop_2d_shared_cells(lp2d_table):
     eps = 1 / 8
     mesh = fem.oscillatory_mesh(sc, eps)
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
+    assert len({id(sol.columns) for sol in table.cells}) == 1  # one solve serves the separable table
     table = _row_scaled(table)
-    assert len({id(sol) for sol in table.cells}) == len(table.x_axes[0]) < len(table.cells)
+    n_rows = len(table.x_axes[0])
+    assert len({id(sol.columns) for sol in table.cells}) == len({id(sol) for sol in table.cells}) == n_rows
+    assert n_rows < len(table.cells)
     _assert_matches_reference(_inputs(sc, eps, u0, table))
+
+
+def test_setup_interpolates_each_columns_array_once(lp2d_table, monkeypatch):
+    # the separable table's entries differ in A0 but share one columns
+    # array; per-entry copies of it give the same values, one array each
+    field, table = lp2d_table
+    assert len({id(sol) for sol in table.cells}) > 1
+    copied = cell.CellTable(table.x_axes, table.cell_mesh,
+                            [replace(sol, columns=sol.columns.copy()) for sol in table.cells])
+    interpolated = []
+    interpolate = corrector._interpolate_periodic
+
+    def counting(cols, cell_mesh, y):
+        interpolated.append(len(cols))
+        return interpolate(cols, cell_mesh, y)
+
+    monkeypatch.setattr(corrector, "_interpolate_periodic", counting)
+    sc = _scenario(field, (1 / 4, 1 / 8, 1 / 16), rho=8, mu=-1.0)
+    mesh = fem.oscillatory_mesh(sc, 1 / 8)
+    shared = corrector.corrector_setup(table, mesh, 1 / 8)
+    own = corrector.corrector_setup(copied, mesh, 1 / 8)
+    assert interpolated == [1, len(table.cells)]
+    assert np.array_equal(shared.n_at, own.n_at)
 
 
 def test_kernel_matches_reference_loop_2d_mollified_rectangle(lp2d_table):

@@ -322,6 +322,18 @@ def test_strip_lemma_sine_halving_steps():
         assert max(step, 1 / step) <= 2.0 + 1e-9
 
 
+def test_strip_suite_probes_a_nonzero_trace_per_dimension():
+    # a sample that vanishes on the boundary halves its ratio with eps; one
+    # with a nonzero trace meets the inequality where it is sharp, level
+    sweeps = norms.strip_lemma_suite()
+    assert [(s.dim, s.sample) for s in sweeps] == [
+        (1, "sin(pi x)"), (1, "cos(pi x)"), (2, "sin(pi x1) sin(pi x2)"), (2, "cos(pi x1) cos(pi x2)")]
+    for sweep in sweeps:
+        assert sweep.passed and len(sweep.steps) == len(norms.STRIP_SCALES) - 1
+        level = sweep.sample.startswith("cos")
+        assert all((0.9 <= f <= 1.1) if level else (1.9 <= f <= 2.0 + 1e-9) for f in sweep.steps)
+
+
 def test_strip_lemma_degenerate_eps():
     m = build_domain_mesh(((0.0, 1.0),), 1 / 32)
     u = grid_from_callable(m, lambda p: 1.0 + p[:, 0])

@@ -257,7 +257,7 @@ def test_suites_take_no_parameters():
 def test_isometry_defect_small():
     rows = sm.isometry_check()
     for name, eps, lhs, rhs, rel in rows:
-        assert rel <= 1e-3
+        assert rel <= sm.ISOMETRY_TOL
 
 
 def test_suite_requires_kink_and_cusp():

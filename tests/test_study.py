@@ -214,7 +214,7 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
     def counting_setup(table, mesh, eps):
         built = len(operators)
         setup = build(table, mesh, eps)
-        setups.append((eps, len(table.cells), len({id(sol) for sol in table.cells}), len(operators) - built))
+        setups.append((eps, len(table.cells), len({id(sol.columns) for sol in table.cells}), len(operators) - built))
         return setup
 
     def counting_interpolate(cols, cell_mesh, y):
@@ -231,7 +231,8 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
     study.run_study(sc)
     assert [eps for eps, _, _, _ in setups] == list(sc.epsilons)
     assert columns == [distinct for _, _, distinct, _ in setups]
-    assert all(distinct < entries for _, entries, distinct, _ in setups)  # the table repeats objects
+    # the separable coefficient's table shares one columns array among its entries
+    assert all(distinct == 1 < entries for _, entries, distinct, _ in setups)
     # one map per axis, built by the setup and reused by both loads of that eps
     assert [built for _, _, _, built in setups] == [2, 2, 2]
     assert len(operators) == 2 * len(setups)
