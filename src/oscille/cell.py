@@ -15,9 +15,10 @@ that interpolation error dominated by the homogenization errors measured.
 The cell problem is homogeneous of degree zero in the coefficient: for
 a(x, .) = g(x) b(x, .) with a scalar g > 0, N[a] = N[b] and A0[a] =
 g A0[b]. So table entries whose profiles b agree bit for bit share one
-solve, and each scales its A0 by its own g. The table samples g and b
-one row at a time (the entries along the last x-axis), never the whole
-table.
+solve, and each scales its A0 by its own g. The table holds each
+distinct solve's N once, and per grid entry the index of its solve and
+its A0. It samples g and b one row at a time (the entries along the
+last x-axis), never the whole table.
 The cell's matrix, loads and mean functional go through `fem`'s Q1
 assembly with every node free: the matrix into the wrapped stencil
 pattern `fem` caches per mesh, the loads by its nodal scatter, and the
@@ -128,8 +129,8 @@ def solve_cell(field, x, cell_mesh, samples=None):
         raise MeshMismatch("cell mesh must be periodic")
     x = np.asarray(x, dtype=float).reshape(field.dim)
     a_vals = _cell_coefficient(field, x, cell_mesh)[0] if samples is None else samples
-    if not np.all(a_vals > 0.0):
-        raise EllipticityViolation(f"coefficient nonpositive or not a number at x = {x}")
+    if not np.all((a_vals > 0.0) & (a_vals < np.inf)):
+        raise EllipticityViolation(f"coefficient nonpositive or not finite at x = {x}")
     q = quadrature(cell_mesh)
     matrix, loads, wa = _periodic_stiffness_and_loads(a_vals, cell_mesh)
     c = _mean_functional(cell_mesh)
@@ -197,18 +198,14 @@ def multilinear(values, x_axes, pts):
 
 @dataclass
 class CellTable:
-    """Cell solutions tabulated over a macroscopic grid (C-order)."""
+    """Cell solutions tabulated over a macroscopic grid: each distinct
+    solve's N once, and per grid entry (C order) its solve and its A0."""
 
     x_axes: tuple  # per-axis sample coordinates
     cell_mesh: Mesh
-    cells: list  # CellSolution, C-order over the x grid
-
-    @property
-    def dim(self):
-        return len(self.x_axes)
-
-    def grid_shape(self):
-        return tuple(len(a) for a in self.x_axes)
+    columns: list  # (n_nodes, d) nodal values of N_k, one array per distinct solve, in solve order
+    cells: np.ndarray  # int, per grid entry in C order: its solve's index into columns
+    tensors: np.ndarray  # grid shape + (d, d): A0 of each entry
 
 
 def x_axes_for(domain, margin, spacing=X_TABLE_SPACING):
@@ -228,24 +225,29 @@ def tabulate_cells(field, x_axes, cell_mesh):
     g and b are sampled one row of the grid at a time (the points along
     the last x-axis); b has one row when it does not read x, so it is
     evaluated and keyed once per row. The exact bytes of b key the
-    solves, which take b as is; every entry with that b shares the
-    solve's columns array, and its A0 is its g times the solve's A0.
+    solves, which take b as is; every entry with that b indexes the
+    solve's columns, and its A0 is its g times the solve's A0.
     """
     x_axes = tuple(np.asarray(a, dtype=float) for a in x_axes)
-    solved = {}
-    cells = []
+    solved = {}  # profile bytes -> index into columns
+    columns, a0s, cells, tensors = [], [], [], []
     for row in _tensor_points(x_axes).reshape(-1, len(x_axes[-1]), len(x_axes)):
         g, profiles = _cell_factors(field, row, cell_mesh)
-        bad = ~(np.isfinite(g) & (g > 0.0))
+        bad = ~((g > 0.0) & (g < np.inf))
         if bad.any():
-            raise EllipticityViolation(f"slow factor nonpositive or not a number at x = {row[bad][0]}")
+            raise EllipticityViolation(f"slow factor nonpositive or not finite at x = {row[bad][0]}")
         keys = [b.tobytes() for b in profiles]
         for p, b, key in zip(row, profiles, keys):
             if key not in solved:
-                solved[key] = solve_cell(field, p, cell_mesh, samples=b)
+                sol = solve_cell(field, p, cell_mesh, samples=b)
+                solved[key] = len(columns)
+                columns.append(sol.columns)
+                a0s.append(sol.a0)
         for key, gx in zip(itertools.cycle(keys), g):
-            cells.append(CellSolution(cell_mesh, solved[key].columns, gx * solved[key].a0))
-    return CellTable(x_axes, cell_mesh, cells)
+            cells.append(solved[key])
+            tensors.append(gx * a0s[solved[key]])
+    shape = tuple(len(a) for a in x_axes) + a0s[0].shape
+    return CellTable(x_axes, cell_mesh, columns, np.array(cells), np.reshape(tensors, shape))
 
 
 @dataclass
@@ -253,8 +255,7 @@ class EffectiveField:
     """Tabulated effective tensors with linear-in-x interpolation."""
 
     x_axes: tuple
-    tensors: np.ndarray  # grid_shape + (d, d)
-    dim: int
+    tensors: np.ndarray  # grid shape + (d, d)
 
     def tensor_at(self, pts):
         """A0 at points (n, d), shape (n, d, d)."""
@@ -264,9 +265,7 @@ class EffectiveField:
 def tabulate_effective(field, x_axes, cell_mesh):
     """Tabulate A0 over the x-grid; returns (EffectiveField, CellTable)."""
     table = tabulate_cells(field, x_axes, cell_mesh)
-    d = field.dim
-    tensors = np.stack([sol.a0 for sol in table.cells]).reshape(table.grid_shape() + (d, d))
-    return EffectiveField(table.x_axes, tensors, d), table
+    return EffectiveField(table.x_axes, table.tensors), table
 
 
 def closed_form_1d_effective(field, x):

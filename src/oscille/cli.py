@@ -232,6 +232,10 @@ def _cmd_study(args):
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     eps = _floats(args.eps, "--eps") if args.eps is not None else None
     scenario = load_scenario(args.config, eps_override=eps, ppp_override=args.ppp)
+    try:  # before the study, so an unusable --out is a config error, not a lost run
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out!r}: {exc.strerror}") from None
     report = study.run_study(scenario, threads=args.threads)
     files = write_report(report, args.out, plot=args.plot)
     sys.stdout.write(study.summarize(report))

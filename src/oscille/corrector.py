@@ -23,9 +23,10 @@ node) rows, applied to every column of the other axis at once. A 1D pass
 has one column, so building that map would cost as much as the pass; it
 loops over the offsets instead. Stencils, maps and gathered values do
 not depend on the load: `corrector_setup` builds them once per mesh and
-eps, interpolating each distinct cell columns array once. The setup holds
-the mesh, eps and table, so `corrector_apply` takes only it and the
-gradient fields that `build_r0` makes of each load's u0.
+eps, interpolating each of the table's distinct cell solves once and
+gathering through each entry's solve index. The setup holds the mesh,
+eps and table, so `corrector_apply` takes only it and the gradient
+fields that `build_r0` makes of each load's u0.
 
 The gradient of K is the element gradient of its nodal values, the one
 the w1_corr error differentiates when it subtracts eps K; the
@@ -250,18 +251,14 @@ class CorrectorSetup:
 def corrector_setup(table, mesh, eps):
     """Build the CorrectorSetup once per mesh and eps; every load reuses it.
 
-    Entries sharing one columns array share its values, so each distinct
-    array is interpolated once and the gather goes through the entry ->
-    array index.
+    Each of the table's distinct solves is interpolated once, and the
+    gather goes through each entry's solve index.
     """
     d = mesh.dim
     stencils, entry = _axis_stencils(table, mesh, _window_per_axis(mesh, eps))
     y, inv = _fast_coordinates(mesh, eps)
-    distinct = list({id(sol.columns): sol.columns for sol in table.cells}.values())
-    row = {id(columns): i for i, columns in enumerate(distinct)}
-    sol_of = np.array([row[id(sol.columns)] for sol in table.cells])
-    n_vals = _interpolate_periodic(distinct, table.cell_mesh, y)
-    n_at = np.moveaxis(n_vals[sol_of[entry], inv.reshape((1,) * d + mesh.nodes_per_axis)], -1, 0)
+    n_vals = _interpolate_periodic(table.columns, table.cell_mesh, y)
+    n_at = np.moveaxis(n_vals[table.cells[entry], inv.reshape((1,) * d + mesh.nodes_per_axis)], -1, 0)
     return CorrectorSetup(mesh, eps, table, stencils, n_at)
 
 

@@ -40,9 +40,12 @@ class MeshMismatch(ConfigError):
 def node_cap():
     v = os.environ.get("OSCILLE_NODE_CAP")
     try:
-        return int(v) if v else DEFAULT_NODE_CAP
-    except ValueError:
-        raise ConfigError(f"OSCILLE_NODE_CAP must be an integer, got {v!r}") from None
+        cap = int(v) if v else DEFAULT_NODE_CAP
+    except ValueError:  # not an integer: rejected below with the nonpositive ones
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"OSCILLE_NODE_CAP must be a positive integer, got {v!r}")
+    return cap
 
 
 def r_cell(d):

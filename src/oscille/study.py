@@ -51,9 +51,6 @@ class NonFiniteMeasurement(NumericalError):
 class RateTarget:
     name: str
     guaranteed_exponent: float
-    norm_kind: str  # "lp" | "w1p_semi" | "besov_semi"
-    uses_corrector: bool
-    region: str  # "global" | "interior"
 
     def __post_init__(self):
         if not (0.0 < self.guaranteed_exponent <= 2.0):
@@ -66,17 +63,15 @@ def derive_targets(scenario: Scenario):
     The presets are symmetric, so the adjoint problem carries the same
     regularity and the two-sided exponent s/p + s+/p+ applies to the
     resolvent difference in L_p and to interior gradients; the global
-    gradient approximation with corrector is guaranteed s/p only.
+    gradient approximation with corrector is guaranteed s/p only. `_case`
+    measures each target by its name.
     """
     s_over_p = scenario.s / scenario.p
     two_sided = s_over_p + scenario.s_plus / scenario.p_plus
-    targets = [
-        RateTarget("lp", two_sided, "lp", False, "global"),
-        RateTarget("w1_corr", s_over_p, "w1p_semi", True, "global"),
-    ]
+    targets = [RateTarget("lp", two_sided), RateTarget("w1_corr", s_over_p)]
     if scenario.interior_margin > 0:
-        targets.append(RateTarget("w1_corr_interior", two_sided, "w1p_semi", True, "interior"))
-    targets.append(RateTarget("besov_half", min(s_over_p, 1.0 - BESOV_R), "besov_semi", False, "global"))
+        targets.append(RateTarget("w1_corr_interior", two_sided))
+    targets.append(RateTarget("besov_half", min(s_over_p, 1.0 - BESOV_R)))
     return targets
 
 
@@ -157,13 +152,11 @@ def _case(scenario, eps, eff, ctable, targets):
         scenario.bc,
     )
     eff_sys = fem.assemble(mesh, eff.tensor_at, scenario.mu, scenario.bc)
-    imask = None
+    # where the corrected gradient's W^1_p seminorm is taken, by target name
+    w1_masks = {"w1_corr": None}
     if scenario.interior_margin > 0:
-        imask = interior_mask(mesh, scenario.interior_margin)
-    regions = {"global": None, "interior": imask, "strip": boundary_strip_mask(mesh, eps)}
-    # W^1_p seminorms by (uses corrector, region): the targets', and on load 0 the aux probes
-    w1p_keys = sorted({(t.uses_corrector, t.region) for t in targets if t.norm_kind == "w1p_semi"})
-    probe_keys = [(False, "global"), (True, "strip")]
+        w1_masks["w1_corr_interior"] = interior_mask(mesh, scenario.interior_margin)
+    strip = boundary_strip_mask(mesh, eps)
 
     setup = corr_mod.corrector_setup(ctable, mesh, eps)
 
@@ -180,27 +173,20 @@ def _case(scenario, eps, eff, ctable, targets):
             raise NonFiniteMeasurement(f"L^p norm of load {load_name!r} is {f_norm!r} at eps = {eps:g}")
         diff0 = GridFunction(mesh, u_eps.values - u0.values)
         diff1 = GridFunction(mesh, u_eps.values - u_first.values)
-        semi = {}
-        for corrected, diff in ((False, diff0), (True, diff1)):  # one gradient per difference
-            keys = [k for k in w1p_keys + (probe_keys if li == 0 else []) if k[0] == corrected]
-            semi.update(zip(keys, w1p_seminorms(diff, scenario.p, [regions[r] for _, r in keys]) if keys else []))
+        # one gradient of diff1 serves every mask; load 0 adds the boundary strip probe
+        masks = {**w1_masks, "w1_corr_strip": strip} if li == 0 else w1_masks
+        measured = dict(zip(masks, w1p_seminorms(diff1, scenario.p, list(masks.values()))))
+        measured["lp"] = lp_norm(diff0, scenario.p)
+        measured["besov_half"] = besov_seminorm(diff0, BESOV_R, scenario.p)
         for t in targets:
-            diff = diff1 if t.uses_corrector else diff0
-            mask = regions[t.region]
-            if t.norm_kind == "lp":
-                val = lp_norm(diff, scenario.p, mask)
-            elif t.norm_kind == "w1p_semi":
-                val = semi[t.uses_corrector, t.region]
-            else:
-                val = besov_seminorm(diff, BESOV_R, scenario.p)
-            err = val / f_norm
+            err = measured[t.name] / f_norm
             if not np.isfinite(err):
                 raise NonFiniteMeasurement(f"{t.name} error of load {load_name!r} is {err!r} at eps = {eps:g}")
             errors[t.name] = max(errors[t.name], err)
         if li == 0:
             aux["corrector_ratio"] = corr_mod.corrector_norm_check(k_field, f_norm, eps, scenario.p)
-            aux["w1_plain"] = semi[False, "global"] / f_norm
-            aux["w1_corr_strip"] = semi[True, "strip"] / f_norm
+            aux["w1_plain"] = w1p_seminorms(diff0, scenario.p, [None])[0] / f_norm
+            aux["w1_corr_strip"] = measured["w1_corr_strip"] / f_norm
 
     excluded = {t.name: errors[t.name] <= EXCLUSION_FACTOR * linalg.DEFAULT_TOL for t in targets}
     return CaseRow(eps, mesh.h[0], errors, excluded, aux)
@@ -231,11 +217,7 @@ def run_study(scenario, threads=1):
     verdicts = {}
     for t in targets:
         pts = [(r.eps, r.errors[t.name]) for r in rows if not r.excluded[t.name]]
-        if len(pts) < 3:
-            fits[t.name] = None
-            verdicts[t.name] = "NotApplicable"
-            continue
-        fits[t.name] = fit_rate(pts)
+        fits[t.name] = fit_rate(pts) if len(pts) >= 3 else None
         verdicts[t.name] = verdict(fits[t.name], t.guaranteed_exponent)
     return ConvergenceReport(scenario, targets, rows, fits, verdicts, scenario.warnings)
 

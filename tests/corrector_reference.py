@@ -70,7 +70,7 @@ def _table_entry_values(table, y_pts):
     """Every tabulated cell solution, and its y-gradient, at the
     deduplicated node fast-coordinates."""
     uniq, inv = np.unique(np.round(y_pts / 1e-12).astype(np.int64), axis=0, return_inverse=True)
-    columns = [sol.columns for sol in table.cells]
+    columns = [table.columns[i] for i in table.cells]
     vals = _interpolate_periodic(columns, table.cell_mesh, uniq * 1e-12)
     return vals, interpolant_gradient(columns, table.cell_mesh, uniq * 1e-12), inv.ravel()
 
@@ -78,7 +78,7 @@ def _table_entry_values(table, y_pts):
 def _table_stencil(table, pts):
     """Corner entry ids and weights of the slow interpolation at points."""
     idx, loc = locate_on_axes(table.x_axes, pts)
-    if table.dim == 1:
+    if len(table.x_axes) == 1:
         i = idx[0]
         t = loc[0]
         return [(i, 1.0 - t), (i + 1, t)]
@@ -97,7 +97,7 @@ def _table_gradient_stencil(table, pts, axis):
     """Stencil of d/dx_axis of the slow interpolation (piecewise constant)."""
     idx, loc = locate_on_axes(table.x_axes, pts)
     hx = [ax[1] - ax[0] for ax in table.x_axes]
-    if table.dim == 1:
+    if len(table.x_axes) == 1:
         i = idx[0]
         s = 1.0 / hx[0]
         return [(i, -s + 0.0 * loc[0]), (i + 1, s + 0.0 * loc[0])]

@@ -259,6 +259,17 @@ def test_misread_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert "config error" in capsys.readouterr().err
 
 
+def test_study_out_on_existing_file_exit_2(tmp_path, monkeypatch, capsys):
+    # the output directory is made before the study runs: a file in its
+    # place used to end the finished study in a traceback and exit 1
+    monkeypatch.setattr(study, "run_study", lambda *a, **k: pytest.fail("the study ran"))
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli.main(["study", "--config", _write_cfg(tmp_path, SINE_CFG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(str(out)) in err
+
+
 @pytest.fixture(scope="module")
 def study_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("study")

@@ -166,18 +166,18 @@ def test_gradient_split_identity_2d(lp2d_table):
 
 def _entry_scaled(table):
     # every preset is g(x) b(y), whose cell solutions do not depend on x
-    # (the table shares one columns array among its entries); scaling each entry's columns differently gives the slow d/dx terms data
-    cells = [replace(sol, columns=sol.columns * (1.0 + 0.3 * np.sin(0.7 * i))) for i, sol in enumerate(table.cells)]
-    return cell.CellTable(table.x_axes, table.cell_mesh, cells)
+    # (the table holds one solve for all its entries); giving each entry
+    # its own differently scaled columns gives the slow d/dx terms data
+    columns = [table.columns[c] * (1.0 + 0.3 * np.sin(0.7 * i)) for i, c in enumerate(table.cells)]
+    return cell.CellTable(table.x_axes, table.cell_mesh, columns, np.arange(len(columns)), table.tensors)
 
 
 def _row_scaled(table):
-    # one CellSolution object per slow index along x_1, shared by every
-    # entry of that row: the table repeats objects, yet N depends on x_1
+    # one solve per slow index along x_1, indexed by every entry of that
+    # row: the table repeats solves, yet N depends on x_1
     n2 = len(table.x_axes[1])
-    rows = [replace(table.cells[i * n2], columns=table.cells[i * n2].columns * (1.0 + 0.3 * np.sin(0.7 * i)))
-            for i in range(len(table.x_axes[0]))]
-    return cell.CellTable(table.x_axes, table.cell_mesh, [rows[e // n2] for e in range(len(table.cells))])
+    columns = [table.columns[table.cells[i * n2]] * (1.0 + 0.3 * np.sin(0.7 * i)) for i in range(len(table.x_axes[0]))]
+    return cell.CellTable(table.x_axes, table.cell_mesh, columns, np.arange(len(table.cells)) // n2, table.tensors)
 
 
 def _assert_matches_reference(inputs):
@@ -242,21 +242,21 @@ def test_kernel_matches_reference_loop_2d_shared_cells(lp2d_table):
     eps = 1 / 8
     mesh = fem.oscillatory_mesh(sc, eps)
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
-    assert len({id(sol.columns) for sol in table.cells}) == 1  # one solve serves the separable table
+    assert len(table.columns) == 1 and not table.cells.any()  # one solve serves the separable table
     table = _row_scaled(table)
     n_rows = len(table.x_axes[0])
-    assert len({id(sol.columns) for sol in table.cells}) == len({id(sol) for sol in table.cells}) == n_rows
+    assert len(table.columns) == len(set(table.cells.tolist())) == n_rows
     assert n_rows < len(table.cells)
     _assert_matches_reference(_inputs(sc, eps, u0, table))
 
 
 def test_setup_interpolates_each_columns_array_once(lp2d_table, monkeypatch):
-    # the separable table's entries differ in A0 but share one columns
-    # array; per-entry copies of it give the same values, one array each
+    # the separable table's entries differ in A0 but share one solve;
+    # per-entry copies of its columns give the same values, one array each
     field, table = lp2d_table
-    assert len({id(sol) for sol in table.cells}) > 1
-    copied = cell.CellTable(table.x_axes, table.cell_mesh,
-                            [replace(sol, columns=sol.columns.copy()) for sol in table.cells])
+    assert len({a0.tobytes() for a0 in table.tensors.reshape(len(table.cells), 2, 2)}) > 1
+    copied = cell.CellTable(table.x_axes, table.cell_mesh, [table.columns[c].copy() for c in table.cells],
+                            np.arange(len(table.cells)), table.tensors)
     interpolated = []
     interpolate = corrector._interpolate_periodic
 
@@ -300,13 +300,13 @@ def test_table_margin_is_the_reach_at_the_largest_eps(config, rho):
     mesh = fem.oscillatory_mesh(sc, eps)
     windows = smoothing._window_per_axis(mesh, eps)
     axes = _tight_axes(sc)
-    corrector._axis_stencils(cell.CellTable(axes, None, []), mesh, windows)  # no TableCoverage
+    corrector._axis_stencils(cell.CellTable(axes, None, [], None, None), mesh, windows)  # no TableCoverage
     for a, ((offs, _), ax) in enumerate(zip(windows, axes)):
         # the first and last slow points the stencils locate
         x = mesh.axis_coords(a)
         assert abs(x[0] + mesh.h[a] * offs[0] - ax[0]) <= 1e-12
         assert abs(x[-1] + mesh.h[a] * offs[-1] - ax[-1]) <= 1e-12
-    narrow = cell.CellTable(_tight_axes(sc, narrower_by=mesh.h[0]), None, [])
+    narrow = cell.CellTable(_tight_axes(sc, narrower_by=mesh.h[0]), None, [], None, None)
     with pytest.raises(cell.TableCoverage):
         corrector._axis_stencils(narrow, mesh, windows)
 
@@ -318,7 +318,7 @@ def test_axis_operator_matches_dense_hat_map(rho):
     sc = load_scenario(os.path.join(CONFIG_DIR, "laminate2d.json"), ppp_override=rho)
     mesh = fem.oscillatory_mesh(sc, sc.epsilons[0])
     windows = smoothing._window_per_axis(mesh, sc.epsilons[0])
-    stencils, _ = corrector._axis_stencils(cell.CellTable(_tight_axes(sc), None, []), mesh, windows)
+    stencils, _ = corrector._axis_stencils(cell.CellTable(_tight_axes(sc), None, [], None, None), mesh, windows)
     for st in stencils:
         assert st.n_slots > 2
         n, nodes = st.n, np.arange(st.n)

@@ -171,6 +171,8 @@ def test_periodic_corner_wrap():
 def test_node_cap_environment(monkeypatch):
     monkeypatch.setenv("OSCILLE_NODE_CAP", "1000")
     assert mesh.node_cap() == 1000
-    monkeypatch.setenv("OSCILLE_NODE_CAP", "lots")
-    with pytest.raises(core.ConfigError, match="OSCILLE_NODE_CAP"):
-        mesh.node_cap()
+    # a cap below 1 is a config error too, not an oversized mesh
+    for bad in ("lots", "0", "-1"):
+        monkeypatch.setenv("OSCILLE_NODE_CAP", bad)
+        with pytest.raises(core.ConfigError, match="OSCILLE_NODE_CAP"):
+            mesh.node_cap()

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from oscille import cell as cell_mod
-from oscille import corrector, study
+from oscille import core, corrector, fem, study
 from oscille.cli import load_scenario
 from oscille.core import BoundarySpec, ConfigError, Scenario, preset_coefficient
+from oscille.mesh import GridFunction, build_cell_mesh, interior_mask
+from oscille.norms import besov_seminorm, lp_norm, w1p_seminorm
 
 
 def test_fit_rate_exact_linear():
@@ -89,7 +91,7 @@ def test_derive_targets_exponents():
 
 def test_rate_target_validation():
     with pytest.raises(ValueError):
-        study.RateTarget("bad", 2.5, "lp", False, "global")
+        study.RateTarget("bad", 2.5)
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,34 @@ def test_corrector_ratio_stable(small_sine_report):
     assert max(ratios) / min(ratios) <= 1.5
 
 
+def test_row_errors_are_the_named_norms_of_the_worst_load(small_sine_report):
+    # each target's error, recomputed for one eps from the public solves,
+    # is the norm its name says, divided by the load's L^p norm, at the
+    # worse of the two loads, bit for bit
+    sc, eps = small_sine_report.scenario, 1 / 16
+    x_axes = cell_mod.x_axes_for(sc.domain, corrector.table_margin(sc.epsilons[0], sc.points_per_period))
+    eff, table = cell_mod.tabulate_effective(sc.field, x_axes, build_cell_mesh(cell_mod.default_cell_m(1), 1))
+    mesh = fem.oscillatory_mesh(sc, eps)
+    osc_sys = fem.assemble(mesh, lambda pts: core.tau_eps(sc.field, eps, pts), sc.mu, sc.bc)
+    eff_sys = fem.assemble(mesh, eff.tensor_at, sc.mu, sc.bc)
+    interior = interior_mask(mesh, sc.interior_margin)
+    want = {}
+    for _, load in study.LOADS:
+        f_vec = fem.assemble_load(mesh, load)
+        u_eps, u0 = fem.solve_resolvent(osc_sys, f_vec), fem.solve_resolvent(eff_sys, f_vec)
+        k = corrector.corrector_apply(corrector.corrector_setup(table, mesh, eps), corrector.build_r0(u0, sc, eps))
+        diff0 = GridFunction(mesh, u_eps.values - u0.values)
+        diff1 = GridFunction(mesh, u_eps.values - corrector.first_order(u0, k, eps).values)
+        f_norm = lp_norm(GridFunction(mesh, load(mesh.node_coords())), sc.p)
+        for name, val in (("lp", lp_norm(diff0, sc.p)),
+                          ("w1_corr", w1p_seminorm(diff1, sc.p)),
+                          ("w1_corr_interior", w1p_seminorm(diff1, sc.p, interior)),
+                          ("besov_half", besov_seminorm(diff0, study.BESOV_R, sc.p))):
+            want[name] = max(want.get(name, 0.0), val / f_norm)
+    row = next(r for r in small_sine_report.rows if r.eps == eps)
+    assert row.errors == want
+
+
 def test_rows_sorted_and_threaded_matches_serial(small_sine_report):
     eps = [r.eps for r in small_sine_report.rows]
     assert eps == sorted(eps, reverse=True)
@@ -214,7 +244,7 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
     def counting_setup(table, mesh, eps):
         built = len(operators)
         setup = build(table, mesh, eps)
-        setups.append((eps, len(table.cells), len({id(sol.columns) for sol in table.cells}), len(operators) - built))
+        setups.append((eps, len(table.cells), len(table.columns), len(operators) - built))
         return setup
 
     def counting_interpolate(cols, cell_mesh, y):
@@ -231,7 +261,7 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
     study.run_study(sc)
     assert [eps for eps, _, _, _ in setups] == list(sc.epsilons)
     assert columns == [distinct for _, _, distinct, _ in setups]
-    # the separable coefficient's table shares one columns array among its entries
+    # the separable coefficient's table holds one solve for all its entries
     assert all(distinct == 1 < entries for _, entries, distinct, _ in setups)
     # one map per axis, built by the setup and reused by both loads of that eps
     assert [built for _, _, _, built in setups] == [2, 2, 2]
