@@ -19,14 +19,17 @@ factors and every shift x + eps z is a fine-grid node, so the z average,
 `_window_sum`, is d passes of per-axis 1D stencils followed by one
 gather of the tabulated cell values. On a 2D mesh each pass is one sparse
 product: the axis stencil is a CSR map from the shifted nodes to (slot,
-node) rows, applied to every column of the other axis at once. A 1D pass
-has one column, so building that map would cost as much as the pass; it
-loops over the offsets instead. Stencils, maps and gathered values do
-not depend on the load: `corrector_setup` builds them once per mesh and
-eps, interpolating each of the table's distinct cell solves once and
-gathering through each entry's solve index. The setup holds the mesh,
-eps and table, so `corrector_apply` takes only it and the gradient
-fields that `build_r0` makes of each load's u0.
+node) rows, applied to every column of the other axis at once. In 1D
+the stencil and the gathered values fold into one window kernel (each
+offset's two hat weights times the cell values of their slots), so a
+load's z average is one pass over the offsets; a 2D kernel would hold
+several times the gathered values, so 2D keeps its maps. Stencils,
+maps, kernel and gathered values do not depend on the load:
+`corrector_setup` builds them once per mesh and eps, interpolating each
+of the table's distinct cell solves once and gathering through each
+entry's solve index. The setup holds the mesh, eps and table, so
+`corrector_apply` takes only it and the gradient fields that
+`build_r0` makes of each load's u0.
 
 The gradient of K is the element gradient of its nodal values, the one
 the w1_corr error differentiates when it subtracts eps K; the
@@ -147,7 +150,7 @@ def _axis_operator(st):
 
     Row (s, i) holds node i's offsets whose point lies in table cell
     idx[i] + s - 1 (upper hat) or idx[i] + s (lower hat), columns in offset
-    order, so each row sums its terms in the order the streamed pass does.
+    order, so each row sums its terms in window-offset order.
     Built in closed form: a (slot, node, offset) block masked where a hat
     is hit, read in C order, with indptr from the row counts.
     """
@@ -189,18 +192,27 @@ def _axis_stencils(table, mesh, windows):
     return stencils, entry
 
 
-def _streamed_pass(st, vals, start):
-    """A 1D pass: one (n_slots, n) weight per offset, accumulated in order."""
+def _window_kernel(st, n_at):
+    """The 1D window kernel: each offset's two hat weights times the cell
+    values of their slots, shape (k, n_offsets, n)."""
     n = st.n
     nodes = np.arange(n)
-    acc = 0.0
-    for col, s0 in enumerate(start):
+    flat = n_at.reshape(len(n_at), -1)  # (k, slot * n + node): one flat take per hat
+    kernel = np.empty((len(n_at), len(st.offsets), n))
+    for col in range(len(st.offsets)):
         slot, lower, upper = st.hat(col)
-        weight = np.zeros((st.n_slots, n))
-        weight[slot, nodes] = lower
-        weight[slot + 1, nodes] = upper
-        acc = acc + vals[s0 : s0 + n] * weight
-    return acc
+        at = slot * n + nodes
+        kernel[:, col] = lower * flat.take(at, axis=1) + upper * flat.take(at + n, axis=1)
+    return kernel
+
+
+def _kernel_pass(kernel, vals, start):
+    """sum over offsets of kernel[col] times the field shifted to start[col], in offset order."""
+    n = kernel.shape[1]
+    out = kernel[0] * vals[start[0] : start[0] + n]
+    for col in range(1, len(start)):
+        out += kernel[col] * vals[start[col] : start[col] + n]
+    return out
 
 
 def _sparse_pass(op, vals, ax, s0, n):
@@ -210,42 +222,44 @@ def _sparse_pass(op, vals, ax, s0, n):
     return np.moveaxis(out, 1, 1 + ax)
 
 
-def _window_sum(stencils, coeff, fields):
+def _window_sum(setup, fields):
     """sum_z w_z sum_corner W(x + eps z) C[corner, y(x)] . F(x + eps z), nodewise.
 
-    W is the slow-table hat. coeff holds C_k at every slot and node, shape
-    (d, slots_d..slots_1, n_1..n_d); fields holds F_k as (values, pad) on
-    h-aligned grids. Each axis is one pass of its 1D stencil, so nothing
-    is located per offset: a sparse product on a 2D mesh, a loop over the
-    offsets in 1D.
+    W is the slow-table hat and C the setup's gathered cell values n_at;
+    fields holds F_k as (values, pad) on h-aligned grids. Nothing is
+    located per offset: in 1D the setup's kernel has W and C folded in, so
+    each component is one pass over the offsets; on a 2D mesh each axis is
+    one sparse product of its stencil, and C is contracted last.
     """
-    d = len(stencils)
+    d = len(setup.stencils)
     out = 0.0
     for k, (vals, pad) in enumerate(fields):
-        for a, st in enumerate(stencils):
+        for a, st in enumerate(setup.stencils):
             ax = 2 * a  # a slot axes lead, each pass prepends one
             start = pad[a] + st.offsets
             if start[0] < 0 or start[-1] + st.n > vals.shape[ax]:
                 raise TableCoverage("z shift leaves the extended gradient grid")
-            if st.op is not None:
-                vals = _sparse_pass(st.op, vals, ax, start[0], st.n)
+            if setup.kernel is not None:
+                out = out + _kernel_pass(setup.kernel[k], vals, start)
             else:
-                vals = _streamed_pass(st, vals, start)
-        out = out + np.sum(coeff[k] * vals, axis=tuple(range(d)))
+                vals = _sparse_pass(st.op, vals, ax, start[0], st.n)
+        if setup.kernel is None:
+            out = out + np.sum(setup.n_at[k] * vals, axis=tuple(range(d)))
     return np.ravel(out)
 
 
 @dataclass
 class CorrectorSetup:
     """The load-independent part of the corrector on one mesh and eps:
-    the per-axis stencils, and the tabulated cell values N gathered at
-    every slot and node, components first."""
+    the per-axis stencils, the tabulated cell values N gathered at every
+    slot and node, components first, and in 1D the window kernel."""
 
     mesh: Mesh
     eps: float
     table: CellTable
     stencils: list
     n_at: np.ndarray  # (k, slots_d..slots_1, n_1..n_d)
+    kernel: np.ndarray | None  # (k, n_offsets, n) in 1D; None on a 2D mesh
 
 
 def corrector_setup(table, mesh, eps):
@@ -259,7 +273,8 @@ def corrector_setup(table, mesh, eps):
     y, inv = _fast_coordinates(mesh, eps)
     n_vals = _interpolate_periodic(table.columns, table.cell_mesh, y)
     n_at = np.moveaxis(n_vals[table.cells[entry], inv.reshape((1,) * d + mesh.nodes_per_axis)], -1, 0)
-    return CorrectorSetup(mesh, eps, table, stencils, n_at)
+    kernel = _window_kernel(stencils[0], n_at) if d == 1 else None
+    return CorrectorSetup(mesh, eps, table, stencils, n_at, kernel)
 
 
 def corrector_apply(setup, grads):
@@ -268,7 +283,7 @@ def corrector_apply(setup, grads):
     if any(g.source_mesh != setup.mesh for g in grads):
         raise MeshMismatch("corrector setup was built for another mesh")
     fields = [(g.base.reshaped(), g.pad) for g in grads]
-    return GridFunction(setup.mesh, _window_sum(setup.stencils, setup.n_at, fields))
+    return GridFunction(setup.mesh, _window_sum(setup, fields))
 
 
 def corrector_norm_check(K, f_norm, eps, p):

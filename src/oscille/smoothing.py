@@ -105,12 +105,15 @@ def extended_from_callable(mesh, margin, fn):
     return ExtendedFunction(GridFunction(ext_mesh, vals), mesh, pad)
 
 
+@lru_cache(maxsize=64)
 def window_weights(rho):
     """Node weights integrating P1 data exactly over a centered window.
 
     The window has width rho grid cells; weight j carries
     (1/width) * integral of the tent at node j over the window. Weights
     are symmetric, nonnegative and sum to 1 exactly in exact arithmetic.
+    Cached per rho, since a study asks for the same few windows at every
+    eps; read-only, since every caller shares the arrays.
     """
     if rho < 1:
         raise ConfigError("window needs at least one cell")
@@ -133,7 +136,10 @@ def window_weights(rho):
     w = np.array([tent_integral(-half - j, half - j) for j in offsets])
     w = w / rho
     keep = w > 1e-300
-    return offsets[keep], w[keep]
+    out = offsets[keep], w[keep]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _window_per_axis(mesh, eps):

@@ -201,6 +201,24 @@ def test_kernel_matches_reference_loop_1d_mollified():
     _assert_matches_reference(_mollified_1d_inputs())
 
 
+@pytest.mark.parametrize("s", [1.0, 0.5])
+@pytest.mark.parametrize("rho", [5, 32])
+def test_window_kernel_matches_reference_loop_1d_largest_eps(rho, s):
+    # at the largest eps each window straddles table nodes, so a node's
+    # offsets reach more than two slots, and the entry-scaled columns give
+    # each slot its own cell values
+    field = preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1)
+    sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=rho, s=s, mu=-1.0)
+    eps = sc.epsilons[0]
+    mesh = fem.oscillatory_mesh(sc, eps)
+    u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) + p[:, 0])
+    inputs = _inputs(sc, eps, u0, _entry_scaled(_table_for(sc, cell_m=64)))
+    assert inputs[0].stencils[0].n_slots > 2
+    if s < 1.0:
+        _assert_mollified(sc, eps, u0, inputs[1])
+    _assert_matches_reference(inputs)
+
+
 def test_norm_check_matches_reference_gradient_1d_mollified():
     _assert_norm_check_matches_split_gradient(_mollified_1d_inputs())
 
@@ -328,7 +346,7 @@ def test_axis_operator_matches_dense_hat_map(rho):
             shifted = nodes + st.offsets[col] - st.offsets[0]
             dense[slot * n + nodes, shifted] = lower
             dense[(slot + 1) * n + nodes, shifted] = upper
-        assert st.op.has_canonical_format  # columns in offset order: the streamed summation order
+        assert st.op.has_canonical_format  # columns in offset order: rows sum in window-offset order
         assert np.array_equal(st.op.toarray().view(np.int64), dense.view(np.int64))
 
 

@@ -89,6 +89,19 @@ def test_window_weights_properties():
         assert (offs * w).sum() == pytest.approx(0.0, abs=1e-15)  # odd moment
 
 
+def test_window_weights_cached_read_only():
+    for rho in range(1, 65):
+        offs, w = sm.window_weights(rho)
+        again = sm.window_weights(rho)
+        assert again[0] is offs and again[1] is w
+        for a in (offs, w):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+        ref_offs, ref_w = sm.window_weights.__wrapped__(rho)
+        assert np.array_equal(offs, ref_offs) and offs.dtype == ref_offs.dtype
+        assert np.array_equal(w.view(np.int64), ref_w.view(np.int64))
+
+
 def test_steklov_constant_and_linear():
     eps, rho = 1 / 8, 16
     m = build_domain_mesh(((0.0, 1.0),), eps / rho)

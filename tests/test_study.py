@@ -237,14 +237,14 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
         points_per_period=4,
         interior_margin=0.0,
     )
-    setups, columns, operators = [], [], []
+    setups, columns, operators, kernels, applied = [], [], [], [], []
     build, interpolate = corrector.corrector_setup, corrector._interpolate_periodic
-    axis_operator = corrector._axis_operator
+    axis_operator, window_kernel, apply = corrector._axis_operator, corrector._window_kernel, corrector.corrector_apply
 
     def counting_setup(table, mesh, eps):
-        built = len(operators)
+        built = len(operators), len(kernels)
         setup = build(table, mesh, eps)
-        setups.append((eps, len(table.cells), len(table.columns), len(operators) - built))
+        setups.append((eps, len(table.cells), len(table.columns), len(operators) - built[0], len(kernels) - built[1]))
         return setup
 
     def counting_interpolate(cols, cell_mesh, y):
@@ -255,25 +255,41 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
         operators.append(st)
         return axis_operator(st)
 
+    def counting_kernel(st, n_at):
+        kernels.append(st)
+        return window_kernel(st, n_at)
+
+    def counting_apply(setup, grads):
+        built = len(operators) + len(kernels)
+        k_field = apply(setup, grads)
+        applied.append(len(operators) + len(kernels) - built)
+        return k_field
+
     monkeypatch.setattr(corrector, "corrector_setup", counting_setup)
     monkeypatch.setattr(corrector, "_interpolate_periodic", counting_interpolate)
     monkeypatch.setattr(corrector, "_axis_operator", counting_operator)
+    monkeypatch.setattr(corrector, "_window_kernel", counting_kernel)
+    monkeypatch.setattr(corrector, "corrector_apply", counting_apply)
     study.run_study(sc)
-    assert [eps for eps, _, _, _ in setups] == list(sc.epsilons)
-    assert columns == [distinct for _, _, distinct, _ in setups]
+    assert [eps for eps, *_ in setups] == list(sc.epsilons)
+    assert columns == [distinct for _, _, distinct, _, _ in setups]
     # the separable coefficient's table holds one solve for all its entries
-    assert all(distinct == 1 < entries for _, entries, distinct, _ in setups)
+    assert all(distinct == 1 < entries for _, entries, distinct, _, _ in setups)
     # one map per axis, built by the setup and reused by both loads of that eps
-    assert [built for _, _, _, built in setups] == [2, 2, 2]
+    assert [(ops, kers) for *_, ops, kers in setups] == [(2, 0)] * 3
     assert len(operators) == 2 * len(setups)
+    assert applied == [0] * 2 * len(setups)
 
-    # 1D passes stream over the offsets and build no operator
+    # 1D: the setup builds one window kernel and no operator, and neither
+    # load's apply builds anything
     setups.clear()
+    applied.clear()
     study.run_study(dataclasses.replace(
         sc, field=preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1), domain=((0.0, 1.0),), points_per_period=8
     ))
-    assert [built for _, _, _, built in setups] == [0, 0, 0]
-    assert len(operators) == 6
+    assert [(ops, kers) for *_, ops, kers in setups] == [(0, 1)] * 3
+    assert len(operators) == 6 and len(kernels) == 3
+    assert applied == [0] * 2 * len(setups)
 
 
 # Slopes and per-row errors (eps -> one error per target, in the order of
