@@ -23,7 +23,8 @@ The cell's matrix, loads and mean functional go through `fem`'s Q1
 assembly with every node free: the matrix into the wrapped stencil
 pattern `fem` caches per mesh, the loads by its nodal scatter, and the
 mean functional is the load vector of f = 1, cached per cell mesh.
-`multilinear` is the one interpolator: in x on the table grid, and in y
+`multilinear` is the one interpolator: in x on the table grid (one axis
+at a time for A0 on a fine mesh's tensor grid of Gauss points), and in y
 on the cell grid padded with its wrapped first node layer. It gathers
 the 2^d corners from the flattened grid.
 """
@@ -257,9 +258,32 @@ class EffectiveField:
     x_axes: tuple
     tensors: np.ndarray  # grid shape + (d, d)
 
-    def tensor_at(self, pts):
-        """A0 at points (n, d), shape (n, d, d)."""
-        return multilinear(self.tensors, self.x_axes, pts)
+    def at_gauss(self, mesh):
+        """A0 at the Gauss points of a structured mesh, shape (n_elements, n_gauss, d, d).
+
+        The Gauss points form a tensor grid: their coordinate k depends only
+        on the axis-k cell and Gauss point. Multilinear interpolation factors
+        by axis, so `multilinear` runs once per axis, last axis first: each
+        pass brings the last table axis left to the front and replaces it by
+        that axis's Gauss coordinates. Only the last pass makes one value per
+        Gauss point, and one transpose puts those in (element, Gauss point)
+        order. In 1D this is the point-wise interpolation itself, bit for bit;
+        in 2D it sums the same four corner terms in another order.
+        """
+        d, cells = mesh.dim, mesh.cells_per_axis
+        pts = quadrature(mesh).points.reshape(cells + (2,) * d + (d,))
+        vals = self.tensors
+        for k in reversed(range(d)):
+            # the axis-k coordinates in (cell, Gauss point) order, off the other axes' first ones
+            coords = pts[tuple(slice(None) if a % d == k else 0 for a in range(2 * d)) + (k,)]
+            first = np.ascontiguousarray(np.moveaxis(vals, d - 1, 0))
+            try:
+                vals = multilinear(first, self.x_axes[k:k + 1], coords.reshape(-1, 1))
+            except TableCoverage as exc:
+                raise TableCoverage(f"mesh axis {k}: {exc}") from exc
+        vals = vals.reshape(tuple(x for c in cells for x in (c, 2)) + vals.shape[d:])  # (cell, Gauss point) per axis
+        order = [*range(0, 2 * d, 2), *range(1, 2 * d, 2), *range(2 * d, vals.ndim)]
+        return vals.transpose(order).reshape((mesh.n_elements, 2**d) + vals.shape[2 * d:])
 
 
 def tabulate_effective(field, x_axes, cell_mesh):

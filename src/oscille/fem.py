@@ -6,12 +6,24 @@ Neumann or mixed boundary conditions. With mu <= 0 and either a Dirichlet
 part or mu < 0 the reduced system is symmetric positive definite, and in
 2D it carries its CG preconditioner (`FastDiagonalization`).
 
+A coefficient or load comes in one of two forms: a callable of points,
+sampled here at the Gauss points, or its samples there already, laid out
+(element, Gauss point) as `quadrature(mesh).points` is, with a trailing
+(d, d) for a matrix coefficient; a load may also be a GridFunction. The
+study hands in A0 as samples (`cell.EffectiveField.at_gauss`). Either form
+with the wrong number of values, or a non-finite one, raises
+`QuadratureFailure`.
+
 This module is the one Q1 assembler; `cell` assembles its periodic
-systems through the same helpers, with every node free (bc None). One
-bincount sums the element matrices into the CSR pattern of the free
-nodes, `mesh._stencil_pattern` cached per (mesh, BC), and one bincount
-sums per-element corner values into a nodal vector. bincount adds each
-slot's terms in input order, so both equal a COO sum and a sequential
+systems through the same helpers, with every node free (bc None). A
+matrix coefficient's element matrices are one matmul of the samples,
+(E, g d d), with the rule's (g d d, c k) matrix, and a load's corner
+values one matmul of its samples (E, g) with the weighted shape values
+(g, c); a scalar coefficient keeps its einsum. One bincount sums the
+element matrices into the CSR pattern of the free nodes,
+`mesh._stencil_pattern` cached per (mesh, BC), and one bincount sums
+per-element corner values into a nodal vector. bincount adds each slot's
+terms in input order, so both equal a COO sum and a sequential
 scatter-add bit for bit.
 """
 
@@ -230,6 +242,29 @@ def _scalar_stiffness(a_vals, q):
     return np.einsum("eg,g,gcd,gkd->eck", a_vals, q.weights, q.shape_grads, q.shape_grads, optimize=True)
 
 
+def _tensor_stiffness(a_vals, q):
+    """Element matrices (A grad phi_k, grad phi_c) of matrix samples a_vals (E, g, d, d), shape (E, c, k):
+    one product of the samples as (E, g d d) with the rule's (g d d, c k) matrix w_g dphi_c/dx_r dphi_k/dx_s."""
+    g, c, d = q.shape_grads.shape
+    rule = np.einsum("g,gcr,gks->grsck", q.weights, q.shape_grads, q.shape_grads).reshape(g * d * d, c * c)
+    return (a_vals.reshape(len(a_vals), -1) @ rule).reshape(-1, c, c)
+
+
+def _element_matrices(a_vals, q, mu):
+    """Element matrices (a grad phi_k, grad phi_c) - mu (phi_k, phi_c) of scalar (E, g) or matrix
+    (E, g, d, d) samples, shape (E, c, k)."""
+    stiff = _scalar_stiffness(a_vals, q) if a_vals.ndim == 2 else _tensor_stiffness(a_vals, q)
+    if mu != 0.0:
+        mass = np.einsum("g,gc,gk->ck", q.weights, q.shape_values, q.shape_values)
+        stiff = stiff - mu * mass[None, :, :]
+    return stiff
+
+
+def _load_contributions(f_g, q):
+    """int f phi_c over each element of samples f_g (E, g), shape (E, c): one product with w_g phi_c (g, c)."""
+    return f_g @ (q.weights[:, None] * q.shape_values)
+
+
 def _csr(mesh, bc, stiff):
     """The element matrices stiff (E, c, k) summed into the CSR matrix of `_pattern(mesh, bc)`."""
     indptr, indices, slots = _pattern(mesh, bc)
@@ -243,22 +278,39 @@ def _nodal(q, contrib, n_nodes):
     return np.bincount(q.corners.ravel(), contrib.ravel(), n_nodes)
 
 
-def _sample_coefficient(sampler, points):
-    flat = points.reshape(-1, points.shape[-1])
-    try:
-        vals = np.asarray(sampler(flat), dtype=float)
-    except Exception as exc:  # noqa: BLE001 - sampler is user code
-        raise QuadratureFailure(f"coefficient sampler failed: {exc}") from exc
+def _gauss_samples(what, f, q, tensor):
+    """f at the Gauss points of q as (E, g), or (E, g, d, d) when tensor allows matrices.
+
+    f is a callable of points (E g, d) giving (E g,) or (E g, d, d) values,
+    or the samples themselves as (E, g) or (E, g, d, d). A failing callable,
+    any other shape or a non-finite sample raises `QuadratureFailure`.
+    """
+    n_el, n_g, d = q.points.shape
+    shapes = [(n_el, n_g), (n_el, n_g, d, d)][: 1 + tensor]
+    if callable(f):
+        try:
+            vals = np.asarray(f(q.points.reshape(-1, d)), dtype=float)
+        except Exception as exc:  # noqa: BLE001 - f is user code
+            raise QuadratureFailure(f"{what} sampler failed: {exc}") from exc
+        given, shapes = f"{what} sampler returned shape", {(n_el * n_g,) + s[2:]: s for s in shapes}
+    else:
+        vals = np.asarray(f, dtype=float)
+        given, shapes = f"{what} samples have shape", {s: s for s in shapes}
+    if vals.shape not in shapes:
+        expected = " or ".join(map(str, shapes))
+        raise QuadratureFailure(f"{given} {vals.shape} on {n_el} elements of {n_g} Gauss points, expected {expected}")
     if not np.all(np.isfinite(vals)):
-        raise QuadratureFailure("coefficient sampler produced non-finite values")
-    return vals
+        raise QuadratureFailure(f"{what} has non-finite values at the Gauss points")
+    return vals.reshape(shapes[vals.shape])
 
 
-def assemble(mesh, sampler, mu, bc):
+def assemble(mesh, a, mu, bc):
     """Assemble the bilinear form (a grad u, grad v) - mu (u, v).
 
-    The sampler maps points (n, d) to scalar values (n,) or to matrices
-    (n, d, d). Entries follow the tensor Gauss rule of the mesh exactly.
+    The coefficient a is a callable mapping points (n, d) to scalar values
+    (n,) or to matrices (n, d, d), or its samples at `quadrature(mesh)`'s
+    Gauss points, (n_elements, n_gauss) or (n_elements, n_gauss, d, d).
+    Entries follow the tensor Gauss rule of the mesh exactly.
     A 2D system also carries its CG preconditioner, built from the
     coefficient's extremes on each x1 Gauss line; samples whose
     eigenvalues are not uniformly positive raise `linalg.SingularSystem`.
@@ -270,33 +322,23 @@ def assemble(mesh, sampler, mu, bc):
     if constrained.size == 0 and mu == 0.0:
         raise SingularOperator("pure Neumann with mu = 0 has constants in its kernel")
     q = quadrature(mesh)
-    n_el, n_g, d = q.points.shape
-    a_vals = _sample_coefficient(sampler, q.points)
-    if a_vals.ndim == 1:
-        a_vals = a_vals.reshape(n_el, n_g)
-        stiff = _scalar_stiffness(a_vals, q)
-    else:
-        a_vals = a_vals.reshape(n_el, n_g, d, d)
-        grads = q.shape_grads
-        stiff = np.einsum("eg,gcd,egdm,gkm->eck", np.tile(q.weights, (n_el, 1)), grads, a_vals, grads, optimize=True)
-    if mu != 0.0:
-        mass = np.einsum("g,gc,gk->ck", q.weights, q.shape_values, q.shape_values)
-        stiff = stiff - mu * mass[None, :, :]
+    a_vals = _gauss_samples("coefficient", a, q, tensor=True)
     return AssembledSystem(
-        matrix=_csr(mesh, bc, stiff),
+        matrix=_csr(mesh, bc, _element_matrices(a_vals, q, mu)),
         constrained_dofs=constrained,
         free_dofs=free,
         mesh=mesh,
         mu=mu,
-        preconditioner=None if d == 1 else _fast_diagonalization(mesh, _free_axes(mesh, bc), a_vals, mu),
+        preconditioner=None if mesh.dim == 1 else _fast_diagonalization(mesh, _free_axes(mesh, bc), a_vals, mu),
     )
 
 
 def assemble_load(mesh, f):
     """Load vector F_i = integral f * phi_i by the same Gauss rule.
 
-    f is either a callable of points or a GridFunction on the mesh (then
-    its nodal interpolant is integrated).
+    f is a callable of points, its samples (n_elements, n_gauss) at the
+    Gauss points, or a GridFunction on the mesh (then its nodal
+    interpolant is integrated).
     """
     q = quadrature(mesh)
     if isinstance(f, GridFunction):
@@ -304,8 +346,8 @@ def assemble_load(mesh, f):
             raise MeshMismatch("load grid function lives on a different mesh")
         f_g = f.values[q.corners] @ q.shape_values.T
     else:
-        f_g = _sample_coefficient(f, q.points).reshape(q.points.shape[0], q.points.shape[1])
-    return _nodal(q, np.einsum("eg,g,gc->ec", f_g, q.weights, q.shape_values), mesh.n_nodes)
+        f_g = _gauss_samples("load", f, q, tensor=False)
+    return _nodal(q, _load_contributions(f_g, q), mesh.n_nodes)
 
 
 def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):

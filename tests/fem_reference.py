@@ -4,8 +4,12 @@ This is the straightforward form that `oscille.fem.assemble` replaced:
 the element matrices go into a COO matrix over all nodes, whose
 duplicates scipy sums on conversion to CSR, and the reduced system is the
 slice `full[free][:, free]`, with the Dirichlet nodes found from the node
-coordinates; the load vector goes through `np.add.at`. The production
-code is checked against it bit for bit.
+coordinates; the load vector goes through `np.add.at`. The element
+matrices and load contributions are production's own Gauss contractions,
+so the production pattern, scatter and Dirichlet sets are checked against
+it bit for bit. The contractions themselves are checked to rounding
+against `einsum_element_matrices` and `einsum_load_contributions`, the
+einsum forms they replaced.
 """
 
 from __future__ import annotations
@@ -13,26 +17,39 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from oscille import core
+from oscille import core, fem
 from oscille.mesh import GridFunction, quadrature
 
 
-def element_matrices(mesh, sampler, mu):
-    """Per element, (a grad phi_k, grad phi_c) - mu (phi_k, phi_c), shape (E, c, k)."""
-    q = quadrature(mesh)
-    n_el, n_g, d = q.points.shape
-    a_vals = np.asarray(sampler(q.points.reshape(-1, d)), dtype=float)
+def einsum_element_matrices(a_vals, q, mu):
+    """(a grad phi_k, grad phi_c) - mu (phi_k, phi_c) of samples (E, g) or (E, g, d, d) as one einsum each."""
     grads = q.shape_grads
-    if a_vals.ndim == 1:
-        a_vals = a_vals.reshape(n_el, n_g)
+    if a_vals.ndim == 2:
         stiff = np.einsum("eg,g,gcd,gkd->eck", a_vals, q.weights, grads, grads, optimize=True)
     else:
-        a_vals = a_vals.reshape(n_el, n_g, d, d)
-        stiff = np.einsum("eg,gcd,egdm,gkm->eck", np.tile(q.weights, (n_el, 1)), grads, a_vals, grads, optimize=True)
+        weights = np.tile(q.weights, (len(a_vals), 1))
+        stiff = np.einsum("eg,gcd,egdm,gkm->eck", weights, grads, a_vals, grads, optimize=True)
     if mu != 0.0:
         mass = np.einsum("g,gc,gk->ck", q.weights, q.shape_values, q.shape_values)
         stiff = stiff - mu * mass[None, :, :]
     return stiff
+
+
+def einsum_load_contributions(f_g, q):
+    """int f phi_c over each element of samples f_g (E, g) as one einsum."""
+    return np.einsum("eg,g,gc->ec", f_g, q.weights, q.shape_values)
+
+
+def gauss_samples(mesh, f):
+    """A callable of points sampled at the Gauss points, (E, g) or (E, g, d, d)."""
+    q = quadrature(mesh)
+    vals = np.asarray(f(q.points.reshape(-1, mesh.dim)), dtype=float)
+    return vals.reshape(q.points.shape[:2] + vals.shape[1:])
+
+
+def element_matrices(mesh, sampler, mu):
+    """Per element, (a grad phi_k, grad phi_c) - mu (phi_k, phi_c), shape (E, c, k)."""
+    return fem._element_matrices(gauss_samples(mesh, sampler), quadrature(mesh), mu)
 
 
 def full_matrix(mesh, stiff):
@@ -71,11 +88,8 @@ def assemble(mesh, sampler, mu, bc):
 def assemble_load(mesh, f):
     """F_i = integral f * phi_i, a callable or the nodal interpolant of a GridFunction."""
     q = quadrature(mesh)
-    if isinstance(f, GridFunction):
-        f_g = f.values[q.corners] @ q.shape_values.T
-    else:
-        f_g = np.asarray(f(q.points.reshape(-1, mesh.dim)), dtype=float).reshape(q.points.shape[:2])
-    contrib = np.einsum("eg,g,gc->ec", f_g, q.weights, q.shape_values)
+    f_g = f.values[q.corners] @ q.shape_values.T if isinstance(f, GridFunction) else gauss_samples(mesh, f)
+    contrib = fem._load_contributions(f_g, q)
     out = np.zeros(mesh.n_nodes)
     np.add.at(out, q.corners.ravel(), contrib.ravel())
     return out

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 import cell_reference
 import corrector_reference as reference
-from oscille import cell, fem, linalg
+from oscille import cell, cli, corrector, fem, linalg
 from oscille import mesh as mesh_mod
 from oscille.core import preset_coefficient
 from oscille.mesh import build_cell_mesh, quadrature
@@ -156,7 +157,8 @@ def test_tabulate_constant_in_x(sine_field):
     eff, table = cell.tabulate_effective(sine_field, axes, cmesh)
     assert np.max(np.abs(eff.tensors - eff.tensors[0])) <= 1e-12
     pts = np.array([[0.123], [0.9]])
-    np.testing.assert_allclose(eff.tensor_at(pts)[:, 0, 0], eff.tensors[0, 0, 0], atol=1e-12)
+    got = cell.multilinear(eff.tensors, eff.x_axes, pts)
+    np.testing.assert_allclose(got[:, 0, 0], eff.tensors[0, 0, 0], atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +172,7 @@ def lp_table():
 def test_tabulated_locally_periodic_values(lp_table):
     f, eff, _ = lp_table
     for x in (0.0, 0.5, 1.0):
-        got = eff.tensor_at(np.array([[x]]))[0, 0, 0]
+        got = cell.multilinear(eff.tensors, eff.x_axes, np.array([[x]]))[0, 0, 0]
         assert abs(got - (1 + 0.5 * x) * SQRT3) <= 1e-4
 
 
@@ -195,7 +197,7 @@ def test_multilinear_reproduces_bilinear_tensors():
 def test_table_coverage_error(lp_table):
     _, eff, _ = lp_table
     with pytest.raises(cell.TableCoverage):
-        eff.tensor_at(np.array([[1.5]]))
+        cell.multilinear(eff.tensors, eff.x_axes, np.array([[1.5]]))
 
 
 def test_ellipticity_violation():
@@ -559,3 +561,48 @@ def test_multilinear_matches_corner_loop(dim, tensor):
     outside[0, -1] = axes[-1][-1] + 0.01
     with pytest.raises(cell.TableCoverage):
         cell.multilinear(values, axes, outside)
+
+
+def _laminate2d_mesh_and_axes():
+    """The first fine mesh of the shipped 2D study and the x-axes of its table."""
+    sc = cli.load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", "laminate2d.json"))
+    margin = corrector.table_margin(sc.epsilons[0], sc.points_per_period)
+    return fem.oscillatory_mesh(sc, sc.epsilons[0]), cell.x_axes_for(sc.domain, margin)
+
+
+@pytest.mark.parametrize(
+    "extents, h",
+    [
+        (((0.0, 1.0),), 1 / 96),
+        (((-0.5, 1.0),), 1 / 12),
+        (None, None),  # laminate2d's mesh and table axes
+        (((-0.5, 1.0), (0.25, 0.5)), 1 / 12),  # extents off the table nodes
+    ],
+)
+def test_effective_at_gauss_matches_pointwise_multilinear(extents, h):
+    if extents is None:
+        m, axes = _laminate2d_mesh_and_axes()
+    else:
+        m = mesh_mod.build_domain_mesh(extents, h)
+        axes = cell.x_axes_for(extents, 0.1)
+    d = m.dim
+    rng = np.random.default_rng(d)
+    eff = cell.EffectiveField(axes, rng.uniform(1.0, 2.0, tuple(len(a) for a in axes) + (d, d)))
+    got = eff.at_gauss(m)
+    q = quadrature(m)
+    want = cell.multilinear(eff.tensors, axes, q.points.reshape(-1, d)).reshape(got.shape)
+    assert got.shape == q.points.shape[:2] + (d, d)
+    if d == 1:
+        assert np.array_equal(_bits(got), _bits(want))
+    else:
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_effective_at_gauss_off_the_table_raises(axis):
+    extents = [(-0.5, 1.0), (0.25, 0.5)]
+    axes = cell.x_axes_for(extents, 0.0)
+    eff = cell.EffectiveField(axes, np.ones(tuple(len(a) for a in axes) + (2, 2)))
+    extents[axis] = (extents[axis][0], extents[axis][1] + 0.25)
+    with pytest.raises(cell.TableCoverage, match=f"mesh axis {axis}"):
+        eff.at_gauss(mesh_mod.build_domain_mesh(extents, 1 / 12))

@@ -498,7 +498,7 @@ def test_table_spacing_halving_changes_little():
         margin = corrector.table_margin(eps, sc.points_per_period)
         axes = cell.x_axes_for(((0.0, 1.0),), margin, spacing=spacing)
         eff, table = cell.tabulate_effective(field, axes, cmesh)
-        sys_eff = fem.assemble(mesh, lambda p: eff.tensor_at(p), sc.mu, sc.bc)
+        sys_eff = fem.assemble(mesh, eff.at_gauss(mesh), sc.mu, sc.bc)
         u0 = fem.solve_resolvent(sys_eff, f_fn)
         k = _apply(_inputs(sc, eps, u0, table))
         uo1 = corrector.first_order(u0, k, eps)

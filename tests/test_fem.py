@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -581,3 +582,80 @@ def test_load_scatter_matches_add_at_reference(dim):
     values = np.random.default_rng(dim).uniform(-1.0, 1.0, m.n_nodes)
     for f in (load, GridFunction(m, values)):
         assert np.array_equal(_bits(fem.assemble_load(m, f)), _bits(fem_reference.assemble_load(m, f)))
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+@pytest.mark.parametrize("tensor", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gauss_contractions_match_the_einsums_they_replace(dim, tensor, mu):
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.7))[:dim], 0.05)
+    q = mesh_mod.quadrature(m)
+    a_vals = fem_reference.gauss_samples(m, _rough_sampler(dim, tensor))
+    got = fem._element_matrices(a_vals, q, mu)
+    want = fem_reference.einsum_element_matrices(a_vals, q, mu)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    f_g = a_vals if a_vals.ndim == 2 else a_vals[..., 0, 0]
+    got, want = fem._load_contributions(f_g, q), fem_reference.einsum_load_contributions(f_g, q)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tensor", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gauss_samples_assemble_as_their_callable(dim, tensor):
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.7))[:dim], 0.1)
+    bc = core.BoundarySpec("dirichlet")
+    sampler = _rough_sampler(dim, tensor)
+    samples = fem_reference.gauss_samples(m, sampler)
+    _assert_csr_equal(fem.assemble(m, samples, -1.0, bc).matrix, fem.assemble(m, sampler, -1.0, bc).matrix)
+    if not tensor:
+        assert np.array_equal(_bits(fem.assemble_load(m, samples)), _bits(fem.assemble_load(m, sampler)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_wrong_sample_count_is_a_quadrature_failure(dim):
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.7))[:dim], 0.25)
+    bc = core.BoundarySpec("dirichlet")
+    n_el, n_g = mesh_mod.quadrature(m).points.shape[:2]
+    n = n_el * n_g
+    callables = (
+        lambda p: np.ones(len(p) + 1),
+        lambda p: np.ones((len(p), dim + 1, dim + 1)),
+        lambda p: np.ones((len(p), 1)),
+    )
+    arrays = (np.ones((n_el + 1, n_g)), np.ones(n), np.ones((n_el, n_g, dim + 1, dim + 1)))
+    for f in callables:
+        with pytest.raises(fem.QuadratureFailure, match=re.escape(f"expected ({n},) or ({n}, {dim}, {dim})")):
+            fem.assemble(m, f, -1.0, bc)
+    expected = f"expected ({n_el}, {n_g}) or ({n_el}, {n_g}, {dim}, {dim})"
+    for a in arrays:
+        with pytest.raises(fem.QuadratureFailure, match=re.escape(expected)):
+            fem.assemble(m, a, -1.0, bc)
+    # a load is scalar: matrices are the wrong shape too
+    for f in callables + (lambda p: np.ones((len(p), dim, dim)),):
+        with pytest.raises(fem.QuadratureFailure, match=re.escape(f"expected ({n},)") + "$"):
+            fem.assemble_load(m, f)
+    for a in arrays + (np.ones((n_el, n_g, dim, dim)),):
+        with pytest.raises(fem.QuadratureFailure, match=re.escape(f"expected ({n_el}, {n_g})") + "$"):
+            fem.assemble_load(m, a)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("tensor", [False, True])
+def test_nonfinite_samples_are_a_quadrature_failure(tensor, bad):
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.7)), 0.25)
+    bc = core.BoundarySpec("dirichlet")
+    sampler = _rough_sampler(2, tensor)
+
+    def spoiled(p):
+        v = sampler(p)
+        v[3] = bad
+        return v
+
+    samples = fem_reference.gauss_samples(m, spoiled)
+    for f in (spoiled, samples):
+        with pytest.raises(fem.QuadratureFailure, match="non-finite"):
+            fem.assemble(m, f, -1.0, bc)
+        if not tensor:
+            with pytest.raises(fem.QuadratureFailure, match="non-finite"):
+                fem.assemble_load(m, f)

@@ -172,7 +172,7 @@ def test_row_errors_are_the_named_norms_of_the_worst_load(small_sine_report):
     eff, table = cell_mod.tabulate_effective(sc.field, x_axes, build_cell_mesh(cell_mod.default_cell_m(1), 1))
     mesh = fem.oscillatory_mesh(sc, eps)
     osc_sys = fem.assemble(mesh, lambda pts: core.tau_eps(sc.field, eps, pts), sc.mu, sc.bc)
-    eff_sys = fem.assemble(mesh, eff.tensor_at, sc.mu, sc.bc)
+    eff_sys = fem.assemble(mesh, eff.at_gauss(mesh), sc.mu, sc.bc)
     interior = interior_mask(mesh, sc.interior_margin)
     want = {}
     for _, load in study.LOADS:
