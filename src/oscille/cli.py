@@ -7,8 +7,10 @@ Commands
   suite-strip     sweep the boundary-strip inequality
   audit           randomized ellipticity audit of a preset
 
-Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage or config
-error (`core.ConfigError`), 3 numerical failure (`core.NumericalError`).
+Exit codes: 0 every verdict PASSes, 1 some verdict failed or a target has
+no fit (NotApplicable: its errors sit at solver noise level, so nothing
+was verified; summary.txt names it), 2 usage or config error
+(`core.ConfigError`), 3 numerical failure (`core.NumericalError`).
 Any other exception is a bug and ends in a traceback. CSV output is
 byte-identical across runs on the same platform for the same config.
 """

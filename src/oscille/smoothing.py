@@ -3,9 +3,11 @@
 The Steklov average over the cube of side eps centered at each point is
 computed with window weights that integrate piecewise-linear data exactly,
 so constants and linear polynomials are reproduced without quadrature
-bias. Extension off the domain uses second-order reflection
-u(x0 - t) = 3 u(x0 + t) - 2 u(x0 + 2t), which matches values and first
-derivatives at the face and preserves second-order smoothness.
+bias; `steklov_box` takes it on a sub-box of the nodes only, optionally
+of a product, which is how the corrector takes its z average. Extension
+off the domain uses second-order reflection u(x0 - t) = 3 u(x0 + t) -
+2 u(x0 + 2t), which matches values and first derivatives at the face and
+preserves second-order smoothness.
 
 The lemma suites are fixed sweeps over the module constants. The first
 turns the operator estimates for these smoothing maps (contractivity of
@@ -154,25 +156,43 @@ def _window_per_axis(mesh, eps):
 
 
 def steklov(ext, eps):
-    """Cube average (S u)(x) = mean of u over x + eps*Q, on the source mesh.
+    """Cube average (S u)(x) = mean of u over x + eps*Q, on the source mesh."""
+    whole = tuple((0, n) for n in ext.source_mesh.nodes_per_axis)
+    return GridFunction(ext.source_mesh, steklov_box(ext, eps, whole).ravel())
 
-    Separable: each axis is averaged in turn, consuming that axis's pad.
+
+def steklov_box(ext, eps, box, factor=None):
+    """The cube average of u, or of factor * u, on the source nodes of a sub-box.
+
+    box holds one source-node range (lo, hi) per axis. The average reads u
+    only on the box widened by the window, its reach; factor, when given,
+    holds values on that reach and multiplies u there first. Separable:
+    each axis is averaged in turn, consuming its part of the reach, so the
+    box's values are bit for bit those of `steklov` there. Returns an
+    array of the box's shape; raises InsufficientMargin when the reach
+    leaves the extension.
     """
-    mesh = ext.source_mesh
-    vals = ext.base.reshaped()
-    for axis, (offs, w) in enumerate(_window_per_axis(mesh, eps)):
-        if offs[-1] > ext.pad[axis]:
+    windows = _window_per_axis(ext.source_mesh, eps)
+    reach = []
+    for axis, ((offs, _), (lo, hi), p, n) in enumerate(zip(windows, box, ext.pad, ext.mesh.nodes_per_axis)):
+        start, stop = p + lo + offs[0], p + hi + offs[-1]
+        if start < 0 or stop > n:
             raise InsufficientMargin(
-                f"need {offs[-1]} pad nodes on axis {axis}, extension has {ext.pad[axis]}"
+                f"the window of nodes {lo}..{hi - 1} on axis {axis} reaches past the extension's {p} pad nodes"
             )
+        reach.append(slice(start, stop))
+    vals = ext.base.reshaped()[tuple(reach)]
+    if factor is not None:
+        vals = factor * vals
+    for axis, (offs, w) in enumerate(windows):
         moved = np.moveaxis(vals, axis, 0)
-        start = ext.pad[axis]
-        n = mesh.nodes_per_axis[axis]
-        acc = np.zeros((n,) + moved.shape[1:])
-        for j, wj in zip(offs, w):
-            acc += wj * moved[start + j : start + j + n]
+        n = len(moved) - (offs[-1] - offs[0])
+        acc = w[0] * moved[:n]
+        term = np.empty_like(acc)
+        for j, wj in zip(offs[1:] - offs[0], w[1:]):
+            acc += np.multiply(wj, moved[j : j + n], out=term)
         vals = np.moveaxis(acc, 0, axis)
-    return GridFunction(mesh, vals.ravel())
+    return vals
 
 
 def shift_T(ext, eps, z):

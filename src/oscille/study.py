@@ -111,7 +111,10 @@ class ConvergenceReport:
 
     @property
     def all_passed(self):
-        return all(v != "FAIL" for v in self.verdicts.values())
+        """Every verdict PASSed. A FAIL fails the run, and so does a target
+        with no fit (NotApplicable): its rows sit at solver noise, so the
+        run verified nothing about it."""
+        return all(v == "PASS" for v in self.verdicts.values())
 
 
 def fit_rate(points):
@@ -239,7 +242,11 @@ def summarize(report):
         fit = report.fits[t.name]
         v = report.verdicts[t.name]
         if fit is None:
-            lines.append(f"{t.name}: verdict={v} (errors at solver noise level or too few rows)")
+            noise = sum(r.excluded[t.name] for r in report.rows)
+            lines.append(
+                f"{t.name}: verdict={v} ({noise} of {len(report.rows)} rows at solver noise level, "
+                "fewer than 3 left to fit)"
+            )
         else:
             lines.append(
                 f"{t.name}: slope={fit.slope:.4f} guaranteed={t.guaranteed_exponent:.4f} "
@@ -254,4 +261,7 @@ def summarize(report):
     strips = [r.aux.get("w1_corr_strip") for r in report.rows if "w1_corr_strip" in r.aux]
     if strips:
         lines.append("boundary-strip corrector error per eps: " + ", ".join(f"{x:.3e}" for x in strips))
+    unfit = [t.name for t in report.targets if report.fits[t.name] is None]
+    if unfit:
+        lines.append(f"not verified: {', '.join(unfit)} (no fit above solver noise), so the study does not pass")
     return "\n".join(lines) + "\n"

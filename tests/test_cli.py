@@ -286,6 +286,18 @@ def test_study_exit_zero_on_pass(study_run):
     assert rc1 == 0 and rc2 == 0
 
 
+def test_study_exit_one_when_nothing_verified(tmp_path, capsys):
+    # a constant coefficient makes u_eps equal u0: every error sits at
+    # solver noise, no target has a fit, and the run must not report success
+    cfg = _write_cfg(tmp_path, {**SINE_CFG, "field": {"preset_id": "Constant", "params": [2], "dim": 1}})
+    rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    summary = (tmp_path / "o" / "summary.txt").read_text()
+    assert summary.count("verdict=NotApplicable") == 3
+    assert "not verified: lp, w1_corr, besov_half" in summary
+    assert "PASS" not in (tmp_path / "o" / "rates.csv").read_text()
+
+
 def test_csv_layout_and_determinism(study_run):
     _, _, out1, out2 = study_run
     csv1 = (out1 / "rates.csv").read_bytes()

@@ -180,6 +180,14 @@ def _row_scaled(table):
     return cell.CellTable(table.x_axes, table.cell_mesh, columns, np.arange(len(table.cells)) // n2, table.tensors)
 
 
+def _solves_per_node(setup):
+    """How many solves' boxes hold each node: the solves its window reaches."""
+    count = np.zeros(setup.mesh.nodes_per_axis, dtype=int)
+    for box in setup.boxes:
+        count[tuple(slice(lo, hi) for lo, hi in box)] += 1
+    return count
+
+
 def _assert_matches_reference(inputs):
     k = _apply(inputs).values
     k_ref = reference.corrector_apply(*inputs).values
@@ -205,15 +213,15 @@ def test_kernel_matches_reference_loop_1d_mollified():
 @pytest.mark.parametrize("rho", [5, 32])
 def test_window_kernel_matches_reference_loop_1d_largest_eps(rho, s):
     # at the largest eps each window straddles table nodes, so a node's
-    # offsets reach more than two slots, and the entry-scaled columns give
-    # each slot its own cell values
+    # window reaches the hats of more than two entries, and the
+    # entry-scaled columns give each entry its own solve
     field = preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1)
     sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=rho, s=s, mu=-1.0)
     eps = sc.epsilons[0]
     mesh = fem.oscillatory_mesh(sc, eps)
     u0 = grid_from_callable(mesh, lambda p: np.sin(np.pi * p[:, 0]) + p[:, 0])
     inputs = _inputs(sc, eps, u0, _entry_scaled(_table_for(sc, cell_m=64)))
-    assert inputs[0].stencils[0].n_slots > 2
+    assert np.max(_solves_per_node(inputs[0])) > 2
     if s < 1.0:
         _assert_mollified(sc, eps, u0, inputs[1])
     _assert_matches_reference(inputs)
@@ -270,7 +278,8 @@ def test_kernel_matches_reference_loop_2d_shared_cells(lp2d_table):
 
 def test_setup_interpolates_each_columns_array_once(lp2d_table, monkeypatch):
     # the separable table's entries differ in A0 but share one solve;
-    # per-entry copies of its columns give the same values, one array each
+    # per-entry copies of its columns give the same gathered values, one
+    # array per solve over that solve's box
     field, table = lp2d_table
     assert len({a0.tobytes() for a0 in table.tensors.reshape(len(table.cells), 2, 2)}) > 1
     copied = cell.CellTable(table.x_axes, table.cell_mesh, [table.columns[c].copy() for c in table.cells],
@@ -288,7 +297,10 @@ def test_setup_interpolates_each_columns_array_once(lp2d_table, monkeypatch):
     shared = corrector.corrector_setup(table, mesh, 1 / 8)
     own = corrector.corrector_setup(copied, mesh, 1 / 8)
     assert interpolated == [1, len(table.cells)]
-    assert np.array_equal(shared.n_at, own.n_at)
+    # the table reaches as far as the windows at eps = 1/4, so at 1/8 some entries lie out of reach
+    assert len(shared.n_at) == 1 and 1 < len(own.n_at) < len(table.cells)
+    for box, n_at in zip(own.boxes, own.n_at):
+        assert np.array_equal(n_at, shared.n_at[0][(slice(None),) + tuple(slice(lo, hi) for lo, hi in box)])
 
 
 def test_kernel_matches_reference_loop_2d_mollified_rectangle(lp2d_table):
@@ -310,6 +322,16 @@ def _tight_axes(sc, narrower_by=0.0):
     return cell.x_axes_for(sc.domain, corrector.table_margin(sc.epsilons[0], sc.points_per_period) - narrower_by)
 
 
+def _stub_table(x_axes, per_entry=False):
+    """A table of zero cell functions on the x-grid: one solve for every
+    entry, or one solve per entry."""
+    d = len(x_axes)
+    cell_mesh = build_cell_mesh(4, d)
+    entries = int(np.prod([len(ax) for ax in x_axes]))
+    cells = np.arange(entries) if per_entry else np.zeros(entries, dtype=int)
+    return cell.CellTable(tuple(x_axes), cell_mesh, [np.zeros((cell_mesh.n_nodes, d))] * (cells[-1] + 1), cells, None)
+
+
 @pytest.mark.parametrize("config", ["sine1d.json", "mixed1d.json", "laminate2d.json"])
 @pytest.mark.parametrize("rho", [1, 2, 3, 5, 12, 32])
 def test_table_margin_is_the_reach_at_the_largest_eps(config, rho):
@@ -318,36 +340,41 @@ def test_table_margin_is_the_reach_at_the_largest_eps(config, rho):
     mesh = fem.oscillatory_mesh(sc, eps)
     windows = smoothing._window_per_axis(mesh, eps)
     axes = _tight_axes(sc)
-    corrector._axis_stencils(cell.CellTable(axes, None, [], None, None), mesh, windows)  # no TableCoverage
+    corrector.corrector_setup(_stub_table(axes), mesh, eps)  # no TableCoverage
     for a, ((offs, _), ax) in enumerate(zip(windows, axes)):
-        # the first and last slow points the stencils locate
+        # the first and last slow points the windows reach
         x = mesh.axis_coords(a)
         assert abs(x[0] + mesh.h[a] * offs[0] - ax[0]) <= 1e-12
         assert abs(x[-1] + mesh.h[a] * offs[-1] - ax[-1]) <= 1e-12
-    narrow = cell.CellTable(_tight_axes(sc, narrower_by=mesh.h[0]), None, [], None, None)
-    with pytest.raises(cell.TableCoverage):
-        corrector._axis_stencils(narrow, mesh, windows)
+    for narrow in (_tight_axes(sc, narrower_by=mesh.h[0]), [ax[1:-1] for ax in axes]):  # one fine cell, one table step
+        with pytest.raises(cell.TableCoverage, match="tabulated range"):
+            corrector.corrector_setup(_stub_table(narrow), mesh, eps)
 
 
 @pytest.mark.parametrize("rho", [5, 12])
-def test_axis_operator_matches_dense_hat_map(rho):
-    # on laminate2d's largest eps the windows straddle table nodes, so a
-    # node's offsets reach more than one table cell (n_slots > 2)
+def test_solve_weights_match_interpolated_indicator(rho):
+    # with one solve per entry each solve's weight Phi_c is its entry's hat;
+    # scattered onto the window's reach and weighted by per-entry values,
+    # the weights sum to the multilinear interpolant of those values there.
+    # On laminate2d's largest eps the windows straddle table nodes
     sc = load_scenario(os.path.join(CONFIG_DIR, "laminate2d.json"), ppp_override=rho)
-    mesh = fem.oscillatory_mesh(sc, sc.epsilons[0])
-    windows = smoothing._window_per_axis(mesh, sc.epsilons[0])
-    stencils, _ = corrector._axis_stencils(cell.CellTable(_tight_axes(sc), None, [], None, None), mesh, windows)
-    for st in stencils:
-        assert st.n_slots > 2
-        n, nodes = st.n, np.arange(st.n)
-        dense = np.zeros((st.n_slots * n, n + st.span))
-        for col in range(len(st.offsets)):
-            slot, lower, upper = st.hat(col)
-            shifted = nodes + st.offsets[col] - st.offsets[0]
-            dense[slot * n + nodes, shifted] = lower
-            dense[(slot + 1) * n + nodes, shifted] = upper
-        assert st.op.has_canonical_format  # columns in offset order: rows sum in window-offset order
-        assert np.array_equal(st.op.toarray().view(np.int64), dense.view(np.int64))
+    eps = sc.epsilons[0]
+    mesh = fem.oscillatory_mesh(sc, eps)
+    windows = smoothing._window_per_axis(mesh, eps)
+    axes = _tight_axes(sc)
+    setup = corrector.corrector_setup(_stub_table(axes, per_entry=True), mesh, eps)
+    assert len(setup.boxes) == len(setup.table.cells)  # every entry's hat lies within reach
+    assert np.max(_solves_per_node(setup)) > 4
+    values = np.random.default_rng(0).uniform(1.0, 2.0, len(setup.table.cells))
+    spans = [offs[-1] - offs[0] for offs, _ in windows]
+    summed = np.zeros([n + span for n, span in zip(mesh.nodes_per_axis, spans)])
+    for v, box, phi in zip(values, setup.boxes, setup.weights):
+        summed[tuple(slice(lo, hi + span) for (lo, hi), span in zip(box, spans))] += v * phi
+    reach = [mesh.axis_coords(a)[0] + mesh.h[a] * np.arange(offs[0], n + offs[-1])
+             for a, ((offs, _), n) in enumerate(zip(windows, mesh.nodes_per_axis))]
+    pts = np.stack(np.meshgrid(*reach, indexing="ij"), axis=-1).reshape(-1, mesh.dim)
+    expected = cell.multilinear(values.reshape([len(ax) for ax in axes]), axes, pts)
+    np.testing.assert_allclose(summed.ravel(), expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("config", ["sine1d.json", "mixed1d.json", "laminate2d.json"])
@@ -369,16 +396,16 @@ def test_build_r0_extends_u0_by_the_reach(config, rho):
     [("Sine1D", [2, 1], 1, 32, 64), ("LocallyPeriodic2D", [2, 1, 0.5], 2, 12, 16)],
 )
 def test_kernel_matches_reference_loop_at_the_table_edge(preset, params, dim, rho, cell_m):
-    # on the tight table at the largest eps the last nodes have a slot past
-    # the table end, whose clipped entry must carry zero weight; at rho = 12
-    # fine nodes also sit on table nodes, where rounding picks the cell
+    # on the tight table at the largest eps the last window point sits on
+    # the last table node, whose cell is the table's last; at rho = 12 fine
+    # nodes also sit on table nodes, where rounding picks the cell
     field = preset_coefficient(preset, params, dim)
     sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=rho, mu=-1.0)
     eps = sc.epsilons[0]
     mesh = fem.oscillatory_mesh(sc, eps)
     table = cell.tabulate_cells(field, _tight_axes(sc), build_cell_mesh(cell_m, field.dim))
-    stencils, _ = corrector._axis_stencils(table, mesh, smoothing._window_per_axis(mesh, eps))
-    assert any(np.max(st.idx[: st.n]) + st.n_slots > len(ax) for st, ax in zip(stencils, table.x_axes))
+    for a, ((offs, _), ax) in enumerate(zip(smoothing._window_per_axis(mesh, eps), table.x_axes)):
+        assert abs(mesh.axis_coords(a)[-1] + mesh.h[a] * offs[-1] - ax[-1]) <= 1e-12
     u0 = grid_from_callable(mesh, lambda p: np.prod(np.sin(np.pi * p), axis=1) + p[:, -1])
     _assert_matches_reference(_inputs(sc, eps, u0, _entry_scaled(table)))
 

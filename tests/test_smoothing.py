@@ -5,7 +5,7 @@ import pytest
 
 from oscille import core
 from oscille import smoothing as sm
-from oscille.mesh import build_domain_mesh, grid_from_callable
+from oscille.mesh import GridFunction, build_domain_mesh, grid_from_callable
 from oscille.norms import halving_factors
 
 
@@ -138,6 +138,59 @@ def test_steklov_insufficient_margin():
     ext = sm.extended_from_callable(m, 1 / 64, lambda p: p[:, 0])
     with pytest.raises(sm.InsufficientMargin):
         sm.steklov(ext, 1 / 4)
+
+
+def _rectangle_ext(margin):
+    # unequal node counts per axis, and data that is neither separable nor polynomial
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.5)), 1 / 32)
+    return m, sm.extended_from_callable(m, margin, lambda p: np.sin(3 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 0] ** 2)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_steklov_box_is_the_whole_grid_average_restricted():
+    eps = 1 / 4  # an 8-cell window: offsets -4..4
+    m, ext = _rectangle_ext(0.2)
+    n0, n1 = m.nodes_per_axis
+    assert n0 != n1
+    whole = sm.steklov(ext, eps).reshaped()
+    for box in (((0, n0), (0, n1)), ((3, 20), (5, 9)), ((0, 1), (n1 - 1, n1)), ((n0 - 7, n0), (0, 4))):
+        sl = tuple(slice(lo, hi) for lo, hi in box)
+        assert np.array_equal(_bits(sm.steklov_box(ext, eps, box)), _bits(whole[sl]))
+
+
+def test_steklov_box_factor_is_the_average_of_the_product():
+    # factor multiplies u on the box's reach only; the result equals the
+    # whole-grid average of the product, restricted to the box, bit for bit
+    eps = 1 / 4
+    m, ext = _rectangle_ext(0.2)
+    emesh = ext.mesh
+    factor = 1.0 + 0.5 * np.cos(7.0 * emesh.node_coords()[:, 0]) * emesh.node_coords()[:, 1]
+    product = sm.ExtendedFunction(GridFunction(emesh, factor * ext.base.values), m, ext.pad)
+    whole = sm.steklov(product, eps).reshaped()
+    box = ((6, 15), (2, 11))
+    reach = tuple(slice(p + lo - 4, p + hi + 4) for p, (lo, hi) in zip(ext.pad, box))
+    got = sm.steklov_box(ext, eps, box, factor.reshape(emesh.nodes_per_axis)[reach])
+    assert np.array_equal(_bits(got), _bits(whole[tuple(slice(lo, hi) for lo, hi in box)]))
+
+
+def test_steklov_box_reads_only_its_reach():
+    # a 2-node pad is too short for the 4-node window at the faces, yet an
+    # interior box reads no pad node and agrees with a well-padded average
+    eps = 1 / 4
+    m, short = _rectangle_ext(2 / 32)
+    _, wide = _rectangle_ext(0.2)
+    assert short.pad == (2, 2)
+    n0, n1 = m.nodes_per_axis
+    inner = ((4, n0 - 4), (2, n1 - 2))
+    with pytest.raises(sm.InsufficientMargin):
+        sm.steklov(short, eps)
+    for box in (((0, n0), (2, n1 - 2)), ((4, n0 - 4), (0, 3)), ((n0 - 3, n0), (5, 6))):
+        with pytest.raises(sm.InsufficientMargin):
+            sm.steklov_box(short, eps, box)
+    np.testing.assert_array_equal(sm.steklov_box(short, eps, inner), sm.steklov_box(wide, eps, inner))
 
 
 def test_shift_identity_and_linears():

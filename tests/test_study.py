@@ -119,7 +119,13 @@ def test_constant_field_rows_excluded(constant_report):
             assert row.excluded[name]
     assert all(v == "NotApplicable" for v in rep.verdicts.values())
     assert all(f is None for f in rep.fits.values())
-    assert rep.all_passed  # NotApplicable does not fail the run
+    # a run that fits nothing verified nothing: it does not pass, and the summary says why
+    assert not rep.all_passed
+    text = study.summarize(rep)
+    assert "lp: verdict=NotApplicable (3 of 3 rows at solver noise level, fewer than 3 left to fit)" in text
+    assert text.endswith(
+        "not verified: lp, w1_corr, besov_half (no fit above solver noise), so the study does not pass\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -237,59 +243,58 @@ def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
         points_per_period=4,
         interior_margin=0.0,
     )
-    setups, columns, operators, kernels, applied = [], [], [], [], []
+    setups, columns, averages, applied = [], [], [], []
     build, interpolate = corrector.corrector_setup, corrector._interpolate_periodic
-    axis_operator, window_kernel, apply = corrector._axis_operator, corrector._window_kernel, corrector.corrector_apply
+    average, apply = corrector.steklov_box, corrector.corrector_apply
 
     def counting_setup(table, mesh, eps):
-        built = len(operators), len(kernels)
+        before = len(averages)
         setup = build(table, mesh, eps)
-        setups.append((eps, len(table.cells), len(table.columns), len(operators) - built[0], len(kernels) - built[1]))
+        setups.append((eps, len(table.cells), len(table.columns), len(averages) - before))
         return setup
 
     def counting_interpolate(cols, cell_mesh, y):
         columns.append(len(cols))
         return interpolate(cols, cell_mesh, y)
 
-    def counting_operator(st):
-        operators.append(st)
-        return axis_operator(st)
-
-    def counting_kernel(st, n_at):
-        kernels.append(st)
-        return window_kernel(st, n_at)
+    def counting_average(ext, eps, box, factor=None):
+        averages.append((box, factor))
+        return average(ext, eps, box, factor)
 
     def counting_apply(setup, grads):
-        built = len(operators) + len(kernels)
+        before = len(averages)
         k_field = apply(setup, grads)
-        applied.append(len(operators) + len(kernels) - built)
+        applied.append((setup.mesh.nodes_per_axis, averages[before:]))
         return k_field
 
     monkeypatch.setattr(corrector, "corrector_setup", counting_setup)
     monkeypatch.setattr(corrector, "_interpolate_periodic", counting_interpolate)
-    monkeypatch.setattr(corrector, "_axis_operator", counting_operator)
-    monkeypatch.setattr(corrector, "_window_kernel", counting_kernel)
+    monkeypatch.setattr(corrector, "steklov_box", counting_average)
     monkeypatch.setattr(corrector, "corrector_apply", counting_apply)
-    study.run_study(sc)
-    assert [eps for eps, *_ in setups] == list(sc.epsilons)
-    assert columns == [distinct for _, _, distinct, _, _ in setups]
-    # the separable coefficient's table holds one solve for all its entries
-    assert all(distinct == 1 < entries for _, entries, distinct, _, _ in setups)
-    # one map per axis, built by the setup and reused by both loads of that eps
-    assert [(ops, kers) for *_, ops, kers in setups] == [(2, 0)] * 3
-    assert len(operators) == 2 * len(setups)
-    assert applied == [0] * 2 * len(setups)
 
-    # 1D: the setup builds one window kernel and no operator, and neither
-    # load's apply builds anything
+    def assert_one_average_per_component(d):
+        assert [eps for eps, *_ in setups] == list(sc.epsilons)
+        # one interpolation per eps, of the table's distinct solves
+        assert columns == [distinct for _, _, distinct, _ in setups]
+        # the separable coefficient's table holds one solve for all its entries
+        assert all(distinct == 1 < entries for _, entries, distinct, _ in setups)
+        # the setup averages nothing; each load's apply takes d whole-grid
+        # Steklov averages with Phi = 1
+        assert [n for *_, n in setups] == [0] * len(sc.epsilons)
+        assert len(applied) == 2 * len(setups)
+        for nodes, calls in applied:
+            assert calls == [(tuple((0, n) for n in nodes), None)] * d
+
+    study.run_study(sc)
+    assert_one_average_per_component(2)
+
     setups.clear()
+    columns.clear()
     applied.clear()
     study.run_study(dataclasses.replace(
         sc, field=preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1), domain=((0.0, 1.0),), points_per_period=8
     ))
-    assert [(ops, kers) for *_, ops, kers in setups] == [(0, 1)] * 3
-    assert len(operators) == 6 and len(kernels) == 3
-    assert applied == [0] * 2 * len(setups)
+    assert_one_average_per_component(1)
 
 
 # Slopes and per-row errors (eps -> one error per target, in the order of
