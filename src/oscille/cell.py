@@ -23,16 +23,15 @@ The cell's matrix, loads and mean functional go through `fem`'s Q1
 assembly with every node free: the matrix into the wrapped stencil
 pattern `fem` caches per mesh, the loads by its nodal scatter, and the
 mean functional is the load vector of f = 1, cached per cell mesh.
-`multilinear` is the one interpolator: in x on the table grid (one axis
-at a time for A0 on a fine mesh's tensor grid of Gauss points), and in y
-on the cell grid padded with its wrapped first node layer. It gathers
-the 2^d corners from the flattened grid.
+`interpolate_axis`, linear interpolation along one array axis, is the one
+interpolator. Every evaluation is on a tensor grid of points, so it runs
+once per axis: in x on the table grid (A0 at a fine mesh's Gauss points),
+and in y on the cell grid padded with its wrapped first node layer.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,21 +90,24 @@ def _periodic_stiffness_and_loads(a_vals, cell_mesh):
     return matrix, np.stack([fem._nodal(q, load, cell_mesh.n_nodes) for load in loads]), wa
 
 
-def _interpolate_periodic(columns, cell_mesh, y):
-    """Periodic multilinear interpolation of nodal cell functions.
+def _interpolate_periodic(columns, cell_mesh, y_axes):
+    """Periodic multilinear interpolation of nodal cell functions on a tensor grid.
 
     columns is a sequence of (n_nodes, d) nodal arrays, one per cell
-    solution. `multilinear` interpolates them at frac(y) on the cell grid
-    with its first node layer repeated past the last, so y and y + 1 give
-    the same value. Returns the values N_k(y), shape (n_sol, n, d).
+    solution; y_axes holds the points' coordinates per axis. The cell grid
+    is padded with its first node layer repeated past the last, so y and
+    y + 1 give the same value, and `interpolate_axis` runs once per axis
+    at frac(y), last axis first. Returns the values N_k at the grid of
+    points, shape (n_sol,) + (len(y) for y in y_axes) + (d,).
     """
     d = cell_mesh.dim
     shape = cell_mesh.nodes_per_axis
-    grid = np.stack(columns, axis=1).reshape(shape + (len(columns), d))
-    wrapped = np.pad(grid, [(0, 1)] * d + [(0, 0)] * 2, mode="wrap")
-    axes = tuple(np.arange(m + 1) / m for m in shape)
-    y = np.asarray(y, dtype=float).reshape(-1, d)
-    return multilinear(wrapped, axes, y - np.floor(y)).transpose(1, 0, 2)
+    grid = np.stack(columns).reshape((len(columns),) + shape + (d,))
+    vals = np.pad(grid, [(0, 0)] + [(0, 1)] * d + [(0, 0)], mode="wrap")
+    for a in reversed(range(d)):
+        y = np.asarray(y_axes[a], dtype=float)
+        vals = interpolate_axis(vals, np.arange(shape[a] + 1) / shape[a], y - np.floor(y), axis=a + 1)
+    return vals
 
 
 @dataclass
@@ -145,56 +147,34 @@ def solve_cell(field, x, cell_mesh, samples=None):
     return CellSolution(cell_mesh, columns, a0)
 
 
-def locate_on_axes(x_axes, pts):
-    """Linear-interpolation stencil: lower index and local weight per axis."""
-    dim = len(x_axes)
-    pts = np.asarray(pts, dtype=float).reshape(-1, dim)
-    idx = []
-    loc = []
-    for k, ax in enumerate(x_axes):
-        hk = ax[1] - ax[0]
-        t = (pts[:, k] - ax[0]) / hk
-        if np.any(t < -1e-9) or np.any(t > len(ax) - 1 + 1e-9):
-            raise TableCoverage(
-                f"point outside tabulated range on axis {k}: "
-                f"[{ax[0]:g}, {ax[-1]:g}] queried at "
-                f"[{pts[:, k].min():g}, {pts[:, k].max():g}]"
-            )
-        # a point within rounding below a node takes the cell above it, so
-        # the cell of a point on a node does not depend on how the point
-        # was computed
-        i = np.clip(np.floor(t + 1e-9).astype(int), 0, len(ax) - 2)
-        idx.append(i)
-        loc.append(np.clip(t - i, 0.0, 1.0))
-    return idx, loc
+def locate_on_axis(ax, pts):
+    """Linear-interpolation stencil on one uniform axis: each point's lower node index and local weight."""
+    pts = np.asarray(pts, dtype=float)
+    t = (pts - ax[0]) / (ax[1] - ax[0])
+    if np.any(t < -1e-9) or np.any(t > len(ax) - 1 + 1e-9):
+        raise TableCoverage(
+            f"point outside tabulated range: [{ax[0]:g}, {ax[-1]:g}] queried at [{pts.min():g}, {pts.max():g}]"
+        )
+    # a point within rounding below a node takes the cell above it, so the
+    # cell of a point on a node does not depend on how it was computed
+    i = np.clip(np.floor(t + 1e-9).astype(int), 0, len(ax) - 2)
+    return i, np.clip(t - i, 0.0, 1.0)
 
 
-def multilinear(values, x_axes, pts):
-    """Multilinear interpolation of grid values at points (n, d).
+def interpolate_axis(values, axis_coords, pts, axis=0):
+    """Linear interpolation of grid values along one axis at the points pts (n,).
 
-    values has shape grid_shape + trailing; the result has shape
-    (n,) + trailing. Corners are gathered from the flattened grid and
-    summed in C order, each weighted axis by axis by its hat, 1 - t or t.
+    The result is values with that axis, sampled at axis_coords, replaced
+    by the n points: (1 - t) times the slice of each point's lower node
+    plus t times the next. Once per axis, it interpolates multilinearly on
+    a tensor grid of points. A point off the axis raises TableCoverage.
     """
-    idx, loc = locate_on_axes(x_axes, pts)
-    dim = len(x_axes)
-    grid = values.shape[:dim]
-    flat = values.reshape((-1,) + values.shape[dim:])
-    base = idx[0]
-    for i, n in zip(idx[1:], grid[1:]):
-        base = base * n + i
-    strides = [math.prod(grid[k + 1:]) for k in range(dim)]
-    hats = [(1 - t, t) for t in (t.reshape(t.shape + (1,) * (flat.ndim - 1)) for t in loc)]
-    out = None
-    for bits in itertools.product((0, 1), repeat=dim):
-        term = np.take(flat, base + sum(s for s, b in zip(strides, bits) if b), axis=0)
-        for h, b in zip(hats, bits):
-            term *= h[b]
-        if out is None:
-            out = term
-        else:
-            out += term
-    return out
+    idx, t = locate_on_axis(axis_coords, pts)
+    t = t.reshape(t.shape + (1,) * (values.ndim - 1 - axis))
+    lower, upper = np.take(values, idx, axis), np.take(values, idx + 1, axis)
+    lower *= 1 - t  # in place: no buffer beyond the two gathers
+    upper *= t
+    return np.add(lower, upper, out=lower)
 
 
 @dataclass
@@ -262,13 +242,12 @@ class EffectiveField:
         """A0 at the Gauss points of a structured mesh, shape (n_elements, n_gauss, d, d).
 
         The Gauss points form a tensor grid: their coordinate k depends only
-        on the axis-k cell and Gauss point. Multilinear interpolation factors
-        by axis, so `multilinear` runs once per axis, last axis first: each
-        pass brings the last table axis left to the front and replaces it by
-        that axis's Gauss coordinates. Only the last pass makes one value per
-        Gauss point, and one transpose puts those in (element, Gauss point)
-        order. In 1D this is the point-wise interpolation itself, bit for bit;
-        in 2D it sums the same four corner terms in another order.
+        on the axis-k cell and Gauss point. So `interpolate_axis` runs once
+        per axis, last axis first, replacing table axis k by that axis's
+        Gauss coordinates in (cell, Gauss point) order, and one transpose
+        puts the values in (element, Gauss point) order. In 1D this is the
+        point-wise interpolation itself, bit for bit; in 2D it sums the same
+        four corner terms in another order.
         """
         d, cells = mesh.dim, mesh.cells_per_axis
         pts = quadrature(mesh).points.reshape(cells + (2,) * d + (d,))
@@ -276,9 +255,8 @@ class EffectiveField:
         for k in reversed(range(d)):
             # the axis-k coordinates in (cell, Gauss point) order, off the other axes' first ones
             coords = pts[tuple(slice(None) if a % d == k else 0 for a in range(2 * d)) + (k,)]
-            first = np.ascontiguousarray(np.moveaxis(vals, d - 1, 0))
             try:
-                vals = multilinear(first, self.x_axes[k:k + 1], coords.reshape(-1, 1))
+                vals = interpolate_axis(vals, self.x_axes[k], coords.ravel(), axis=k)
             except TableCoverage as exc:
                 raise TableCoverage(f"mesh axis {k}: {exc}") from exc
         vals = vals.reshape(tuple(x for c in cells for x in (c, 2)) + vals.shape[d:])  # (cell, Gauss point) per axis

@@ -227,7 +227,8 @@ class BoundarySpec:
     """Boundary condition selector: dirichlet, neumann, or mixed.
 
     For mixed, dirichlet_edges names the edges of the box that carry the
-    Dirichlet condition; the rest are natural (Neumann).
+    Dirichlet condition, each once; the rest are natural (Neumann). The
+    other kinds take no edge list.
     """
 
     kind: str
@@ -239,6 +240,10 @@ class BoundarySpec:
             raise ScenarioError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "mixed" and not self.dirichlet_edges:
             raise ScenarioError("mixed boundary needs a nonempty edge subset")
+        if self.kind != "mixed" and self.dirichlet_edges:
+            raise ScenarioError(f"{self.kind} boundary takes no dirichlet_edges; use kind mixed")
+        if len(set(self.dirichlet_edges)) < len(self.dirichlet_edges):
+            raise ScenarioError(f"dirichlet_edges names an edge twice: {list(self.dirichlet_edges)}")
 
     def validate_for_dim(self, dim):
         names = EDGE_NAMES_1D if dim == 1 else EDGE_NAMES_2D

@@ -9,13 +9,15 @@ where u0 is the effective solution extended off the domain, its gradient
 is taken by central differences on the extended grid and mollified when
 the regularity exponent s is below 1 (with delta = eps), and N comes from
 the macroscopic cell table by linear interpolation in the slow variable
-and, in the fast one, by the same `multilinear` on the cell grid wrapped
-by one node layer (`cell._interpolate_periodic`).
+and, in the fast one, on the cell grid wrapped by one node layer
+(`cell._interpolate_periodic`); both by `cell.interpolate_axis`, once per
+axis of a tensor grid of points.
 
 The fast argument does not move with z, and the slow interpolation is
 N(x, y) = sum_e phi_e(x) N_c(e)(y), with phi_e the table's multilinear
-hats and c(e) the distinct cell solve of entry e. Grouping the entries by
-solve,
+hats (along each axis, `interpolate_axis` of the identity on the table's
+nodes) and c(e) the distinct cell solve of entry e. Grouping the entries
+by solve,
 
     K = sum_c sum_k N_c,k(frac(x/eps)) S_eps(Phi_c d_k u0_delta),
     Phi_c = sum of phi_e over the entries e of solve c,
@@ -43,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellTable, TableCoverage, _interpolate_periodic, locate_on_axes
-from .mesh import GridFunction, Mesh, MeshMismatch, _tensor_points
+from .cell import CellTable, TableCoverage, _interpolate_periodic, interpolate_axis
+from .mesh import GridFunction, Mesh, MeshMismatch
 from .norms import lp_norm, w1p_seminorm
 from .smoothing import ExtendedFunction, InsufficientMargin, _central_diff, _extended_mesh, _window_per_axis, extend
 from .smoothing import mollify, steklov_box, window_weights
@@ -95,11 +97,12 @@ def build_r0(u0, scenario, eps):
 
 
 def _fast_coordinates(mesh, eps):
-    """The distinct fast coordinates frac(x/eps) and each node's index into them.
+    """The distinct fast coordinates frac(x/eps) per axis, and each node's
+    index into the tensor grid of points they span.
 
-    Each axis takes only a few distinct values, so the distinct points are
-    their tensor grid: returns y of shape (n_unique, d) and inv of shape
-    nodes_per_axis.
+    Each axis takes only a few distinct values. Returns one coordinate
+    array per axis and inv of shape nodes_per_axis, each node's flat (C
+    order) index on that grid.
     """
     uniq, invs = [], []
     for a in range(mesh.dim):
@@ -107,28 +110,23 @@ def _fast_coordinates(mesh, eps):
         u, inv = np.unique(np.round((y - np.floor(y)) / 1e-12).astype(np.int64), return_inverse=True)
         uniq.append(u * 1e-12)
         invs.append(inv)
-    return _tensor_points(uniq), np.ravel_multi_index(np.meshgrid(*invs, indexing="ij"), [len(u) for u in uniq])
+    return uniq, np.ravel_multi_index(np.ix_(*invs), [len(u) for u in uniq])
 
 
 def _axis_hats(x_axis, mesh, axis, offs):
     """The slow table's hats along one axis at every point the window reaches.
 
     Row q is the point x_0 + h (offs[0] + q), so node i's window reads the
-    rows i .. i + span; column e holds the hat of table node e there, with
-    1 - t on the point's table cell and t on the next. Shape (n + span,
-    len(x_axis)).
+    rows i .. i + span; column e holds the hat of table node e there: the
+    identity on the table's nodes, interpolated at the points. Shape
+    (n + span, len(x_axis)).
     """
     n = mesh.nodes_per_axis[axis]
     pts = mesh.axis_coords(axis)[0] + mesh.h[axis] * np.arange(offs[0], n + offs[-1])
     try:
-        (idx,), (t,) = locate_on_axes((x_axis,), pts[:, None])
+        return interpolate_axis(np.eye(len(x_axis)), x_axis, pts)
     except TableCoverage as exc:
         raise TableCoverage(f"slow axis {axis}: {exc}") from exc
-    hats = np.zeros((len(pts), len(x_axis)))
-    rows = np.arange(len(pts))
-    hats[rows, idx] = 1.0 - t
-    hats[rows, idx + 1] = t
-    return hats
 
 
 def _solve_box(on, hats, spans, nodes):
@@ -178,7 +176,7 @@ def corrector_setup(table, mesh, eps):
     hats = [_axis_hats(ax, mesh, a, offs) for a, (ax, (offs, _)) in enumerate(zip(table.x_axes, windows))]
     spans = [offs[-1] - offs[0] for offs, _ in windows]
     y, inv = _fast_coordinates(mesh, eps)
-    n_vals = _interpolate_periodic(table.columns, table.cell_mesh, y)
+    n_vals = _interpolate_periodic(table.columns, table.cell_mesh, y).reshape(len(table.columns), -1, mesh.dim)
     cells = table.cells.reshape(tuple(len(ax) for ax in table.x_axes))
     boxes, weights, n_at = [], [], []
     for c in range(len(table.columns)):

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cell import multilinear
+from .cell import interpolate_axis
 from .core import ConfigError, NumericalError
 from .mesh import GridFunction, Mesh, r_cell
 from .norms import _dyadic_k_max, _dyadic_supremum, _shift_bound
@@ -196,23 +196,20 @@ def steklov_box(ext, eps, box, factor=None):
 
 
 def shift_T(ext, eps, z):
-    """Translated values u(x + eps*z) on the source mesh (multilinear)."""
+    """Translated values u(x + eps*z) on the source mesh.
+
+    The shifted nodes form a tensor grid, so the extended data is
+    interpolated linearly one axis at a time, last axis first. A point
+    outside the extended box raises `cell.TableCoverage`.
+    """
     mesh = ext.source_mesh
     z = np.asarray(z, dtype=float).reshape(mesh.dim)
     if np.any(np.abs(z) > r_cell(mesh.dim) + 1e-12):
         raise ConfigError("z must lie in the centered unit cube")
-    pts = mesh.node_coords() + eps * z[None, :]
-    return GridFunction(mesh, eval_extended(ext, pts))
-
-
-def eval_extended(ext, pts):
-    """Multilinear interpolation of the extended data at arbitrary points.
-
-    A point outside the extended box raises `cell.TableCoverage`.
-    """
-    emesh = ext.mesh
-    x_axes = tuple(emesh.axis_coords(k) for k in range(emesh.dim))
-    return multilinear(ext.base.reshaped(), x_axes, pts)
+    vals = ext.base.reshaped()
+    for a in reversed(range(mesh.dim)):
+        vals = interpolate_axis(vals, ext.mesh.axis_coords(a), mesh.axis_coords(a) + eps * z[a], axis=a)
+    return GridFunction(mesh, vals.ravel())
 
 
 # ---------------------------------------------------------------------------

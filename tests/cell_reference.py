@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from oscille.cell import locate_on_axes
+from oscille.cell import locate_on_axis
 from oscille.mesh import quadrature
 
 
@@ -44,8 +44,16 @@ def mean_functional(cell_mesh):
     return c
 
 
+def locate_on_axes(x_axes, pts):
+    """Lower index and local weight per axis of the points (n, d)."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, len(x_axes))
+    idx, loc = zip(*(locate_on_axis(ax, pts[:, k]) for k, ax in enumerate(x_axes)))
+    return list(idx), list(loc)
+
+
 def multilinear(values, x_axes, pts):
-    """Corner loop: each corner indexed on the grid and weighted by its hats."""
+    """Corner loop at scattered points (n, d): each corner indexed on the
+    grid and weighted by its hats."""
     idx, loc = locate_on_axes(x_axes, pts)
     terms = []
     for bits in itertools.product((0, 1), repeat=len(x_axes)):

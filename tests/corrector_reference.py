@@ -15,7 +15,8 @@ import itertools
 
 import numpy as np
 
-from oscille.cell import TableCoverage, _interpolate_periodic, locate_on_axes
+from cell_reference import locate_on_axes, multilinear
+from oscille.cell import TableCoverage
 from oscille.mesh import GridFunction
 from oscille.smoothing import _central_diff, window_weights
 
@@ -37,6 +38,19 @@ def _fast_coordinates(mesh, eps):
     pts = mesh.node_coords()
     y = pts / eps
     return y - np.floor(y)
+
+
+def interpolate_periodic(columns, cell_mesh, y):
+    """The periodic cell interpolant at scattered points y (n, d): the
+    corner loop on the cell grid with its first node layer repeated past
+    the last, at frac(y). Returns N_k(y), shape (n_sol, n, d)."""
+    d = cell_mesh.dim
+    shape = cell_mesh.nodes_per_axis
+    grid = np.stack(columns, axis=1).reshape(shape + (len(columns), d))
+    wrapped = np.pad(grid, [(0, 1)] * d + [(0, 0)] * 2, mode="wrap")
+    axes = tuple(np.arange(m + 1) / m for m in shape)
+    y = np.asarray(y, dtype=float).reshape(-1, d)
+    return multilinear(wrapped, axes, y - np.floor(y)).transpose(1, 0, 2)
 
 
 def interpolant_gradient(columns, cell_mesh, y):
@@ -71,7 +85,7 @@ def _table_entry_values(table, y_pts):
     deduplicated node fast-coordinates."""
     uniq, inv = np.unique(np.round(y_pts / 1e-12).astype(np.int64), axis=0, return_inverse=True)
     columns = [table.columns[i] for i in table.cells]
-    vals = _interpolate_periodic(columns, table.cell_mesh, uniq * 1e-12)
+    vals = interpolate_periodic(columns, table.cell_mesh, uniq * 1e-12)
     return vals, interpolant_gradient(columns, table.cell_mesh, uniq * 1e-12), inv.ravel()
 
 

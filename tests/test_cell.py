@@ -156,8 +156,7 @@ def test_tabulate_constant_in_x(sine_field):
     axes = (np.linspace(-0.25, 1.25, 25),)
     eff, table = cell.tabulate_effective(sine_field, axes, cmesh)
     assert np.max(np.abs(eff.tensors - eff.tensors[0])) <= 1e-12
-    pts = np.array([[0.123], [0.9]])
-    got = cell.multilinear(eff.tensors, eff.x_axes, pts)
+    got = cell.interpolate_axis(eff.tensors, eff.x_axes[0], np.array([0.123, 0.9]))
     np.testing.assert_allclose(got[:, 0, 0], eff.tensors[0, 0, 0], atol=1e-12)
 
 
@@ -172,7 +171,7 @@ def lp_table():
 def test_tabulated_locally_periodic_values(lp_table):
     f, eff, _ = lp_table
     for x in (0.0, 0.5, 1.0):
-        got = cell.multilinear(eff.tensors, eff.x_axes, np.array([[x]]))[0, 0, 0]
+        got = cell.interpolate_axis(eff.tensors, eff.x_axes[0], np.array([x]))[0, 0, 0]
         assert abs(got - (1 + 0.5 * x) * SQRT3) <= 1e-4
 
 
@@ -183,21 +182,29 @@ def test_tabulated_lipschitz_estimate(lp_table):
     assert slope == pytest.approx(0.5 * SQRT3, rel=0.05)
 
 
+def _bilinear(coef, x, y):
+    """coef[0] + x coef[1] + y coef[2] + x y coef[3] on the tensor grid of x and y."""
+    x, y = np.meshgrid(x, y, indexing="ij")
+    x, y = x[..., None, None], y[..., None, None]
+    return coef[0] + x * coef[1] + y * coef[2] + x * y * coef[3]
+
+
 def test_multilinear_reproduces_bilinear_tensors():
+    # once per axis on a tensor grid of points, interpolation reproduces
+    # tensors bilinear in x exactly, up to rounding
     axes = (np.linspace(-0.5, 1.5, 9), np.linspace(0.0, 1.0, 5))
-    xx, yy = np.meshgrid(*axes, indexing="ij")
     coef = np.arange(16.0).reshape(4, 2, 2)  # bilinear in x per tensor entry
-    values = coef[0] + xx[..., None, None] * coef[1] + yy[..., None, None] * coef[2] + (xx * yy)[..., None, None] * coef[3]
-    pts = np.random.default_rng(4).uniform([-0.5, 0.0], [1.5, 1.0], (100, 2))
-    x, y = pts[:, 0, None, None], pts[:, 1, None, None]
-    want = coef[0] + x * coef[1] + y * coef[2] + x * y * coef[3]
-    np.testing.assert_allclose(cell.multilinear(values, axes, pts), want, rtol=1e-13, atol=1e-13)
+    values = _bilinear(coef, *axes)
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(-0.5, 1.5, 12), rng.uniform(0.0, 1.0, 10)
+    got = cell.interpolate_axis(cell.interpolate_axis(values, axes[1], y, axis=1), axes[0], x)
+    np.testing.assert_allclose(got, _bilinear(coef, x, y), rtol=1e-13, atol=1e-13)
 
 
 def test_table_coverage_error(lp_table):
     _, eff, _ = lp_table
     with pytest.raises(cell.TableCoverage):
-        cell.multilinear(eff.tensors, eff.x_axes, np.array([[1.5]]))
+        cell.interpolate_axis(eff.tensors, eff.x_axes[0], np.array([1.5]))
 
 
 def test_ellipticity_violation():
@@ -335,8 +342,8 @@ def test_table_rejects_nonfinite_slow_factor(bad):
 
 
 def test_eval_n_periodic_interpolation(sine_cell):
-    ys = np.array([[0.1], [0.37], [1.1], [-0.9]])
-    vals = cell._interpolate_periodic([sine_cell.columns], sine_cell.cell_mesh, ys)[0]
+    ys = np.array([0.1, 0.37, 1.1, -0.9])
+    vals = cell._interpolate_periodic([sine_cell.columns], sine_cell.cell_mesh, (ys,))[0]
     np.testing.assert_allclose(vals[2], vals[0], atol=1e-12)
     np.testing.assert_allclose(vals[3], vals[0], atol=1e-12)
     exact = _exact_n([0.37])
@@ -344,18 +351,20 @@ def test_eval_n_periodic_interpolation(sine_cell):
 
 
 def test_eval_n_bilinear_2d():
-    # nodal data on a 2D periodic cell: the interpolated values, and the
-    # interpolant gradients the corrector reference differentiates with,
-    # against the corner formulas of the bilinear element, including
-    # wrapped corners. The wrap points sit where the cell grid's repeated
-    # first layer meets locate_on_axes' rounding nudge: frac(-1e-20) rounds
-    # to 1.0, 1 - 2^-53 lies below 1 by less than the nudge, 0 and 3 are
-    # whole periods; on each axis they all read the first node layer
+    # nodal data on a 2D periodic cell: the values interpolated on a
+    # tensor grid of points, and the interpolant gradients the corrector
+    # reference differentiates with, against the corner formulas of the
+    # bilinear element, including wrapped corners. The wrap coordinates sit
+    # where the cell grid's repeated first layer meets locate_on_axis'
+    # rounding nudge: frac(-1e-20) rounds to 1.0, 1 - 2^-53 lies below 1 by
+    # less than the nudge, 0 and 3 are whole periods; on each axis they all
+    # read the first node layer
     cmesh = build_cell_mesh(8, 2)
     rng = np.random.default_rng(3)
     columns = rng.standard_normal((cmesh.n_nodes, 2))
-    wrap = np.array(list(itertools.product([-1e-20, 1.0 - 2.0**-53, 0.0, 3.0], repeat=2)))
-    ys = np.concatenate([rng.random((50, 2)) * 3.0 - 1.0, wrap])
+    wrap = [-1e-20, 1.0 - 2.0**-53, 0.0, 3.0]
+    y_axes = [np.concatenate([rng.random(7) * 3.0 - 1.0, wrap]) for _ in range(2)]
+    ys = np.stack(np.meshgrid(*y_axes, indexing="ij"), axis=-1).reshape(-1, 2)
     m, h = 8, 1.0 / 8
     t = (ys - np.floor(ys)) * m
     i0 = np.minimum(np.floor(t).astype(int), m - 1)  # t = m only where frac rounds to 1
@@ -368,13 +377,32 @@ def test_eval_n_bilinear_2d():
     vals = v00 * (1 - tx) * (1 - ty) + v01 * (1 - tx) * ty + v10 * tx * (1 - ty) + v11 * tx * ty
     gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / h
     gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / h
-    got = cell._interpolate_periodic([columns], cmesh, ys)
-    np.testing.assert_allclose(got[0], vals, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(got[0, -len(wrap):], np.broadcast_to(columns[0], wrap.shape), rtol=0, atol=1e-13)
+    got = cell._interpolate_periodic([columns], cmesh, y_axes)
+    assert got.shape == (1, len(y_axes[0]), len(y_axes[1]), 2)
+    np.testing.assert_allclose(got[0].reshape(-1, 2), vals, rtol=0, atol=1e-13)
+    n = len(wrap)
+    np.testing.assert_allclose(got[0, -n:, -n:], np.broadcast_to(columns[0], (n, n, 2)), rtol=0, atol=1e-13)
     grad = reference.interpolant_gradient([columns], cmesh, ys)[0]  # (n, j, k): d/dy_j of N_k
     np.testing.assert_allclose(grad[:, 0, :], gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(grad[:, 1, :], gy, rtol=0, atol=1e-12)
 
+
+def test_interpolate_periodic_matches_corner_loop():
+    # the per-axis passes on a tensor grid of fast points against the
+    # reference's corner loop at the same points, scattered: bit for bit
+    # in 1D, within rounding of the other summation order in 2D
+    rng = np.random.default_rng(6)
+    for d, m in ((1, 16), (2, 8)):
+        cmesh = build_cell_mesh(m, d)
+        columns = [rng.uniform(1.0, 2.0, (cmesh.n_nodes, d)) for _ in range(3)]
+        y_axes = [np.concatenate([rng.random(9) * 3.0 - 1.0, [-1e-20, 1.0 - 2.0**-53, 0.0]]) for _ in range(d)]
+        got = cell._interpolate_periodic(columns, cmesh, y_axes).reshape(len(columns), -1, d)
+        ys = np.stack(np.meshgrid(*y_axes, indexing="ij"), axis=-1).reshape(-1, d)
+        want = reference.interpolate_periodic(columns, cmesh, ys)
+        if d == 1:
+            assert np.array_equal(_bits(got), _bits(want))
+        else:
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 class _FourierCell:
@@ -533,34 +561,45 @@ def test_pattern_built_once_per_cell_mesh_over_a_table(monkeypatch):
     assert (info.misses, info.hits) == (1, len(axes[0])) and len(built) == 1
 
 
-def _interpolation_points(axes, rng):
-    """Random points, every table node, and the upper edge of each axis."""
-    inside = np.stack([rng.uniform(a[0], a[-1], 200) for a in axes], axis=1)
-    nodes = np.array(list(itertools.product(*axes)))
-    edge = np.array(list(itertools.product(*[(a[-1], a[-1] - 1e-12, a[0]) for a in axes])))
-    return np.concatenate([inside, nodes, edge])
+def _interpolation_points(axis, rng):
+    """Random points, every node, and the ends and just below the upper end of one axis."""
+    return np.concatenate([rng.uniform(axis[0], axis[-1], 20), axis, [axis[-1], axis[-1] - 1e-12, axis[0]]])
+
+
+def _per_axis(values, axes, pts):
+    """`interpolate_axis` once per axis at the per-axis points, last axis first."""
+    for k in reversed(range(len(axes))):
+        values = cell.interpolate_axis(values, axes[k], pts[k], axis=k)
+    return values
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("tensor", [False, True])
 def test_multilinear_matches_corner_loop(dim, tensor):
+    # per axis on a tensor grid of points against the corner loop at the
+    # same points, scattered: bit for bit in 1D, within rounding of the
+    # other summation order in 2D (values away from 0, so the bound is
+    # relative to each value)
     rng = np.random.default_rng(dim + 2 * tensor)
     axes = (np.linspace(-0.3, 1.3, 9), np.linspace(0.0, 1.0, 6))[:dim]
     trailing = (dim, dim) if tensor else ()
-    values = rng.standard_normal(tuple(len(a) for a in axes) + trailing)
-    pts = _interpolation_points(axes, rng)
-    got = cell.multilinear(values, axes, pts)
-    want = cell_reference.multilinear(values, axes, pts)
-    assert got.shape == (len(pts),) + trailing
-    assert np.array_equal(_bits(got), _bits(want))
-    # on a table node the interpolant is the node's value
-    nodes = np.array(list(itertools.product(*axes)))
-    got = cell.multilinear(values, axes, nodes)
-    np.testing.assert_allclose(got, values.reshape((-1,) + trailing), rtol=0, atol=1e-14)
-    outside = pts[:1].copy()
-    outside[0, -1] = axes[-1][-1] + 0.01
-    with pytest.raises(cell.TableCoverage):
-        cell.multilinear(values, axes, outside)
+    values = rng.uniform(1.0, 2.0, tuple(len(a) for a in axes) + trailing)
+    pts = [_interpolation_points(a, rng) for a in axes]
+    got = _per_axis(values, axes, pts)
+    grid = tuple(len(p) for p in pts)
+    want = cell_reference.multilinear(values, axes, np.stack(np.meshgrid(*pts, indexing="ij"), axis=-1).reshape(-1, dim))
+    assert got.shape == grid + trailing
+    got = got.reshape(want.shape)
+    if dim == 1:
+        assert np.array_equal(_bits(got), _bits(want))
+    else:
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    # on the table's nodes the interpolant is the nodes' values
+    np.testing.assert_allclose(_per_axis(values, axes, axes), values, rtol=0, atol=1e-14)
+    for k, a in enumerate(axes):
+        for outside in (a[-1] + 0.01, a[0] - 0.01):
+            with pytest.raises(cell.TableCoverage, match="tabulated range"):
+                cell.interpolate_axis(values, a, np.array([a[0], outside]), axis=k)
 
 
 def _laminate2d_mesh_and_axes():
@@ -590,7 +629,7 @@ def test_effective_at_gauss_matches_pointwise_multilinear(extents, h):
     eff = cell.EffectiveField(axes, rng.uniform(1.0, 2.0, tuple(len(a) for a in axes) + (d, d)))
     got = eff.at_gauss(m)
     q = quadrature(m)
-    want = cell.multilinear(eff.tensors, axes, q.points.reshape(-1, d)).reshape(got.shape)
+    want = cell_reference.multilinear(eff.tensors, axes, q.points.reshape(-1, d)).reshape(got.shape)
     assert got.shape == q.points.shape[:2] + (d, d)
     if d == 1:
         assert np.array_equal(_bits(got), _bits(want))

@@ -112,6 +112,9 @@ def test_impossible_interior_margin_rejected_before_tabulating(tmp_path, capsys,
         (["cell", "--preset", "Sine1D", "--params", "2,1", "--m", "2"], None),
         (["cell", "--preset", "Sine1D", "--params", "2,1", "--x", "0.1,0.2"], None),
         (["audit", "--preset", "Sine1D", "--params", "2,1", "--samples", "10"], None),
+        (["study"], {"bc": {"kind": "dirichlet", "dirichlet_edges": ["left"]}}),
+        (["study"], {"bc": {"kind": "neumann", "dirichlet_edges": ["left"]}, "mu": -1.0}),
+        (["study"], {"bc": {"kind": "mixed", "dirichlet_edges": ["left", "left"]}}),
     ],
 )
 def test_config_errors_exit_2_without_traceback(tmp_path, capsys, argv, cfg):

@@ -197,6 +197,11 @@ def test_mixed_boundary_validation():
         core.BoundarySpec("mixed", ("left", "right")).validate_for_dim(1)  # not proper
     with pytest.raises(core.ScenarioError):
         core.BoundarySpec("mixed", ("north",)).validate_for_dim(2)
+    for kind in ("dirichlet", "neumann"):  # an edge list only means something for mixed
+        with pytest.raises(core.ScenarioError, match="takes no dirichlet_edges"):
+            core.BoundarySpec(kind, ("left",))
+    with pytest.raises(core.ScenarioError, match="an edge twice"):
+        core.BoundarySpec("mixed", ("left", "left"))
 
 
 _PRESET_CASES = [(pid, dim) for pid, dims in core.PRESET_DIMS.items() for dim in dims]

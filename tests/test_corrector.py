@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import cell_reference
 import corrector_reference as reference
 from oscille import cell, corrector, fem, smoothing
 from oscille.cli import load_scenario
@@ -373,8 +374,33 @@ def test_solve_weights_match_interpolated_indicator(rho):
     reach = [mesh.axis_coords(a)[0] + mesh.h[a] * np.arange(offs[0], n + offs[-1])
              for a, ((offs, _), n) in enumerate(zip(windows, mesh.nodes_per_axis))]
     pts = np.stack(np.meshgrid(*reach, indexing="ij"), axis=-1).reshape(-1, mesh.dim)
-    expected = cell.multilinear(values.reshape([len(ax) for ax in axes]), axes, pts)
+    expected = cell_reference.multilinear(values.reshape([len(ax) for ax in axes]), axes, pts)
     np.testing.assert_allclose(summed.ravel(), expected, rtol=0, atol=1e-14)
+
+
+def _hand_built_hats(x_axis, mesh, axis, offs):
+    """The slow hats written entry by entry: 1 - t on each point's table
+    cell and t on the next."""
+    n = mesh.nodes_per_axis[axis]
+    pts = mesh.axis_coords(axis)[0] + mesh.h[axis] * np.arange(offs[0], n + offs[-1])
+    idx, t = cell.locate_on_axis(x_axis, pts)
+    hats = np.zeros((len(pts), len(x_axis)))
+    rows = np.arange(len(pts))
+    hats[rows, idx] = 1.0 - t
+    hats[rows, idx + 1] = t
+    return hats
+
+
+@pytest.mark.parametrize("config", ["sine1d.json", "laminate2d.json"])
+@pytest.mark.parametrize("rho", [5, 12])
+def test_axis_hats_are_the_interpolated_identity(config, rho):
+    # interpolating the identity on the table's nodes writes each hat bit for bit
+    sc = load_scenario(os.path.join(CONFIG_DIR, config), ppp_override=rho)
+    axes = _tight_axes(sc)
+    for eps in sc.epsilons[:2]:
+        mesh = fem.oscillatory_mesh(sc, eps)
+        for a, ((offs, _), ax) in enumerate(zip(smoothing._window_per_axis(mesh, eps), axes)):
+            assert np.array_equal(corrector._axis_hats(ax, mesh, a, offs), _hand_built_hats(ax, mesh, a, offs))
 
 
 @pytest.mark.parametrize("config", ["sine1d.json", "mixed1d.json", "laminate2d.json"])

@@ -211,14 +211,17 @@ def test_shift_sine_interpolation_error():
     assert np.max(np.abs(sh.values - np.sin(2 * np.pi * (x + 0.125)))) <= 5e-4
 
 
-def test_eval_extended_bilinear_and_outside_box():
+def test_shift_T_bilinear_2d_and_outside_box():
+    # the shifted nodes of a 2D mesh, one axis at a time, reproduce bilinear
+    # data up to rounding; a shift past the extension raises
     m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), 1 / 16)
-    ext = sm.extended_from_callable(m, 0.25, lambda p: 1 + 2 * p[:, 0] - p[:, 1] + 3 * p[:, 0] * p[:, 1])
-    pts = np.random.default_rng(5).uniform(-0.25, 1.25, (200, 2))
-    want = 1 + 2 * pts[:, 0] - pts[:, 1] + 3 * pts[:, 0] * pts[:, 1]
-    np.testing.assert_allclose(sm.eval_extended(ext, pts), want, rtol=0, atol=1e-13)
+    fn = lambda p: 1 + 2 * p[:, 0] - p[:, 1] + 3 * p[:, 0] * p[:, 1]  # noqa: E731
+    ext = sm.extended_from_callable(m, 0.25, fn)
+    for z in np.random.default_rng(5).uniform(-0.5, 0.5, (20, 2)):
+        sh = sm.shift_T(ext, 0.5, z)
+        np.testing.assert_allclose(sh.values, fn(m.node_coords() + 0.5 * z), rtol=0, atol=1e-13)
     with pytest.raises(core.NumericalError):
-        sm.eval_extended(ext, np.array([[1.3, 0.5]]))
+        sm.shift_T(sm.extended_from_callable(m, 0.125, fn), 0.5, np.array([0.5, 0.0]))
 
 
 def test_mollifier_kernel_normalized():
