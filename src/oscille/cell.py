@@ -24,9 +24,10 @@ assembly with every node free: the matrix into the wrapped stencil
 pattern `fem` caches per mesh, the loads by its nodal scatter, and the
 mean functional is the load vector of f = 1, cached per cell mesh.
 `interpolate_axis`, linear interpolation along one array axis, is the one
-interpolator. Every evaluation is on a tensor grid of points, so it runs
-once per axis: in x on the table grid (A0 at a fine mesh's Gauss points),
-and in y on the cell grid padded with its wrapped first node layer.
+interpolator, and `lerp_axis` its arithmetic on a located stencil. Every
+evaluation is on a tensor grid of points, so it runs once per axis: in x
+on the table grid (A0 at a fine mesh's Gauss points), and in y on the
+cell grid padded with its wrapped first node layer.
 """
 
 from __future__ import annotations
@@ -161,20 +162,22 @@ def locate_on_axis(ax, pts):
     return i, np.clip(t - i, 0.0, 1.0)
 
 
-def interpolate_axis(values, axis_coords, pts, axis=0):
-    """Linear interpolation of grid values along one axis at the points pts (n,).
-
-    The result is values with that axis, sampled at axis_coords, replaced
-    by the n points: (1 - t) times the slice of each point's lower node
-    plus t times the next. Once per axis, it interpolates multilinearly on
-    a tensor grid of points. A point off the axis raises TableCoverage.
-    """
-    idx, t = locate_on_axis(axis_coords, pts)
+def lerp_axis(values, idx, t, axis=0):
+    """Apply a `locate_on_axis` stencil along one axis: (1 - t) times the slice at idx plus t times the next."""
     t = t.reshape(t.shape + (1,) * (values.ndim - 1 - axis))
     lower, upper = np.take(values, idx, axis), np.take(values, idx + 1, axis)
     lower *= 1 - t  # in place: no buffer beyond the two gathers
     upper *= t
     return np.add(lower, upper, out=lower)
+
+
+def interpolate_axis(values, axis_coords, pts, axis=0):
+    """Linear interpolation of grid values along one axis, sampled at axis_coords, at the points pts (n,).
+
+    Once per axis, it interpolates multilinearly on a tensor grid of
+    points. A point off the axis raises TableCoverage.
+    """
+    return lerp_axis(values, *locate_on_axis(axis_coords, pts), axis)
 
 
 @dataclass

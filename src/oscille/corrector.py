@@ -10,14 +10,14 @@ is taken by central differences on the extended grid and mollified when
 the regularity exponent s is below 1 (with delta = eps), and N comes from
 the macroscopic cell table by linear interpolation in the slow variable
 and, in the fast one, on the cell grid wrapped by one node layer
-(`cell._interpolate_periodic`); both by `cell.interpolate_axis`, once per
-axis of a tensor grid of points.
+(`cell._interpolate_periodic`); both by `cell.lerp_axis`, once per axis
+of a tensor grid of points.
 
 The fast argument does not move with z, and the slow interpolation is
 N(x, y) = sum_e phi_e(x) N_c(e)(y), with phi_e the table's multilinear
-hats (along each axis, `interpolate_axis` of the identity on the table's
-nodes) and c(e) the distinct cell solve of entry e. Grouping the entries
-by solve,
+hats (along each axis, each reach point's lower table node and weight,
+`cell.locate_on_axis`) and c(e) the distinct cell solve of entry e.
+Grouping the entries by solve,
 
     K = sum_c sum_k N_c,k(frac(x/eps)) S_eps(Phi_c d_k u0_delta),
     Phi_c = sum of phi_e over the entries e of solve c,
@@ -26,9 +26,9 @@ where S_eps is `smoothing`'s Steklov cube average, the same window
 weights. Phi_c vanishes off its entries' hats, so each average runs only
 on the box of nodes whose windows reach that support
 (`smoothing.steklov_box`). A table with one distinct solve, as every
-separable preset g(x) b(y) gives, has Phi = 1: K is then d whole-grid
-Steklov averages per load, each times the gathered cell values. The
-boxes, Phi_c and the gathered values do not depend on the load:
+separable preset g(x) b(y) gives, has Phi = 1 and builds none: K is
+then d whole-grid Steklov averages per load, each times the gathered cell
+values. The boxes, Phi_c and the gathered values do not depend on the load:
 `corrector_setup` builds them once per mesh and eps, interpolating each
 distinct solve once. The setup holds the mesh, eps and table, so
 `corrector_apply` takes only it and the gradient fields that `build_r0`
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellTable, TableCoverage, _interpolate_periodic, interpolate_axis
+from .cell import CellTable, TableCoverage, _interpolate_periodic, lerp_axis, locate_on_axis
 from .mesh import GridFunction, Mesh, MeshMismatch
 from .norms import lp_norm, w1p_seminorm
 from .smoothing import ExtendedFunction, InsufficientMargin, _central_diff, _extended_mesh, _window_per_axis, extend
@@ -113,49 +113,30 @@ def _fast_coordinates(mesh, eps):
     return uniq, np.ravel_multi_index(np.ix_(*invs), [len(u) for u in uniq])
 
 
-def _axis_hats(x_axis, mesh, axis, offs):
-    """The slow table's hats along one axis at every point the window reaches.
-
-    Row q is the point x_0 + h (offs[0] + q), so node i's window reads the
-    rows i .. i + span; column e holds the hat of table node e there: the
-    identity on the table's nodes, interpolated at the points. Shape
-    (n + span, len(x_axis)).
-    """
-    n = mesh.nodes_per_axis[axis]
-    pts = mesh.axis_coords(axis)[0] + mesh.h[axis] * np.arange(offs[0], n + offs[-1])
-    try:
-        return interpolate_axis(np.eye(len(x_axis)), x_axis, pts)
-    except TableCoverage as exc:
-        raise TableCoverage(f"slow axis {axis}: {exc}") from exc
-
-
-def _solve_box(on, hats, spans, nodes):
+def _solve_box(on, stencils, spans, nodes):
     """The node box whose windows reach the hats of the entries marked in
-    `on`, and Phi = the sum of those hats on the box's reach; None when no
-    window reaches them."""
-    lo_hi, axis_hats, used = [], [], []
-    for a, (h, span, n) in enumerate(zip(hats, spans, nodes)):
-        e = np.flatnonzero(on.any(axis=tuple(b for b in range(on.ndim) if b != a)))
-        q = np.flatnonzero(h[:, e[0] : e[-1] + 1].any(axis=1))
+    `on`, and Phi = `on` interpolated on the box's reach; None when no window
+    reaches them. stencils holds per axis the table stencil (idx, t) of the
+    reach points, row q at x_0 + h (offs[0] + q): node i reads rows i .. i + span."""
+    box, phi = [], on.astype(float)
+    for a, ((idx, t), span, n) in enumerate(zip(stencils, spans, nodes)):
+        marked = on.any(axis=tuple(b for b in range(on.ndim) if b != a))
+        q = np.flatnonzero((marked[idx] & (t < 1)) | (marked[idx + 1] & (t > 0)))
         if not len(q):
             return None
         lo, hi = max(q[0] - span, 0), min(q[-1] + 1, n)
-        lo_hi.append((lo, hi))
-        axis_hats.append(h[lo : hi + span, e[0] : e[-1] + 1])
-        used.append(slice(e[0], e[-1] + 1))
-    phi = on[tuple(used)].astype(float)
-    for a, h in enumerate(axis_hats):
-        phi = np.moveaxis(np.tensordot(phi, h, axes=([a], [1])), -1, a)
-    return tuple(lo_hi), phi
+        box.append((lo, hi))
+        phi = lerp_axis(phi, idx[lo : hi + span], t[lo : hi + span], axis=a)
+    return tuple(box), phi
 
 
 @dataclass
 class CorrectorSetup:
     """The load-independent part of the corrector on one mesh and eps: for
     each distinct cell solve c whose slow support a window reaches, the box
-    of nodes whose windows reach it, Phi_c on that box's reach (None for a
-    one-solve table, where Phi = 1), and N_c gathered at the box's nodes,
-    components first."""
+    of nodes whose windows reach it, Phi_c on that box's reach, and N_c
+    gathered at the box's nodes, components first. A one-solve table has
+    one whole-grid box and Phi = 1, held as None."""
 
     mesh: Mesh
     eps: float
@@ -173,18 +154,27 @@ def corrector_setup(table, mesh, eps):
     coordinates.
     """
     windows = _window_per_axis(mesh, eps)
-    hats = [_axis_hats(ax, mesh, a, offs) for a, (ax, (offs, _)) in enumerate(zip(table.x_axes, windows))]
-    spans = [offs[-1] - offs[0] for offs, _ in windows]
+    stencils = []
+    for a, (ax, (offs, _)) in enumerate(zip(table.x_axes, windows)):
+        reach = mesh.axis_coords(a)[0] + mesh.h[a] * np.arange(offs[0], mesh.nodes_per_axis[a] + offs[-1])
+        try:
+            stencils.append(locate_on_axis(ax, reach))
+        except TableCoverage as exc:
+            raise TableCoverage(f"slow axis {a}: {exc}") from exc
     y, inv = _fast_coordinates(mesh, eps)
     n_vals = _interpolate_periodic(table.columns, table.cell_mesh, y).reshape(len(table.columns), -1, mesh.dim)
+    if len(table.columns) == 1:  # Phi = 1, and every window reaches it
+        whole = tuple((0, n) for n in mesh.nodes_per_axis)
+        return CorrectorSetup(mesh, eps, table, [whole], [None], [n_vals[0].T[:, inv]])
+    spans = [offs[-1] - offs[0] for offs, _ in windows]
     cells = table.cells.reshape(tuple(len(ax) for ax in table.x_axes))
     boxes, weights, n_at = [], [], []
     for c in range(len(table.columns)):
-        found = _solve_box(cells == c, hats, spans, mesh.nodes_per_axis)
+        found = _solve_box(cells == c, stencils, spans, mesh.nodes_per_axis)
         if found is not None:
             box, phi = found
             boxes.append(box)
-            weights.append(None if len(table.columns) == 1 else phi)  # one solve: Phi = 1 up to rounding
+            weights.append(phi)
             n_at.append(n_vals[c].T[:, inv[tuple(slice(lo, hi) for lo, hi in box)]])
     return CorrectorSetup(mesh, eps, table, boxes, weights, n_at)
 

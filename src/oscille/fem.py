@@ -221,11 +221,6 @@ def _free_nodes(mesh, bc):
     return reduce(np.logical_and.outer, _free_axes(mesh, bc)).ravel()
 
 
-def dirichlet_nodes(mesh, bc):
-    """Sorted node indices carrying a homogeneous Dirichlet condition."""
-    return np.nonzero(~_free_nodes(mesh, bc))[0]
-
-
 @lru_cache(maxsize=16)
 def _pattern(mesh, bc):
     """`_stencil_pattern` on the free nodes of bc, every node when bc is None (the periodic cell),

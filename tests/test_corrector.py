@@ -1,3 +1,4 @@
+import functools
 import os
 from dataclasses import replace
 
@@ -298,6 +299,8 @@ def test_setup_interpolates_each_columns_array_once(lp2d_table, monkeypatch):
     shared = corrector.corrector_setup(table, mesh, 1 / 8)
     own = corrector.corrector_setup(copied, mesh, 1 / 8)
     assert interpolated == [1, len(table.cells)]
+    # one solve: one whole-grid box, Phi = 1 held as None
+    assert shared.boxes == [tuple((0, n) for n in mesh.nodes_per_axis)] and shared.weights == [None]
     # the table reaches as far as the windows at eps = 1/4, so at 1/8 some entries lie out of reach
     assert len(shared.n_at) == 1 and 1 < len(own.n_at) < len(table.cells)
     for box, n_at in zip(own.boxes, own.n_at):
@@ -391,16 +394,37 @@ def _hand_built_hats(x_axis, mesh, axis, offs):
     return hats
 
 
-@pytest.mark.parametrize("config", ["sine1d.json", "laminate2d.json"])
-@pytest.mark.parametrize("rho", [5, 12])
-def test_axis_hats_are_the_interpolated_identity(config, rho):
-    # interpolating the identity on the table's nodes writes each hat bit for bit
+@pytest.mark.parametrize("config", ["sine1d.json", "mixed1d.json", "laminate2d.json"])
+@pytest.mark.parametrize("rho", [5, 12, 32])
+def test_solve_boxes_and_weights_are_the_hand_built_hats(config, rho):
+    # with one solve per entry, each entry a window reaches has one box: the
+    # nodes whose windows meet its hats' nonzero rows; its Phi is the outer
+    # product of those hats on the box's reach, bit for bit
     sc = load_scenario(os.path.join(CONFIG_DIR, config), ppp_override=rho)
     axes = _tight_axes(sc)
+    table = _stub_table(axes, per_entry=True)
     for eps in sc.epsilons[:2]:
         mesh = fem.oscillatory_mesh(sc, eps)
-        for a, ((offs, _), ax) in enumerate(zip(smoothing._window_per_axis(mesh, eps), axes)):
-            assert np.array_equal(corrector._axis_hats(ax, mesh, a, offs), _hand_built_hats(ax, mesh, a, offs))
+        windows = smoothing._window_per_axis(mesh, eps)
+        hats = [_hand_built_hats(ax, mesh, a, offs) for a, ((offs, _), ax) in enumerate(zip(windows, axes))]
+        spans = [offs[-1] - offs[0] for offs, _ in windows]
+        expected = []
+        for entry in np.ndindex(*[len(ax) for ax in axes]):
+            box = []
+            for h, e, span, n in zip(hats, entry, spans, mesh.nodes_per_axis):
+                met = np.concatenate([[0], np.cumsum(h[:, e] != 0)])  # nonzero rows before each row
+                nodes = np.flatnonzero(met[span + 1 : span + 1 + n] > met[:n])  # window i reads rows i .. i + span
+                if len(nodes):
+                    assert np.array_equal(nodes, np.arange(nodes[0], nodes[-1] + 1))
+                    box.append((nodes[0], nodes[-1] + 1))
+            if len(box) == mesh.dim:
+                reach = [h[lo : hi + span, e] for h, e, (lo, hi), span in zip(hats, entry, box, spans)]
+                expected.append((tuple(box), functools.reduce(np.multiply.outer, reach)))
+        setup = corrector.corrector_setup(table, mesh, eps)
+        assert 0 < len(setup.boxes) == len(expected) <= len(table.cells)
+        for box, phi, (box_ref, phi_ref) in zip(setup.boxes, setup.weights, expected):
+            assert box == box_ref
+            assert np.array_equal(phi, phi_ref)
 
 
 @pytest.mark.parametrize("config", ["sine1d.json", "mixed1d.json", "laminate2d.json"])

@@ -92,11 +92,10 @@ def test_resolvent_2d_manufactured_rate():
 
 def test_mixed_bc_left_edge_only():
     m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), 1 / 4)
-    nodes = fem.dirichlet_nodes(m, core.BoundarySpec("mixed", ("left",)))
-    pts = m.node_coords()[nodes]
-    assert np.all(pts[:, 0] == 0.0)
-    assert len(nodes) == 5
     s = fem.assemble(m, ONES, 0.0, core.BoundarySpec("mixed", ("left",)))
+    pts = m.node_coords()[s.constrained_dofs]
+    assert np.all(pts[:, 0] == 0.0)
+    assert len(s.constrained_dofs) == 5
     u = fem.solve_resolvent(s, ONES)
     assert np.all(u.values.reshape(5, 5)[0] == 0.0)
 
@@ -510,7 +509,6 @@ def test_assembly_matches_coo_reference(extents, h, mu, tensor):
         _assert_csr_equal(s.matrix, matrix)
         assert np.array_equal(s.free_dofs, free)
         assert np.array_equal(s.constrained_dofs, constrained)
-        assert np.array_equal(fem.dirichlet_nodes(m, bc), constrained)
         if bc.kind == "dirichlet" and m.n_nodes == 4:
             assert s.matrix.shape == (0, 0)
 
@@ -540,8 +538,6 @@ def test_periodic_mesh_rejected():
     for bc in (core.BoundarySpec("dirichlet"), core.BoundarySpec("mixed", ("left",)), core.BoundarySpec("neumann")):
         with pytest.raises(MeshMismatch):
             fem.assemble(cm, ONES, -1.0, bc)
-        with pytest.raises(MeshMismatch):
-            fem.dirichlet_nodes(cm, bc)
 
 
 def test_pattern_built_once_per_mesh_and_bc_over_studies(monkeypatch):
