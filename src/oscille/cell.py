@@ -19,10 +19,10 @@ solve, and each scales its A0 by its own g. The table holds each
 distinct solve's N once, and per grid entry the index of its solve and
 its A0. It samples g and b one row at a time (the entries along the
 last x-axis), never the whole table.
-The cell's matrix, loads and mean functional go through `fem`'s Q1
-assembly with every node free: the matrix into the wrapped stencil
-pattern `fem` caches per mesh, the loads by its nodal scatter, and the
-mean functional is the load vector of f = 1, cached per cell mesh.
+The cell's matrix and loads go through `fem`'s Q1 assembly with every
+node free: the matrix into the wrapped stencil pattern `fem` caches per
+mesh, the loads by its nodal scatter. Each node of the uniform cell grid
+weighs 1/n in int N dy, so `linalg.solve_saddle`'s mean-free N has zero mean.
 `interpolate_axis`, linear interpolation along one array axis, is the one
 interpolator, and `lerp_axis` its arithmetic on a located stencil. Every
 evaluation is on a tensor grid of points, so it runs once per axis: in x
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,14 +69,6 @@ def _cell_coefficient(field, xs, cell_mesh):
     """a(x, .) = g(x) b(x, .) at the cell Gauss points, shape (m, n_elements, n_gauss)."""
     g, b = _cell_factors(field, xs, cell_mesh)
     return g[:, None, None] * b
-
-
-@lru_cache(maxsize=8)
-def _mean_functional(cell_mesh):
-    """c_i = int phi_i over the unit cell, the load of f = 1; read-only, cached per cell mesh."""
-    c = fem.assemble_load(cell_mesh, lambda y: np.ones(len(y)))
-    c.flags.writeable = False
-    return c
 
 
 def _periodic_stiffness_and_loads(a_vals, cell_mesh):
@@ -137,11 +128,10 @@ def solve_cell(field, x, cell_mesh, samples=None):
         raise EllipticityViolation(f"coefficient nonpositive or not finite at x = {x}")
     q = quadrature(cell_mesh)
     matrix, loads, wa = _periodic_stiffness_and_loads(a_vals, cell_mesh)
-    c = _mean_functional(cell_mesh)
     d = field.dim
     columns = np.zeros((cell_mesh.n_nodes, d))
     for k in range(d):
-        columns[:, k] = linalg.solve_saddle(matrix, c, loads[k])[0]
+        columns[:, k] = linalg.solve_saddle(matrix, loads[k])[0]
     # int a d/dy_j phi_c over each element, rows (element, corner), columns j
     b = (wa @ q.shape_grads.reshape(len(q.weights), -1)).reshape(-1, d)
     a0 = wa.sum() * np.eye(d) + b.T @ columns[q.corners].reshape(-1, d)

@@ -100,16 +100,17 @@ def _fast_coordinates(mesh, eps):
     """The distinct fast coordinates frac(x/eps) per axis, and each node's
     index into the tensor grid of points they span.
 
-    Each axis takes only a few distinct values. Returns one coordinate
+    The spacing is eps/rho, so node i of an axis has node i mod rho's
+    coordinate: one period is rounded and sorted. Returns one coordinate
     array per axis and inv of shape nodes_per_axis, each node's flat (C
     order) index on that grid.
     """
     uniq, invs = [], []
-    for a in range(mesh.dim):
-        y = mesh.axis_coords(a) / eps
+    for a, n in enumerate(mesh.nodes_per_axis):
+        y = mesh.axis_coords(a)[: min(int(round(eps / mesh.h[a])), n)] / eps
         u, inv = np.unique(np.round((y - np.floor(y)) / 1e-12).astype(np.int64), return_inverse=True)
         uniq.append(u * 1e-12)
-        invs.append(inv)
+        invs.append(np.resize(inv, n))
     return uniq, np.ravel_multi_index(np.ix_(*invs), [len(u) for u in uniq])
 
 

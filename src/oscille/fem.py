@@ -60,7 +60,6 @@ class AssembledSystem:
     constrained_dofs: np.ndarray  # sorted Dirichlet node indices
     free_dofs: np.ndarray
     mesh: Mesh
-    mu: float
     preconditioner: FastDiagonalization | None = None  # 2D systems only
 
     @property
@@ -323,7 +322,6 @@ def assemble(mesh, a, mu, bc):
         constrained_dofs=constrained,
         free_dofs=free,
         mesh=mesh,
-        mu=mu,
         preconditioner=None if mesh.dim == 1 else _fast_diagonalization(mesh, _free_axes(mesh, bc), a_vals, mu),
     )
 

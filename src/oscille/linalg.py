@@ -5,11 +5,11 @@ fine-mesh and cell systems alike; 1D fine-mesh systems are solved in
 `fem` by banded Cholesky instead. The solvers here are preconditioned
 conjugate gradients: `solve_spd` takes the preconditioner as a callable
 (`fem` passes the per-line fast diagonalization of each 2D system) and
-falls back to Jacobi, which the periodic cell solve `solve_saddle` uses.
-They are deterministic, so repeated runs produce bit-identical results.
-Convergence is judged on the recursive residual against `tol`, which sits
-far below any homogenization error being measured, keeping algebraic
-error out of the rate fits.
+falls back to Jacobi, which the periodic cell solve `solve_saddle` runs on
+mean-free vectors. They are deterministic, so repeated runs produce
+bit-identical results. Convergence is judged on the recursive residual
+against `tol`, which sits far below any homogenization error being
+measured, keeping algebraic error out of the rate fits.
 """
 
 from __future__ import annotations
@@ -112,36 +112,27 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None, preconditioner=None):
     return x, SolveStats(it, res)
 
 
-def solve_saddle(matrix, c, b, tol=DEFAULT_TOL, max_iter=None):
-    """Solve M x + lam*c = b, c.x = 0, for a scipy sparse M with constant kernel.
+def solve_saddle(matrix, b, tol=DEFAULT_TOL, max_iter=None):
+    """Solve M x = b - mean(b) for the mean-free x; M is a scipy sparse
+    matrix whose kernel is the constants, as a periodic stiffness's is.
 
-    The constraint functional c here is proportional to the kernel vector
-    (the discrete mean on a periodic mesh), so the multiplier is fixed by
-    projecting the equation onto constants: lam = sum(b)/sum(c). One CG
-    solve on the mean-free complement then determines x up to a constant,
-    and the constant is set by the constraint. `tol` must lie in
-    [1e-14, 1e-4], as for `solve_spd`.
+    Jacobi CG projected onto mean-free vectors needs no multiplier
+    (Kaasschieter, J. Comput. Appl. Math. 24, 1988). Its relative residual
+    is taken against the mean-free load, the one it solves for, and `tol`
+    must lie in [1e-14, 1e-4]. Returns (x, SolveStats).
     """
     _check_tol(tol)
     b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
     n = matrix.shape[0]
-    if b.shape[0] != n or c.shape[0] != n:
-        raise DimensionMismatch("saddle system sizes disagree")
-    csum = float(c.sum())
-    scale = max(float(np.abs(c).max()) if c.size else 0.0, 1e-300)
-    if abs(csum) <= 1e-14 * scale * n:
-        raise SingularSystem("constraint vector is orthogonal to the kernel of M")
+    if b.shape[0] != n or matrix.shape[1] != n:
+        raise DimensionMismatch("solve_saddle needs a square matrix matching the rhs")
     if max_iter is None:
         max_iter = max(1000, 20 * n)
-    lam = float(b.sum()) / csum
-    rhs = b - lam * c
 
     def project(v):
         return v - v.mean()
 
-    x, it, res = _pcg(lambda v: matrix @ v, rhs, _jacobi(matrix), tol, max_iter, project=project)
+    x, it, res = _pcg(lambda v: matrix @ v, project(b), _jacobi(matrix), tol, max_iter, project=project)
     if not res <= tol:  # also catches a NaN residual
         raise NonConvergence(it, res)
-    x = x - float(c @ x) / csum
-    return x, lam, SolveStats(it, res)
+    return x - float(x @ np.full(n, 1.0 / n)), SolveStats(it, res)

@@ -66,7 +66,7 @@ def test_cell_solution_matches_antiderivative(sine_cell):
 
 
 def test_mean_zero(sine_cell):
-    mean = cell._mean_functional(sine_cell.cell_mesh) @ sine_cell.columns
+    mean = cell_reference.mean_functional(sine_cell.cell_mesh) @ sine_cell.columns
     assert np.max(np.abs(mean)) <= 1e-10
 
 
@@ -89,6 +89,26 @@ def test_laminate_effective_tensor():
     assert abs(t[0, 0] - SQRT3) <= 1e-4
     assert abs(t[1, 1] - 2.0) <= 1e-12  # arithmetic mean, exact for the laminate
     assert abs(t[0, 1]) <= 1e-8 and abs(t[1, 0]) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "preset, params, d, m",
+    [(pid, params, 1, m) for pid, params in (("Sine1D", [2, 1]), ("LocallyPeriodic1D", [2, 1, 0.5])) for m in (12, 32, 256)]
+    + [("Laminate2D", [2, 1], 2, m) for m in (12, 64)],
+)
+def test_a0_matches_exact_discrete_oracle_for_laminates(preset, params, d, m):
+    # a varies along y1 only, so the Q1 cell solution N_1 is piecewise
+    # linear in y1 and N_2 vanishes: A0_11 is the harmonic mean, over the
+    # y1 cells, of the 2-point Gauss mean of a on each, and A0_22 the
+    # arithmetic mean
+    field = preset_coefficient(preset, params, d)
+    x = np.full(d, 0.7)
+    y = np.zeros((2 * m, d))
+    y[:, 0] = ((np.arange(m)[:, None] + 0.5 + np.array([-0.5, 0.5]) / SQRT3) / m).ravel()
+    a_bar = field.eval(x[None], y).reshape(m, 2).mean(axis=1)
+    want = np.diag([1.0 / np.mean(1.0 / a_bar), np.mean(a_bar)][:d])
+    got = cell.solve_cell(field, x, build_cell_mesh(m, d)).a0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_effective_tensor_symmetry():
@@ -141,10 +161,9 @@ def test_uniqueness_under_dof_permutation(sine_field):
     sol = cell.solve_cell(sine_field, np.zeros(1), cmesh)
     a_vals = cell._cell_coefficient(sine_field, np.zeros(1), cmesh)[0]
     matrix, loads, _ = cell._periodic_stiffness_and_loads(a_vals, cmesh)
-    c = cell._mean_functional(cmesh)
     rng = np.random.default_rng(17)
     perm = rng.permutation(cmesh.n_nodes)
-    x_p, _, _ = linalg.solve_saddle(matrix[perm][:, perm], c[perm], loads[0][perm])
+    x_p, _ = linalg.solve_saddle(matrix[perm][:, perm], loads[0][perm])
     x = np.empty_like(x_p)
     x[perm] = x_p
     l2 = np.sqrt(np.mean((x - sol.columns[:, 0]) ** 2))
@@ -519,7 +538,6 @@ def _assert_assembly_matches_reference(a_vals, cmesh):
     assert np.array_equal(matrix.indices, ref_matrix.indices)
     assert np.array_equal(_bits(matrix.data), _bits(ref_matrix.data))
     assert np.array_equal(_bits(loads), _bits(ref_loads))
-    assert np.array_equal(_bits(cell._mean_functional(cmesh)), _bits(cell_reference.mean_functional(cmesh)))
 
 
 @_PROPERTY

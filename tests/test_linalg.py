@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 
+from cell_reference import mean_functional
 from oscille import fem, linalg
 from oscille.core import ConfigError
-from oscille.cell import _cell_coefficient, _mean_functional, _periodic_stiffness_and_loads
+from oscille.cell import _cell_coefficient, _periodic_stiffness_and_loads
 from oscille.core import preset_coefficient
 from oscille.mesh import build_cell_mesh, build_domain_mesh
 
@@ -22,7 +23,6 @@ def _solve_1d(dense, b):
         constrained_dofs=np.array([0, n + 1]),
         free_dofs=np.arange(1, n + 1),
         mesh=build_domain_mesh(((0.0, 1.0),), 1.0 / (n + 1)),
-        mu=0.0,
     )
     load = np.zeros(system.n_full)
     load[system.free_dofs] = b
@@ -101,7 +101,7 @@ def test_solvers_reject_tol_outside_range(tol):
     with pytest.raises(ConfigError, match=r"tol must lie in \[1e-14, 1e-4\]"):
         linalg.solve_spd(sp.csr_matrix(np.eye(4)), np.ones(4), tol=tol)
     with pytest.raises(ConfigError, match=r"tol must lie in \[1e-14, 1e-4\]"):
-        linalg.solve_saddle(matrix, _mean_functional(mesh), np.ones(mesh.n_nodes), tol=tol)
+        linalg.solve_saddle(matrix, np.ones(mesh.n_nodes), tol=tol)
 
 
 def test_solve_spd_nan_rhs_raises():
@@ -152,21 +152,19 @@ def _periodic_laplacian(m):
 
 def test_saddle_zero_datum():
     matrix, mesh = _periodic_laplacian(32)
-    c = _mean_functional(mesh)
-    x, lam, _ = linalg.solve_saddle(matrix, c, np.zeros(mesh.n_nodes))
+    x, _ = linalg.solve_saddle(matrix, np.zeros(mesh.n_nodes))
     assert np.max(np.abs(x)) <= 1e-12
-    assert abs(lam) <= 1e-12
 
 
 def test_saddle_fourier_oracle():
     # periodic Laplacian with a mean-zero sine load: compare against the
     # FFT diagonalization of the same circulant system
     matrix, mesh = _periodic_laplacian(64)
-    c = _mean_functional(mesh)
+    c = mean_functional(mesh)
     y = mesh.axis_coords(0)
     load = np.sin(2 * np.pi * y)
     load -= load.mean()
-    x, lam, _ = linalg.solve_saddle(matrix, c, load, tol=1e-12)
+    x, _ = linalg.solve_saddle(matrix, load, tol=1e-12)
     dense = matrix.toarray()
     first_row = dense[0]
     eig = np.fft.fft(first_row)
@@ -176,43 +174,46 @@ def test_saddle_fourier_oracle():
     x_fft = np.real(np.fft.ifft(xhat))
     x_fft -= (c @ x_fft) / c.sum()
     np.testing.assert_allclose(x, x_fft, atol=1e-8)
-    assert abs(lam) <= 1e-10
 
 
 def test_saddle_nonzero_mean_dense_oracle():
     matrix, mesh = _periodic_laplacian(8)
     n = mesh.n_nodes
-    c = _mean_functional(mesh)
+    c = mean_functional(mesh)
     rng = np.random.default_rng(11)
     b = rng.random(n)  # nonzero mean
-    x, lam, _ = linalg.solve_saddle(matrix, c, b, tol=1e-12)
-    # dense bordered oracle
+    x, _ = linalg.solve_saddle(matrix, b, tol=1e-12)
+    # dense bordered oracle: M x + lam c = b, c.x = 0
     dense = np.zeros((n + 1, n + 1))
     dense[:n, :n] = matrix.toarray()
     dense[:n, n] = c
     dense[n, :n] = c
     sol = np.linalg.solve(dense, np.concatenate([b, [0.0]]))
     np.testing.assert_allclose(x, sol[:n], atol=1e-8)
-    assert lam == pytest.approx(sol[n], abs=1e-8)
-    # residual of the constrained system
-    res = matrix @ x + lam * c - b
+    # residual of the constrained system, with the oracle's multiplier
+    res = matrix @ x + sol[n] * c - b
     assert np.linalg.norm(res) / np.linalg.norm(b) <= 1e-9
 
 
 def test_saddle_constraint_satisfied():
     matrix, mesh = _periodic_laplacian(32)
-    c = _mean_functional(mesh)
+    c = mean_functional(mesh)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(mesh.n_nodes)
-    x, _, _ = linalg.solve_saddle(matrix, c, b)
+    x, _ = linalg.solve_saddle(matrix, b)
     assert abs(c @ x) <= 1e-10 * max(np.linalg.norm(x), 1e-30)
 
 
-def test_saddle_singular_constraint():
-    matrix, mesh = _periodic_laplacian(16)
-    c = np.zeros(mesh.n_nodes)
-    with pytest.raises(linalg.SingularSystem):
-        linalg.solve_saddle(matrix, c, np.ones(mesh.n_nodes))
+def test_saddle_ignores_a_large_constant_in_the_load():
+    # the residual is judged against the mean-free load: a constant of 10^4
+    # times the load's size on top must leave the solution where it was
+    field = preset_coefficient("Sine1D", [2, 1], 1)
+    mesh = build_cell_mesh(256, 1)
+    matrix, loads, _ = _periodic_stiffness_and_loads(_cell_coefficient(field, np.zeros(1), mesh)[0], mesh)
+    b = loads[0]
+    x, _ = linalg.solve_saddle(matrix, b)
+    x_shifted, _ = linalg.solve_saddle(matrix, b + 1e4 * np.abs(b).max())
+    assert np.abs(x_shifted - x).max() <= 1e-11 * np.abs(x).max()
 
 
 def test_saddle_nan_load_raises():
@@ -220,7 +221,7 @@ def test_saddle_nan_load_raises():
     b = np.ones(mesh.n_nodes)
     b[3] = np.nan
     with pytest.raises(linalg.NonConvergence):
-        linalg.solve_saddle(matrix, _mean_functional(mesh), b)
+        linalg.solve_saddle(matrix, b)
 
 
 def test_determinism_bit_identical():
