@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, linalg
-from .core import ConfigError, NumericalError
+from .core import NumericalError
 from .mesh import Mesh, MeshMismatch, _tensor_points, quadrature
 
 X_TABLE_SPACING = 1.0 / 16.0
@@ -261,21 +261,3 @@ def tabulate_effective(field, x_axes, cell_mesh):
     """Tabulate A0 over the x-grid; returns (EffectiveField, CellTable)."""
     table = tabulate_cells(field, x_axes, cell_mesh)
     return EffectiveField(table.x_axes, table.tensors), table
-
-
-def closed_form_1d_effective(field, x):
-    """Reference harmonic mean 1 / int dy / a(x, y) by adaptive quadrature."""
-    if field.dim != 1:
-        raise ConfigError("closed form applies to d = 1 only")
-    from scipy.integrate import quad  # imported here: a study never needs it, and it loads slowly
-
-    x_arr = np.asarray([x], dtype=float).reshape(1, 1)
-
-    def integrand(y):
-        return 1.0 / float(field.eval(x_arr, np.array([[y]]))[0])
-
-    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > 1e-9:
-        raise NumericalError(f"quadrature failed to converge (err {err:.2e})")
-    return 1.0 / val
-

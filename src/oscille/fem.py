@@ -40,7 +40,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import core, linalg
 from .core import ConfigError, NumericalError
-from .mesh import ExcessiveSize, GridFunction, Mesh, MeshMismatch, build_domain_mesh, node_cap, quadrature
+from .mesh import GridFunction, Mesh, MeshMismatch, build_domain_mesh, quadrature
 from .mesh import _reference_rule, _stencil_pattern
 
 
@@ -394,9 +394,4 @@ def oscillatory_mesh(scenario, eps):
                 f"h = eps/rho = {h:g} does not divide the extent [{lo}, {hi}]; "
                 "choose eps with 1/eps integer"
             )
-    total = 1
-    for lo, hi in extents:
-        total *= int(round((hi - lo) / h)) + 1
-    if total > node_cap():
-        raise ExcessiveSize(f"oscillatory mesh would need {total} nodes, cap {node_cap()}")
     return build_domain_mesh(extents, h * (1 + 1e-12))

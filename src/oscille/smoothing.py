@@ -7,7 +7,9 @@ bias; `steklov_box` takes it on a sub-box of the nodes only, optionally
 of a product, which is how the corrector takes its z average. Extension
 off the domain uses second-order reflection u(x0 - t) = 3 u(x0 + t) -
 2 u(x0 + 2t), which matches values and first derivatives at the face and
-preserves second-order smoothness.
+preserves second-order smoothness. The mollifier is the bump
+exp(-1/(1 - |x/delta|^2)) sampled on the grid and divided by its own sum,
+so it needs no continuum normalizing constant.
 
 The lemma suites are fixed sweeps over the module constants. The first
 turns the operator estimates for these smoothing maps (contractivity of
@@ -113,7 +115,8 @@ def window_weights(rho):
 
     The window has width rho grid cells; weight j carries
     (1/width) * integral of the tent at node j over the window. Weights
-    are symmetric, nonnegative and sum to 1 exactly in exact arithmetic.
+    are symmetric, positive (each tent up to j_max overlaps the window)
+    and sum to 1 exactly in exact arithmetic.
     Cached per rho, since a study asks for the same few windows at every
     eps; read-only, since every caller shares the arrays.
     """
@@ -136,9 +139,7 @@ def window_weights(rho):
 
     offsets = np.arange(-j_max, j_max + 1)
     w = np.array([tent_integral(-half - j, half - j) for j in offsets])
-    w = w / rho
-    keep = w > 1e-300
-    out = offsets[keep], w[keep]
+    out = offsets, w / rho
     for a in out:
         a.flags.writeable = False
     return out
@@ -217,33 +218,17 @@ def shift_T(ext, eps, z):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def bump_normalizer(d):
-    """kappa with kappa * int_{|x|<1} exp(-1/(1-|x|^2)) dx = 1 (quadrature)."""
-    from scipy.integrate import quad  # imported here: only s < 1 needs it, and it loads slowly
-
-    def profile(r):
-        return math.exp(-1.0 / (1.0 - r * r)) if r < 1.0 else 0.0
-
-    if d == 1:
-        val, err = quad(profile, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    else:
-        val, err = quad(lambda r: 2.0 * math.pi * r * profile(r), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    if err > 1e-10:
-        raise NumericalError("bump normalizer quadrature failed")
-    return 1.0 / val
-
-
-def mollifier_weights(delta, h, d):
+def mollifier_weights(delta, h):
     """Discrete kernel on grid offsets inside the delta-ball.
 
-    Sampled from the scaled bump and renormalized so the weights sum to 1
-    exactly; nonnegative by construction.
+    The bump exp(-1/(1 - |x/delta|^2)) sampled on the grid and divided by
+    its own sum, so the weights sum to 1 on the grid; nonnegative by
+    construction.
     """
     k = tuple(int(math.floor(delta / hk + 1e-12)) for hk in h)
     # squared radius |x / delta|^2 over the tensor grid of offsets
     r2 = sum(x**2 for x in np.ix_(*(np.arange(-kk, kk + 1) * hk / delta for kk, hk in zip(k, h))))
-    w = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0) * bump_normalizer(d)
+    w = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
     total = w.sum()
     if total <= 0:
         raise NumericalError("mollifier kernel has no support on the grid; refine h")
@@ -251,7 +236,7 @@ def mollifier_weights(delta, h, d):
 
 
 def mollify(ext, delta):
-    """Convolve with the smooth bump of radius delta.
+    """Convolve with the grid-normalized smooth bump of radius delta.
 
     Returns an ExtendedFunction on the box shrunk by the kernel radius;
     raises InsufficientMargin when the extension cannot absorb it.
@@ -259,7 +244,7 @@ def mollify(ext, delta):
     if delta <= 0:
         raise ConfigError("delta must be positive")
     mesh = ext.source_mesh
-    w, k = mollifier_weights(delta, ext.mesh.h, mesh.dim)
+    w, k = mollifier_weights(delta, ext.mesh.h)
     new_pad = tuple(p - kk for p, kk in zip(ext.pad, k))
     if any(p < 0 for p in new_pad):
         raise InsufficientMargin("extension margin smaller than the mollification radius")

@@ -27,15 +27,6 @@ def sine_cell(sine_field):
     return cell.solve_cell(sine_field, np.zeros(1), build_cell_mesh(256, 1))
 
 
-def test_closed_form_examples(sine_field):
-    const = preset_coefficient("Constant", [2.0], 1)
-    assert cell.closed_form_1d_effective(const, 0.0) == pytest.approx(2.0, abs=1e-10)
-    # int_0^1 dy/(c + sin 2 pi y) = 1/sqrt(c^2-1), so the harmonic mean is sqrt(3)
-    assert cell.closed_form_1d_effective(sine_field, 0.0) == pytest.approx(SQRT3, abs=1e-10)
-    lp = preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1)
-    assert cell.closed_form_1d_effective(lp, 1.0) == pytest.approx(1.5 * SQRT3, abs=1e-10)
-
-
 def test_constant_cell_solution_is_zero():
     const = preset_coefficient("Constant", [2.0], 1)
     sol = cell.solve_cell(const, np.zeros(1), build_cell_mesh(64, 1))

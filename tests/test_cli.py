@@ -385,6 +385,21 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
     assert done.stdout.split() == []
 
 
+def test_mollified_study_leaves_scipy_integrate_unloaded(tmp_path):
+    # mixed1d is the shipped study that mollifies (s < 1); its kernel is normalized on the grid
+    cfg = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "configs", "mixed1d.json"))
+    assert cli.load_scenario(cfg).s < 1
+    probe = (
+        "import json, sys; from oscille import cli, study; "
+        f"cfg = json.load(open({cfg!r})); cfg['epsilons'] = cfg['epsilons'][:3]; "
+        "study.run_study(cli.scenario_from_dict(cfg)); "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    done = _run_python(["-c", probe], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_suite_smoothing_command(capsys):
     rc = cli.main(["suite-smoothing"])
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import itertools
+import os
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import spsolve
 
 import fem_reference
-from oscille import core, fem, linalg, study
+from oscille import cli, core, fem, linalg, study
 from oscille import mesh as mesh_mod
 from oscille.mesh import GridFunction, MeshMismatch, build_cell_mesh, build_domain_mesh, grid_from_callable
 from oscille.norms import lp_norm, w1p_norm
@@ -212,6 +213,15 @@ def test_oscillatory_mesh_alignment_error():
     sc_bad = _scenario_1d(eps_list=(0.21, 0.11, 0.07), rho=10)
     with pytest.raises(core.ConfigError):
         fem.oscillatory_mesh(sc_bad, 0.21)  # h does not divide the domain
+
+
+def test_oscillatory_mesh_node_cap(monkeypatch):
+    # sine1d has 32 points per period, so eps = 1/8 needs 257 nodes and 1/16 needs 513
+    sc = cli.load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", "sine1d.json"))
+    monkeypatch.setenv("OSCILLE_NODE_CAP", "300")
+    assert fem.oscillatory_mesh(sc, 1 / 8).n_nodes == 257
+    with pytest.raises(mesh_mod.ExcessiveSize, match=r"^mesh would have 513 nodes, cap is 300$"):
+        fem.oscillatory_mesh(sc, 1 / 16)
 
 
 def test_quadrature_failure_propagates():

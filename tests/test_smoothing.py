@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+import smoothing_reference
 from oscille import core
 from oscille import smoothing as sm
 from oscille.mesh import GridFunction, build_domain_mesh, grid_from_callable
@@ -81,10 +82,10 @@ def test_extend_2d_restrict_roundtrip():
 
 
 def test_window_weights_properties():
-    for rho in (2, 5, 8, 12, 16):
+    for rho in range(1, 65):
         offs, w = sm.window_weights(rho)
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
-        assert np.all(w >= 0)
+        assert np.all(w > 0)  # every offset's tent overlaps the window
         np.testing.assert_allclose(w, w[::-1])  # symmetric
         assert (offs * w).sum() == pytest.approx(0.0, abs=1e-15)  # odd moment
 
@@ -225,18 +226,20 @@ def test_shift_T_bilinear_2d_and_outside_box():
 
 
 def test_mollifier_kernel_normalized():
-    for d, h in ((1, (1 / 256,)), (2, (1 / 64, 1 / 64))):
-        w, k = sm.mollifier_weights(1 / 8, h, d)
+    for h in ((1 / 256,), (1 / 64, 1 / 64)):
+        w, k = sm.mollifier_weights(1 / 8, h)
         assert np.all(w >= 0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-10)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
 
-def test_bump_normalizer_quadrature():
-    # 1D: kappa * int exp(-1/(1-x^2)) = 1
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda x: np.exp(-1.0 / (1.0 - x * x)) if abs(x) < 1 else 0.0, -1, 1)
-    assert sm.bump_normalizer(1) == pytest.approx(1.0 / val, rel=1e-9)
+def test_mollifier_weights_match_scaled_reference():
+    # the grid sum cancels the continuum constant kappa up to rounding
+    for h, delta in (((1 / 256,), 1 / 8), ((1 / 1024,), 1 / 32), ((1 / 200,), 0.07), ((1 / 64, 1 / 64), 1 / 8),
+                     ((1 / 128, 1 / 64), 1 / 16), ((0.01, 0.02), 0.1)):
+        w, k = sm.mollifier_weights(delta, h)
+        ref, ref_k = smoothing_reference.scaled_mollifier_weights(delta, h)
+        assert k == ref_k and w.shape == ref.shape
+        np.testing.assert_allclose(w, ref, rtol=4e-16, atol=0)
 
 
 def test_mollify_constant_and_linear():
