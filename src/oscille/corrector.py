@@ -5,9 +5,9 @@ The corrector applied to a load f is, nodewise,
     K(x) = cube-average over z of < N(x + eps z, frac(x/eps)),
                                     grad u0_delta(x + eps z) >,
 
-where u0 is the effective solution extended off the domain, its gradient
-is taken by central differences on the extended grid and mollified when
-the regularity exponent s is below 1 (with delta = eps), and N comes from
+where u0 is the effective solution extended off the domain, mollified
+once when the regularity exponent s is below 1 (with delta = eps) and
+then differenced centrally on the extended grid, and N comes from
 the macroscopic cell table by linear interpolation in the slow variable
 and, in the fast one, on the cell grid wrapped by one node layer
 (`cell._interpolate_periodic`); both by `cell.lerp_axis`, once per axis
@@ -66,9 +66,10 @@ def table_margin(eps, rho):
 def build_r0(u0, scenario, eps):
     """Extend the effective solution and produce its (mollified) gradient.
 
-    Returns the d gradient components as ExtendedFunctions. Mollification
-    with delta = eps applies exactly when scenario.s < 1; for s = 1 the
-    gradient is used as is. The extension reaches as far as the gradient
+    Returns the d gradient components as ExtendedFunctions. When
+    scenario.s < 1 the extended u0 is mollified once, with delta = eps,
+    before its central differences; the two commute, so this is the
+    mollified gradient. The extension reaches as far as the gradient
     is read: the window's `table_margin`, plus 2h, one node for each
     central difference (u0 to its gradient, and the gradient to its own,
     as a chain-rule eps DK takes it), plus the mollifier radius eps when
@@ -77,22 +78,16 @@ def build_r0(u0, scenario, eps):
     mesh = u0.mesh
     d = mesh.dim
     margin = table_margin(eps, scenario.points_per_period) + 2.0 * max(mesh.h)
-    if scenario.s < 1.0:
-        margin += eps
-    u0_ext = extend(u0, margin)
-    emesh = u0_ext.mesh
+    u0_ext = mollify(extend(u0, margin + eps), eps) if scenario.s < 1.0 else extend(u0, margin)
     vals = u0_ext.base.reshaped()
     # central differences drop one node on the differenced axis only;
     # crop one node on every axis to keep the box symmetric
     pad = tuple(p - 1 for p in u0_ext.pad)
     grads = []
     for k in range(d):
-        g = _central_diff(vals, emesh.h[k], k)
+        g = _central_diff(vals, u0_ext.mesh.h[k], k)
         g = g[tuple(slice(1, -1) if ax != k else slice(None) for ax in range(d))]
-        gext = ExtendedFunction(GridFunction(_extended_mesh(mesh, pad), g.ravel()), mesh, pad)
-        if scenario.s < 1.0:
-            gext = mollify(gext, eps)
-        grads.append(gext)
+        grads.append(ExtendedFunction(GridFunction(_extended_mesh(mesh, pad), g.ravel()), mesh, pad))
     return grads
 
 

@@ -199,10 +199,6 @@ def boundary_strip_mask(mesh, eps):
     return RegionMask(mesh, _boundary_distance(mesh, [0.0] * mesh.dim) <= width + 1e-12)
 
 
-def complement(mask):
-    return RegionMask(mask.mesh, ~mask.included)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature and shape functions (2-point Gauss per axis, P1/Q1 elements)
 # ---------------------------------------------------------------------------

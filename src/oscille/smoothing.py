@@ -9,7 +9,8 @@ off the domain uses second-order reflection u(x0 - t) = 3 u(x0 + t) -
 2 u(x0 + 2t), which matches values and first derivatives at the face and
 preserves second-order smoothness. The mollifier is the bump
 exp(-1/(1 - |x/delta|^2)) sampled on the grid and divided by its own sum,
-so it needs no continuum normalizing constant.
+so it needs no continuum normalizing constant; it is applied in any
+dimension by one FFT product at power-of-two sizes.
 
 The lemma suites are fixed sweeps over the module constants. The first
 turns the operator estimates for these smoothing maps (contractivity of
@@ -238,8 +239,13 @@ def mollifier_weights(delta, h):
 def mollify(ext, delta):
     """Convolve with the grid-normalized smooth bump of radius delta.
 
-    Returns an ExtendedFunction on the box shrunk by the kernel radius;
-    raises InsufficientMargin when the extension cannot absorb it.
+    One FFT product for any d: data and kernel are zero-padded per axis to
+    a power of two at least the data's node count n, so the circular
+    product wraps only into the first 2k nodes, and [2k, n) is the valid
+    block. The kernel's offsets enter squared, so it is symmetric bit for
+    bit and this convolution equals the centered weighted sum. Returns an
+    ExtendedFunction on the box shrunk by the kernel radius k; raises
+    InsufficientMargin when the extension cannot absorb it.
     """
     if delta <= 0:
         raise ConfigError("delta must be positive")
@@ -249,12 +255,10 @@ def mollify(ext, delta):
     if any(p < 0 for p in new_pad):
         raise InsufficientMargin("extension margin smaller than the mollification radius")
     vals = ext.base.reshaped()
-    if mesh.dim == 1:
-        sm = np.convolve(vals, w[::-1], mode="valid")
-    else:
-        from scipy.signal import convolve  # imported here: only 2D needs it, and it loads slowly
-
-        sm = convolve(vals, w[::-1, ::-1], mode="valid", method="auto")
+    size = [1 << (n - 1).bit_length() for n in vals.shape]
+    axes = tuple(range(vals.ndim))
+    sm = np.fft.irfftn(np.fft.rfftn(vals, size, axes) * np.fft.rfftn(w, size, axes), size, axes)
+    sm = sm[tuple(slice(2 * kk, n) for kk, n in zip(k, vals.shape))]
     out_mesh = _extended_mesh(mesh, new_pad)
     return ExtendedFunction(GridFunction(out_mesh, sm.ravel()), mesh, new_pad)
 

@@ -385,19 +385,22 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
     assert done.stdout.split() == []
 
 
-def test_mollified_study_leaves_scipy_integrate_unloaded(tmp_path):
-    # mixed1d is the shipped study that mollifies (s < 1); its kernel is normalized on the grid
-    cfg = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "configs", "mixed1d.json"))
-    assert cli.load_scenario(cfg).s < 1
+@pytest.mark.parametrize(
+    "name, overrides", [("mixed1d", {}), ("laminate2d", {"s": 0.5, "s_plus": 0.5})], ids=["mixed1d", "laminate2d_s_half"]
+)
+def test_mollified_study_leaves_scipy_integrate_unloaded(tmp_path, name, overrides):
+    # mixed1d declares s < 1, and laminate2d at s = 0.5 mollifies in 2D; the kernel is normalized on
+    # the grid and applied by one FFT product, so neither quadrature nor scipy.signal is loaded
+    cfg = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json"))
     probe = (
         "import json, sys; from oscille import cli, study; "
-        f"cfg = json.load(open({cfg!r})); cfg['epsilons'] = cfg['epsilons'][:3]; "
-        "study.run_study(cli.scenario_from_dict(cfg)); "
-        "print('scipy.integrate' in sys.modules)"
+        f"cfg = json.load(open({cfg!r})); cfg['epsilons'] = cfg['epsilons'][:3]; cfg.update({overrides!r}); "
+        "sc = cli.scenario_from_dict(cfg); assert sc.s < 1; study.run_study(sc); "
+        "print([m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules])"
     )
     done = _run_python(["-c", probe], tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["[]"]
 
 
 def test_suite_smoothing_command(capsys):

@@ -308,7 +308,7 @@ def test_setup_interpolates_each_columns_array_once(lp2d_table, monkeypatch):
 
 
 def test_kernel_matches_reference_loop_2d_mollified_rectangle(lp2d_table):
-    # s < 1 sends the gradient through the 2D convolution, and unequal node
+    # s < 1 sends u0 through the 2D convolution, and unequal node
     # counts give each axis its own operators
     field, table = lp2d_table
     sc = _scenario(field, (1 / 4, 1 / 8, 1 / 16), rho=8, s=0.5, mu=-1.0, domain=((0.0, 1.0), (0.0, 0.5)))
@@ -535,6 +535,47 @@ def test_mollified_gradient_path_s_half():
         diffs.append(np.sqrt(np.sum(d**2) * h))
     factor = diffs[0] / diffs[1]
     assert 1.2 <= factor <= 1.6
+
+
+def _differenced_then_mollified(u0, sc, eps):
+    """The gradient fields in the order build_r0 once took: central
+    differences of the extended u0, cropped, then `mollify` on each."""
+    mesh = u0.mesh
+    ext = smoothing.extend(u0, corrector.table_margin(eps, sc.points_per_period) + 2.0 * max(mesh.h) + eps)
+    vals = ext.base.reshaped()
+    pad = tuple(p - 1 for p in ext.pad)
+    out = []
+    for k in range(mesh.dim):
+        g = smoothing._central_diff(vals, ext.mesh.h[k], k)
+        g = g[tuple(slice(1, -1) if ax != k else slice(None) for ax in range(mesh.dim))]
+        g = smoothing.ExtendedFunction(GridFunction(smoothing._extended_mesh(mesh, pad), g.ravel()), mesh, pad)
+        out.append(smoothing.mollify(g, eps))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_build_r0_mollifies_u0_once_then_differences(dim, monkeypatch):
+    # mollification commutes with central differences, so mollifying u0 once
+    # gives the per-component order's fields and pads up to rounding; the 2D
+    # case is the rectangle of test_kernel_matches_reference_loop_2d_mollified_rectangle
+    if dim == 1:
+        field = preset_coefficient("LocallyPeriodic1D", [2, 1, 0.5], 1)
+        sc = _scenario(field, (1 / 8, 1 / 16, 1 / 32), rho=32, s=0.5, mu=-1.0)
+        eps, fn = 1 / 16, lambda p: np.sin(np.pi * p[:, 0])
+    else:
+        field = preset_coefficient("LocallyPeriodic2D", [2, 1, 0.5], 2)
+        sc = _scenario(field, (1 / 4, 1 / 8, 1 / 16), rho=8, s=0.5, mu=-1.0, domain=((0.0, 1.0), (0.0, 0.5)))
+        eps, fn = 1 / 8, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1] * (2.0 - p[:, 1])
+    u0 = grid_from_callable(fem.oscillatory_mesh(sc, eps), fn)
+    calls = []
+    monkeypatch.setattr(corrector, "mollify", lambda *args: calls.append(args) or smoothing.mollify(*args))
+    grads = corrector.build_r0(u0, sc, eps)
+    assert len(calls) == 1
+    old = _differenced_then_mollified(u0, sc, eps)
+    assert [g.pad for g in grads] == [g.pad for g in old]
+    for g, o in zip(grads, old):
+        scale = np.max(np.abs(o.base.values))
+        np.testing.assert_allclose(g.base.values, o.base.values, rtol=0, atol=1e-12 * scale)
 
 
 def test_build_r0_s1_keeps_gradient_unmollified(sine_setup):

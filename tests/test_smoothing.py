@@ -6,7 +6,7 @@ import pytest
 import smoothing_reference
 from oscille import core
 from oscille import smoothing as sm
-from oscille.mesh import GridFunction, build_domain_mesh, grid_from_callable
+from oscille.mesh import GridFunction, Mesh, build_domain_mesh, grid_from_callable
 from oscille.norms import halving_factors
 
 
@@ -261,6 +261,41 @@ def test_mollify_smooth_halving_factor():
         errs.append(np.max(np.abs(mol.source_block().ravel() - es.source_block().ravel())))
     for f in halving_factors(errs):
         assert 3.2 <= f <= 4.8
+
+
+def _wavy(p):
+    # O(1) data with content on every axis
+    return np.sin(3.0 * p[:, 0] + 0.4) + np.cos(2.0 * p[:, -1]) * p[:, 0]
+
+
+@pytest.mark.parametrize(
+    "mesh, delta",
+    [
+        (Mesh(1, ((0.0, 1.0),), (257,)), 0.07),
+        # unequal node counts and spacings, so each axis has its own kernel radius and FFT size
+        (Mesh(2, ((0.0, 1.0), (0.0, 0.5)), (41, 13)), 0.1),
+    ],
+    ids=["1d", "2d_rectangle"],
+)
+def test_mollify_matches_offset_loop(mesh, delta):
+    ext = sm.extended_from_callable(mesh, 1.5 * delta, _wavy)
+    w, k = sm.mollifier_weights(delta, ext.mesh.h)
+    assert min(k) >= 2 and len(set(k)) == mesh.dim
+    mol = sm.mollify(ext, delta)
+    assert mol.pad == tuple(p - kk for p, kk in zip(ext.pad, k))
+    ref = smoothing_reference.mollify_loop(ext.base.reshaped(), w)
+    assert mol.base.reshaped().shape == ref.shape
+    np.testing.assert_allclose(mol.base.reshaped(), ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mollify_below_grid_spacing_is_identity(dim):
+    # delta < h: the kernel is the single weight 1 (k = 0), so the FFT product returns the data to rounding
+    mesh = Mesh(dim, ((0.0, 1.0), (0.0, 0.5))[:dim], (33, 9)[:dim])
+    ext = sm.extended_from_callable(mesh, 0.1, _wavy)
+    mol = sm.mollify(ext, 0.5 * min(mesh.h))
+    assert mol.pad == ext.pad
+    np.testing.assert_allclose(mol.base.values, ext.base.values, rtol=0, atol=1e-14)
 
 
 def test_mollify_insufficient_margin():
