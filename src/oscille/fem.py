@@ -82,6 +82,8 @@ class FastDiagonalization:
     Certificate: with the eigenvalues of D_l^-1/2 A D_l^-1/2 in [lo, hi] at all Gauss points and c = sqrt(lo*hi),
     g.Ag lies in [lo/c, hi/c] times g.(c D_l)g at each point of the shared rule; the -mu mass terms are equal and
     nonnegative, so u.Au / u.Pu lies in [sqrt(lo/hi), sqrt(hi/lo)]: cond(P^-1 A) <= kappa = hi/lo at every h.
+    `_line_scales` picks D_l; for a tensor it forms the eigenvalues of A as well, for the isotropic choice and the
+    positivity check, only where a bound on the diagonal does not already show that the A11, A22 scales win.
     """
 
     transform: tuple  # (Q^T, Q) of axis 2, applied along the contiguous array axis
@@ -108,10 +110,19 @@ def _eigenvalues(a_vals):
 
 
 def _symmetric_eigenvalues(a, d, off):
-    """Eigenvalues (lo, hi) of [[a, off/2], [off/2, d]]: the symmetric part of 2x2 samples, off their A12 + A21."""
-    mid = 0.5 * (a + d)
-    rad = np.hypot(0.5 * (a - d), 0.5 * off)
-    return mid - rad, mid + rad
+    """Eigenvalues (lo, hi) of [[a, off/2], [off/2, d]]: the symmetric part of 2x2 samples, off their A12 + A21.
+
+    Formed in place: a and d are only read, off (the caller's temporary) is overwritten and returned as lo.
+    """
+    mid = a + d
+    mid *= 0.5
+    rad = a - d
+    rad *= 0.5
+    off *= 0.5
+    np.hypot(rad, off, out=rad)
+    lo = np.subtract(mid, rad, out=off)
+    mid += rad
+    return lo, mid
 
 
 def _coefficient_bounds(a_vals):
@@ -119,36 +130,75 @@ def _coefficient_bounds(a_vals):
     return tuple(float(f(x)) for f, x in zip((np.min, np.max), _eigenvalues(a_vals)))
 
 
+def _by_line(x, cells1):
+    """Samples x (..., E, 4), laid out (i, j, g1, g2), copied to (..., cells1, 2, n): one row per x1 Gauss line."""
+    lead = x.shape[:-2]
+    r = np.swapaxes(x.reshape(lead + (cells1, -1, 2, 2)), -3, -2)
+    return np.ascontiguousarray(r).reshape(lead + (cells1, 2, -1))
+
+
+def _isotropic_scales(lo, hi):
+    """Line scales alpha = beta = s_l = sqrt(lo_l hi_l) of the line eigenvalue extremes lo, hi (cells1, 2).
+
+    First checks that those extremes are positive with a finite ratio, so that every scale exists.
+    """
+    glo, ghi = _coefficient_bounds(np.concatenate([lo, hi], axis=1))  # those of a_vals, checked before any scale
+    if not (glo > 0.0 and math.isfinite(ghi / glo)):
+        raise linalg.SingularSystem(f"coefficient eigenvalues in [{glo:g}, {ghi:g}] are not uniformly positive")
+    s = np.sqrt(lo) * np.sqrt(hi)  # sqrt(lo * hi) underflows for tiny coefficients
+    return _coefficient_bounds(np.concatenate([lo / s, hi / s], axis=1)), s, s
+
+
+def _tensor_scales(a, lo1, hi1, lo2, hi2):
+    """Line scales alpha, beta from the A11 and A22 line extremes, with the bounds of D^-1/2 A D^-1/2.
+
+    a holds A11, A12, A21, A22 by line as `_by_line` gives them and is scaled in place.
+    """
+    alpha, beta = np.sqrt(lo1) * np.sqrt(hi1), np.sqrt(lo2) * np.sqrt(hi2)
+    ra, rb = (1.0 / np.sqrt(x)[..., None] for x in (alpha, beta))
+    w = ra * rb
+    a *= np.stack([ra * ra, w, w, rb * rb])  # A_rs / sqrt(D_r D_s)
+    a[1] += a[2]
+    tlo, thi = _symmetric_eigenvalues(a[0], a[3], a[1])
+    return (float(np.min(tlo)), float(np.max(thi))), alpha, beta
+
+
 def _line_scales(a_vals, cells1):
     """Bounds (lo, hi) of D^-1/2 A D^-1/2 and the scales alpha, beta (cells1, 2) of the x1 Gauss lines.
 
     Samples lie (i, j, g1, g2) by x1 cell, x2 cell and Gauss point. Line (i, g1) takes alpha = beta = s_l
     = sqrt(lo_l hi_l) of its eigenvalue extremes, which bound those of A / s_l, so kappa = max_l hi_l/lo_l
-    <= the global hi/lo; a tensor takes alpha, beta from the ranges of A11, A22 where that gives a smaller kappa.
+    <= the global hi/lo; a tensor takes alpha, beta from the ranges of A11, A22 where that gives a smaller
+    kappa, the tensor choice on a tie.
+
+    A tensor's components are copied once into line order. On each line lo_l <= min(A11, A22) and
+    hi_l >= max(A11, A22), so the isotropic kappa is at least L = max_l max(A11, A22) / min(A11, A22);
+    a positive tensor kappa <= L (1 - 1e-12) therefore wins, and the eigenvalues of A, the isotropic
+    choice and the positivity check are skipped. The margin covers their rounding while the diagonal spans
+    at most a factor 1e3 (lambda_min then errs by under 1e3 u relative), and the check would pass there.
+    The eigenvalues of D^-1/2 A D^-1/2 come first only where the tensor kappa can pass: its diagonal alone
+    makes it at least K = max_l of the A11 and A22 line ratios hi/lo, and K = L for an isotropic tensor.
+    Any other sample set takes the isotropic pass and the check first, as does every scalar one.
     """
-
-    def extreme(x, f):  # f (np.minimum or np.maximum) over each line of samples x (E, 4)
-        r = x.reshape(cells1, -1, 2, 2)
-        lines = np.empty((cells1, 2, r.shape[1]))  # (i, g1, j): a strided reduce over j is 5x slower
-        f(r[..., 0], r[..., 1], out=lines.transpose(0, 2, 1))
-        return f.reduce(lines, axis=2)
-
-    lo, hi = (extreme(x, f) for x, f in zip(_eigenvalues(a_vals), (np.minimum, np.maximum)))
-    glo, ghi = _coefficient_bounds(np.concatenate([lo, hi], axis=1))  # those of a_vals, checked before any scale
-    if not (glo > 0.0 and math.isfinite(ghi / glo)):
-        raise linalg.SingularSystem(f"coefficient eigenvalues in [{glo:g}, {ghi:g}] are not uniformly positive")
-    s = np.sqrt(lo) * np.sqrt(hi)  # sqrt(lo * hi) underflows for tiny coefficients
-    iso = _coefficient_bounds(np.concatenate([lo / s, hi / s], axis=1)), s, s
     if a_vals.ndim == 2:
-        return iso
-    diagonal = a_vals[..., 0, 0], a_vals[..., 1, 1]
-    alpha, beta = (np.sqrt(extreme(x, np.minimum)) * np.sqrt(extreme(x, np.maximum)) for x in diagonal)
-    # D^-1/2 A D^-1/2 by component on the (i, j, g1, g2) samples, A_rs / sqrt(D_r D_s)
-    ra, rb = (1.0 / np.sqrt(x)[:, None, :, None] for x in (alpha, beta))
-    b, w = a_vals.reshape(cells1, -1, 2, 2, 2, 2), ra * rb
-    off = b[..., 0, 1] * w + b[..., 1, 0] * w
-    tlo, thi = _symmetric_eigenvalues(b[..., 0, 0] * (ra * ra), b[..., 1, 1] * (rb * rb), off)
-    tensor = (float(np.min(tlo)), float(np.max(thi))), alpha, beta
+        x = _by_line(a_vals, cells1)
+        return _isotropic_scales(np.min(x, axis=-1), np.max(x, axis=-1))
+    comps = np.moveaxis(a_vals.reshape(len(a_vals), 4, 4), -1, 0)  # A11, A12, A21, A22, each (E, g)
+    a = _by_line(comps, cells1)
+    (lo1, hi1), (lo2, hi2) = ((np.min(x, axis=-1), np.max(x, axis=-1)) for x in (a[0], a[3]))
+    dlo, dhi = np.minimum(lo1, lo2), np.maximum(hi1, hi2)  # diagonal extremes per line
+    tensor = None
+    if 0.0 < np.min(dlo) and np.max(dhi) <= 1e3 * np.min(dlo):  # a non-positive or non-finite one fails the check
+        bound = float(np.max(dhi / dlo)) * (1.0 - 1e-12)
+        if np.max(np.maximum(hi1 / lo1, hi2 / lo2)) < bound:  # K; else the tensor kappa cannot pass
+            tensor = _tensor_scales(a, lo1, hi1, lo2, hi2)
+            (tlo, thi), _, _ = tensor
+            if tlo > 0.0 and thi / tlo <= bound:
+                return tensor
+            a = _by_line(comps, cells1)  # the tensor pass scaled the copy
+    lo, hi = _symmetric_eigenvalues(a[0], a[3], a[1] + a[2])
+    iso = _isotropic_scales(np.min(lo, axis=-1), np.max(hi, axis=-1))
+    tensor = tensor or _tensor_scales(a, lo1, hi1, lo2, hi2)
     return min(tensor, iso, key=lambda choice: choice[0][1] / choice[0][0])
 
 
@@ -184,10 +234,10 @@ def _fast_diagonalization(mesh, free_axes, a_vals, mu):
     el = np.einsum("neg,g,ngc,ngk->neck", np.stack([alpha, beta, np.ones_like(beta)]), weights * h, shapes, shapes)
     diag = np.pad(el[..., 0, 0], ((0, 0), (0, 1))) + np.pad(el[..., 1, 1], ((0, 0), (1, 0)))
     coupling = np.pad(el[:, free[:-1] & free[1:], 0, 1], ((0, 0), (0, 1)))  # a zero keeps stacked modes apart
-    stiff, mass_beta, mass = np.stack([diag[:, free], coupling], axis=1)
-    m, k = m[:, None, None], k[:, None, None]
-    t = math.sqrt(lo * hi) * (m * stiff + k * mass_beta) - mu * m * mass  # (mode, diagonal or coupling, node)
-    d, e, info = dpttrf(t[:, 0].ravel(), t[:, 1].ravel()[: max(t[:, 1].size - 1, 1)])  # one coupling for one dof
+    stiff, mass_beta, mass = np.stack([diag[:, free], coupling], axis=1)[:, :, None]
+    m, k = m[:, None], k[:, None]
+    t = math.sqrt(lo * hi) * (m * stiff + k * mass_beta) - mu * m * mass  # (diagonal or coupling, mode, node)
+    d, e, info = dpttrf(t[0].ravel(), t[1].ravel()[: max(t[1].size - 1, 1)])  # one coupling for one dof
     if info:
         raise linalg.SingularSystem(f"preconditioner mode system is not positive definite (dpttrf info {info})")
     return FastDiagonalization(q, s, (d, e), hi / lo)

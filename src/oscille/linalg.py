@@ -58,7 +58,12 @@ def _jacobi(matrix):
 
 
 def _pcg(matvec, b, precondition, tol, max_iter, project=None):
-    """Preconditioned CG; returns (x, iterations, relative residual)."""
+    """Preconditioned CG; returns (x, iterations, relative residual).
+
+    The residual is tested before it is preconditioned, so a solve applies
+    `precondition` once per iteration it continues into and never after the
+    last one.
+    """
     b = np.asarray(b, dtype=float)
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
@@ -67,22 +72,19 @@ def _pcg(matvec, b, precondition, tol, max_iter, project=None):
     r = b.copy()
     if project is not None:
         r = project(r)
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
     res = float(np.linalg.norm(r)) / norm_b
     it = 0
     while res > tol and it < max_iter:
+        z = precondition(r)
+        rz_new = float(r @ z)
+        p = z.copy() if it == 0 else z + (rz_new / rz) * p
+        rz = rz_new
         ap = matvec(p)
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
         if project is not None:
             r = project(r)
-        z = precondition(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
         res = float(np.linalg.norm(r)) / norm_b
         it += 1
     return x, it, res

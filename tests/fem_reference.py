@@ -9,15 +9,20 @@ matrices and load contributions are production's own Gauss contractions,
 so the production pattern, scatter and Dirichlet sets are checked against
 it bit for bit. The contractions themselves are checked to rounding
 against `einsum_element_matrices` and `einsum_load_contributions`, the
-einsum forms they replaced.
+einsum forms they replaced. `line_scales` is the preconditioner's line
+scaling before it took one eigenvalue pass per tensor build: it forms the
+eigenvalues of A and of D^-1/2 A D^-1/2 at every Gauss point and both
+candidates, and `fem._line_scales` is checked against it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
-from oscille import core, fem
+from oscille import core, fem, linalg
 from oscille.mesh import GridFunction, quadrature
 
 
@@ -93,3 +98,49 @@ def assemble_load(mesh, f):
     out = np.zeros(mesh.n_nodes)
     np.add.at(out, q.corners.ravel(), contrib.ravel())
     return out
+
+
+def symmetric_eigenvalues(a, d, off):
+    """Eigenvalues (lo, hi) of [[a, off/2], [off/2, d]], out of place."""
+    mid = 0.5 * (a + d)
+    rad = np.hypot(0.5 * (a - d), 0.5 * off)
+    return mid - rad, mid + rad
+
+
+def eigenvalues(a_vals):
+    """Smallest and largest eigenvalue of each scalar (E, g) or 2x2 (..., 2, 2) sample."""
+    if a_vals.ndim == 2:
+        return a_vals, a_vals
+    return symmetric_eigenvalues(a_vals[..., 0, 0], a_vals[..., 1, 1], a_vals[..., 0, 1] + a_vals[..., 1, 0])
+
+
+def coefficient_bounds(a_vals):
+    """Extreme eigenvalues (lo, hi) over scalar (E, g) or 2x2 (..., 2, 2) samples."""
+    return tuple(float(f(x)) for f, x in zip((np.min, np.max), eigenvalues(a_vals)))
+
+
+def line_scales(a_vals, cells1):
+    """Bounds (lo, hi), alpha and beta of the x1 Gauss lines, the isotropic and tensor choices both formed."""
+
+    def extreme(x, f):  # f (np.minimum or np.maximum) over each line of samples x (E, 4)
+        r = x.reshape(cells1, -1, 2, 2)
+        lines = np.empty((cells1, 2, r.shape[1]))
+        f(r[..., 0], r[..., 1], out=lines.transpose(0, 2, 1))
+        return f.reduce(lines, axis=2)
+
+    lo, hi = (extreme(x, f) for x, f in zip(eigenvalues(a_vals), (np.minimum, np.maximum)))
+    glo, ghi = coefficient_bounds(np.concatenate([lo, hi], axis=1))
+    if not (glo > 0.0 and math.isfinite(ghi / glo)):
+        raise linalg.SingularSystem(f"coefficient eigenvalues in [{glo:g}, {ghi:g}] are not uniformly positive")
+    s = np.sqrt(lo) * np.sqrt(hi)
+    iso = coefficient_bounds(np.concatenate([lo / s, hi / s], axis=1)), s, s
+    if a_vals.ndim == 2:
+        return iso
+    diagonal = a_vals[..., 0, 0], a_vals[..., 1, 1]
+    alpha, beta = (np.sqrt(extreme(x, np.minimum)) * np.sqrt(extreme(x, np.maximum)) for x in diagonal)
+    ra, rb = (1.0 / np.sqrt(x)[:, None, :, None] for x in (alpha, beta))
+    b, w = a_vals.reshape(cells1, -1, 2, 2, 2, 2), ra * rb
+    off = b[..., 0, 1] * w + b[..., 1, 0] * w
+    tlo, thi = symmetric_eigenvalues(b[..., 0, 0] * (ra * ra), b[..., 1, 1] * (rb * rb), off)
+    tensor = (float(np.min(tlo)), float(np.max(thi))), alpha, beta
+    return min(tensor, iso, key=lambda choice: choice[0][1] / choice[0][0])

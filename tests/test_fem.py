@@ -1,6 +1,7 @@
 import itertools
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import spsolve
 
 import fem_reference
-from oscille import cli, core, fem, linalg, study
+from oscille import cell, cli, core, corrector, fem, linalg, study
 from oscille import mesh as mesh_mod
 from oscille.mesh import GridFunction, MeshMismatch, build_cell_mesh, build_domain_mesh, grid_from_callable
 from oscille.norms import lp_norm, w1p_norm
@@ -482,6 +483,88 @@ def _rough_sampler(dim, tensor):
         return a
 
     return sample
+
+
+def _laminate2d_a0():
+    """The first fine mesh of the shipped 2D study (eps = 1/8), A0 sampled on it, and the scenario."""
+    sc = cli.load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", "laminate2d.json"))
+    margin = corrector.table_margin(sc.epsilons[0], sc.points_per_period)
+    cell_mesh = build_cell_mesh(cell.default_cell_m(2), 2)
+    eff, _ = cell.tabulate_effective(sc.field, cell.x_axes_for(sc.domain, margin), cell_mesh)
+    m = fem.oscillatory_mesh(sc, sc.epsilons[0])
+    return m, eff.at_gauss(m), sc
+
+
+def _isotropic(p):
+    return (1.5 + np.sin(4.0 * p[:, 0] + 3.0 * p[:, 1]))[:, None, None] * np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        lambda p: np.random.default_rng(3).uniform(0.2, 5.0, p.shape[0]),  # scalar
+        _x1_only_tensor,  # the laminate case: the tensor choice wins by the diagonal bound
+        _isotropic,  # an exact tie: the isotropic pass runs first and the tensor choice is kept
+        lambda p: np.exp(10.0 * p[:, 0])[:, None, None] * _x1_only_tensor(p),  # a diagonal wider than 1e3: no bound
+        _random_spd(1.0),  # the isotropic choice wins
+        _random_spd(10.0),
+        _rough_sampler(2, True),
+        None,  # laminate2d's A0 at eps = 1/8
+    ],
+)
+def test_line_scales_match_the_two_pass_reference(sampler):
+    if sampler is None:
+        m, a_vals, _ = _laminate2d_a0()
+    else:
+        m = build_domain_mesh(((0.0, 1.0), (0.0, 0.75)), 1 / 12)
+        a_vals = fem_reference.gauss_samples(m, sampler)
+    cells1 = m.cells_per_axis[0]
+    (lo, hi), alpha, beta = fem._line_scales(a_vals, cells1)
+    (ref_lo, ref_hi), ref_alpha, ref_beta = fem_reference.line_scales(a_vals, cells1)
+    assert _bits(np.array([lo, hi])).tolist() == _bits(np.array([ref_lo, ref_hi])).tolist()
+    assert np.array_equal(_bits(alpha), _bits(ref_alpha)) and np.array_equal(_bits(beta), _bits(ref_beta))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.zeros((2, 2)),
+        np.diag([-1.0, 2.0]),  # a negative diagonal
+        np.diag([1.0, -1.0]),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite with a positive diagonal
+    ],
+)
+def test_line_scales_reject_what_the_reference_rejects(matrix):
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.75)), 1 / 12)
+    a_vals = fem_reference.gauss_samples(m, _x1_only_tensor)
+    a_vals[5, 2] = matrix  # one bad Gauss point
+    for samples in (a_vals, np.broadcast_to(matrix, a_vals.shape).copy()):
+        with pytest.raises(linalg.SingularSystem) as want:
+            fem_reference.line_scales(samples, m.cells_per_axis[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(linalg.SingularSystem) as got:
+                fem._line_scales(samples, m.cells_per_axis[0])
+        assert str(got.value) == str(want.value)
+
+
+def test_tensor_build_takes_one_eigenvalue_pass_unless_isotropic(monkeypatch):
+    # laminate2d's A0 is diagonal and varies along x1 only, so the tensor line
+    # scales win by the diagonal bound; an isotropic tensor ties and also
+    # takes the eigenvalues of A for the isotropic choice
+    m, a0, sc = _laminate2d_a0()
+    eigenvalues, calls = fem._symmetric_eigenvalues, []
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return eigenvalues(*args)
+
+    monkeypatch.setattr(fem, "_symmetric_eigenvalues", counted)
+    fem.assemble(m, a0, sc.mu, sc.bc)
+    assert len(calls) == 1
+    calls.clear()
+    fem.assemble(m, a0[..., :1, :1] * np.eye(2), sc.mu, sc.bc)
+    assert len(calls) == 2
 
 
 def _assert_csr_equal(got, want):

@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 
+import linalg_reference
 from cell_reference import mean_functional
 from oscille import fem, linalg
-from oscille.core import ConfigError
+from oscille.core import BoundarySpec, ConfigError
 from oscille.cell import _cell_coefficient, _periodic_stiffness_and_loads
 from oscille.core import preset_coefficient
 from oscille.mesh import build_cell_mesh, build_domain_mesh
@@ -222,6 +223,75 @@ def test_saddle_nan_load_raises():
     b[3] = np.nan
     with pytest.raises(linalg.NonConvergence):
         linalg.solve_saddle(matrix, b)
+
+
+def _box_system():
+    """A 2D Dirichlet system whose coefficient varies along both axes, where the per-line
+    preconditioner is inexact and PCG takes many iterations, and a load."""
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), 1 / 16)
+    s = fem.assemble(m, lambda p: 2.0 + np.sin(9.0 * p[:, 0]) * np.cos(7.0 * p[:, 1]), -1.0, BoundarySpec("dirichlet"))
+    return s, np.random.default_rng(2).standard_normal(s.free_dofs.size)
+
+
+def _cell_system():
+    field = preset_coefficient("Sine1D", [2, 1], 1)
+    mesh = build_cell_mesh(256, 1)
+    matrix, loads, _ = _periodic_stiffness_and_loads(_cell_coefficient(field, np.zeros(1), mesh)[0], mesh)
+    return matrix, loads[0]
+
+
+def _counted(precondition, calls):
+    def apply(r):
+        calls.append(r.size)
+        return precondition(r)
+
+    return apply
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_converged_pcg_applies_the_preconditioner_once_per_iteration(fast):
+    s, b = _box_system()
+    calls = []
+    pre = _counted(s.preconditioner if fast else linalg._jacobi(s.matrix), calls)
+    _, stats = linalg.solve_spd(s.matrix, b, preconditioner=pre)
+    assert stats.iterations > 5
+    assert len(calls) == stats.iterations
+
+
+@pytest.mark.parametrize("case", ["jacobi", "fast", "saddle"])
+def test_pcg_matches_the_reference_loop(case, monkeypatch):
+    # the loop that preconditions each residual before testing it gives the same
+    # solution, iterations and residual bit for bit
+    if case == "saddle":
+        matrix, b = _cell_system()
+        solve = lambda: linalg.solve_saddle(matrix, b)  # noqa: E731
+    else:
+        s, b = _box_system()
+        solve = lambda: linalg.solve_spd(s.matrix, b, preconditioner=s.preconditioner if case == "fast" else None)  # noqa: E731
+    x, stats = solve()
+    monkeypatch.setattr(linalg, "_pcg", linalg_reference.pcg)
+    x_ref, stats_ref = solve()
+    assert stats.iterations > 5
+    assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
+    assert stats == stats_ref
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_pcg_stops_at_max_iter_as_the_reference_loop(fast, monkeypatch):
+    s, b = _box_system()
+    pre = s.preconditioner if fast else linalg._jacobi(s.matrix)
+    calls = []
+    x, it, res = linalg._pcg(lambda v: s.matrix @ v, b, _counted(pre, calls), linalg.DEFAULT_TOL, 5)
+    x_ref, it_ref, res_ref = linalg_reference.pcg(lambda v: s.matrix @ v, b, pre, linalg.DEFAULT_TOL, 5)
+    assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
+    assert (it, res) == (it_ref, res_ref) and it == len(calls) == 5
+    errors = []
+    for loop in (linalg._pcg, linalg_reference.pcg):
+        monkeypatch.setattr(linalg, "_pcg", loop)
+        with pytest.raises(linalg.NonConvergence) as err:
+            linalg.solve_spd(s.matrix, b, max_iter=5, preconditioner=pre)
+        errors.append((err.value.iterations, err.value.residual))
+    assert errors[0] == errors[1] == (5, res)
 
 
 def test_determinism_bit_identical():
