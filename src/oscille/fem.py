@@ -102,13 +102,6 @@ class FastDiagonalization:
         return 2 * math.ceil(0.5 * math.sqrt(self.kappa) * math.log(2.0 / tol)) + 50
 
 
-def _eigenvalues(a_vals):
-    """Smallest and largest eigenvalue of each scalar (E, g) or 2x2 (..., 2, 2) sample."""
-    if a_vals.ndim == 2:
-        return a_vals, a_vals
-    return _symmetric_eigenvalues(a_vals[..., 0, 0], a_vals[..., 1, 1], a_vals[..., 0, 1] + a_vals[..., 1, 0])
-
-
 def _symmetric_eigenvalues(a, d, off):
     """Eigenvalues (lo, hi) of [[a, off/2], [off/2, d]]: the symmetric part of 2x2 samples, off their A12 + A21.
 
@@ -125,9 +118,9 @@ def _symmetric_eigenvalues(a, d, off):
     return lo, mid
 
 
-def _coefficient_bounds(a_vals):
-    """Extreme eigenvalues (lo, hi) over scalar (E, g) or 2x2 (..., 2, 2) samples."""
-    return tuple(float(f(x)) for f, x in zip((np.min, np.max), _eigenvalues(a_vals)))
+def _coefficient_bounds(x):
+    """Smallest and largest entry (lo, hi) of x."""
+    return float(np.min(x)), float(np.max(x))
 
 
 def _by_line(x, cells1):
@@ -171,14 +164,14 @@ def _line_scales(a_vals, cells1):
     <= the global hi/lo; a tensor takes alpha, beta from the ranges of A11, A22 where that gives a smaller
     kappa, the tensor choice on a tie.
 
-    A tensor's components are copied once into line order. On each line lo_l <= min(A11, A22) and
-    hi_l >= max(A11, A22), so the isotropic kappa is at least L = max_l max(A11, A22) / min(A11, A22);
-    a positive tensor kappa <= L (1 - 1e-12) therefore wins, and the eigenvalues of A, the isotropic
-    choice and the positivity check are skipped. The margin covers their rounding while the diagonal spans
-    at most a factor 1e3 (lambda_min then errs by under 1e3 u relative), and the check would pass there.
-    The eigenvalues of D^-1/2 A D^-1/2 come first only where the tensor kappa can pass: its diagonal alone
-    makes it at least K = max_l of the A11 and A22 line ratios hi/lo, and K = L for an isotropic tensor.
-    Any other sample set takes the isotropic pass and the check first, as does every scalar one.
+    A tensor's components are copied once into line order, and the tensor pass scales that copy in place.
+    On each line lo_l <= min(A11, A22) and hi_l >= max(A11, A22), so the isotropic kappa is at least
+    L = max_l max(A11, A22) / min(A11, A22); a positive tensor kappa <= L (1 - 1e-12) therefore wins, and
+    the eigenvalues of A, the isotropic choice and the positivity check are skipped. The margin covers their
+    rounding while the diagonal spans at most a factor 1e3 (lambda_min then errs by under 1e3 u relative),
+    and the check would pass there. Such a diagonal takes the tensor pass first; any other sample set,
+    scalar ones too, takes the isotropic pass and the check first. The isotropic pass reads a tensor's
+    samples in their own order and copies only its eigenvalue extremes into line order.
     """
     if a_vals.ndim == 2:
         x = _by_line(a_vals, cells1)
@@ -189,14 +182,11 @@ def _line_scales(a_vals, cells1):
     dlo, dhi = np.minimum(lo1, lo2), np.maximum(hi1, hi2)  # diagonal extremes per line
     tensor = None
     if 0.0 < np.min(dlo) and np.max(dhi) <= 1e3 * np.min(dlo):  # a non-positive or non-finite one fails the check
-        bound = float(np.max(dhi / dlo)) * (1.0 - 1e-12)
-        if np.max(np.maximum(hi1 / lo1, hi2 / lo2)) < bound:  # K; else the tensor kappa cannot pass
-            tensor = _tensor_scales(a, lo1, hi1, lo2, hi2)
-            (tlo, thi), _, _ = tensor
-            if tlo > 0.0 and thi / tlo <= bound:
-                return tensor
-            a = _by_line(comps, cells1)  # the tensor pass scaled the copy
-    lo, hi = _symmetric_eigenvalues(a[0], a[3], a[1] + a[2])
+        tensor = _tensor_scales(a, lo1, hi1, lo2, hi2)
+        (tlo, thi), _, _ = tensor
+        if tlo > 0.0 and thi / tlo <= float(np.max(dhi / dlo)) * (1.0 - 1e-12):
+            return tensor
+    lo, hi = (_by_line(x, cells1) for x in _symmetric_eigenvalues(comps[0], comps[3], comps[1] + comps[2]))
     iso = _isotropic_scales(np.min(lo, axis=-1), np.max(hi, axis=-1))
     tensor = tensor or _tensor_scales(a, lo1, hi1, lo2, hi2)
     return min(tensor, iso, key=lambda choice: choice[0][1] / choice[0][0])

@@ -351,7 +351,7 @@ def test_fast_diagonalization_certificate_holds(edges, mu):
         assert ev.min() > 0.0
         assert ev.max() / ev.min() <= pre.kappa * (1.0 + 1e-9)
         samples = sampler(mesh_mod.quadrature(s.mesh).points.reshape(-1, 2))
-        lo, hi = fem._coefficient_bounds(samples.reshape((-1, 4) + samples.shape[1:]))
+        lo, hi = fem_reference.coefficient_bounds(samples.reshape((-1, 4) + samples.shape[1:]))
         assert pre.kappa <= hi / lo
 
 
@@ -360,9 +360,12 @@ def test_coefficient_bounds_closed_form():
     b = rng.standard_normal((5, 4, 2, 2))
     samples = b @ np.swapaxes(b, -1, -2) + 0.1 * np.eye(2)
     eig = np.linalg.eigvalsh(samples)
-    lo, hi = fem._coefficient_bounds(samples)
+    lo, hi = fem_reference.coefficient_bounds(samples)
     assert lo == pytest.approx(eig.min(), rel=1e-12)
     assert hi == pytest.approx(eig.max(), rel=1e-12)
+    # the in-place form the preconditioner uses
+    lo, hi = fem._symmetric_eigenvalues(samples[..., 0, 0], samples[..., 1, 1], samples[..., 0, 1] + samples[..., 1, 0])
+    assert np.allclose(lo, eig[..., 0], rtol=1e-12, atol=0.0) and np.allclose(hi, eig[..., 1], rtol=1e-12, atol=0.0)
     assert fem._coefficient_bounds(np.array([[2.0, 3.0], [0.5, 1.0]])) == (0.5, 3.0)
 
 
@@ -504,7 +507,7 @@ def _isotropic(p):
     [
         lambda p: np.random.default_rng(3).uniform(0.2, 5.0, p.shape[0]),  # scalar
         _x1_only_tensor,  # the laminate case: the tensor choice wins by the diagonal bound
-        _isotropic,  # an exact tie: the isotropic pass runs first and the tensor choice is kept
+        _isotropic,  # an exact tie: the isotropic pass runs after the tensor one, whose choice is kept
         lambda p: np.exp(10.0 * p[:, 0])[:, None, None] * _x1_only_tensor(p),  # a diagonal wider than 1e3: no bound
         _random_spd(1.0),  # the isotropic choice wins
         _random_spd(10.0),
