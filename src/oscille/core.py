@@ -165,16 +165,12 @@ def preset_coefficient(preset_id, params, dim=None):
 
 
 def tau_eps(field, eps, x):
-    """Two-scale evaluation a(x, frac(x/eps)): the oscillatory coefficient.
-
-    frac wraps componentwise into the unit cell [0,1)^d.
-    """
+    """Two-scale evaluation a(x, x/eps): the oscillatory coefficient, whose
+    fast variable the field wraps into the unit cell [0,1)^d."""
     if eps <= 0:
         raise ConfigError("eps must be positive")
     x = _as_points(x, field.dim)
-    y = x / eps
-    y = y - np.floor(y)
-    return _eval_preset(field.preset_id, field.params, x, y)
+    return field.eval(x, x / eps)
 
 
 @dataclass(frozen=True)

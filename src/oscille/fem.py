@@ -35,7 +35,6 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import core, linalg
@@ -227,10 +226,17 @@ def _fast_diagonalization(mesh, free_axes, a_vals, mu):
     stiff, mass_beta, mass = np.stack([diag[:, free], coupling], axis=1)[:, :, None]
     m, k = m[:, None], k[:, None]
     t = math.sqrt(lo * hi) * (m * stiff + k * mass_beta) - mu * m * mass  # (diagonal or coupling, mode, node)
-    d, e, info = dpttrf(t[0].ravel(), t[1].ravel()[: max(t[1].size - 1, 1)])  # one coupling for one dof
+    factor = _tridiagonal_factor(t[0].ravel(), t[1].ravel(), "preconditioner mode system")
+    return FastDiagonalization(q, s, factor, hi / lo)
+
+
+def _tridiagonal_factor(diag, coupling, what):
+    """dpttrf's (d, e) of the SPD tridiagonal `what` with diagonal diag (n,) and couplings coupling[:n - 1]."""
+    e = coupling[: diag.size - 1] if diag.size > 1 else np.zeros(1)  # LAPACK needs one even with none to read
+    d, e, info = dpttrf(diag, e)
     if info:
-        raise linalg.SingularSystem(f"preconditioner mode system is not positive definite (dpttrf info {info})")
-    return FastDiagonalization(q, s, (d, e), hi / lo)
+        raise linalg.SingularSystem(f"{what} is not positive definite (dpttrf info {info})")
+    return d, e
 
 
 def _free_axes(mesh, bc):
@@ -386,14 +392,14 @@ def assemble_load(mesh, f):
 def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):
     """Solve the assembled system for a load; Dirichlet nodes come back 0.
 
-    1D systems are tridiagonal and SPD, and go through LAPACK banded
-    Cholesky (`scipy.linalg.solveh_banded`); 2D systems through conjugate
-    gradients (`linalg.solve_spd`) to relative residual `tol`,
-    preconditioned by the system's `FastDiagonalization` and stopped at
-    the iteration count its certified condition bound implies. Both are
-    deterministic. A 1D system that is not positive definite, or a
-    non-finite load, raises `linalg.SingularSystem`; a 2D solve that
-    misses `tol` raises `linalg.NonConvergence`.
+    1D systems are tridiagonal and SPD, one free dof or none included, and
+    go through LAPACK's tridiagonal Cholesky (`dpttrf`, `dpttrs`) as the 2D
+    preconditioner's modes do; 2D systems through conjugate gradients
+    (`linalg.solve_spd`) to relative residual `tol`, preconditioned by the
+    system's `FastDiagonalization` and stopped at the iteration count its
+    certified condition bound implies. Both are deterministic. A 1D system
+    that is not positive definite or not finite, or a non-finite load, raises
+    `linalg.SingularSystem`; a 2D solve that misses `tol` raises `linalg.NonConvergence`.
     """
     if isinstance(f, GridFunction) or callable(f):
         load = assemble_load(system.mesh, f)
@@ -404,15 +410,9 @@ def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):
     b = load[system.free_dofs]
     m = system.matrix
     if system.mesh.dim == 1:
-        upper = np.zeros((2, m.shape[0]))
-        upper[0, 1:] = m.diagonal(1)
-        upper[1] = m.diagonal(0)
-        try:
-            x = solveh_banded(upper, b)
-        except np.linalg.LinAlgError as exc:
-            raise linalg.SingularSystem(f"1D system is not positive definite: {exc}") from exc
-        except ValueError as exc:  # check_finite rejects infs and NaNs
-            raise linalg.SingularSystem(f"1D system or load is not finite: {exc}") from exc
+        if not (np.all(np.isfinite(m.data)) and np.all(np.isfinite(b))):  # LAPACK would compute through them
+            raise linalg.SingularSystem("1D system or load is not finite")
+        x, _ = dpttrs(*_tridiagonal_factor(m.diagonal(), m.diagonal(1), "1D system"), b)
     else:
         pre = system.preconditioner
         linalg._check_tol(tol)  # before max_iter takes log(2 / tol)

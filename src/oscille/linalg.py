@@ -2,10 +2,11 @@
 
 Matrices are plain `scipy.sparse` CSR matrices as assembled by `fem`,
 fine-mesh and cell systems alike; 1D fine-mesh systems are solved in
-`fem` by banded Cholesky instead. The solvers here are preconditioned
-conjugate gradients: `solve_spd` takes the preconditioner as a callable
-(`fem` passes the per-line fast diagonalization of each 2D system) and
-falls back to Jacobi, which the periodic cell solve `solve_saddle` runs on
+`fem` by LAPACK's tridiagonal Cholesky (`dpttrf`, `dpttrs`) instead. The
+solvers here are preconditioned conjugate gradients through one checked
+body, `_solve`: `solve_spd` takes the preconditioner as a callable (`fem`
+passes the per-line fast diagonalization of each 2D system) and falls
+back to Jacobi, which the periodic cell solve `solve_saddle` runs on
 mean-free vectors. They are deterministic, so repeated runs produce
 bit-identical results. Convergence is judged on the recursive residual
 against `tol`, which sits far below any homogenization error being
@@ -90,6 +91,26 @@ def _pcg(matvec, b, precondition, tol, max_iter, project=None):
     return x, it, res
 
 
+def _solve(matrix, b, tol, max_iter, preconditioner, project=None):
+    """`_pcg` on M x = b (b projected first when `project` is given) after the tol and shape checks, max_iter
+    max(1000, 20 n) and Jacobi by default; a missed or NaN residual raises NonConvergence."""
+    _check_tol(tol)
+    b = np.asarray(b, dtype=float)
+    n = matrix.shape[0]
+    if b.shape[0] != n or matrix.shape[1] != n:
+        raise DimensionMismatch("the solve needs a square matrix matching the rhs")
+    if max_iter is None:
+        max_iter = max(1000, 20 * n)
+    if preconditioner is None:
+        preconditioner = _jacobi(matrix)
+    if project is not None:
+        b = project(b)
+    x, it, res = _pcg(lambda v: matrix @ v, b, preconditioner, tol, max_iter, project=project)
+    if not res <= tol:  # also catches a NaN residual
+        raise NonConvergence(it, res)
+    return x, SolveStats(it, res)
+
+
 def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None, preconditioner=None):
     """Solve M x = b for a symmetric positive definite scipy sparse M.
 
@@ -99,19 +120,7 @@ def solve_spd(matrix, b, tol=DEFAULT_TOL, max_iter=None, preconditioner=None):
     residual target is missed within max_iter iterations or the residual
     is not a number.
     """
-    _check_tol(tol)
-    b = np.asarray(b, dtype=float)
-    n = matrix.shape[0]
-    if b.shape[0] != n or matrix.shape[1] != n:
-        raise DimensionMismatch("solve_spd needs a square matrix matching the rhs")
-    if max_iter is None:
-        max_iter = max(1000, 20 * n)
-    if preconditioner is None:
-        preconditioner = _jacobi(matrix)
-    x, it, res = _pcg(lambda v: matrix @ v, b, preconditioner, tol, max_iter)
-    if not res <= tol:  # also catches a NaN residual
-        raise NonConvergence(it, res)
-    return x, SolveStats(it, res)
+    return _solve(matrix, b, tol, max_iter, preconditioner)
 
 
 def solve_saddle(matrix, b, tol=DEFAULT_TOL, max_iter=None):
@@ -121,20 +130,8 @@ def solve_saddle(matrix, b, tol=DEFAULT_TOL, max_iter=None):
     Jacobi CG projected onto mean-free vectors needs no multiplier
     (Kaasschieter, J. Comput. Appl. Math. 24, 1988). Its relative residual
     is taken against the mean-free load, the one it solves for, and `tol`
-    must lie in [1e-14, 1e-4]. Returns (x, SolveStats).
+    must lie in [1e-14, 1e-4]. Returns (x, SolveStats), with the checks and
+    failures of `solve_spd`.
     """
-    _check_tol(tol)
-    b = np.asarray(b, dtype=float)
-    n = matrix.shape[0]
-    if b.shape[0] != n or matrix.shape[1] != n:
-        raise DimensionMismatch("solve_saddle needs a square matrix matching the rhs")
-    if max_iter is None:
-        max_iter = max(1000, 20 * n)
-
-    def project(v):
-        return v - v.mean()
-
-    x, it, res = _pcg(lambda v: matrix @ v, project(b), _jacobi(matrix), tol, max_iter, project=project)
-    if not res <= tol:  # also catches a NaN residual
-        raise NonConvergence(it, res)
-    return x - float(x @ np.full(n, 1.0 / n)), SolveStats(it, res)
+    x, stats = _solve(matrix, b, tol, max_iter, None, project=lambda v: v - v.mean())
+    return x - float(x @ np.full(x.size, 1.0 / x.size)), stats

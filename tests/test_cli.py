@@ -472,7 +472,7 @@ def test_nan_error_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_indefinite_1d_system_exit_3(tmp_path, monkeypatch, capsys):
-    # a negated 1D system is not positive definite: the banded Cholesky
+    # a negated 1D system is not positive definite: the tridiagonal Cholesky
     # failure is a numerical failure, not a config error
     assemble = cli.study.fem.assemble
 
@@ -485,6 +485,16 @@ def test_indefinite_1d_system_exit_3(tmp_path, monkeypatch, capsys):
     rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
     assert rc == 3
     assert "numerical failure: SingularSystem: 1D system is not positive definite" in capsys.readouterr().err
+
+
+def test_one_free_dof_1d_study_gets_past_its_solves(tmp_path, capsys):
+    # one point per period on [0, 0.5] leaves one free dof at eps = 1/4: the solves pass,
+    # and the study stops on the corrector's reach past the domain, as so small a mesh should
+    cfg = _write_cfg(tmp_path, dict(SINE_CFG, domain=[[0.0, 0.5]], points_per_period=1,
+                                    epsilons=[1 / 4, 1 / 8, 1 / 16, 1 / 32]))
+    rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert rc == 3
+    assert "numerical failure: MarginTooLarge" in capsys.readouterr().err
 
 
 LAMINATE_CFG = dict(

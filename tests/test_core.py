@@ -59,6 +59,29 @@ def test_tau_eps_examples():
     assert np.allclose(core.tau_eps(c, 0.37, pts), 2.5)
 
 
+@pytest.mark.parametrize(
+    "preset, params, d",
+    [
+        ("Sine1D", [2, 1], 1),
+        ("Laminate2D", [2, 1], 2),
+        ("SineProduct2D", [3, 1.5], 2),
+        ("Constant", [2.5], 1),
+        ("Constant", [2.5], 2),
+        ("LocallyPeriodic1D", [2, 1, 0.5], 1),
+        ("LocallyPeriodic2D", [2, 1, 0.5], 2),
+    ],
+)
+@pytest.mark.parametrize("eps", [1 / 4, 1 / 10, 1 / 12, 1 / 32])
+def test_tau_eps_equals_the_field_at_x_over_eps_wrapped_twice(preset, params, d, eps):
+    # the field wraps x / eps once; wrapping it before as well changes no bit
+    f = core.preset_coefficient(preset, params, d)
+    grid = np.arange(-20, 28) / 16.0  # multiples of 1/16 in [-1.3, 1.7]
+    x = np.concatenate([np.random.default_rng(d).uniform(-1.3, 1.7, (5000, d)),
+                        np.stack(np.meshgrid(*[grid] * d), axis=-1).reshape(-1, d)])
+    y = x / eps
+    assert np.array_equal(core.tau_eps(f, eps, x).view(np.int64), f.eval(x, y - np.floor(y)).view(np.int64))
+
+
 def test_periodicity_exact():
     # dyadic fast coordinates keep y + 1 exactly representable, so the
     # wrapped evaluation must agree bit for bit

@@ -407,20 +407,24 @@ def test_elongated_strip_under_node_cap_solves(monkeypatch):
 
 
 def test_few_free_dofs_solve():
-    # all-Dirichlet meshes with 0 and 1 free dofs; with none the preconditioner
-    # factors nothing and PCG returns before any apply, with one it factors a 1 x 1 mode
-    unit = ((0.0, 1.0), (0.0, 1.0))
-    for h, free, centre in ((1.0, 0, None), (0.5, 1, 0.09)):
-        m = build_domain_mesh(unit, h * (1 + 1e-12))
-        s = fem.assemble(m, ONES, -1.0, core.BoundarySpec("dirichlet"))
-        assert s.free_dofs.size == free
+    # meshes with 0 and 1 free dofs, 2D all-Dirichlet and 1D Dirichlet or mixed: with none the 2D
+    # preconditioner factors nothing and PCG returns before any apply; with one LAPACK factors a
+    # 1 x 1 system, a 2D mode or the 1D system, and is passed a coupling it does not read
+    dirichlet, unit1, unit2 = core.BoundarySpec("dirichlet"), ((0.0, 1.0),), ((0.0, 1.0), (0.0, 1.0))
+    for extents, h, bc, value in (
+        (unit2, 1.0, dirichlet, None),
+        (unit2, 0.5, dirichlet, 0.09),  # (8/3 + 4 h^2/9) u = h^2 at the centre node
+        (unit1, 1.0, dirichlet, None),
+        (unit1, 0.5, dirichlet, 1.5 / 13),  # (2/h + 2h/3) u = h at the middle node
+        (unit1, 1.0, core.BoundarySpec("mixed", ("left",)), 0.375),  # (1/h + h/3) u = h/2 at the natural end
+        (unit1, 1.0, core.BoundarySpec("mixed", ("right",)), 0.375),
+    ):
+        s = fem.assemble(build_domain_mesh(extents, h * (1 + 1e-12)), ONES, -1.0, bc)
+        assert s.free_dofs.size == (value is not None)
         u = fem.solve_resolvent(s, ONES)
-        if centre is None:
-            np.testing.assert_array_equal(u.values, 0.0)
-        else:
-            # (8/3 + 4 h^2/9) u = h^2 at the centre node
-            assert u.values[4] == pytest.approx(centre, rel=1e-12)
-            assert np.count_nonzero(u.values) == 1
+        assert np.count_nonzero(u.values) == s.free_dofs.size
+        if value is not None:
+            assert u.values[s.free_dofs[0]] == pytest.approx(value, rel=1e-12)
 
 
 def test_fast_diagonalization_iterations_do_not_grow_with_h():

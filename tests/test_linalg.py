@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +8,7 @@ from scipy.linalg import solveh_banded
 
 import linalg_reference
 from cell_reference import mean_functional
-from oscille import fem, linalg
+from oscille import cell, cli, core, corrector, fem, linalg, study
 from oscille.core import BoundarySpec, ConfigError
 from oscille.cell import _cell_coefficient, _periodic_stiffness_and_loads
 from oscille.core import preset_coefficient
@@ -142,6 +145,51 @@ def test_tridiag_zero_pivot():
 def test_tridiag_non_finite_load_raises():
     with pytest.raises(linalg.SingularSystem, match="not finite"):
         _solve_1d(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.array([1.0, np.nan]))
+
+
+def _banded_reference(system, load):
+    """scipy's banded Cholesky of the system's free dofs: the reference 1D solve."""
+    m = system.matrix
+    upper = np.zeros((2, m.shape[0]))
+    upper[0, 1:] = m.diagonal(1)
+    upper[1] = m.diagonal()
+    return solveh_banded(upper, load[system.free_dofs])
+
+
+@pytest.mark.parametrize("n", range(2, 51))
+def test_tridiag_equals_banded_cholesky_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    sub = -rng.random(n - 1)
+    main = 2.5 + rng.random(n)
+    b = rng.standard_normal(n)
+    x = _solve_1d(np.diag(main) + np.diag(sub, -1) + np.diag(sub, 1), b)
+    assert np.array_equal(x, solveh_banded(np.stack([np.concatenate([[0.0], sub]), main]), b))
+
+
+@pytest.mark.parametrize("config", ["mixed1d.json", "sine1d.json"])
+def test_study_solves_equal_banded_cholesky_bit_for_bit(config):
+    # the oscillatory and effective systems of a shipped 1D study at its finest eps, both loads
+    sc = cli.load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", config))
+    eps = sc.epsilons[-1]
+    x_axes = cell.x_axes_for(sc.domain, corrector.table_margin(sc.epsilons[0], sc.points_per_period))
+    eff, _ = cell.tabulate_effective(sc.field, x_axes, build_cell_mesh(cell.default_cell_m(1), 1))
+    mesh = fem.oscillatory_mesh(sc, eps)
+    for a in (lambda p: core.tau_eps(sc.field, eps, p), eff.at_gauss(mesh)):
+        system = fem.assemble(mesh, a, sc.mu, sc.bc)
+        for _, f in study.LOADS:
+            load = fem.assemble_load(mesh, f)
+            x = fem.solve_resolvent(system, load).values[system.free_dofs]
+            assert np.array_equal(x, _banded_reference(system, load))
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (1, 2)])
+def test_tridiag_non_finite_matrix_raises(entry):
+    # LAPACK's tridiagonal factor computes through an inf, so it is refused first
+    s = fem.assemble(build_domain_mesh(((0.0, 1.0),), 0.25), lambda p: np.ones(len(p)), -1.0, BoundarySpec("dirichlet"))
+    dense = s.matrix.toarray()
+    dense[entry] = np.inf
+    with pytest.raises(linalg.SingularSystem, match="not finite"):
+        fem.solve_resolvent(dataclasses.replace(s, matrix=sp.csr_matrix(dense)), np.ones(s.n_full))
 
 
 def _periodic_laplacian(m):
