@@ -81,8 +81,7 @@ class FastDiagonalization:
     Certificate: with the eigenvalues of D_l^-1/2 A D_l^-1/2 in [lo, hi] at all Gauss points and c = sqrt(lo*hi),
     g.Ag lies in [lo/c, hi/c] times g.(c D_l)g at each point of the shared rule; the -mu mass terms are equal and
     nonnegative, so u.Au / u.Pu lies in [sqrt(lo/hi), sqrt(hi/lo)]: cond(P^-1 A) <= kappa = hi/lo at every h.
-    `_line_scales` picks D_l; for a tensor it forms the eigenvalues of A as well, for the isotropic choice and the
-    positivity check, only where a bound on the diagonal does not already show that the A11, A22 scales win.
+    `_line_scales` takes D_l from the ranges of A11 and A22 on line l, with one eigenvalue pass per tensor.
     """
 
     transform: tuple  # (Q^T, Q) of axis 2, applied along the contiguous array axis
@@ -129,66 +128,43 @@ def _by_line(x, cells1):
     return np.ascontiguousarray(r).reshape(lead + (cells1, 2, -1))
 
 
-def _isotropic_scales(lo, hi):
-    """Line scales alpha = beta = s_l = sqrt(lo_l hi_l) of the line eigenvalue extremes lo, hi (cells1, 2).
-
-    First checks that those extremes are positive with a finite ratio, so that every scale exists.
-    """
-    glo, ghi = _coefficient_bounds(np.concatenate([lo, hi], axis=1))  # those of a_vals, checked before any scale
-    if not (glo > 0.0 and math.isfinite(ghi / glo)):
-        raise linalg.SingularSystem(f"coefficient eigenvalues in [{glo:g}, {ghi:g}] are not uniformly positive")
-    s = np.sqrt(lo) * np.sqrt(hi)  # sqrt(lo * hi) underflows for tiny coefficients
-    return _coefficient_bounds(np.concatenate([lo / s, hi / s], axis=1)), s, s
-
-
-def _tensor_scales(a, lo1, hi1, lo2, hi2):
-    """Line scales alpha, beta from the A11 and A22 line extremes, with the bounds of D^-1/2 A D^-1/2.
-
-    a holds A11, A12, A21, A22 by line as `_by_line` gives them and is scaled in place.
-    """
-    alpha, beta = np.sqrt(lo1) * np.sqrt(hi1), np.sqrt(lo2) * np.sqrt(hi2)
-    ra, rb = (1.0 / np.sqrt(x)[..., None] for x in (alpha, beta))
-    w = ra * rb
-    a *= np.stack([ra * ra, w, w, rb * rb])  # A_rs / sqrt(D_r D_s)
-    a[1] += a[2]
-    tlo, thi = _symmetric_eigenvalues(a[0], a[3], a[1])
-    return (float(np.min(tlo)), float(np.max(thi))), alpha, beta
+def _positive_bounds(x, what):
+    """`_coefficient_bounds` (lo, hi) of x, or `linalg.SingularSystem` unless lo > 0 and hi/lo is finite."""
+    lo, hi = _coefficient_bounds(x)
+    if not (lo > 0.0 and math.isfinite(hi / lo)):
+        raise linalg.SingularSystem(f"{what} in [{lo:g}, {hi:g}] are not uniformly positive")
+    return lo, hi
 
 
 def _line_scales(a_vals, cells1):
     """Bounds (lo, hi) of D^-1/2 A D^-1/2 and the scales alpha, beta (cells1, 2) of the x1 Gauss lines.
 
-    Samples lie (i, j, g1, g2) by x1 cell, x2 cell and Gauss point. Line (i, g1) takes alpha = beta = s_l
-    = sqrt(lo_l hi_l) of its eigenvalue extremes, which bound those of A / s_l, so kappa = max_l hi_l/lo_l
-    <= the global hi/lo; a tensor takes alpha, beta from the ranges of A11, A22 where that gives a smaller
-    kappa, the tensor choice on a tie.
+    Samples lie (i, j, g1, g2) by x1 cell, x2 cell and Gauss point; a scalar a is A11 = A22 = a, A12 = 0.
+    Line (i, g1) takes alpha = sqrt(min A11 max A11) and beta = sqrt(min A22 max A22) over the line, and
+    D = diag(alpha, beta). A diagonal that is not uniformly positive raises `linalg.SingularSystem` before
+    any root (its message bounds the diagonal, which the eigenvalues of A enclose), and so does a lower
+    bound lo that is not: D^-1/2 A D^-1/2 is congruent to A. On each line the extremes of A11 and A22 of a
+    scalar or a diagonal tensor lie inside those of its eigenvalues, so kappa = hi/lo is at most the global
+    hi/lo of A there; an off-diagonal A12 may take it above.
 
-    A tensor's components are copied once into line order, and the tensor pass scales that copy in place.
-    On each line lo_l <= min(A11, A22) and hi_l >= max(A11, A22), so the isotropic kappa is at least
-    L = max_l max(A11, A22) / min(A11, A22); a positive tensor kappa <= L (1 - 1e-12) therefore wins, and
-    the eigenvalues of A, the isotropic choice and the positivity check are skipped. The margin covers their
-    rounding while the diagonal spans at most a factor 1e3 (lambda_min then errs by under 1e3 u relative),
-    and the check would pass there. Such a diagonal takes the tensor pass first; any other sample set,
-    scalar ones too, takes the isotropic pass and the check first. The isotropic pass reads a tensor's
-    samples in their own order and copies only its eigenvalue extremes into line order.
+    A tensor's components are copied once into line order, and that copy is scaled in place.
     """
-    if a_vals.ndim == 2:
-        x = _by_line(a_vals, cells1)
-        return _isotropic_scales(np.min(x, axis=-1), np.max(x, axis=-1))
-    comps = np.moveaxis(a_vals.reshape(len(a_vals), 4, 4), -1, 0)  # A11, A12, A21, A22, each (E, g)
-    a = _by_line(comps, cells1)
-    (lo1, hi1), (lo2, hi2) = ((np.min(x, axis=-1), np.max(x, axis=-1)) for x in (a[0], a[3]))
-    dlo, dhi = np.minimum(lo1, lo2), np.maximum(hi1, hi2)  # diagonal extremes per line
-    tensor = None
-    if 0.0 < np.min(dlo) and np.max(dhi) <= 1e3 * np.min(dlo):  # a non-positive or non-finite one fails the check
-        tensor = _tensor_scales(a, lo1, hi1, lo2, hi2)
-        (tlo, thi), _, _ = tensor
-        if tlo > 0.0 and thi / tlo <= float(np.max(dhi / dlo)) * (1.0 - 1e-12):
-            return tensor
-    lo, hi = (_by_line(x, cells1) for x in _symmetric_eigenvalues(comps[0], comps[3], comps[1] + comps[2]))
-    iso = _isotropic_scales(np.min(lo, axis=-1), np.max(hi, axis=-1))
-    tensor = tensor or _tensor_scales(a, lo1, hi1, lo2, hi2)
-    return min(tensor, iso, key=lambda choice: choice[0][1] / choice[0][0])
+    tensor = a_vals.ndim == 4
+    a = _by_line(np.moveaxis(a_vals.reshape(len(a_vals), 4, 4), -1, 0) if tensor else a_vals, cells1)
+    ends = lambda x: (np.min(x, axis=-1), np.max(x, axis=-1))  # noqa: E731
+    (lo1, hi1), (lo2, hi2) = (ends(a[0]), ends(a[3])) if tensor else (ends(a),) * 2
+    _positive_bounds(np.concatenate([lo1, hi1, lo2, hi2], axis=1), "coefficient eigenvalues")
+    alpha, beta = np.sqrt(lo1) * np.sqrt(hi1), np.sqrt(lo2) * np.sqrt(hi2)  # sqrt(lo * hi) underflows for tiny ones
+    if tensor:
+        ra, rb = (1.0 / np.sqrt(x)[..., None] for x in (alpha, beta))
+        w = ra * rb
+        a *= np.stack([ra * ra, w, w, rb * rb])  # A_rs / sqrt(D_r D_s)
+        a[1] += a[2]
+        lo, hi = _symmetric_eigenvalues(a[0], a[3], a[1])
+        lo, hi = np.min(lo, axis=-1), np.max(hi, axis=-1)
+    else:
+        lo, hi = lo1 / alpha, hi1 / alpha
+    return _positive_bounds(np.concatenate([lo, hi], axis=1), "eigenvalues of D^-1/2 A D^-1/2"), alpha, beta
 
 
 def _axis_spectrum(h, free):

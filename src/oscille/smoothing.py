@@ -276,7 +276,6 @@ class LemmaCheck:
     ratios: tuple  # lemma-normalized ratios per scale
     raw: tuple  # un-normalized measured quantity per scale
     passed: bool
-    note: str = ""
 
 
 @dataclass
@@ -387,18 +386,17 @@ def smoothing_lemma_suite():
         pad = ext.pad[0]
         dnorm = _nodal_q_norm(_central_diff(ext.base.values, h)[pad - 1 : pad - 1 + n], h)
         sem = _holder_seminorm(src, mesh, r)
-        table = (  # lemma, ratio of a measured value v at scale s, pass rule, note
-            ("steklov_tau_norm", lambda v, s: v, _contracts, "contraction of the averaged two-scale trace"),
-            ("steklov_identity", lambda v, s: v / (s * dnorm), _growth_ok, "defect / (eps * grad norm)"),
-            ("translation_identity", lambda v, s: v / (s * 0.5 * dnorm), _growth_ok, "defect / (eps |z| grad norm)"),
-            ("mollify_identity", lambda v, s: v / (s**r * sem), _growth_ok, f"defect / (delta^{r:g} * seminorm)"),
-            ("mollify_gradient", lambda v, s: v * s ** (1.0 - r) / sem, _growth_ok,
-             f"grad norm * delta^{1 - r:g} / seminorm"),
+        table = (  # lemma, ratio of a measured value v at scale s, pass rule
+            ("steklov_tau_norm", lambda v, s: v, _contracts),  # contraction of the averaged two-scale trace
+            ("steklov_identity", lambda v, s: v / (s * dnorm), _growth_ok),
+            ("translation_identity", lambda v, s: v / (s * 0.5 * dnorm), _growth_ok),
+            ("mollify_identity", lambda v, s: v / (s**r * sem), _growth_ok),
+            ("mollify_gradient", lambda v, s: v * s ** (1.0 - r) / sem, _growth_ok),
         )
         measured = zip(*(_measure(ext, src, s) for s in SUITE_SCALES))
-        for (lemma, ratio, rule, note), raw in zip(table, measured):
+        for (lemma, ratio, rule), raw in zip(table, measured):
             ratios = tuple(ratio(v, s) for v, s in zip(raw, SUITE_SCALES))
-            checks.append(LemmaCheck(lemma, name, SUITE_SCALES, ratios, raw, passed=rule(ratios), note=note))
+            checks.append(LemmaCheck(lemma, name, SUITE_SCALES, ratios, raw, passed=rule(ratios)))
     return PropertyReport(checks)
 
 

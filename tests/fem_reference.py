@@ -10,9 +10,11 @@ so the production pattern, scatter and Dirichlet sets are checked against
 it bit for bit. The contractions themselves are checked to rounding
 against `einsum_element_matrices` and `einsum_load_contributions`, the
 einsum forms they replaced. `line_scales` is the preconditioner's line
-scaling before it took one eigenvalue pass per tensor build: it forms the
-eigenvalues of A and of D^-1/2 A D^-1/2 at every Gauss point and both
-candidates, and `fem._line_scales` is checked against it bit for bit.
+scaling in its two-pass form: it checks the eigenvalues of A at every
+Gauss point for positivity, where `fem._line_scales` checks the diagonal
+and the scaled eigenvalues, and then forms the eigenvalues of
+D^-1/2 A D^-1/2 of a tensor out of place; `fem._line_scales` is checked
+against it bit for bit.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ def coefficient_bounds(a_vals):
 
 
 def line_scales(a_vals, cells1):
-    """Bounds (lo, hi), alpha and beta of the x1 Gauss lines, the isotropic and tensor choices both formed."""
+    """Bounds (lo, hi), alpha and beta of the x1 Gauss lines: alpha = beta = sqrt(lo_l hi_l) of a scalar's
+    line extremes, and for a tensor the scales of the A11 and A22 line extremes."""
 
     def extreme(x, f):  # f (np.minimum or np.maximum) over each line of samples x (E, 4)
         r = x.reshape(cells1, -1, 2, 2)
@@ -132,15 +135,13 @@ def line_scales(a_vals, cells1):
     glo, ghi = coefficient_bounds(np.concatenate([lo, hi], axis=1))
     if not (glo > 0.0 and math.isfinite(ghi / glo)):
         raise linalg.SingularSystem(f"coefficient eigenvalues in [{glo:g}, {ghi:g}] are not uniformly positive")
-    s = np.sqrt(lo) * np.sqrt(hi)
-    iso = coefficient_bounds(np.concatenate([lo / s, hi / s], axis=1)), s, s
     if a_vals.ndim == 2:
-        return iso
+        s = np.sqrt(lo) * np.sqrt(hi)
+        return coefficient_bounds(np.concatenate([lo / s, hi / s], axis=1)), s, s
     diagonal = a_vals[..., 0, 0], a_vals[..., 1, 1]
     alpha, beta = (np.sqrt(extreme(x, np.minimum)) * np.sqrt(extreme(x, np.maximum)) for x in diagonal)
     ra, rb = (1.0 / np.sqrt(x)[:, None, :, None] for x in (alpha, beta))
     b, w = a_vals.reshape(cells1, -1, 2, 2, 2, 2), ra * rb
     off = b[..., 0, 1] * w + b[..., 1, 0] * w
     tlo, thi = symmetric_eigenvalues(b[..., 0, 0] * (ra * ra), b[..., 1, 1] * (rb * rb), off)
-    tensor = (float(np.min(tlo)), float(np.max(thi))), alpha, beta
-    return min(tensor, iso, key=lambda choice: choice[0][1] / choice[0][0])
+    return (float(np.min(tlo)), float(np.max(thi))), alpha, beta

@@ -340,19 +340,32 @@ def _random_spd(stretch):
 
 @pytest.mark.parametrize("edges, mu", BC_CASES)
 def test_fast_diagonalization_certificate_holds(edges, mu):
-    # cond(P^-1 A) never exceeds the certified kappa, and kappa never exceeds
-    # the global hi/lo (for scalar samples it is max over x1 Gauss lines of hi_l/lo_l)
+    # cond(P^-1 A) never exceeds the certified kappa, and kappa stays within the
+    # global hi/lo but on the _random_spd fields, whose off-diagonals take it above
     scalar = lambda p: np.random.default_rng(3).uniform(0.2, 5.0, p.shape[0])  # noqa: E731
-    # the isotropic line scale serves _random_spd(1) and the rough tensor, A11 and A22 scales _random_spd(10)
-    for sampler in (scalar, _rough_sampler(2, False), _random_spd(1.0), _random_spd(10.0), _rough_sampler(2, True)):
+    spd = (_random_spd(1.0), _random_spd(10.0))
+    for sampler in (scalar, _rough_sampler(2, False), *spd, _rough_sampler(2, True)):
         s = _box_system(edges, mu, sampler)
         pre = s.preconditioner
         ev = np.linalg.eigvals(_preconditioned(s)).real
         assert ev.min() > 0.0
         assert ev.max() / ev.min() <= pre.kappa * (1.0 + 1e-9)
-        samples = sampler(mesh_mod.quadrature(s.mesh).points.reshape(-1, 2))
-        lo, hi = fem_reference.coefficient_bounds(samples.reshape((-1, 4) + samples.shape[1:]))
-        assert pre.kappa <= hi / lo
+        if sampler not in spd:
+            samples = sampler(mesh_mod.quadrature(s.mesh).points.reshape(-1, 2))
+            lo, hi = fem_reference.coefficient_bounds(samples.reshape((-1, 4) + samples.shape[1:]))
+            assert pre.kappa <= hi / lo
+
+
+@pytest.mark.parametrize("edges, mu", BC_CASES)
+def test_random_tensor_solves_within_the_certified_count(edges, mu):
+    # _random_spd(1)'s kappa lies above its global hi/lo, yet it bounds the
+    # solve: PCG meets the tolerance on each study load within max_iter
+    s = _box_system(edges, mu, _random_spd(1.0))
+    for _, load in study.LOADS:
+        b = fem.assemble_load(s.mesh, load)[s.free_dofs]
+        u = fem.solve_resolvent(s, load)  # NonConvergence past max_iter(DEFAULT_TOL)
+        residual = np.linalg.norm(b - s.matrix @ u.values[s.free_dofs])
+        assert residual <= linalg.DEFAULT_TOL * np.linalg.norm(b)
 
 
 def test_coefficient_bounds_closed_form():
@@ -506,18 +519,17 @@ def _isotropic(p):
     return (1.5 + np.sin(4.0 * p[:, 0] + 3.0 * p[:, 1]))[:, None, None] * np.eye(2)
 
 
+DIAGONAL_SAMPLERS = [  # scalar or diagonal samples; None stands for laminate2d's A0 at eps = 1/8
+    lambda p: np.random.default_rng(3).uniform(0.2, 5.0, p.shape[0]),  # scalar
+    _x1_only_tensor,  # the laminate case: kappa = 1
+    _isotropic,  # a scalar times I, as a tensor
+    lambda p: np.exp(10.0 * p[:, 0])[:, None, None] * _x1_only_tensor(p),  # a diagonal spanning over 1e4
+    None,
+]
+
+
 @pytest.mark.parametrize(
-    "sampler",
-    [
-        lambda p: np.random.default_rng(3).uniform(0.2, 5.0, p.shape[0]),  # scalar
-        _x1_only_tensor,  # the laminate case: the tensor choice wins by the diagonal bound
-        _isotropic,  # an exact tie: the isotropic pass runs after the tensor one, whose choice is kept
-        lambda p: np.exp(10.0 * p[:, 0])[:, None, None] * _x1_only_tensor(p),  # a diagonal wider than 1e3: no bound
-        _random_spd(1.0),  # the isotropic choice wins
-        _random_spd(10.0),
-        _rough_sampler(2, True),
-        None,  # laminate2d's A0 at eps = 1/8
-    ],
+    "sampler", [*DIAGONAL_SAMPLERS, _random_spd(1.0), _random_spd(10.0), _rough_sampler(2, True)]
 )
 def test_line_scales_match_the_two_pass_reference(sampler):
     if sampler is None:
@@ -530,6 +542,11 @@ def test_line_scales_match_the_two_pass_reference(sampler):
     (ref_lo, ref_hi), ref_alpha, ref_beta = fem_reference.line_scales(a_vals, cells1)
     assert _bits(np.array([lo, hi])).tolist() == _bits(np.array([ref_lo, ref_hi])).tolist()
     assert np.array_equal(_bits(alpha), _bits(ref_alpha)) and np.array_equal(_bits(beta), _bits(ref_beta))
+    if sampler in DIAGONAL_SAMPLERS:
+        # on each line the extremes of a scalar, or of A11 and A22 of a diagonal
+        # tensor, lie inside the eigenvalue extremes, so kappa <= the global hi/lo
+        glo, ghi = fem_reference.coefficient_bounds(a_vals)
+        assert hi / lo <= ghi / glo
 
 
 @pytest.mark.parametrize(
@@ -542,6 +559,8 @@ def test_line_scales_match_the_two_pass_reference(sampler):
     ],
 )
 def test_line_scales_reject_what_the_reference_rejects(matrix):
+    # a bad diagonal fails before any root with the reference's message; an
+    # indefinite matrix with a positive diagonal fails on D^-1/2 A D^-1/2
     m = build_domain_mesh(((0.0, 1.0), (0.0, 0.75)), 1 / 12)
     a_vals = fem_reference.gauss_samples(m, _x1_only_tensor)
     a_vals[5, 2] = matrix  # one bad Gauss point
@@ -552,13 +571,15 @@ def test_line_scales_reject_what_the_reference_rejects(matrix):
             warnings.simplefilter("error")
             with pytest.raises(linalg.SingularSystem) as got:
                 fem._line_scales(samples, m.cells_per_axis[0])
-        assert str(got.value) == str(want.value)
+        if np.all(np.diag(matrix) > 0.0):
+            assert "not uniformly positive" in str(got.value)
+        else:
+            assert str(got.value) == str(want.value)
 
 
-def test_tensor_build_takes_one_eigenvalue_pass_unless_isotropic(monkeypatch):
-    # laminate2d's A0 is diagonal and varies along x1 only, so the tensor line
-    # scales win by the diagonal bound; an isotropic tensor ties and also
-    # takes the eigenvalues of A for the isotropic choice
+def test_tensor_build_takes_one_eigenvalue_pass(monkeypatch):
+    # every tensor build forms the eigenvalues of D^-1/2 A D^-1/2 once, the
+    # laminate's diagonal A0 and an isotropic tensor alike; a scalar none
     m, a0, sc = _laminate2d_a0()
     eigenvalues, calls = fem._symmetric_eigenvalues, []
 
@@ -571,7 +592,10 @@ def test_tensor_build_takes_one_eigenvalue_pass_unless_isotropic(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     fem.assemble(m, a0[..., :1, :1] * np.eye(2), sc.mu, sc.bc)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    calls.clear()
+    fem.assemble(m, a0[..., 0, 0], sc.mu, sc.bc)
+    assert not calls
 
 
 def _assert_csr_equal(got, want):
