@@ -105,7 +105,8 @@ def scenario_from_dict(cfg):
     )
 
 
-def load_scenario(path, eps_override=None, ppp_override=None):
+def load_scenario(path):
+    """The Scenario a JSON config file describes; its sweep and points per period are edited there."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -113,10 +114,6 @@ def load_scenario(path, eps_override=None, ppp_override=None):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config root must be an object, got {cfg!r}")
-    if eps_override is not None:
-        cfg["epsilons"] = eps_override
-    if ppp_override is not None:
-        cfg["points_per_period"] = ppp_override
     return scenario_from_dict(cfg)
 
 
@@ -232,8 +229,7 @@ def _floats(text, flag):
 def _cmd_study(args):
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-    eps = _floats(args.eps, "--eps") if args.eps is not None else None
-    scenario = load_scenario(args.config, eps_override=eps, ppp_override=args.ppp)
+    scenario = load_scenario(args.config)
     try:  # before the study, so an unusable --out is a config error, not a lost run
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -314,8 +310,6 @@ def build_parser():
     st.add_argument("--out", required=True)
     st.add_argument("--threads", type=int, default=1, help="eps cases run in parallel (default 1)")
     st.add_argument("--plot", action="store_true")
-    st.add_argument("--eps", default=None, help="comma-separated override of the eps sweep")
-    st.add_argument("--ppp", type=int, default=None, help="points per period override")
     st.set_defaults(fn=_cmd_study)
 
     ce = sub.add_parser("cell", help="solve one cell problem, print the effective tensor")

@@ -30,7 +30,7 @@ separable preset g(x) b(y) gives, has Phi = 1 and builds none: K is
 then d whole-grid Steklov averages per load, each times the gathered cell
 values. The boxes, Phi_c and the gathered values do not depend on the load:
 `corrector_setup` builds them once per mesh and eps, interpolating each
-distinct solve once. The setup holds the mesh, eps and table, so
+distinct solve once. The setup holds the mesh and eps, so
 `corrector_apply` takes only it and the gradient fields that `build_r0`
 makes of each load's u0.
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellTable, TableCoverage, _interpolate_periodic, lerp_axis, locate_on_axis
+from .cell import TableCoverage, _interpolate_periodic, lerp_axis, locate_on_axis
 from .mesh import GridFunction, Mesh, MeshMismatch
 from .norms import lp_norm, w1p_seminorm
 from .smoothing import ExtendedFunction, InsufficientMargin, _central_diff, _extended_mesh, _window_per_axis, extend
@@ -136,7 +136,6 @@ class CorrectorSetup:
 
     mesh: Mesh
     eps: float
-    table: CellTable
     boxes: list  # per solve: one node range (lo, hi) per axis
     weights: list  # per solve: Phi_c on the box's reach, or None
     n_at: list  # per solve: (d,) + box shape
@@ -161,7 +160,7 @@ def corrector_setup(table, mesh, eps):
     n_vals = _interpolate_periodic(table.columns, table.cell_mesh, y).reshape(len(table.columns), -1, mesh.dim)
     if len(table.columns) == 1:  # Phi = 1, and every window reaches it
         whole = tuple((0, n) for n in mesh.nodes_per_axis)
-        return CorrectorSetup(mesh, eps, table, [whole], [None], [n_vals[0].T[:, inv]])
+        return CorrectorSetup(mesh, eps, [whole], [None], [n_vals[0].T[:, inv]])
     spans = [offs[-1] - offs[0] for offs, _ in windows]
     cells = table.cells.reshape(tuple(len(ax) for ax in table.x_axes))
     boxes, weights, n_at = [], [], []
@@ -172,7 +171,7 @@ def corrector_setup(table, mesh, eps):
             boxes.append(box)
             weights.append(phi)
             n_at.append(n_vals[c].T[:, inv[tuple(slice(lo, hi) for lo, hi in box)]])
-    return CorrectorSetup(mesh, eps, table, boxes, weights, n_at)
+    return CorrectorSetup(mesh, eps, boxes, weights, n_at)
 
 
 def corrector_apply(setup, grads):

@@ -9,10 +9,10 @@ part or mu < 0 the reduced system is symmetric positive definite, and in
 A coefficient or load comes in one of two forms: a callable of points,
 sampled here at the Gauss points, or its samples there already, laid out
 (element, Gauss point) as `quadrature(mesh).points` is, with a trailing
-(d, d) for a matrix coefficient; a load may also be a GridFunction. The
-study hands in A0 as samples (`cell.EffectiveField.at_gauss`). Either form
-with the wrong number of values, or a non-finite one, raises
-`QuadratureFailure`.
+(d, d) for a matrix coefficient. The study hands in A0 as samples
+(`cell.EffectiveField.at_gauss`). Either form with the wrong number of
+values, or a non-finite one, raises `QuadratureFailure`. A solve takes a
+load only as the nodal vector `assemble_load` makes of it.
 
 This module is the one Q1 assembler; `cell` assembles its periodic
 systems through the same helpers, with every node free (bc None). A
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,9 +61,13 @@ class AssembledSystem:
     mesh: Mesh
     preconditioner: FastDiagonalization | None = None  # 2D systems only
 
-    @property
-    def n_full(self):
-        return self.mesh.n_nodes
+    @cached_property
+    def factor(self):
+        """dpttrf's (d, e) of a 1D system's tridiagonal matrix, made at its first solve and kept."""
+        m = self.matrix
+        if not np.all(np.isfinite(m.data)):  # LAPACK would compute through them
+            raise linalg.SingularSystem("1D system or load is not finite")
+        return _tridiagonal_factor(m.diagonal(), m.diagonal(1), "1D system")
 
 
 @dataclass(frozen=True)
@@ -351,49 +355,42 @@ def assemble(mesh, a, mu, bc):
 def assemble_load(mesh, f):
     """Load vector F_i = integral f * phi_i by the same Gauss rule.
 
-    f is a callable of points, its samples (n_elements, n_gauss) at the
-    Gauss points, or a GridFunction on the mesh (then its nodal
-    interpolant is integrated).
+    f is a callable of points or its samples (n_elements, n_gauss) at the
+    Gauss points.
     """
     q = quadrature(mesh)
-    if isinstance(f, GridFunction):
-        if f.mesh != mesh:
-            raise MeshMismatch("load grid function lives on a different mesh")
-        f_g = f.values[q.corners] @ q.shape_values.T
-    else:
-        f_g = _gauss_samples("load", f, q, tensor=False)
+    f_g = _gauss_samples("load", f, q, tensor=False)
     return _nodal(q, _load_contributions(f_g, q), mesh.n_nodes)
 
 
-def solve_resolvent(system, f, tol=linalg.DEFAULT_TOL):
-    """Solve the assembled system for a load; Dirichlet nodes come back 0.
+def solve_resolvent(system, load, tol=linalg.DEFAULT_TOL):
+    """Solve the assembled system for a load vector; Dirichlet nodes come back 0.
 
-    1D systems are tridiagonal and SPD, one free dof or none included, and
-    go through LAPACK's tridiagonal Cholesky (`dpttrf`, `dpttrs`) as the 2D
-    preconditioner's modes do; 2D systems through conjugate gradients
-    (`linalg.solve_spd`) to relative residual `tol`, preconditioned by the
-    system's `FastDiagonalization` and stopped at the iteration count its
-    certified condition bound implies. Both are deterministic. A 1D system
-    that is not positive definite or not finite, or a non-finite load, raises
+    load is the (mesh.n_nodes,) vector `assemble_load` makes on the
+    system's mesh; anything else raises `MeshMismatch`. 1D systems are
+    tridiagonal and SPD, one free dof or none included, and go through
+    LAPACK's tridiagonal Cholesky (`dpttrf`, `dpttrs`) as the 2D
+    preconditioner's modes do, factored once per system (`factor`);
+    2D systems through conjugate gradients (`linalg.solve_spd`) to
+    relative residual `tol`, preconditioned by the system's
+    `FastDiagonalization` and stopped at the iteration count its certified
+    condition bound implies. Both are deterministic. A 1D system that is
+    not positive definite or not finite, or a non-finite load, raises
     `linalg.SingularSystem`; a 2D solve that misses `tol` raises `linalg.NonConvergence`.
     """
-    if isinstance(f, GridFunction) or callable(f):
-        load = assemble_load(system.mesh, f)
-    else:
-        load = np.asarray(f, dtype=float)
-        if load.shape[0] != system.n_full:
-            raise MeshMismatch("load vector length does not match the mesh")
+    n = system.mesh.n_nodes
+    if not (isinstance(load, np.ndarray) and load.shape == (n,)):
+        raise MeshMismatch(f"a load must be the ({n},) vector fem.assemble_load makes on the system's mesh")
     b = load[system.free_dofs]
-    m = system.matrix
     if system.mesh.dim == 1:
-        if not (np.all(np.isfinite(m.data)) and np.all(np.isfinite(b))):  # LAPACK would compute through them
+        if not np.all(np.isfinite(b)):  # LAPACK would compute through it
             raise linalg.SingularSystem("1D system or load is not finite")
-        x, _ = dpttrs(*_tridiagonal_factor(m.diagonal(), m.diagonal(1), "1D system"), b)
+        x, _ = dpttrs(*system.factor, b)
     else:
         pre = system.preconditioner
         linalg._check_tol(tol)  # before max_iter takes log(2 / tol)
-        x, _ = linalg.solve_spd(m, b, tol=tol, max_iter=pre.max_iter(tol), preconditioner=pre)
-    out = np.zeros(system.n_full)
+        x, _ = linalg.solve_spd(system.matrix, b, tol=tol, max_iter=pre.max_iter(tol), preconditioner=pre)
+    out = np.zeros(n)
     out[system.free_dofs] = x
     return GridFunction(system.mesh, out)
 

@@ -308,16 +308,16 @@ def quadrature(mesh):
     return _quadrature_cached(mesh)
 
 
-def values_at_gauss(u, quad=None):
-    """Interpolated nodal field at Gauss points, shape (n_elements, n_gauss)."""
-    q = quad or quadrature(u.mesh)
+def values_at_gauss(u):
+    """Interpolated nodal field at the Gauss points of `quadrature(u.mesh)`, shape (n_elements, n_gauss)."""
+    q = quadrature(u.mesh)
     corner_vals = u.values[q.corners]  # (E, n_corner)
     return corner_vals @ q.shape_values.T
 
 
-def grads_at_gauss(u, quad=None):
-    """Element-gradient at Gauss points, (E, n_gauss, dim): one product of the
-    (E, corners) nodal gather with the shape gradients as (corners, n_gauss * dim)."""
-    q = quad or quadrature(u.mesh)
+def grads_at_gauss(u):
+    """Element-gradient at the Gauss points of `quadrature(u.mesh)`, (E, n_gauss, dim): one product
+    of the (E, corners) nodal gather with the shape gradients as (corners, n_gauss * dim)."""
+    q = quadrature(u.mesh)
     g, c, d = q.shape_grads.shape
     return (u.values[q.corners] @ q.shape_grads.transpose(1, 0, 2).reshape(c, g * d)).reshape(-1, g, d)

@@ -78,7 +78,7 @@ def _gauss_lp(v, q, p):
 
 def lp_norm(u, p, mask=None):
     q = quadrature(u.mesh)
-    vals = values_at_gauss(u, q)
+    vals = values_at_gauss(u)
     sel = _element_weights(u.mesh, mask)
     return _gauss_lp(vals if sel is None else vals[sel], q, p)
 
@@ -86,7 +86,7 @@ def lp_norm(u, p, mask=None):
 def w1p_seminorms(u, p, masks):
     """|u|_{1,p} over each mask of masks (None: the whole mesh), from one gradient."""
     q = quadrature(u.mesh)
-    g = grads_at_gauss(u, q)
+    g = grads_at_gauss(u)
     mag = np.sqrt(np.einsum("egd,egd->eg", g, g))
     sels = [_element_weights(u.mesh, mask) for mask in masks]
     return [_gauss_lp(mag if sel is None else mag[sel], q, p) for sel in sels]
@@ -110,7 +110,7 @@ def w1p_norm(u, p, mask=None):
 def _gauss_grid(u):
     """Gauss values of u shaped (cells per axis ..., Gauss points), and the rule."""
     q = quadrature(u.mesh)
-    return values_at_gauss(u, q).reshape(u.mesh.cells_per_axis + (-1,)), q
+    return values_at_gauss(u).reshape(u.mesh.cells_per_axis + (-1,)), q
 
 
 def _shift_modulus(vals, k, p, q, buf):

@@ -104,10 +104,9 @@ class FitResult:
 class ConvergenceReport:
     scenario: Scenario
     targets: list
-    rows: list
+    rows: list  # one CaseRow per eps, in the scenario's decreasing order
     fits: dict  # name -> FitResult | None
     verdicts: dict  # name -> "PASS" | "FAIL" | "NotApplicable"
-    warnings: tuple = ()
 
     @property
     def all_passed(self):
@@ -216,7 +215,6 @@ def run_study(scenario, threads=1):
             rows = list(pool.map(lambda e: _case(scenario, e, eff, ctable, targets), eps_list))
     else:
         rows = [_case(scenario, e, eff, ctable, targets) for e in eps_list]
-    rows.sort(key=lambda r: -r.eps)
 
     fits = {}
     verdicts = {}
@@ -224,7 +222,7 @@ def run_study(scenario, threads=1):
         pts = [(r.eps, r.errors[t.name]) for r in rows if not r.excluded[t.name]]
         fits[t.name] = fit_rate(pts) if len(pts) >= 3 else None
         verdicts[t.name] = verdict(fits[t.name], t.guaranteed_exponent)
-    return ConvergenceReport(scenario, targets, rows, fits, verdicts, scenario.warnings)
+    return ConvergenceReport(scenario, targets, rows, fits, verdicts)
 
 
 def summarize(report):
@@ -236,7 +234,7 @@ def summarize(report):
         f"bc={sc.bc.kind} mu={sc.mu:g} p={sc.p:g} s={sc.s:g} s+={sc.s_plus:g} "
         f"rho={sc.points_per_period}"
     )
-    for w in report.warnings:
+    for w in sc.warnings:
         lines.append(f"warning: {w}")
     for t in report.targets:
         fit = report.fits[t.name]

@@ -186,21 +186,21 @@ def _iter_z(per_axis):
             yield (int(j1), int(j2)), float(wa * wb)
 
 
-def corrector_apply(setup, grads):
+def corrector_apply(setup, grads, table):
     """Assemble the corrector field K on the setup's mesh; only the
-    setup's mesh, eps and table are read."""
+    setup's mesh and eps and the table it was built from are read."""
     mesh = setup.mesh
     d = mesh.dim
     per_axis = _z_offsets(mesh, setup.eps)
     y_pts = _fast_coordinates(mesh, setup.eps)
-    n_vals, _, inv = _table_entry_values(setup.table, y_pts)
+    n_vals, _, inv = _table_entry_values(table, y_pts)
     fields = _ShiftedFields(mesh, grads)
     coords = mesh.node_coords()
     h = np.array(mesh.h)
     out = np.zeros(mesh.n_nodes)
     for cell_offset, w_z in _iter_z(per_axis):
         pts = coords + h[None, :] * np.array(cell_offset)[None, :]
-        stencil = _table_stencil(setup.table, pts)
+        stencil = _table_stencil(table, pts)
         contrib = np.zeros(mesh.n_nodes)
         blocks = [fields.block(k, cell_offset) for k in range(d)]
         for entry_ids, wts in stencil:
@@ -210,7 +210,7 @@ def corrector_apply(setup, grads):
     return GridFunction(mesh, out)
 
 
-def corrector_gradient_parts(setup, grads):
+def corrector_gradient_parts(setup, grads, table):
     """Slow and fast contributions to eps * D K, each a list of d fields.
 
     part_slow[j] = eps * cube-average of d/dx_j [N_k(x + eps z, y) G_k(x + eps z)],
@@ -220,7 +220,6 @@ def corrector_gradient_parts(setup, grads):
     mesh = setup.mesh
     d = mesh.dim
     eps = setup.eps
-    table = setup.table
     per_axis = _z_offsets(mesh, eps)
     y_pts = _fast_coordinates(mesh, eps)
     n_vals, n_grads, inv = _table_entry_values(table, y_pts)

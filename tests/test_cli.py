@@ -107,7 +107,7 @@ def test_impossible_interior_margin_rejected_before_tabulating(tmp_path, capsys,
         (["study"], {"epsilons": [0.12, 0.06, 0.03]}),  # h = eps/16 does not divide [0, 1]
         (["study"], '{"field": {"preset_id": "Sine1D", '),
         (["study"], "[1, 2]"),
-        (["study", "--eps", "0.1,x"], {}),
+        (["study"], {"epsilons": [0.25, "x", 0.0625]}),
         (["cell", "--preset", "Sine1D", "--params", "2,abc"], None),
         (["cell", "--preset", "Sine1D", "--params", "2,1", "--m", "2"], None),
         (["cell", "--preset", "Sine1D", "--params", "2,1", "--x", "0.1,0.2"], None),
@@ -247,7 +247,6 @@ _CELL = ["cell", "--preset", "Sine1D", "--params", "2,1"]
         ["audit", "--preset", "Sine1D", "--params", "2,1", "--samples", "1000000000000"],
         ["study", "--threads", "-2"],
         ["study", "--threads", "0"],
-        ["study", "--eps", "0.125,nan,0.03125"],
     ],
     ids=" ".join,
 )
@@ -334,16 +333,14 @@ def test_summary_and_svg_written(study_run):
     assert body.startswith("<svg") and "circle" in body and "log10 eps" in body
 
 
-def test_eps_and_ppp_overrides(tmp_path):
+def test_study_refuses_sweep_flags(tmp_path, monkeypatch, capsys):
+    # the sweep and the points per period come from the config only
+    monkeypatch.setattr(study, "run_study", lambda *a, **k: pytest.fail("the study ran"))
     cfg = _write_cfg(tmp_path, SINE_CFG)
-    out = tmp_path / "o"
-    rc = cli.main([
-        "study", "--config", cfg, "--out", str(out),
-        "--eps", "0.25,0.125,0.0625", "--ppp", "16",
-    ])
-    assert rc == 0
-    body = (out / "rates.csv").read_text()
-    assert "0.25," in body
+    for flag in (["--eps", "0.25,0.125,0.0625"], ["--ppp", "16"]):
+        assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o"), *flag]) == 2
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_header_only_csv_for_no_targets(tmp_path):

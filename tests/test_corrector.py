@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 import cell_reference
 import corrector_reference as reference
 from oscille import cell, corrector, fem, smoothing
-from oscille.cli import load_scenario
+from oscille.cli import scenario_from_dict
 from oscille.core import BoundarySpec, Scenario, preset_coefficient
 from oscille.mesh import GridFunction, MeshMismatch, build_cell_mesh, build_domain_mesh, grid_from_callable
 from oscille.norms import lp_norm
@@ -38,13 +39,24 @@ def _table_for(sc, cell_m=128):
     return cell.tabulate_cells(sc.field, _tight_axes(sc), build_cell_mesh(cell_m, sc.field.dim))
 
 
+def _config(name, rho):
+    """A shipped config's scenario at rho points per period."""
+    with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+        return scenario_from_dict(dict(json.load(fh), points_per_period=rho))
+
+
+def _solve(system, f):
+    return fem.solve_resolvent(system, fem.assemble_load(system.mesh, f))
+
+
 def _inputs(scenario, eps, u0, table):
-    """The corrector setup on u0's mesh, and the gradient fields of u0."""
-    return corrector.corrector_setup(table, u0.mesh, eps), corrector.build_r0(u0, scenario, eps)
+    """The corrector setup on u0's mesh, the gradient fields of u0, and the
+    table the setup was built from, which the references read."""
+    return corrector.corrector_setup(table, u0.mesh, eps), corrector.build_r0(u0, scenario, eps), table
 
 
 def _apply(inputs):
-    return corrector.corrector_apply(*inputs)
+    return corrector.corrector_apply(*inputs[:2])
 
 
 def _assert_mollified(scenario, eps, u0, grads):
@@ -90,7 +102,7 @@ def test_two_scale_oracle_1d(sine_setup):
     field, sc, eps, table, mesh = sine_setup
     f_fn = lambda p: SQRT3 * (2 * np.pi) ** 2 * np.sin(2 * np.pi * p[:, 0])  # noqa: E731
     eff_sys = fem.assemble(mesh, lambda p: SQRT3 * np.ones(p.shape[0]), sc.mu, sc.bc)
-    u0 = fem.solve_resolvent(eff_sys, f_fn)
+    u0 = _solve(eff_sys, f_fn)
     k = _apply(_inputs(sc, eps, u0, table))
 
     # independent oracle: exact N, exact u0' = 2 pi cos(2 pi x), exact cube
@@ -117,9 +129,9 @@ def test_linearity_in_f(sine_setup):
     f1 = lambda p: np.ones(p.shape[0])  # noqa: E731
     f2 = lambda p: np.sin(np.pi * p[:, 0])  # noqa: E731
     a, b = 2.0, -0.7
-    u1 = fem.solve_resolvent(sys_eff, f1)
-    u2 = fem.solve_resolvent(sys_eff, f2)
-    u12 = fem.solve_resolvent(sys_eff, lambda p: a * f1(p) + b * f2(p))
+    u1 = _solve(sys_eff, f1)
+    u2 = _solve(sys_eff, f2)
+    u12 = _solve(sys_eff, lambda p: a * f1(p) + b * f2(p))
     k1 = _apply(_inputs(sc, eps, u1, table))
     k2 = _apply(_inputs(sc, eps, u2, table))
     k12 = _apply(_inputs(sc, eps, u12, table))
@@ -147,7 +159,7 @@ def _assert_norm_check_matches_split_gradient(inputs, f_norm=1.0):
 def test_gradient_split_identity(sine_setup):
     field, sc, eps, table, mesh = sine_setup
     sys_eff = fem.assemble(mesh, lambda p: SQRT3 * np.ones(p.shape[0]), sc.mu, sc.bc)
-    u0 = fem.solve_resolvent(sys_eff, lambda p: np.ones(p.shape[0]))
+    u0 = _solve(sys_eff, lambda p: np.ones(p.shape[0]))
     _assert_norm_check_matches_split_gradient(_inputs(sc, eps, u0, table), f_norm=2.0)
 
 
@@ -339,7 +351,7 @@ def _stub_table(x_axes, per_entry=False):
 @pytest.mark.parametrize("config", ["sine1d.json", "mixed1d.json", "laminate2d.json"])
 @pytest.mark.parametrize("rho", [1, 2, 3, 5, 12, 32])
 def test_table_margin_is_the_reach_at_the_largest_eps(config, rho):
-    sc = load_scenario(os.path.join(CONFIG_DIR, config), ppp_override=rho)
+    sc = _config(config, rho)
     eps = sc.epsilons[0]
     mesh = fem.oscillatory_mesh(sc, eps)
     windows = smoothing._window_per_axis(mesh, eps)
@@ -361,15 +373,16 @@ def test_solve_weights_match_interpolated_indicator(rho):
     # scattered onto the window's reach and weighted by per-entry values,
     # the weights sum to the multilinear interpolant of those values there.
     # On laminate2d's largest eps the windows straddle table nodes
-    sc = load_scenario(os.path.join(CONFIG_DIR, "laminate2d.json"), ppp_override=rho)
+    sc = _config("laminate2d.json", rho)
     eps = sc.epsilons[0]
     mesh = fem.oscillatory_mesh(sc, eps)
     windows = smoothing._window_per_axis(mesh, eps)
     axes = _tight_axes(sc)
-    setup = corrector.corrector_setup(_stub_table(axes, per_entry=True), mesh, eps)
-    assert len(setup.boxes) == len(setup.table.cells)  # every entry's hat lies within reach
+    table = _stub_table(axes, per_entry=True)
+    setup = corrector.corrector_setup(table, mesh, eps)
+    assert len(setup.boxes) == len(table.cells)  # every entry's hat lies within reach
     assert np.max(_solves_per_node(setup)) > 4
-    values = np.random.default_rng(0).uniform(1.0, 2.0, len(setup.table.cells))
+    values = np.random.default_rng(0).uniform(1.0, 2.0, len(table.cells))
     spans = [offs[-1] - offs[0] for offs, _ in windows]
     summed = np.zeros([n + span for n, span in zip(mesh.nodes_per_axis, spans)])
     for v, box, phi in zip(values, setup.boxes, setup.weights):
@@ -400,7 +413,7 @@ def test_solve_boxes_and_weights_are_the_hand_built_hats(config, rho):
     # with one solve per entry, each entry a window reaches has one box: the
     # nodes whose windows meet its hats' nonzero rows; its Phi is the outer
     # product of those hats on the box's reach, bit for bit
-    sc = load_scenario(os.path.join(CONFIG_DIR, config), ppp_override=rho)
+    sc = _config(config, rho)
     axes = _tight_axes(sc)
     table = _stub_table(axes, per_entry=True)
     for eps in sc.epsilons[:2]:
@@ -433,7 +446,7 @@ def test_build_r0_extends_u0_by_the_reach(config, rho):
     # the gradient fields reach one node past the widest window offset, so
     # the chain-rule reference can central-difference them there, and no
     # further; the mollifier (mixed1d, s = 0.5) takes its radius on top
-    sc = load_scenario(os.path.join(CONFIG_DIR, config), ppp_override=rho)
+    sc = _config(config, rho)
     eps = sc.epsilons[0]
     mesh = fem.oscillatory_mesh(sc, eps)
     grads = corrector.build_r0(grid_from_callable(mesh, lambda p: np.sum(p, axis=1)), sc, eps)
@@ -607,7 +620,7 @@ def test_table_spacing_halving_changes_little():
     f_fn = lambda p: np.ones(p.shape[0])  # noqa: E731
     from oscille.core import tau_eps
 
-    u_eps = fem.solve_resolvent(
+    u_eps = _solve(
         fem.assemble(mesh, lambda p: tau_eps(field, eps, p), sc.mu, sc.bc), f_fn
     )
     errs = []
@@ -617,7 +630,7 @@ def test_table_spacing_halving_changes_little():
         axes = cell.x_axes_for(((0.0, 1.0),), margin, spacing=spacing)
         eff, table = cell.tabulate_effective(field, axes, cmesh)
         sys_eff = fem.assemble(mesh, eff.at_gauss(mesh), sc.mu, sc.bc)
-        u0 = fem.solve_resolvent(sys_eff, f_fn)
+        u0 = _solve(sys_eff, f_fn)
         k = _apply(_inputs(sc, eps, u0, table))
         uo1 = corrector.first_order(u0, k, eps)
         errs.append(w1p_seminorm(GridFunction(mesh, u_eps.values - uo1.values), 2.0))
@@ -634,7 +647,7 @@ def test_corrector_q_norm_bounded():
     for eps in sc.epsilons:
         mesh = fem.oscillatory_mesh(sc, eps)
         sys_eff = fem.assemble(mesh, lambda p: SQRT3 * np.ones(p.shape[0]), sc.mu, sc.bc)
-        u0 = fem.solve_resolvent(sys_eff, lambda p: np.ones(p.shape[0]))
+        u0 = _solve(sys_eff, lambda p: np.ones(p.shape[0]))
         k = _apply(_inputs(sc, eps, u0, table))
         f_norm = lp_norm(grid_from_callable(mesh, lambda p: np.ones(p.shape[0])), 2.0)
         ratios.append(lp_norm(k, 4.0) / f_norm)

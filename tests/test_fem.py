@@ -18,6 +18,11 @@ from oscille.norms import lp_norm, w1p_norm
 ONES = lambda p: np.ones(p.shape[0])  # noqa: E731
 
 
+def _solve(system, f):
+    """The resolvent solve of load f, assembled on the system's mesh as the study does."""
+    return fem.solve_resolvent(system, fem.assemble_load(system.mesh, f))
+
+
 def test_hand_assembled_reduced_system():
     m = build_domain_mesh(((0.0, 1.0),), 0.5)
     sys1 = fem.assemble(m, ONES, 0.0, core.BoundarySpec("dirichlet"))
@@ -58,7 +63,7 @@ def test_symmetry_defect_small():
 def test_resolvent_1d_analytic():
     m = build_domain_mesh(((0.0, 1.0),), 1 / 512)
     s = fem.assemble(m, ONES, -1.0, core.BoundarySpec("dirichlet"))
-    u = fem.solve_resolvent(s, lambda p: (4 * np.pi**2 + 1) * np.sin(2 * np.pi * p[:, 0]))
+    u = _solve(s, lambda p: (4 * np.pi**2 + 1) * np.sin(2 * np.pi * p[:, 0]))
     exact = np.sin(2 * np.pi * m.node_coords()[:, 0])
     assert np.max(np.abs(u.values - exact)) <= 1e-4
     assert u.values[0] == 0.0 and u.values[-1] == 0.0
@@ -67,7 +72,7 @@ def test_resolvent_1d_analytic():
 def test_resolvent_neumann_constant():
     m = build_domain_mesh(((0.0, 1.0),), 1 / 64)
     s = fem.assemble(m, ONES, -1.0, core.BoundarySpec("neumann"))
-    u = fem.solve_resolvent(s, lambda p: np.full(p.shape[0], 2.0))
+    u = _solve(s, lambda p: np.full(p.shape[0], 2.0))
     np.testing.assert_allclose(u.values, 2.0, atol=1e-8)
 
 
@@ -84,7 +89,7 @@ def test_resolvent_2d_manufactured_rate():
     def solve(h):
         m = build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), h)
         s = fem.assemble(m, sampler, 0.0, core.BoundarySpec("dirichlet"))
-        u = fem.solve_resolvent(s, lambda p: c * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]))
+        u = _solve(s, lambda p: c * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]))
         ex = grid_from_callable(m, lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]))
         return lp_norm(GridFunction(m, u.values - ex.values), 2.0)
 
@@ -98,7 +103,7 @@ def test_mixed_bc_left_edge_only():
     pts = m.node_coords()[s.constrained_dofs]
     assert np.all(pts[:, 0] == 0.0)
     assert len(s.constrained_dofs) == 5
-    u = fem.solve_resolvent(s, ONES)
+    u = _solve(s, ONES)
     assert np.all(u.values.reshape(5, 5)[0] == 0.0)
 
 
@@ -137,7 +142,7 @@ def test_oscillatory_1d_matches_quadrature_oracle():
     sc = _scenario_1d()
     eps = 1 / 16
     mesh = fem.oscillatory_mesh(sc, eps)
-    u = fem.solve_resolvent(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc), ONES)
+    u = _solve(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc), ONES)
     xf, uf = _oscillatory_oracle_1d(lambda y: 2 + np.sin(2 * np.pi * y), eps, lambda x: np.ones_like(x))
     oracle = np.interp(mesh.node_coords()[:, 0], xf, uf)
     rel = lp_norm(GridFunction(mesh, u.values - oracle), 2.0) / lp_norm(GridFunction(mesh, oracle), 2.0)
@@ -158,9 +163,9 @@ def test_oscillatory_constant_field_equals_effective():
         interior_margin=0.0,
     )
     mesh = fem.oscillatory_mesh(sc, 1 / 8)
-    u = fem.solve_resolvent(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, 1 / 8, p), sc.mu, sc.bc), ONES)
+    u = _solve(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, 1 / 8, p), sc.mu, sc.bc), ONES)
     s_eff = fem.assemble(mesh, lambda p: 2.0 * np.ones(p.shape[0]), 0.0, sc.bc)
-    u_eff = fem.solve_resolvent(s_eff, ONES)
+    u_eff = _solve(s_eff, ONES)
     np.testing.assert_array_equal(u.values, u_eff.values)
 
 
@@ -170,7 +175,7 @@ def test_one_cell_oscillatory_vs_dense_oracle():
     field = core.preset_coefficient("Sine1D", [2, 1], 1)
     m = build_domain_mesh(((0.0, 1.0),), 1 / 16)
     s = fem.assemble(m, lambda p: core.tau_eps(field, 1.0, p), 0.0, core.BoundarySpec("dirichlet"))
-    u = fem.solve_resolvent(s, ONES)
+    u = _solve(s, ONES)
     dense = s.matrix.toarray()
     b = fem.assemble_load(m, ONES)[s.free_dofs]
     x = np.linalg.solve(dense, b)
@@ -183,7 +188,7 @@ def test_uniform_stability_across_sweep():
     ratios = []
     for eps in sc.epsilons:
         mesh = fem.oscillatory_mesh(sc, eps)
-        u = fem.solve_resolvent(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc), ONES)
+        u = _solve(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc), ONES)
         ratios.append(w1p_norm(u, 2.0) / 1.0)
     assert max(ratios) / min(ratios) <= 1.5
 
@@ -196,7 +201,7 @@ def test_fem_self_consistency_h_refinement():
     for rho in (16, 32):
         sc = _scenario_1d(eps_list=(1 / 4, 1 / 8, 1 / 16), rho=rho)
         mesh = fem.oscillatory_mesh(sc, eps)
-        u = fem.solve_resolvent(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc), ONES)
+        u = _solve(fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc), ONES)
         errs[rho] = (u, mesh)
     u16, m16 = errs[16]
     u32, m32 = errs[32]
@@ -205,7 +210,7 @@ def test_fem_self_consistency_h_refinement():
     fem_shift = lp_norm(GridFunction(m16, u16.values - u32_on_16), 2.0)
     # homogenization error at this eps (effective limit = harmonic mean sqrt(3))
     s_eff = fem.assemble(m16, lambda p: np.sqrt(3.0) * np.ones(p.shape[0]), 0.0, core.BoundarySpec("dirichlet"))
-    u0 = fem.solve_resolvent(s_eff, ONES)
+    u0 = _solve(s_eff, ONES)
     homog = lp_norm(GridFunction(m16, u16.values - u0.values), 2.0)
     assert fem_shift <= 0.25 * homog
 
@@ -259,7 +264,7 @@ def test_fem_self_consistency_2d_single_eps():
     for sc in (scen(12), scen(24)):
         mesh = fem.oscillatory_mesh(sc, eps)
         system = fem.assemble(mesh, lambda p: core.tau_eps(sc.field, eps, p), sc.mu, sc.bc)
-        solved += [fem.solve_resolvent(system, load), mesh]
+        solved += [_solve(system, load), mesh]
     u12, m12, u24, m24 = solved
     u24_on_12 = u24.values.reshape(m24.nodes_per_axis)[::2, ::2].ravel()
     fem_shift = lp_norm(GridFunction(m12, u12.values - u24_on_12), 2.0)
@@ -272,7 +277,7 @@ def test_fem_self_consistency_2d_single_eps():
         return out
 
     s_eff = fem.assemble(m12, eff_sampler, -1.0, core.BoundarySpec("dirichlet"))
-    u0 = fem.solve_resolvent(s_eff, load)
+    u0 = _solve(s_eff, load)
     homog = lp_norm(GridFunction(m12, u12.values - u0.values), 2.0)
     assert fem_shift <= 0.25 * homog
 
@@ -362,8 +367,9 @@ def test_random_tensor_solves_within_the_certified_count(edges, mu):
     # solve: PCG meets the tolerance on each study load within max_iter
     s = _box_system(edges, mu, _random_spd(1.0))
     for _, load in study.LOADS:
-        b = fem.assemble_load(s.mesh, load)[s.free_dofs]
-        u = fem.solve_resolvent(s, load)  # NonConvergence past max_iter(DEFAULT_TOL)
+        f_vec = fem.assemble_load(s.mesh, load)
+        b = f_vec[s.free_dofs]
+        u = fem.solve_resolvent(s, f_vec)  # NonConvergence past max_iter(DEFAULT_TOL)
         residual = np.linalg.norm(b - s.matrix @ u.values[s.free_dofs])
         assert residual <= linalg.DEFAULT_TOL * np.linalg.norm(b)
 
@@ -414,7 +420,7 @@ def test_elongated_strip_under_node_cap_solves(monkeypatch):
     assert strip.nodes_per_axis == (41, 3)
     s = fem.assemble(strip, lambda p: 1.0 + p[:, 0], -1.0, core.BoundarySpec("neumann"))
     load = lambda p: np.cos(np.pi * p[:, 0]) + p[:, 1]  # noqa: E731
-    u = fem.solve_resolvent(s, load)
+    u = _solve(s, load)
     exact = spsolve(s.matrix.tocsc(), fem.assemble_load(strip, load)[s.free_dofs])
     np.testing.assert_allclose(u.values[s.free_dofs], exact, rtol=0, atol=1e-9 * np.abs(exact).max())
 
@@ -434,7 +440,7 @@ def test_few_free_dofs_solve():
     ):
         s = fem.assemble(build_domain_mesh(extents, h * (1 + 1e-12)), ONES, -1.0, bc)
         assert s.free_dofs.size == (value is not None)
-        u = fem.solve_resolvent(s, ONES)
+        u = _solve(s, ONES)
         assert np.count_nonzero(u.values) == s.free_dofs.size
         if value is not None:
             assert u.values[s.free_dofs[0]] == pytest.approx(value, rel=1e-12)
@@ -457,7 +463,7 @@ def test_fast_diagonalization_iterations_do_not_grow_with_h():
             if preset == "SineProduct2D":
                 x_jacobi, _ = linalg.solve_spd(s.matrix, b, tol=tol)
                 assert np.linalg.norm(x - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
-            np.testing.assert_array_equal(fem.solve_resolvent(s, load).values[s.free_dofs], x)
+            np.testing.assert_array_equal(_solve(s, load).values[s.free_dofs], x)
             iterations.setdefault(preset, []).append(stats.iterations)
     # LocallyPeriodic2D varies along x1 only, so the preconditioner is the operator
     assert max(iterations["LocallyPeriodic2D"]) <= 2
@@ -468,12 +474,26 @@ def test_fast_diagonalization_iterations_do_not_grow_with_h():
     assert max(sine) - min(sine) <= 3
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_takes_only_the_assembled_load_vector(dim):
+    # a callable, a GridFunction, a list and a vector of the wrong shape are refused, not
+    # assembled or converted: the study assembles each load once for both of its systems
+    m = build_domain_mesh(((0.0, 1.0), (0.0, 0.75))[:dim], 0.25)
+    s = fem.assemble(m, ONES, -1.0, core.BoundarySpec("dirichlet"))
+    f_vec = fem.assemble_load(m, ONES)
+    expected = re.escape(f"a load must be the ({m.n_nodes},) vector fem.assemble_load makes")
+    for load in (ONES, GridFunction(m, f_vec), list(f_vec), f_vec[:-1], np.append(f_vec, 0.0), f_vec[:, None]):
+        with pytest.raises(MeshMismatch, match=expected):
+            fem.solve_resolvent(s, load)
+    assert np.count_nonzero(fem.solve_resolvent(s, f_vec).values) == s.free_dofs.size
+
+
 @pytest.mark.parametrize("tol", [0.0, np.nan])
 def test_2d_resolvent_rejects_tol_before_sizing_iterations(tol):
     # the iteration cap takes log(2 / tol), which a zero tol divides by
     s = fem.assemble(build_domain_mesh(((0.0, 1.0),) * 2, 1 / 8), ONES, -1.0, core.BoundarySpec("dirichlet"))
     with pytest.raises(core.ConfigError, match="tol must lie in"):
-        fem.solve_resolvent(s, ONES, tol=tol)
+        fem.solve_resolvent(s, fem.assemble_load(s.mesh, ONES), tol=tol)
 
 
 def _bits(a):
@@ -699,9 +719,7 @@ def test_pattern_built_once_per_mesh_and_bc_over_studies(monkeypatch):
 def test_load_scatter_matches_add_at_reference(dim):
     m = build_domain_mesh(((0.0, 1.0), (0.0, 0.7))[:dim], 0.05)
     load = lambda p: np.sin(3.0 * p[:, 0]) * (p[:, -1] + 0.5)  # noqa: E731
-    values = np.random.default_rng(dim).uniform(-1.0, 1.0, m.n_nodes)
-    for f in (load, GridFunction(m, values)):
-        assert np.array_equal(_bits(fem.assemble_load(m, f)), _bits(fem_reference.assemble_load(m, f)))
+    assert np.array_equal(_bits(fem.assemble_load(m, load)), _bits(fem_reference.assemble_load(m, load)))
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0])

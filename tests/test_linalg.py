@@ -28,7 +28,7 @@ def _solve_1d(dense, b):
         free_dofs=np.arange(1, n + 1),
         mesh=build_domain_mesh(((0.0, 1.0),), 1.0 / (n + 1)),
     )
-    load = np.zeros(system.n_full)
+    load = np.zeros(system.mesh.n_nodes)
     load[system.free_dofs] = b
     return fem.solve_resolvent(system, load).values[system.free_dofs]
 
@@ -189,7 +189,7 @@ def test_tridiag_non_finite_matrix_raises(entry):
     dense = s.matrix.toarray()
     dense[entry] = np.inf
     with pytest.raises(linalg.SingularSystem, match="not finite"):
-        fem.solve_resolvent(dataclasses.replace(s, matrix=sp.csr_matrix(dense)), np.ones(s.n_full))
+        fem.solve_resolvent(dataclasses.replace(s, matrix=sp.csr_matrix(dense)), np.ones(s.mesh.n_nodes))
 
 
 def _periodic_laplacian(m):

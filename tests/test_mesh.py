@@ -128,10 +128,10 @@ def test_quadrature_integrates_bilinear_exactly():
     m = mesh.build_domain_mesh(((0.0, 1.0), (0.0, 1.0)), 0.25)
     q = mesh.quadrature(m)
     u = mesh.grid_from_callable(m, lambda p: 2 * p[:, 0] + 3 * p[:, 1] - 1)
-    vals = mesh.values_at_gauss(u, q)
+    vals = mesh.values_at_gauss(u)
     integral = float((vals @ q.weights).sum())
     assert integral == pytest.approx(2 * 0.5 + 3 * 0.5 - 1, abs=1e-14)
-    g = mesh.grads_at_gauss(u, q)
+    g = mesh.grads_at_gauss(u)
     np.testing.assert_allclose(g[:, :, 0], 2.0, atol=1e-12)
     np.testing.assert_allclose(g[:, :, 1], 3.0, atol=1e-12)
 
@@ -156,7 +156,7 @@ def test_grads_at_gauss_matches_einsum(m):
     u = mesh.GridFunction(m, np.random.default_rng(3).standard_normal(m.n_nodes))
     q = mesh.quadrature(m)
     expected = np.einsum("ec,gcd->egd", u.values[q.corners], q.shape_grads)
-    g = mesh.grads_at_gauss(u, q)
+    g = mesh.grads_at_gauss(u)
     assert g.shape == (m.n_elements, 2**m.dim, m.dim)
     np.testing.assert_allclose(g, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
 

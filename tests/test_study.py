@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf
 
 from oscille import cell as cell_mod
 from oscille import core, corrector, fem, study
@@ -228,6 +229,27 @@ def test_summarize_contains_verdicts(small_sine_report):
     text = study.summarize(small_sine_report)
     assert "lp:" in text and "verdict=PASS" in text
     assert "corrector boundedness ratio" in text
+
+
+def test_summary_prints_the_scenario_warnings(small_sine_report):
+    # interior_margin 0.2 is within 5 * max eps, which the scenario flags; the
+    # summary reads the warning from the scenario, so a report built by hand
+    # prints it too
+    sc = small_sine_report.scenario
+    assert len(sc.warnings) == 1
+    for rep in (small_sine_report, study.ConvergenceReport(sc, [], [], {}, {})):
+        assert study.summarize(rep).splitlines()[1] == f"warning: {sc.warnings[0]}"
+
+
+def test_1d_study_factors_each_system_once_per_row(monkeypatch):
+    # a row solves its oscillatory and its effective system once per load;
+    # a 1D system keeps its dpttrf factor, so a row factors two matrices
+    calls = []
+    monkeypatch.setattr(fem, "dpttrf", lambda *a: calls.append(a) or dpttrf(*a))
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs", "mixed1d.json"))
+    rep = study.run_study(dataclasses.replace(scenario, epsilons=scenario.epsilons[:3]))
+    assert len(study.LOADS) == 2
+    assert len(calls) == 2 * len(rep.rows) == 6
 
 
 def test_corrector_setup_once_per_eps_from_distinct_cells(monkeypatch):
